@@ -173,9 +173,9 @@ def _cmd_kernel(args, out) -> int:
 
 def _cmd_profile(args, out) -> int:
     hat = lambda q: step_hat(args.R, q) if q > 0 else 4.0 * math.pi * args.R**3 / 3.0
-    for i in range(args.points):
-        r = args.rmax * i / (args.points - 1) if args.points > 1 else 0.0
-        f = inverse_ft_radial(hat, r, qmax=args.qmax, n=args.panels)
+    radii = [args.rmax * i / (args.points - 1) if args.points > 1 else 0.0 for i in range(args.points)]
+    profile = inverse_ft_radial(hat, radii, qmax=args.qmax, n=args.panels)
+    for r, f in zip(radii, profile):
         out.write(f"{_fmt_float(r, 'text')},{_fmt_float(f, 'text')}\n")
     return 0
 
@@ -313,9 +313,10 @@ def _suite_metric() -> tuple[bool, str]:
 
 def _suite_profile() -> tuple[bool, str]:
     hat = lambda q: step_hat(1.0, q) if q > 0 else 4.0 * math.pi / 3.0
+    radii, expected = (0.0, 0.5, 1.5, 2.0), (1.0, 1.0, 0.0, 0.0)
     worst = 0.0
-    for r, expected in ((0.0, 1.0), (0.5, 1.0), (1.5, 0.0), (2.0, 0.0)):
-        worst = max(worst, abs(inverse_ft_radial(hat, r) - expected))
+    for f, e in zip(inverse_ft_radial(hat, radii), expected):
+        worst = max(worst, abs(f - e))
     return worst <= 5e-3, f"worst deviation {worst:.2e}"
 
 

@@ -7,21 +7,27 @@ independently coded scaling-and-squaring Taylor exponential validates all of
 them, and `reference_discrepancies` diffs the generated closed forms against
 the published transform matrices entry by entry.
 
+The boost/rotation class of each generator's square is computed exactly,
+once per generator, on the first flow that needs it.
+
 All flows evaluate in float64 by default; passing `prec` (decimal digits)
 evaluates through mpmath instead, which matters for isometry residuals of
 large boost arguments where double precision cannot even represent the
-difference between cosh and sinh.
+difference between cosh and sinh.  A float64 flow that overflows raises a
+ValueError that says so; the residual folds carry a NaN through instead of
+dropping it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .catalog import ALL_IDS, GeneratorId, classify_square, get_generator
+from .catalog import ALL_IDS, GeneratorId, SquareClass, classify_square, get_generator
 from .matrices import Mat4, eval_mat
 
 STANDARD_Q_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -74,6 +80,13 @@ def _finalize(rows: list, prec: Optional[int]) -> NumericMat:
     return rows
 
 
+def positive_finite_error(name: str, value) -> ValueError:
+    """The error for a value that is not in (0, inf): NaN reads as not positive."""
+    if not value > 0:
+        return ValueError(f"{name} must be positive, got {value!r}")
+    return ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FlowSpec:
     """One-parameter flow: generator tag, flow parameter, wave number q > 0."""
@@ -84,8 +97,8 @@ class FlowSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "gen", GeneratorId(self.gen))
-        if not self.q > 0:
-            raise ValueError(f"wave number q must be positive, got {self.q!r}")
+        if not 0 < self.q < math.inf:
+            raise positive_finite_error("wave number q", self.q)
         if not math.isfinite(self.param):
             raise ValueError(f"flow parameter must be finite, got {self.param!r}")
 
@@ -107,12 +120,29 @@ def closed_flow(gen, param: float = None, q: float = None, prec: Optional[int] =
     else:
         spec = FlowSpec(gen, param, q)
     if prec is None:
-        return _finalize(_closed_rows(spec, _FLOAT_BACKEND), None)
+        try:
+            matrix = _finalize(_closed_rows(spec, _FLOAT_BACKEND), None)
+        except (OverflowError, ValueError) as exc:
+            # with finite inputs, libm's domain error means cos/sin of an
+            # argument that overflowed to inf
+            if isinstance(exc, ValueError) and str(exc) != "math domain error":
+                raise
+            raise _overflow_error(spec) from None
+        if not np.isfinite(matrix).all():
+            raise _overflow_error(spec)
+        return matrix
     import mpmath
 
     with mpmath.workdps(prec):
         rows = _closed_rows(spec, _mp_backend())
     return rows
+
+
+def _overflow_error(spec: FlowSpec) -> ValueError:
+    return ValueError(
+        f"float64 overflow in exp({spec.param!r} * {spec.gen.value}) at q = {spec.q!r}; "
+        "pass prec (decimal digits) to evaluate through mpmath"
+    )
 
 
 def _closed_rows(spec: FlowSpec, bk: _Backend) -> list:
@@ -129,7 +159,7 @@ def _closed_rows(spec: FlowSpec, bk: _Backend) -> list:
     if gid == GeneratorId.T3:
         return _t3_rows(tau, q, bk)
     mat = get_generator(gid)
-    square = classify_square(mat)
+    square = _square_class(gid)
     if square.kind == "other":
         raise ValueError(f"no closed form registered for generator {gid.value}")
     arg = tau * q**square.order
@@ -146,6 +176,12 @@ def _closed_rows(spec: FlowSpec, bk: _Backend) -> list:
     return rows
 
 
+@functools.cache
+def _square_class(gid: GeneratorId) -> SquareClass:
+    """The exact square class of a catalog generator, classified on first use."""
+    return classify_square(get_generator(gid))
+
+
 def weight_column(radius, q, bk: _Backend = _FLOAT_BACKEND) -> list:
     """The four weight values (w0, w1, w2, w3) of a sphere of given radius.
 
@@ -156,20 +192,33 @@ def weight_column(radius, q, bk: _Backend = _FLOAT_BACKEND) -> list:
     q = bk.lift(q)
     pi = bk.pi
     x = q * R
-    if abs(x) < _SMALL_ARG:
+    w3, s, c = step_weight(R, q, bk)
+    if s is None:
         x2 = x * x
         w0 = 1 - x2 * x2 / 24
         w1 = R * (1 - x2 / 3 + x2 * x2 / 40)
         w2 = 4 * pi * R * R * (1 - x2 / 6 + x2 * x2 / 120)
-        w3 = (4 * pi / 3) * R**3 * (1 - x2 / 10 + x2 * x2 / 280)
         return [w0, w1, w2, w3]
-    s = bk.sin(x)
-    c = bk.cos(x)
     w0 = c + x * s / 2
     w1 = (x * c + s) / (2 * q)
     w2 = 4 * pi * R * s / q
-    w3 = 4 * pi * (s - x * c) / q**3
     return [w0, w1, w2, w3]
+
+
+def step_weight(R, q, bk: _Backend = _FLOAT_BACKEND) -> tuple:
+    """(w3, s, c): w3 = 4 pi (s - x c) / q^3 with x = qR, s = sin x, c = cos x.
+
+    w3 is the Fourier transform of a unit step of range R, and the one
+    formula for it.  Below x = 1e-4 it evaluates by its series in x, and s
+    and c are None.  R and q must already be lifted into the backend.
+    """
+    x = q * R
+    if abs(x) < _SMALL_ARG:
+        x2 = x * x
+        return (4 * bk.pi / 3) * R**3 * (1 - x2 / 10 + x2 * x2 / 280), None, None
+    s = bk.sin(x)
+    c = bk.cos(x)
+    return 4 * bk.pi * (s - x * c) / q**3, s, c
 
 
 def _t1_rows(chi, q, bk: _Backend) -> list:
@@ -290,30 +339,44 @@ def printed_flow(gen, param: float = None, q: float = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# 2^s with s = ceil(log2(norm / 0.5)) must stay a float64: norm <= 2^1022.
+# NaN and inf fail the comparison too.
+_MAX_ORACLE_NORM = 2.0**1022
+
+
 def expm_oracle(x: Mat4, param: float, q: float, tol: float = 1e-12) -> np.ndarray:
     """Scaling-and-squaring Taylor evaluation of exp(param * X(q)).
 
     The argument is halved until its 1-norm is at most 0.5, the series is
     summed until the next term's norm drops below tol / 2^s, and the result
     is squared back up; truncation error is bounded by tol in max norm
-    (relative to the result's scale).
+    (relative to the result's scale).  A non-finite 1-norm, or a result that
+    overflows float64, raises ValueError.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    z = param * eval_mat(x, q)
-    norm = float(np.abs(z).sum(axis=0).max())
-    s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
-    z /= 2.0**s
-    total = np.eye(4)
-    term = np.eye(4)
-    threshold = tol / 2.0**s
-    for k in range(1, 80):
-        term = term @ z / k
-        total = total + term
-        if float(np.abs(term).max()) < threshold:
-            break
-    for _ in range(s):
-        total = total @ total
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        z = param * eval_mat(x, q)
+        norm = float(np.abs(z).sum(axis=0).max())
+        if not norm <= _MAX_ORACLE_NORM:
+            raise ValueError(
+                f"float64 overflow: the 1-norm of param * X(q) is {norm!r}, "
+                "beyond what scaling and squaring can take"
+            )
+        s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+        z /= 2.0**s
+        total = np.eye(4)
+        term = np.eye(4)
+        threshold = tol / 2.0**s
+        for k in range(1, 80):
+            term = term @ z / k
+            total = total + term
+            if float(np.abs(term).max()) < threshold:
+                break
+        for _ in range(s):
+            total = total @ total
+    if not np.isfinite(total).all():
+        raise ValueError(f"float64 overflow: exp(param * X(q)) is not finite at norm {norm!r}")
     return total
 
 
@@ -332,9 +395,15 @@ def _as_rows(a) -> list:
     return a
 
 
+def _fold_max(worst, value):
+    """max(worst, value), except that a NaN is kept once seen; max() drops it."""
+    return value if value > worst or value != value else worst
+
+
 def max_abs(a) -> float:
+    """Largest |entry|; NaN if any entry is NaN."""
     rows = _as_rows(a)
-    return max(abs(x) for row in rows for x in row)
+    return functools.reduce(_fold_max, (abs(x) for row in rows for x in row))
 
 
 def _invariance_impl(rows: list):
@@ -347,12 +416,14 @@ def _invariance_impl(rows: list):
                 acc = acc + rows[k][mu] * rows[3 - k][nu]
             if mu + nu == 3:
                 acc = acc - 1
-            residual = max(residual, abs(acc))
+            residual = _fold_max(residual, abs(acc))
     return residual
 
 
 def invariance_residual(a, prec: Optional[int] = None) -> float:
     """Max-norm of a^t . M . a - M; zero exactly when a preserves the form.
+
+    NaN if any entry of a^t . M . a is NaN.
 
     For mpf inputs pass the same prec the flow was built with: mpmath rounds
     every product at the *ambient* precision, so the residual arithmetic must
@@ -367,7 +438,7 @@ def invariance_residual(a, prec: Optional[int] = None) -> float:
 
 
 def group_law_residual(gen, p1: float, p2: float, q: float, prec: Optional[int] = None) -> float:
-    """Max-norm of flow(p1) @ flow(p2) - flow(p1 + p2) for one generator."""
+    """Max-norm of flow(p1) @ flow(p2) - flow(p1 + p2) for one generator; NaN propagates."""
     a = closed_flow(gen, p1, q, prec=prec)
     b = closed_flow(gen, p2, q, prec=prec)
     ab = closed_flow(gen, p1 + p2, q, prec=prec)
@@ -383,7 +454,7 @@ def group_law_residual(gen, p1: float, p2: float, q: float, prec: Optional[int] 
                 acc = -rows_ab[i][j]
                 for k in range(4):
                     acc = acc + rows_a[i][k] * rows_b[k][j]
-                residual = max(residual, abs(acc))
+                residual = _fold_max(residual, abs(acc))
     return residual
 
 

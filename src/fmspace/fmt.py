@@ -19,13 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .algebra import Decomposition, decompose
 from .catalog import GeneratorId, get_generator
-from .flows import closed_flow, weight_column
+from .flows import closed_flow, positive_finite_error, step_weight, weight_column
 from .matrices import IDENTITY, bilinear, commutator
 from .ring import RingElem
 
@@ -36,22 +36,26 @@ def kr_weights(R: float, q: float) -> np.ndarray:
     """Weight vector (w0, w1, w2, w3) of a sphere of radius R at wave number q.
 
     Component w_nu carries units (length)^nu.  Below qR = 1e-4 the 0/0-prone
-    expressions evaluate by series.
+    expressions evaluate by series.  R and q must be positive and finite.
     """
-    if not R > 0:
-        raise ValueError(f"radius must be positive, got {R!r}")
-    if not q > 0:
-        raise ValueError(f"wave number q must be positive, got {q!r}")
+    if not 0 < R < math.inf:
+        raise positive_finite_error("radius", R)
+    if not 0 < q < math.inf:
+        raise positive_finite_error("wave number q", q)
     return np.array(weight_column(float(R), float(q)), dtype=float)
 
 
 def step_hat(Rtot: float, q: float) -> float:
-    """Fourier transform 4 pi [sin(q R) - q R cos(q R)] / q^3 of a unit step."""
-    if not Rtot > 0:
-        raise ValueError(f"step range must be positive, got {Rtot!r}")
-    if not q > 0:
-        raise ValueError(f"wave number q must be positive, got {q!r}")
-    return float(weight_column(float(Rtot), float(q))[3])
+    """Fourier transform 4 pi [sin(q R) - q R cos(q R)] / q^3 of a unit step.
+
+    This is w3 of kr_weights(Rtot, q), computed alone.  Rtot and q must be
+    positive and finite.
+    """
+    if not 0 < Rtot < math.inf:
+        raise positive_finite_error("step range", Rtot)
+    if not 0 < q < math.inf:
+        raise positive_finite_error("wave number q", q)
+    return step_weight(float(Rtot), float(q))[0]
 
 
 def mayer_bond(Ra: float, Rb: float, q: float) -> float:
@@ -64,8 +68,8 @@ def kernel_matrix(R: float, q: float, prec: Optional[int] = None):
 
     Satisfies K_R @ K_R' = K_{R+R'} = K_R' @ K_R.
     """
-    if not R > 0:
-        raise ValueError(f"radius must be positive, got {R!r}")
+    if not 0 < R < math.inf:
+        raise positive_finite_error("radius", R)
     return closed_flow(GeneratorId.T1, R, q, prec=prec)
 
 
@@ -136,19 +140,18 @@ def jeffrey_identities() -> CheckReport:
     return report
 
 
-def _sinc(x: float) -> float:
-    if abs(x) < 1e-8:
-        return 1.0 - x * x / 6.0
-    return math.sin(x) / x
+# Grid nodes per block of the radial transform: one block at the default n,
+# and memory bounded for any n.
+_BLOCK = 1 << 16
 
 
 def inverse_ft_radial(
     hat: Callable[[float], float],
-    r: float,
+    r: Union[float, Sequence[float]],
     qmax: float = 200.0,
     n: int = 20000,
     window: bool = True,
-) -> float:
+) -> Union[float, list]:
     """Radial inverse Fourier transform (2 pi^2)^-1 int_0^qmax q^2 hat(q) sinc(qr) dq.
 
     Composite Simpson with n panels.  The default applies a Gaussian spectral
@@ -156,23 +159,62 @@ def inverse_ft_radial(
     decaying hat oscillates with O(1/qmax)..O(1) truncation error, while the
     window turns truncation into a real-space smoothing of width ~6/qmax.
     Set window=False for the bare integrand.
+
+    r is one radius (the result is a float) or a sequence of radii (the
+    result is a list).  hat is sampled once per call, at the n + 1 grid
+    points, whatever the number of radii.  Each radius forms the integrand
+    in the order of the scalar rule, q^2 hat(q) sinc(qr), times the window,
+    times the Simpson weight, and adds the terms strictly left to right, so
+    a radius gives the same bits alone or in a list.  The grid is processed
+    in blocks of _BLOCK nodes, carrying each running sum across blocks.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    if qmax <= 0 or n < 2:
-        raise ValueError("need qmax > 0 and at least 2 panels")
+    scalar = np.ndim(r) == 0
+    radii = [r] if scalar else list(r)
+    if not 0 < qmax < math.inf or n < 2:
+        raise ValueError("need finite qmax > 0 and at least 2 panels")
     if n % 2:
         n += 1
     h = qmax / n
-    total = 0.0
-    for i in range(n + 1):
+    for x in radii:
+        if not 0 <= x < math.inf:
+            raise ValueError("r must be nonnegative" if x < 0 else f"r must be finite, got {x!r}")
+        if not math.isfinite(n * h * x):  # the largest q * r
+            raise ValueError(f"q * r overflows float64 at r = {x!r}, qmax = {qmax!r}")
+    if not radii:
+        return []
+    exp = math.exp  # np.exp rounds differently from math.exp at some nodes
+    totals = [0.0] * len(radii)
+    for start in range(0, n + 1, _BLOCK):
+        nodes = range(start, min(start + _BLOCK, n + 1))
+        i = np.arange(nodes.start, nodes.stop)
         q = i * h
-        value = hat(q)
-        if math.isnan(value):
-            raise ValueError(f"hat returned NaN at q = {q}")
-        f = q * q * value * _sinc(q * r)
+        # hat at the nodes i * h as Python floats, streamed without a list
+        q2_hat = np.fromiter(map(hat, (k * h for k in nodes)), dtype=float, count=len(nodes))
+        nan = np.flatnonzero(np.isnan(q2_hat))
+        if nan.size:
+            raise ValueError(f"hat returned NaN at q = {nodes[nan[0]] * h}")
+        q2_hat *= q * q
         if window:
-            f *= math.exp(-18.0 * (q / qmax) ** 2)
-        weight = 1 if i in (0, n) else (4 if i % 2 else 2)
-        total += weight * f
-    return total * h / 3.0 / (2.0 * math.pi**2)
+            gauss = np.fromiter(
+                (exp(-18.0 * (k * h / qmax) ** 2) for k in nodes), dtype=float, count=len(nodes)
+            )
+        weights = np.where(i % 2, 4.0, 2.0)  # Simpson weights 1, 4, 2, 4, ..., 2, 4, 1
+        weights[(i == 0) | (i == n)] = 1.0
+        for j, radius in enumerate(radii):
+            x = q * radius
+            with np.errstate(invalid="ignore"):  # 0/0 at q = 0 is replaced by the series
+                terms = np.sin(x)
+                terms /= x
+            small = np.abs(x) < 1e-8
+            xs = x[small]
+            terms[small] = 1.0 - xs * xs / 6.0
+            terms *= q2_hat
+            if window:
+                terms *= gauss
+            terms *= weights
+            # carry the running sum in; cumsum adds left to right like the
+            # scalar loop (sum() is pairwise)
+            terms[0] += totals[j]
+            totals[j] = float(np.cumsum(terms, out=terms)[-1])
+    results = [total * h / 3.0 / (2.0 * math.pi**2) for total in totals]
+    return results[0] if scalar else results

@@ -118,6 +118,12 @@ def test_profile_csv(capsys):
     assert float(rows[-1][1]) == pytest.approx(0.0, abs=5e-3)
 
 
+def test_profile_without_points_prints_nothing(capsys):
+    code, out, _ = run_cli(capsys, "profile", "--R", "1", "--rmax", "2", "--points", "0")
+    assert code == 0
+    assert out == ""
+
+
 def test_verify_fast_suites_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "metric")
     assert code == 0
@@ -140,6 +146,22 @@ def test_domain_error_exit_one(capsys):
     assert "error:" in err
     code, _, err = run_cli(capsys, "eval", "--gen", "XYZ", "--param", "1", "--q", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, words", [
+    (("eval", "--gen", "B1", "--param", "1000", "--q", "1"), "float64 overflow"),
+    (("eval", "--gen", "F3", "--param", "1", "--q", "1e120"), "float64 overflow"),
+    (("eval", "--gen", "T2", "--param", "1", "--q", "inf"), "wave number q must be finite"),
+    (("eval", "--gen", "One", "--param", "1e308", "--q", "1", "--method", "series"), "float64 overflow"),
+    (("weights", "--R", "inf", "--q", "1"), "radius must be finite"),
+    (("kernel", "--R", "inf", "--q", "1"), "radius must be finite"),
+    (("profile", "--R", "1", "--rmax", "-1", "--points", "3", "--panels", "10"), "r must be nonnegative"),
+])
+def test_out_of_domain_input_exits_one_with_a_message(capsys, argv, words):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and words in err
 
 
 def test_usage_error_exit_two(capsys):

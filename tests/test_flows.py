@@ -9,8 +9,10 @@ from fmspace.catalog import (
     ISOMETRIC_IDS,
     METAMORPHIC_IDS,
     SHIFT_IDS,
+    classify_square,
     get_generator,
 )
+from fmspace import flows
 from fmspace.flows import (
     STANDARD_PARAM_GRID,
     STANDARD_Q_GRID,
@@ -20,6 +22,7 @@ from fmspace.flows import (
     expm_oracle,
     group_law_residual,
     invariance_residual,
+    max_abs,
     printed_flow,
     reference_discrepancies,
 )
@@ -58,6 +61,45 @@ class TestClosedFlow:
     def test_flow_spec_object(self):
         spec = FlowSpec(GeneratorId.H2, 0.3, 2.0)
         assert np.array_equal(closed_flow(spec), closed_flow(GeneratorId.H2, 0.3, 2.0))
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_wave_number(self, q):
+        with pytest.raises(ValueError, match="wave number q"):
+            FlowSpec(GeneratorId.T2, 1.0, q)
+
+    @pytest.mark.parametrize("gid, param, q", [
+        (GeneratorId.B1, 1000.0, 1.0),  # cosh overflows
+        (GeneratorId.F3, 1.0, 1e120),  # q**3 overflows
+        (GeneratorId.B0, -800.0, 1.0),  # exp overflows
+        (GeneratorId.D1, 1e300, 1e10),  # cos of an argument that overflowed to inf
+        (GeneratorId.T2, -1e10, 1.0),
+        (GeneratorId.T3, 1e300, 1e5),
+    ])
+    def test_float64_overflow_is_a_value_error_pointing_to_prec(self, gid, param, q):
+        with pytest.raises(ValueError, match=r"float64 overflow.*prec"):
+            closed_flow(gid, param, q)
+
+    def test_overflowing_point_evaluates_through_mpmath(self):
+        import mpmath
+
+        rows = closed_flow(GeneratorId.B1, 1000.0, 1.0, prec=30)
+        assert mpmath.isfinite(rows[0][0]) and rows[0][0] > mpmath.mpf("1e400")  # cosh(1000)
+
+    def test_square_class_is_computed_once_per_generator(self, monkeypatch):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return classify_square(x)
+
+        monkeypatch.setattr(flows, "classify_square", counting)
+        flows._square_class.cache_clear()
+        for _ in range(3):
+            for gid in ALL_IDS:
+                closed_flow(gid, 0.4, 1.3)
+                closed_flow(gid, -0.2, 0.7, prec=20)
+        flows._square_class.cache_clear()
+        assert len(calls) == len({id(x) for x in calls}) == len(ALL_IDS) - 5  # One, T0..T3 have their own forms
 
     def test_mp_mode_matches_float(self):
         rows = closed_flow(GeneratorId.F3, 0.7, 1.1, prec=40)
@@ -102,10 +144,49 @@ class TestOracle:
         with pytest.raises(ValueError):
             expm_oracle(Mat4.zero(), 1.0, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("gid, param", [
+        (GeneratorId.ONE, 1e308),  # finite norm, but 2^s is not a float64
+        (GeneratorId.T1, 1e308),  # the norm itself is inf
+        (GeneratorId.B1, 1e300),  # the squared-up result overflows
+        (GeneratorId.B1, math.nan),
+    ])
+    def test_overflow_is_a_value_error(self, gid, param):
+        with pytest.raises(ValueError, match="float64 overflow"):
+            expm_oracle(get_generator(gid), param, 1.0)
+
 
 class TestInvarianceResidual:
     def test_identity_is_zero(self):
         assert invariance_residual(np.eye(4)) == 0.0
+
+    def test_nan_matrix_is_not_zero(self):
+        assert math.isnan(invariance_residual(np.full((4, 4), math.nan)))
+
+    @pytest.mark.parametrize("where", [(0, 0), (2, 1), (3, 3)])
+    def test_one_nan_entry_propagates(self, where):
+        a = np.eye(4)
+        a[where] = math.nan
+        assert math.isnan(invariance_residual(a))
+
+    def test_infinite_entry_is_not_small(self):
+        a = np.eye(4)
+        a[1, 2] = math.inf
+        assert not invariance_residual(a) <= 1.0
+
+    def test_mp_nan_propagates(self):
+        import mpmath
+
+        rows = [[mpmath.mpf(int(i == j)) for j in range(4)] for i in range(4)]
+        rows[1][1] = mpmath.nan
+        assert mpmath.isnan(invariance_residual(rows, prec=30))
+
+    def test_max_abs_propagates_nan(self):
+        assert max_abs(np.eye(4)) == 1.0
+        a = -np.eye(4)
+        a[3, 0] = math.nan
+        assert math.isnan(max_abs(a))
+        a[3, 0] = -math.inf
+        assert max_abs(a) == math.inf
 
     def test_isometric_flow_small_residual(self):
         assert invariance_residual(closed_flow(GeneratorId.B1, 0.7, 1.2)) <= 1e-12
@@ -149,6 +230,18 @@ class TestGroupLaw:
 
     def test_t1_additivity(self):
         assert group_law_residual(GeneratorId.T1, 0.8, 0.5, 0.7) <= 1e-11
+
+    def test_mp_fold_propagates_nan(self, monkeypatch):
+        import mpmath
+
+        def nan_flow(gen, param, q, prec=None):
+            rows = closed(gen, param, q, prec=prec)
+            rows[2][3] = mpmath.nan
+            return rows
+
+        closed = flows.closed_flow
+        monkeypatch.setattr(flows, "closed_flow", nan_flow)
+        assert mpmath.isnan(group_law_residual(GeneratorId.T1, 0.3, 0.4, 1.0, prec=30))
 
     def test_mp_mode(self):
         # product entries ~1e37 cancel to ~1e5; 80 digits leaves ~1e-43 slack

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmspace import fmt
 from fmspace.catalog import GeneratorId, get_generator
 from fmspace.fmt import (
     inverse_ft_radial,
@@ -82,6 +83,14 @@ class TestWeights:
         with pytest.raises(ValueError):
             kr_weights(1.0, 0.0)
 
+    @pytest.mark.parametrize("R, q, word", [
+        (math.inf, 1.0, "radius"), (math.nan, 1.0, "radius"),
+        (1.0, math.inf, "wave number"), (1.0, math.nan, "wave number"),
+    ])
+    def test_non_finite_inputs_name_the_problem(self, R, q, word):
+        with pytest.raises(ValueError, match=word):
+            kr_weights(R, q)
+
 
 class TestStepHat:
     def test_volume_limit_radius_two(self):
@@ -92,8 +101,16 @@ class TestStepHat:
 
     def test_equals_w3(self):
         for R in MAYER_RADII:
-            for q in MAYER_QS:
+            for q in MAYER_QS + (1e-7, 0.99e-4, 1.01e-4):
                 assert step_hat(R, q) == kr_weights(R, q)[3]
+
+    @pytest.mark.parametrize("R, q, word", [
+        (math.inf, 1.0, "step range"), (-1.0, 1.0, "step range"),
+        (1.0, math.inf, "wave number"), (1.0, math.nan, "wave number"),
+    ])
+    def test_domain_errors_name_the_problem(self, R, q, word):
+        with pytest.raises(ValueError, match=word):
+            step_hat(R, q)
 
 
 class TestMayerBond:
@@ -154,6 +171,10 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel_matrix(0.0, 1.0)
 
+    def test_rejects_infinite_radius(self):
+        with pytest.raises(ValueError, match="radius"):
+            kernel_matrix(math.inf, 1.0)
+
 
 class TestJeffrey:
     def test_t0_decomposition(self):
@@ -190,11 +211,93 @@ class TestJeffrey:
         assert t3 @ t3 == expected
 
 
+def unit_step_hat(q):
+    return step_hat(1.0, q) if q > 0 else 4 * math.pi / 3
+
+
+def scalar_inverse_ft_radial(hat, r, qmax, n, window=True):
+    """The composite Simpson rule as a plain loop over the grid, one radius."""
+    if n % 2:
+        n += 1
+    h = qmax / n
+    total = 0.0
+    for i in range(n + 1):
+        q = i * h
+        x = q * r
+        sinc = 1.0 - x * x / 6.0 if abs(x) < 1e-8 else math.sin(x) / x
+        f = q * q * hat(q) * sinc
+        if window:
+            f *= math.exp(-18.0 * (q / qmax) ** 2)
+        total += (1 if i in (0, n) else (4 if i % 2 else 2)) * f
+    return total * h / 3.0 / (2.0 * math.pi**2)
+
+
+class CountingHat:
+    def __init__(self, hat):
+        self.hat = hat
+        self.calls = 0
+
+    def __call__(self, q):
+        self.calls += 1
+        return self.hat(q)
+
+
 class TestInverseTransform:
     def test_step_profile_spot_checks(self):
-        hat = lambda q: step_hat(1.0, q) if q > 0 else 4 * math.pi / 3
+        hat = unit_step_hat
         for r, expected in ((0.0, 1.0), (0.5, 1.0), (1.5, 0.0), (2.0, 0.0)):
             assert inverse_ft_radial(hat, r) == pytest.approx(expected, abs=5e-3)
+
+    @pytest.mark.parametrize("n, window", [(400, True), (401, True), (400, False)])
+    def test_matches_the_scalar_loop_bitwise(self, n, window):
+        for r in (0.0, 1e-12, 0.37, 1.0, 2.5):
+            expected = scalar_inverse_ft_radial(unit_step_hat, r, 30.0, n, window)
+            assert inverse_ft_radial(unit_step_hat, r, qmax=30.0, n=n, window=window) == expected, r
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_carry_the_running_sum_bitwise(self, monkeypatch, block):
+        radii = [0.0, 0.37, 2.5]
+        expected = [scalar_inverse_ft_radial(unit_step_hat, r, 30.0, 400) for r in radii]
+        monkeypatch.setattr(fmt, "_BLOCK", block)
+        hat = CountingHat(unit_step_hat)
+        assert inverse_ft_radial(hat, radii, qmax=30.0, n=400) == expected
+        assert hat.calls == 401
+
+    def test_list_of_radii_equals_one_call_per_radius_bitwise(self):
+        radii = [0.0, 0.25, 0.999, 1.0, 1.75, 3.0]
+        batch = inverse_ft_radial(unit_step_hat, radii, qmax=50.0, n=2000)
+        assert isinstance(batch, list)
+        single = [inverse_ft_radial(unit_step_hat, r, qmax=50.0, n=2000) for r in radii]
+        assert all(type(x) is float for x in single)
+        assert [x.hex() for x in batch] == [x.hex() for x in single]
+        assert inverse_ft_radial(unit_step_hat, tuple(radii), qmax=50.0, n=2000) == batch
+        assert inverse_ft_radial(unit_step_hat, np.array(radii), qmax=50.0, n=2000) == batch
+
+    @pytest.mark.parametrize("radii", [0.5, [0.5], [0.0, 0.5, 1.5, 2.0], list(np.linspace(0, 3, 17))])
+    def test_hat_is_sampled_once_per_grid_point(self, radii):
+        for n, points in ((100, 101), (101, 103)):  # odd n is raised to even
+            hat = CountingHat(unit_step_hat)
+            inverse_ft_radial(hat, radii, qmax=20.0, n=n)
+            assert hat.calls == points
+
+    def test_empty_radius_list(self):
+        hat = CountingHat(unit_step_hat)
+        assert inverse_ft_radial(hat, [], qmax=20.0, n=100) == []
+        assert hat.calls == 0
+
+    def test_nan_in_list_call_raises(self):
+        hat = lambda q: math.nan if q > 5.0 else 1.0
+        with pytest.raises(ValueError, match="NaN at q = 5.1"):
+            inverse_ft_radial(hat, [0.0, 1.0], qmax=10.0, n=100)
+
+    def test_negative_or_non_finite_radius_in_list_raises(self):
+        for bad in (-0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="r must be"):
+                inverse_ft_radial(unit_step_hat, [0.0, bad, 1.0], qmax=10.0, n=10)
+
+    def test_overflowing_q_times_r_raises(self):
+        with pytest.raises(ValueError, match="overflows float64"):
+            inverse_ft_radial(unit_step_hat, [0.0, 1e308], qmax=10.0, n=10)
 
     def test_windowless_truncation_is_the_problem(self):
         # the bare truncated integral misses f(0) = 1 by order one, which is
