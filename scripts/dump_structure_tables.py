@@ -9,22 +9,16 @@ from __future__ import annotations
 import sys
 
 from fmspace import reference_tables
-from fmspace.algebra import build_table
-from fmspace.catalog import resolve_id
+from fmspace.algebra import build_reference_table
 from fmspace.cli import _json_value
 
 
 def main() -> int:
     as_json = "--json" in sys.argv[1:]
     for spec in reference_tables.TABLES:
-        rows = [resolve_id(n) for n in spec.row_names]
-        cols = [resolve_id(n) for n in spec.col_names]
-        basis = [resolve_id(n) for n in spec.basis_names] if spec.basis_names else None
-        if spec.op_order == "row_col":
-            table = build_table(spec.kind, rows, cols, basis=basis)
-        else:
-            table = build_table(spec.kind, cols, rows, basis=basis)
-        print(f"# {spec.name}" + (" (reversed operand order)" if spec.op_order != "row_col" else ""))
+        table = build_reference_table(spec)
+        reversed_note = " (reversed operand order: cell [row, col] is op(col, row))"
+        print(f"# {spec.name}" + (reversed_note if spec.op_order != "row_col" else ""))
         if as_json:
             print(_json_value(table.to_json_dict()))
         else:

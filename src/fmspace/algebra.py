@@ -1,9 +1,11 @@
 """Decomposition in the One + 15 generator basis and structure-table tooling.
 
 The sixteen catalog matrices {One} + isometric + metamorphic form a complete
-basis of the 4x4 matrix space over the fraction field, so every exact matrix
-decomposes uniquely; products and commutators of catalog matrices always land
-back in the span with single-monomial coefficients.
+basis of the 4x4 matrix space that is orthogonal under the trace form: tr(X Y)
+= 0 for two different basis matrices, and tr(X^2) = +-4 q^(2 alpha) is a unit
+of the coefficient ring.  So the coefficient of X in T is tr(T X) / tr(X^2),
+exact and without elimination; products and commutators of catalog matrices
+land back in the span with single-monomial coefficients.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Literal, Optional, Sequence
 
-from .catalog import BASIS_IDS, GeneratorId, get_generator, resolve_id
+from .catalog import BASIS_IDS, SHIFT_IDS, GeneratorId, get_generator, resolve_id
 from .matrices import Mat4
-from .ring import ONE, ZERO, FieldElem, RingElem, format_ring
+from .ring import ZERO, RingElem, format_ring
 
 TableKind = Literal["product", "half_commutator", "half_anticommutator"]
 
@@ -93,110 +95,47 @@ class Decomposition:
         )
 
 
-def _vectorize(x: Mat4) -> list[RingElem]:
-    return [x[mu, nu] for mu in range(4) for nu in range(4)]
-
-
 @lru_cache(maxsize=None)
-def _basis_inverse() -> tuple:
-    """Exact inverse of the 16x16 change-of-basis matrix, entries in the ring.
+def _projector(gid: GeneratorId) -> tuple:
+    """Sparse X^t / tr(X^2) of a basis matrix X, as ((row, col), weight) pairs.
 
-    Column i of the forward matrix is the vectorized i-th basis matrix; the
-    inverse is obtained once by Gauss-Jordan elimination over the fraction
-    field and reused for every decomposition.
+    tr(X^2) is a monomial (X^2 = +-q^(2 alpha) 1): it inverts without elimination.
     """
-    cols = [_vectorize(get_generator(gid)) for gid in BASIS_IDS]
-    aug = [
-        [FieldElem(cols[i][pos]) for i in range(16)]
-        + [FieldElem(ONE if k == pos else ZERO) for k in range(16)]
-        for pos in range(16)
-    ]
-    for col in range(16):
-        pivot = next(r for r in range(col, 16) if not aug[r][col].is_zero)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].invert()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(16):
-            if r != col and not aug[r][col].is_zero:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    out = []
-    for r in range(16):
-        row = []
-        for c in range(16, 32):
-            val = aug[r][c].to_ring()
-            if val is None:
-                raise ArithmeticError("basis inverse left the coefficient ring")
-            row.append(val)
-        out.append(tuple(row))
-    return tuple(out)
+    x = get_generator(gid)
+    square = x @ x
+    inv = sum((square[i, i] for i in range(4)), ZERO).invert_monomial()
+    return tuple(((a, b), x[b, a] * inv) for a in range(4) for b in range(4) if x[b, a])
 
 
 def decompose(t: Mat4, basis: Optional[Sequence[GeneratorId]] = None) -> Decomposition:
     """Exact coefficients of t in the given basis (default: One + 15).
 
-    Raises NotInSpanError (carrying the residual) if t is outside the span of
-    a restricted basis; the full 16-element basis spans everything.
+    basis is None, a subset of BASIS_IDS (coefficients by trace projection)
+    or a subset of SHIFT_IDS (coefficients read off column 0: T_mu is the
+    only shift generator with an entry at (mu, 0), and that entry is 1).
+    Anything else raises ValueError.  Raises NotInSpanError (carrying the
+    residual) if t is outside the span of a restricted basis; the full
+    16-element basis spans everything.
     """
-    if basis is None or tuple(basis) == BASIS_IDS:
-        inv = _basis_inverse()
-        vec = _vectorize(t)
-        coeffs = {}
-        for i, gid in enumerate(BASIS_IDS):
-            acc = ZERO
-            for pos in range(16):
-                entry = vec[pos]
-                if entry.is_zero:
-                    continue
-                w = inv[i][pos]
-                if w.is_zero:
-                    continue
-                acc = acc + w * entry
-            if not acc.is_zero:
-                coeffs[gid] = acc
-        dec = Decomposition(coeffs)
+    ids = BASIS_IDS if basis is None else tuple(GeneratorId(g) for g in basis)
+    if set(ids) <= set(BASIS_IDS):
+        # the coefficient of X is tr(t X) / tr(X^2) = sum of t[a, b] X[b, a] / tr(X^2)
+        coeffs = {
+            gid: sum((t[a, b] * w for (a, b), w in _projector(gid) if t[a, b]), ZERO)
+            for gid in ids
+        }
+    elif set(ids) <= set(SHIFT_IDS):
+        coeffs = {gid: t[SHIFT_IDS.index(gid), 0] for gid in ids}
     else:
-        dec = _decompose_subset(t, tuple(GeneratorId(g) for g in basis))
+        raise ValueError(
+            "basis must be a subset of One + the 15 generators or of T0..T3, got "
+            + ", ".join(gid.value for gid in ids)
+        )
+    dec = Decomposition(coeffs)
     residual = t - dec.reconstruct()
     if not residual.is_zero:
         raise NotInSpanError("matrix is not in the span of the requested basis", residual)
     return dec
-
-
-def _decompose_subset(t: Mat4, basis: tuple[GeneratorId, ...]) -> Decomposition:
-    """Gaussian elimination with first-nonzero pivoting over the fraction field."""
-    n = len(basis)
-    cols = [_vectorize(get_generator(gid)) for gid in basis]
-    rows = [
-        [FieldElem(cols[i][pos]) for i in range(n)] + [FieldElem(_vectorize(t)[pos])]
-        for pos in range(16)
-    ]
-    rank = 0
-    pivot_cols = []
-    for col in range(n):
-        pivot = next((r for r in range(rank, 16) if not rows[r][col].is_zero), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].invert()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(16):
-            if r != rank and not rows[r][col].is_zero:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    coeffs: dict[GeneratorId, RingElem] = {}
-    for r, col in enumerate(pivot_cols):
-        val = rows[r][n].to_ring()
-        if val is None:
-            partial = Decomposition(coeffs)
-            raise NotInSpanError(
-                "solution leaves the coefficient ring", t - partial.reconstruct()
-            )
-        if not val.is_zero:
-            coeffs[basis[col]] = val
-    return Decomposition(coeffs)
 
 
 def _table_op(kind: TableKind, x: Mat4, y: Mat4) -> Mat4:
@@ -290,6 +229,21 @@ class TableVerification:
         return not self.mismatches
 
 
+def build_reference_table(spec) -> StructureTable:
+    """Generate a reference table's cells in its published row/column layout.
+
+    A spec with op_order "col_row" is published with reversed operand order:
+    its cell (row, col) holds op(col, row).
+    """
+    row_ids = tuple(resolve_id(n) for n in spec.row_names)
+    col_ids = tuple(resolve_id(n) for n in spec.col_names)
+    basis = tuple(resolve_id(n) for n in spec.basis_names) if spec.basis_names else None
+    if spec.op_order == "row_col":
+        return build_table(spec.kind, row_ids, col_ids, basis=basis)
+    reversed_table = build_table(spec.kind, col_ids, row_ids, basis=basis)
+    return StructureTable(spec.kind, row_ids, col_ids, tuple(zip(*reversed_table.cells)))
+
+
 def verify_reference_tables(table_specs=None) -> TableVerification:
     """Regenerate every reference table from the catalog and diff the cells."""
     from . import reference_tables
@@ -298,20 +252,12 @@ def verify_reference_tables(table_specs=None) -> TableVerification:
         table_specs = reference_tables.TABLES
     report = TableVerification()
     for spec in table_specs:
-        row_ids = tuple(resolve_id(n) for n in spec.row_names)
-        col_ids = tuple(resolve_id(n) for n in spec.col_names)
-        basis = tuple(resolve_id(n) for n in spec.basis_names) if spec.basis_names else None
-        if spec.op_order == "row_col":
-            generated = build_table(spec.kind, row_ids, col_ids, basis=basis)
-            gen_cell = lambda i, j: generated.cells[i][j]
-        else:  # published with reversed operand order: cell (i, j) is op(col, row)
-            generated = build_table(spec.kind, col_ids, row_ids, basis=basis)
-            gen_cell = lambda i, j: generated.cells[j][i]
+        generated = build_reference_table(spec)
         for i, row_name in enumerate(spec.row_names):
             for j, col_name in enumerate(spec.col_names):
                 report.cells_checked += 1
                 expected = reference_tables.parse_cell(spec.cells[i][j])
-                actual = gen_cell(i, j)
+                actual = generated.cells[i][j]
                 if expected != actual:
                     report.mismatches.append(
                         CellMismatch(

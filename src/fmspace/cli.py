@@ -8,6 +8,7 @@ digits in JSON mode and 6 in text mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional
@@ -31,6 +32,7 @@ from .flows import (
     STANDARD_PARAM_GRID,
     STANDARD_Q_GRID,
     FlowSpec,
+    _fold_max,
     closed_flow,
     evaluate_flow,
     expm_oracle,
@@ -235,22 +237,25 @@ def _suite_flows() -> tuple[bool, str]:
                 closed = closed_flow(gid, p, q)
                 oracle = expm_oracle(get_generator(gid), p, q, 1e-13)
                 rel = float(np.abs(closed - oracle).max()) / (1.0 + float(np.abs(closed).max()))
-                worst = max(worst, rel)
-        if worst > 1e-9:
+                worst = _fold_max(worst, rel)
+        if not (worst <= 1e-9):
             problems.append(f"{gid.value} closed form vs oracle rel {worst:.2e}")
     for gid in ISOMETRIC_IDS:
         for q in STANDARD_Q_GRID:
             for p in STANDARD_PARAM_GRID:
                 r = float(invariance_residual(closed_flow(gid, p, q, prec=60), prec=60))
-                if r > 1e-11:
+                if not (r <= 1e-11):
                     problems.append(f"{gid.value} invariance residual {r:.2e} at ({p}, {q})")
     for gid in list(METAMORPHIC_IDS) + list(SHIFT_IDS):
-        best = max(
-            float(invariance_residual(closed_flow(gid, p, q)))
-            for q in STANDARD_Q_GRID
-            for p in STANDARD_PARAM_GRID
+        best = functools.reduce(
+            _fold_max,
+            (
+                float(invariance_residual(closed_flow(gid, p, q)))
+                for q in STANDARD_Q_GRID
+                for p in STANDARD_PARAM_GRID
+            ),
         )
-        if best <= 0.1:
+        if not (best > 0.1):
             problems.append(f"{gid.value} never breaks the metric (max residual {best:.2e})")
     discrepancies = reference_discrepancies()
     expected = [(GeneratorId.B2, (3, 1))]
@@ -266,7 +271,7 @@ def _suite_mayer() -> tuple[bool, str]:
             for q in (0.01, 0.5, 1.0, math.pi, 10.0):
                 lhs = mayer_bond(Ra, Rb, q)
                 rhs = step_hat(Ra + Rb, q)
-                worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
+                worst = _fold_max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     ok = worst <= 1e-10
     limit = mayer_bond(1.0, 0.5, 1e-6)
     volume = 4.0 * math.pi * 1.5**3 / 3.0
@@ -281,7 +286,7 @@ def _suite_kernel() -> tuple[bool, str]:
     for R in radii:
         for q in qs:
             col = np.asarray(kernel_matrix(R, q))[:, 0]
-            if float(np.abs(col - kr_weights(R, q)).max()) > 1e-12:
+            if not (float(np.abs(col - kr_weights(R, q)).max()) <= 1e-12):
                 problems.append(f"column identity fails at R={R}, q={q}")
     import mpmath
 
@@ -289,24 +294,27 @@ def _suite_kernel() -> tuple[bool, str]:
         for Rp in radii:
             for q in qs:
                 add = group_law_residual(GeneratorId.T1, R, Rp, q, prec=50)
-                if float(add) > 1e-11:
+                if not (float(add) <= 1e-11):
                     problems.append(f"additivity {float(add):.2e} at ({R}, {Rp}, {q})")
                 with mpmath.workdps(70):
                     a = kernel_matrix(R, q, prec=50)
                     b = kernel_matrix(Rp, q, prec=50)
-                    comm = max(
-                        abs(sum(a[i][k] * b[k][j] for k in range(4)) - sum(b[i][k] * a[k][j] for k in range(4)))
-                        for i in range(4)
-                        for j in range(4)
+                    comm = functools.reduce(
+                        _fold_max,
+                        (
+                            abs(sum(a[i][k] * b[k][j] for k in range(4)) - sum(b[i][k] * a[k][j] for k in range(4)))
+                            for i in range(4)
+                            for j in range(4)
+                        ),
                     )
-                if float(comm) > 1e-11:
+                if not (float(comm) <= 1e-11):
                     problems.append(f"commutation {float(comm):.2e} at ({R}, {Rp}, {q})")
     return not problems, "; ".join(problems) if problems else "column, additivity, commutation"
 
 
 def _suite_metric() -> tuple[bool, str]:
     eigs = metric_eigenvalues()
-    ok = max(abs(e - t) for e, t in zip(eigs, (-1.0, -1.0, 1.0, 1.0))) <= 1e-12
+    ok = functools.reduce(_fold_max, (abs(e - t) for e, t in zip(eigs, (-1.0, -1.0, 1.0, 1.0)))) <= 1e-12
     ok = ok and (METRIC @ METRIC) == IDENTITY
     return ok, f"eigenvalues {[_fmt_float(e, 'text') for e in eigs]}, M^2 = 1 exact"
 
@@ -316,7 +324,7 @@ def _suite_profile() -> tuple[bool, str]:
     radii, expected = (0.0, 0.5, 1.5, 2.0), (1.0, 1.0, 0.0, 0.0)
     worst = 0.0
     for f, e in zip(inverse_ft_radial(hat, radii), expected):
-        worst = max(worst, abs(f - e))
+        worst = _fold_max(worst, abs(f - e))
     return worst <= 5e-3, f"worst deviation {worst:.2e}"
 
 

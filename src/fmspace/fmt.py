@@ -24,12 +24,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .algebra import Decomposition, decompose
-from .catalog import GeneratorId, get_generator
+from .catalog import SHIFT_IDS, GeneratorId, get_generator
 from .flows import closed_flow, positive_finite_error, step_weight, weight_column
 from .matrices import IDENTITY, bilinear, commutator
 from .ring import RingElem
-
-SHIFT_TAGS = (GeneratorId.T0, GeneratorId.T1, GeneratorId.T2, GeneratorId.T3)
 
 
 def kr_weights(R: float, q: float) -> np.ndarray:
@@ -77,7 +75,7 @@ def jeffrey_decomposition(nu: int) -> Decomposition:
     """Exact decomposition of the shift generator t_nu in the One + 15 basis."""
     if nu not in (0, 1, 2, 3):
         raise ValueError(f"shift index must be 0..3, got {nu!r}")
-    return decompose(get_generator(SHIFT_TAGS[nu]))
+    return decompose(get_generator(SHIFT_IDS[nu]))
 
 
 @dataclass
@@ -102,7 +100,7 @@ def jeffrey_identities() -> CheckReport:
     from . import reference_tables
     from .algebra import verify_reference_tables
 
-    t = [get_generator(gid) for gid in SHIFT_TAGS]
+    t = [get_generator(gid) for gid in SHIFT_IDS]
     report = CheckReport()
 
     lhs = t[1] @ t[1]
@@ -135,7 +133,7 @@ def jeffrey_identities() -> CheckReport:
         )
         report.add(
             f"t{nu} decomposition reconstructs",
-            actual.reconstruct() == get_generator(SHIFT_TAGS[nu]),
+            actual.reconstruct() == get_generator(SHIFT_IDS[nu]),
         )
     return report
 

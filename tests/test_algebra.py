@@ -15,10 +15,13 @@ from fmspace.catalog import (
     GeneratorId,
     ISOMETRIC_IDS,
     METAMORPHIC_IDS,
+    SHIFT_IDS,
     get_generator,
+    homogeneity_order,
 )
+from fmspace.fmt import jeffrey_identities
 from fmspace.matrices import IDENTITY, commutator
-from fmspace import reference_tables
+from fmspace import reference_tables, ring
 from fmspace.ring import RingElem
 
 
@@ -51,16 +54,47 @@ class TestDecompose:
             assert decompose(dec.reconstruct()) == dec
 
     def test_restricted_basis_not_in_span(self):
-        with pytest.raises(NotInSpanError) as err:
-            decompose(get_generator(GeneratorId.B0), basis=[GeneratorId.ONE])
-        assert not err.value.residual.is_zero
+        for basis in ([GeneratorId.ONE], SHIFT_IDS):
+            with pytest.raises(NotInSpanError) as err:
+                decompose(get_generator(GeneratorId.B0), basis=basis)
+            assert not err.value.residual.is_zero
 
     def test_restricted_basis_success(self):
         t1 = get_generator(GeneratorId.T1)
         t2 = get_generator(GeneratorId.T2)
-        dec = decompose(t1 @ t2, basis=[GeneratorId.T0, GeneratorId.T1, GeneratorId.T2, GeneratorId.T3])
-        assert dec[GeneratorId.T3] == RingElem.monomial(1)
-        assert dec[GeneratorId.T1] == RingElem.monomial(Fraction(-1, 4), 2, -1)
+        for basis in (SHIFT_IDS, [GeneratorId.T1, GeneratorId.T3]):
+            dec = decompose(t1 @ t2, basis=basis)
+            assert dec[GeneratorId.T3] == RingElem.monomial(1)
+            assert dec[GeneratorId.T1] == RingElem.monomial(Fraction(-1, 4), 2, -1)
+
+    @pytest.mark.parametrize("basis, words", [
+        ([GeneratorId.ONE, GeneratorId.T1], "basis must be a subset"),
+        (["B0", "X9"], "X9"),
+    ])
+    def test_basis_outside_both_families(self, basis, words):
+        with pytest.raises(ValueError, match=words) as err:
+            decompose(IDENTITY, basis=basis)
+        assert not isinstance(err.value, NotInSpanError)
+
+    def test_basis_is_trace_orthogonal(self):
+        # the projection relies on tr(X Y) = 0 for X != Y and on tr(X^2) = +-4 q^(2 alpha)
+        def trace(m):
+            return sum((m[i, i] for i in range(4)), RingElem())
+
+        for i, a in enumerate(BASIS_IDS):
+            x = get_generator(a)
+            for b in BASIS_IDS[i + 1 :]:
+                assert trace(x @ get_generator(b)).is_zero, (a, b)
+            c, j, k = trace(x @ x).as_monomial()
+            assert (abs(c), j, k) == (4, 2 * homogeneity_order(x), 0), a
+
+    def test_no_fraction_field(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("FieldElem constructed")
+
+        monkeypatch.setattr(ring.FieldElem, "__init__", forbidden)
+        assert verify_reference_tables().ok
+        assert jeffrey_identities().ok
 
 
 class TestBuildTable:

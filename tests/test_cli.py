@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from fmspace import cli
 from fmspace.catalog import GeneratorId, get_generator
 from fmspace.cli import main
+from fmspace.fmt import mayer_bond
 from fmspace.matrices import Mat4
 
 
@@ -138,6 +141,20 @@ def test_verify_errata_lists_b2_entry(capsys):
     assert code == 0
     assert "B2 transform, entry (3, 1)" in out
     assert "isometric products [B2, D2]" in out
+
+
+@pytest.mark.parametrize("suite, name, fake", [
+    ("flows", "closed_flow", lambda gen, p, q, prec=None: np.full((4, 4), math.nan)),
+    ("mayer", "mayer_bond", lambda Ra, Rb, q: math.nan if q == 0.5 else mayer_bond(Ra, Rb, q)),
+    ("kernel", "kr_weights", lambda R, q: np.full(4, math.nan)),
+    ("metric", "metric_eigenvalues", lambda: [-1.0, math.nan, 1.0, 1.0]),
+    ("profile", "inverse_ft_radial", lambda hat, radii, **kw: [math.nan] * len(radii)),
+])
+def test_verify_fails_on_nan(capsys, monkeypatch, suite, name, fake):
+    monkeypatch.setattr(cli, name, fake)
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 1
+    assert out.startswith(f"{suite}: FAIL")
 
 
 def test_domain_error_exit_one(capsys):
