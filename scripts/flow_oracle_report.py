@@ -11,6 +11,7 @@ from fmspace.catalog import GeneratorId, get_generator
 from fmspace.flows import (
     STANDARD_PARAM_GRID,
     STANDARD_Q_GRID,
+    _fold_max,
     closed_flow,
     expm_oracle,
     invariance_residual,
@@ -28,8 +29,8 @@ def main() -> int:
                 closed = closed_flow(gid, p, q)
                 oracle = expm_oracle(get_generator(gid), p, q, 1e-13)
                 scale = 1.0 + float(np.abs(closed).max())
-                worst_rel = max(worst_rel, float(np.abs(closed - oracle).max()) / scale)
-                worst_inv = max(worst_inv, float(invariance_residual(closed)))
+                worst_rel = _fold_max(worst_rel, float(np.abs(closed - oracle).max()) / scale)
+                worst_inv = _fold_max(worst_inv, float(invariance_residual(closed)))
         print(f"{gid.value:>9}  {worst_rel:>20.3e}  {worst_inv:>24.3e}")
     print()
     print("published-form discrepancies (series oracle as arbiter):")

@@ -96,15 +96,23 @@ class Decomposition:
 
 
 @lru_cache(maxsize=None)
-def _projector(gid: GeneratorId) -> tuple:
-    """Sparse X^t / tr(X^2) of a basis matrix X, as ((row, col), weight) pairs.
+def _inverse_norm(gid: GeneratorId) -> RingElem:
+    """1 / tr(X^2) of a basis matrix X; a monomial, since X^2 = +-q^(2 alpha) 1."""
+    square = get_generator(gid) @ get_generator(gid)
+    return sum((square[i, i] for i in range(4)), ZERO).invert_monomial()
 
-    tr(X^2) is a monomial (X^2 = +-q^(2 alpha) 1): it inverts without elimination.
+
+@lru_cache(maxsize=None)
+def _by_entry() -> dict:
+    """(a, b) -> [(gid, X[b, a])] over the basis matrices X with X[b, a] != 0.
+
+    The basis is complete, so every (a, b) has at least one basis matrix.
     """
-    x = get_generator(gid)
-    square = x @ x
-    inv = sum((square[i, i] for i in range(4)), ZERO).invert_monomial()
-    return tuple(((a, b), x[b, a] * inv) for a in range(4) for b in range(4) if x[b, a])
+    out: dict[tuple[int, int], list] = {}
+    for gid in BASIS_IDS:
+        for b, a, x in get_generator(gid).entries():
+            out.setdefault((a, b), []).append((gid, x))
+    return out
 
 
 def decompose(t: Mat4, basis: Optional[Sequence[GeneratorId]] = None) -> Decomposition:
@@ -120,9 +128,15 @@ def decompose(t: Mat4, basis: Optional[Sequence[GeneratorId]] = None) -> Decompo
     ids = BASIS_IDS if basis is None else tuple(GeneratorId(g) for g in basis)
     if set(ids) <= set(BASIS_IDS):
         # the coefficient of X is tr(t X) / tr(X^2) = sum of t[a, b] X[b, a] / tr(X^2)
+        by_entry = _by_entry()
+        traces: dict[GeneratorId, RingElem] = {}
+        for a, b, tab in t.entries():
+            for gid, x in by_entry[a, b]:
+                p = tab * x
+                acc = traces.get(gid)
+                traces[gid] = p if acc is None else acc + p
         coeffs = {
-            gid: sum((t[a, b] * w for (a, b), w in _projector(gid) if t[a, b]), ZERO)
-            for gid in ids
+            gid: traces[gid] * _inverse_norm(gid) for gid in ids if traces.get(gid)
         }
     elif set(ids) <= set(SHIFT_IDS):
         coeffs = {gid: t[SHIFT_IDS.index(gid), 0] for gid in ids}

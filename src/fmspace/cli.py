@@ -124,7 +124,7 @@ def _cmd_eval(args, out) -> int:
 
 
 def _cmd_decompose(args, out) -> int:
-    if args.product:
+    if args.product is not None:
         ids = [resolve_id(n) for n in args.product.split(",") if n.strip()]
         if not ids:
             raise ValueError("empty --product list")

@@ -355,8 +355,12 @@ def expm_oracle(x: Mat4, param: float, q: float, tol: float = 1e-12) -> np.ndarr
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    try:
+        xq = eval_mat(x, q)
+    except OverflowError:
+        raise ValueError(f"float64 overflow: the entries of X(q) overflow at q = {q!r}") from None
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        z = param * eval_mat(x, q)
+        z = param * xq
         norm = float(np.abs(z).sum(axis=0).max())
         if not norm <= _MAX_ORACLE_NORM:
             raise ValueError(

@@ -34,31 +34,54 @@ def kr_weights(R: float, q: float) -> np.ndarray:
     """Weight vector (w0, w1, w2, w3) of a sphere of radius R at wave number q.
 
     Component w_nu carries units (length)^nu.  Below qR = 1e-4 the 0/0-prone
-    expressions evaluate by series.  R and q must be positive and finite.
+    expressions evaluate by series.  R and q must be positive and finite; a
+    float64 overflow raises ValueError.
     """
     if not 0 < R < math.inf:
         raise positive_finite_error("radius", R)
     if not 0 < q < math.inf:
         raise positive_finite_error("wave number q", q)
-    return np.array(weight_column(float(R), float(q)), dtype=float)
+    try:
+        w = weight_column(float(R), float(q))
+    except (OverflowError, ValueError):
+        # q^3 overflowed, or libm's domain error on a q R that overflowed to inf
+        raise _overflow_error("the weight vector", R, q) from None
+    if not all(map(math.isfinite, w)):
+        raise _overflow_error("the weight vector", R, q)
+    return np.array(w, dtype=float)
 
 
 def step_hat(Rtot: float, q: float) -> float:
     """Fourier transform 4 pi [sin(q R) - q R cos(q R)] / q^3 of a unit step.
 
     This is w3 of kr_weights(Rtot, q), computed alone.  Rtot and q must be
-    positive and finite.
+    positive and finite; a float64 overflow raises ValueError.
     """
     if not 0 < Rtot < math.inf:
         raise positive_finite_error("step range", Rtot)
     if not 0 < q < math.inf:
         raise positive_finite_error("wave number q", q)
-    return step_weight(float(Rtot), float(q))[0]
+    try:
+        w3 = step_weight(float(Rtot), float(q))[0]
+    except (OverflowError, ValueError):
+        raise _overflow_error("the step transform", Rtot, q) from None
+    if not math.isfinite(w3):
+        raise _overflow_error("the step transform", Rtot, q)
+    return w3
+
+
+def _overflow_error(what: str, R: float, q: float) -> ValueError:
+    return ValueError(f"float64 overflow in {what} at radius {R!r}, q = {q!r}")
 
 
 def mayer_bond(Ra: float, Rb: float, q: float) -> float:
     """Bilinear form of two weight vectors; equals step_hat(Ra + Rb, q)."""
-    return float(bilinear(kr_weights(Ra, q), kr_weights(Rb, q)))
+    wa, wb = kr_weights(Ra, q), kr_weights(Rb, q)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        bond = float(bilinear(wa, wb))
+    if not math.isfinite(bond):
+        raise ValueError(f"float64 overflow in the Mayer bond of radii {Ra!r}, {Rb!r} at q = {q!r}")
+    return bond
 
 
 def kernel_matrix(R: float, q: float, prec: Optional[int] = None):

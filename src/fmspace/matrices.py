@@ -7,7 +7,7 @@ counter-diagonal runs from (0,3) to (3,0).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -25,7 +25,11 @@ def _as_ring(x) -> RingElem:
 
 
 class Mat4:
-    """Immutable 4x4 matrix with RingElem entries."""
+    """Immutable 4x4 matrix with RingElem entries.
+
+    Stored as four sparse rows, each a dict column -> nonzero entry; absent
+    entries are zero.  Arithmetic touches only the stored entries.
+    """
 
     __slots__ = ("_rows",)
 
@@ -33,7 +37,16 @@ class Mat4:
         mat = tuple(tuple(_as_ring(x) for x in row) for row in rows)
         if len(mat) != 4 or any(len(r) != 4 for r in mat):
             raise ValueError("Mat4 requires a 4x4 grid of entries")
-        object.__setattr__(self, "_rows", mat)
+        object.__setattr__(
+            self, "_rows", tuple({c: x for c, x in enumerate(row) if x} for row in mat)
+        )
+
+    @staticmethod
+    def _sparse(rows) -> "Mat4":
+        """Wrap four column -> nonzero entry dicts without copying them."""
+        out = Mat4.__new__(Mat4)
+        object.__setattr__(out, "_rows", tuple(rows))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat4 is immutable")
@@ -42,55 +55,60 @@ class Mat4:
 
     @staticmethod
     def zero() -> "Mat4":
-        return Mat4([[ZERO] * 4 for _ in range(4)])
+        return Mat4._sparse({} for _ in range(4))
 
     @staticmethod
     def identity() -> "Mat4":
-        return Mat4([[ONE if i == j else ZERO for j in range(4)] for i in range(4)])
+        return Mat4._sparse({i: ONE} for i in range(4))
 
     @staticmethod
     def from_entries(entries: Iterable[tuple]) -> "Mat4":
         """Build from (row, col, coef, q_pow, pi_pow) tuples; trailing powers optional."""
-        rows = [[ZERO] * 4 for _ in range(4)]
+        rows = [{} for _ in range(4)]
         for entry in entries:
             r, c, coef, *pows = entry
             q_pow = pows[0] if len(pows) > 0 else 0
             pi_pow = pows[1] if len(pows) > 1 else 0
-            rows[r][c] = rows[r][c] + RingElem.monomial(coef, q_pow, pi_pow)
-        return Mat4(rows)
+            rows[r][c] = rows[r].get(c, ZERO) + RingElem.monomial(coef, q_pow, pi_pow)
+        return Mat4._sparse({c: x for c, x in row.items() if x} for row in rows)
 
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, rc: tuple[int, int]) -> RingElem:
         r, c = rc
-        return self._rows[r][c]
+        return self._rows[r].get(_COLS[c], ZERO)
 
     @property
     def rows(self) -> tuple:
-        return self._rows
+        return tuple(tuple(row.get(c, ZERO) for c in _COLS) for row in self._rows)
+
+    def entries(self) -> Iterator[tuple[int, int, RingElem]]:
+        """Yield (row, col, entry) for the nonzero entries, row by row."""
+        for r, row in enumerate(self._rows):
+            for c, x in row.items():
+                yield r, c, x
 
     @property
     def is_zero(self) -> bool:
-        return all(x.is_zero for row in self._rows for x in row)
+        return not any(self._rows)
 
     # -- ring-linear algebra -------------------------------------------------
 
     def __add__(self, other: "Mat4") -> "Mat4":
-        return Mat4(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
+        return Mat4._sparse(_add_rows(ra, rb) for ra, rb in zip(self._rows, other._rows))
 
     def __sub__(self, other: "Mat4") -> "Mat4":
-        return Mat4(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
+        return self + (-other)
 
     def __neg__(self) -> "Mat4":
-        return Mat4([[-a for a in row] for row in self._rows])
+        return Mat4._sparse({c: -x for c, x in row.items()} for row in self._rows)
 
     def scale(self, factor: Scalar) -> "Mat4":
         f = _as_ring(factor)
-        return Mat4([[a * f for a in row] for row in self._rows])
+        if not f:
+            return Mat4.zero()
+        # the coefficient ring is an integral domain: no product of nonzeros is zero
+        return Mat4._sparse({c: x * f for c, x in row.items()} for row in self._rows)
 
     def __mul__(self, factor: Scalar) -> "Mat4":
         return self.scale(factor)
@@ -98,31 +116,30 @@ class Mat4:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Mat4") -> "Mat4":
-        a, b = self._rows, other._rows
+        b = other._rows
         out = []
-        for i in range(4):
-            arow = a[i]
-            orow = []
-            for j in range(4):
-                acc = ZERO
-                for k in range(4):
-                    x = arow[k]
-                    if x.is_zero:
-                        continue
-                    y = b[k][j]
-                    if y.is_zero:
-                        continue
-                    acc = acc + x * y
-                orow.append(acc)
-            out.append(orow)
-        return Mat4(out)
+        for arow in self._rows:
+            orow: dict[int, RingElem] = {}
+            for k, x in arow.items():
+                for j, y in b[k].items():
+                    p = x * y
+                    acc = orow.get(j)
+                    orow[j] = p if acc is None else acc + p
+            out.append({j: v for j, v in orow.items() if v})
+        return Mat4._sparse(out)
 
     def transpose(self) -> "Mat4":
-        return Mat4([[self._rows[j][i] for j in range(4)] for i in range(4)])
+        out = [{} for _ in range(4)]
+        for r, c, x in self.entries():
+            out[c][r] = x
+        return Mat4._sparse(out)
 
     def counter_transpose(self) -> "Mat4":
         """Mirror entries on the counter diagonal: out(mu,nu) = in(3-nu,3-mu)."""
-        return Mat4([[self._rows[3 - j][3 - i] for j in range(4)] for i in range(4)])
+        out = [{} for _ in range(4)]
+        for r, c, x in self.entries():
+            out[3 - c][3 - r] = x
+        return Mat4._sparse(out)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -132,20 +149,38 @@ class Mat4:
         return self._rows == other._rows
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash(tuple(frozenset(row.items()) for row in self._rows))
 
     def __repr__(self):
-        body = "; ".join(", ".join(str(x) for x in row) for row in self._rows)
+        body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
         return f"Mat4[{body}]"
 
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"rows": [[x.to_json_dict() for x in row] for row in self._rows]}
+        return {"rows": [[x.to_json_dict() for x in row] for row in self.rows]}
 
     @staticmethod
     def from_json_dict(d: dict) -> "Mat4":
         return Mat4([[RingElem.from_json_dict(x) for x in row] for row in d["rows"]])
+
+
+_COLS = range(4)
+
+
+def _add_rows(ra: dict, rb: dict) -> dict:
+    row = dict(ra)
+    for c, y in rb.items():
+        x = row.get(c)
+        if x is None:
+            row[c] = y
+        else:
+            s = x + y
+            if s:
+                row[c] = s
+            else:
+                del row[c]
+    return row
 
 
 # The pseudo metric: unit entries on the counter diagonal, (+ + - -) signature.
@@ -171,7 +206,7 @@ def anticommutator(x: Mat4, y: Mat4) -> Mat4:
 
 
 def eval_mat(x: Mat4, q):
-    """Entrywise numeric evaluation at wave number q > 0.
+    """Entrywise numeric evaluation at wave number q > 0; zero entries stay 0.
 
     Returns a float64 ndarray for float q, or a nested list of mpf for an
     mpmath q (the caller controls mpmath precision).
@@ -179,10 +214,15 @@ def eval_mat(x: Mat4, q):
     if not (q > 0):
         raise ValueError(f"wave number q must be positive, got {q!r}")
     if isinstance(q, (int, float)):
-        return np.array(
-            [[entry.evaluate(float(q)) for entry in row] for row in x.rows], dtype=float
-        )
-    return [[entry.evaluate(q) for entry in row] for row in x.rows]
+        q = float(q)
+        out = np.zeros((4, 4))
+    else:
+        import mpmath
+
+        out = [[mpmath.mpf(0)] * 4 for _ in range(4)]
+    for r, c, entry in x.entries():
+        out[r][c] = entry.evaluate(q)
+    return out
 
 
 def bilinear(u: Sequence, v: Sequence) -> float:

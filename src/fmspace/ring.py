@@ -16,36 +16,43 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 Rat = Union[int, Fraction]
 
 
-def _as_fraction(x) -> Fraction:
+def _as_coef(x) -> Rat:
+    """Canonical coefficient: an int when integral, else a Fraction."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an int or Fraction coefficient, got {type(x).__name__}")
+
+
+def _quotient(a: Rat, b: Rat) -> Rat:
+    """Exact a / b in canonical form (two ints must not divide to a float)."""
+    return _as_coef(Fraction(a) / b)
 
 
 class RingElem:
     """Immutable element of Q[q, 1/q, pi, 1/pi] in canonical form.
 
-    Canonical form: a mapping (q_pow, pi_pow) -> nonzero Fraction; the zero
-    element has no terms.
+    Canonical form: a mapping (q_pow, pi_pow) -> nonzero coefficient, an
+    int when it is integral and a Fraction only otherwise; the zero element
+    has no terms.  Sums and products fold an integral Fraction back to int.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], Rat] | Iterable = ()):
-        data: dict[tuple[int, int], Fraction] = {}
+        data: dict[tuple[int, int], Rat] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (j, k), c in items:
-            c = _as_fraction(c)
+            c = _as_coef(c)
             if c == 0:
                 continue
             key = (int(j), int(k))
-            tot = data.get(key, Fraction(0)) + c
+            tot = data.get(key, 0) + c
             if tot == 0:
                 data.pop(key, None)
             else:
-                data[key] = tot
+                data[key] = _as_coef(tot)
         object.__setattr__(self, "_terms", data)
 
     def __setattr__(self, name, value):
@@ -63,11 +70,11 @@ class RingElem:
 
     @staticmethod
     def qpow(j: int) -> "RingElem":
-        return RingElem({(j, 0): Fraction(1)})
+        return RingElem({(j, 0): 1})
 
     @staticmethod
     def pipow(k: int) -> "RingElem":
-        return RingElem({(0, k): Fraction(1)})
+        return RingElem({(0, k): 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -79,14 +86,14 @@ class RingElem:
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
-    def as_monomial(self) -> Optional[tuple[Fraction, int, int]]:
+    def as_monomial(self) -> Optional[tuple[Rat, int, int]]:
         """(coef, q_pow, pi_pow) if this is a single term, else None."""
         if len(self._terms) != 1:
             return None
         (j, k), c = next(iter(self._terms.items()))
         return c, j, k
 
-    def terms(self) -> Iterator[tuple[int, int, Fraction]]:
+    def terms(self) -> Iterator[tuple[int, int, Rat]]:
         """Yield (q_pow, pi_pow, coef) in canonical (q_pow, pi_pow) order."""
         for (j, k) in sorted(self._terms):
             yield j, k, self._terms[(j, k)]
@@ -106,9 +113,11 @@ class RingElem:
             return NotImplemented
         data = dict(self._terms)
         for key, c in other._terms.items():
-            tot = data.get(key, Fraction(0)) + c
+            tot = data.get(key, 0) + c
             if tot == 0:
                 data.pop(key, None)
+            elif tot.__class__ is Fraction and tot.denominator == 1:
+                data[key] = tot.numerator
             else:
                 data[key] = tot
         out = RingElem.__new__(RingElem)
@@ -138,13 +147,15 @@ class RingElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        data: dict[tuple[int, int], Fraction] = {}
+        data: dict[tuple[int, int], Rat] = {}
         for (j1, k1), c1 in self._terms.items():
             for (j2, k2), c2 in other._terms.items():
                 key = (j1 + j2, k1 + k2)
-                tot = data.get(key, Fraction(0)) + c1 * c2
+                tot = data.get(key, 0) + c1 * c2
                 if tot == 0:
                     data.pop(key, None)
+                elif tot.__class__ is Fraction and tot.denominator == 1:
+                    data[key] = tot.numerator
                 else:
                     data[key] = tot
         out = RingElem.__new__(RingElem)
@@ -175,7 +186,7 @@ class RingElem:
                 raise ZeroDivisionError("cannot invert the zero ring element")
             raise ValueError(f"not a monomial, cannot invert directly: {self}")
         c, j, k = mono
-        return RingElem.monomial(1 / c, -j, -k)
+        return RingElem.monomial(_quotient(1, c), -j, -k)
 
     def divide_exact(self, other: "RingElem") -> Optional["RingElem"]:
         """Exact quotient self/other in the Laurent ring, or None.
@@ -275,17 +286,17 @@ def _poly_divide_exact(num: dict, den: dict) -> Optional[dict]:
     lead_den = max(den)
     c_den = den[lead_den]
     rem = dict(num)
-    quot: dict[tuple[int, int], Fraction] = {}
+    quot: dict[tuple[int, int], Rat] = {}
     while rem:
         lead = max(rem)
         dj, dk = lead[0] - lead_den[0], lead[1] - lead_den[1]
         if dj < 0 or dk < 0:
             return None
-        c = rem[lead] / c_den
+        c = _quotient(rem[lead], c_den)
         quot[(dj, dk)] = c
         for (j, k), cd in den.items():
             key = (j + dj, k + dk)
-            tot = rem.get(key, Fraction(0)) - c * cd
+            tot = rem.get(key, 0) - c * cd
             if tot == 0:
                 rem.pop(key, None)
             else:
@@ -372,7 +383,7 @@ class FieldElem:
 # ---------------------------------------------------------------------------
 
 
-def _format_term(c: Fraction, j: int, k: int) -> str:
+def _format_term(c: Rat, j: int, k: int) -> str:
     num_parts = []
     den_parts = []
     if abs(c.numerator) != 1:

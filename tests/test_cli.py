@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmspace import cli
 from fmspace.catalog import GeneratorId, get_generator
@@ -173,6 +177,13 @@ def test_domain_error_exit_one(capsys):
     (("weights", "--R", "inf", "--q", "1"), "radius must be finite"),
     (("kernel", "--R", "inf", "--q", "1"), "radius must be finite"),
     (("profile", "--R", "1", "--rmax", "-1", "--points", "3", "--panels", "10"), "r must be nonnegative"),
+    (("eval", "--gen", "B1", "--param", "1", "--q", "1e308", "--method", "series"), "float64 overflow"),
+    (("weights", "--R", "1", "--q", "1e308"), "float64 overflow in the weight vector"),
+    (("weights", "--R", "1e308", "--q", "1e308"), "float64 overflow in the weight vector"),
+    (("weights", "--R", "1e308", "--q", "1"), "float64 overflow in the weight vector"),
+    (("mayer", "--Ra", "1", "--Rb", "1", "--q", "1e308"), "float64 overflow"),
+    (("mayer", "--Ra", "1e200", "--Rb", "1e200", "--q", "1"), "float64 overflow in the Mayer bond"),
+    (("decompose", "--product", ""), "empty --product list"),
 ])
 def test_out_of_domain_input_exits_one_with_a_message(capsys, argv, words):
     code, out, err = run_cli(capsys, *argv)
@@ -188,3 +199,46 @@ def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--gen", "B1"])
     assert exc.value.code == 2
+
+
+_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.builds(lambda x, sign: repr(sign * x), st.floats(min_value=1e300, max_value=1.7976931348623157e308), st.sampled_from([1, -1])),
+    st.sampled_from(["inf", "-inf", "nan", "-nan", "1e308", "-1e308", "1e309", "5e-324", "0", "-0"]),
+    st.text(alphabet="0123456789.e+-_xinfa ", max_size=8),
+)
+_NAMES = st.one_of(st.sampled_from([g.value for g in GeneratorId] + ["b0p", "F3'"]), st.text(max_size=4))
+_FORMATS = st.sampled_from(["text", "json"])
+
+
+def _options(command, **values):
+    return [command] + [f"--{k}={v}" for k, v in values.items()]
+
+
+_ARGV = st.one_of(
+    st.builds(
+        lambda gen, param, q, method, fmt: _options("eval", gen=gen, param=param, q=q, method=method, format=fmt),
+        _NAMES, _NUMBERS, _NUMBERS, st.sampled_from(["closed", "series"]), _FORMATS,
+    ),
+    st.builds(lambda R, q, fmt: _options("weights", R=R, q=q, format=fmt), _NUMBERS, _NUMBERS, _FORMATS),
+    st.builds(lambda Ra, Rb, q: _options("mayer", Ra=Ra, Rb=Rb, q=q), _NUMBERS, _NUMBERS, _NUMBERS),
+    st.builds(lambda R, q, fmt: _options("kernel", R=R, q=q, format=fmt), _NUMBERS, _NUMBERS, _FORMATS),
+    st.builds(
+        lambda names, basis: _options("decompose", product=",".join(names), basis=basis),
+        st.lists(_NAMES, max_size=5), st.sampled_from(["full", "shift"]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV)
+def test_fuzzed_argv_exits_with_a_code(argv):
+    """Finite, infinite, NaN, 1e308-scale and malformed inputs: exit 0, 1 or 2, no traceback."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert err.getvalue().startswith("error: "), argv

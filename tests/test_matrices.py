@@ -18,7 +18,7 @@ from fmspace.matrices import (
     mat_mul,
     metric_eigenvalues,
 )
-from fmspace.ring import RingElem
+from fmspace.ring import ZERO, RingElem
 
 
 def random_mat(rng: random.Random) -> Mat4:
@@ -179,3 +179,62 @@ class TestSerialization:
         for _ in range(10):
             x = random_mat(rng)
             assert Mat4.from_json_dict(x.to_json_dict()) == x
+
+
+def dense_matmul(x: Mat4, y: Mat4) -> Mat4:
+    """Reference product: the plain triple loop over all 64 index triples."""
+    return Mat4(
+        [[sum((x[i, k] * y[k, j] for k in range(4)), ZERO) for j in range(4)] for i in range(4)]
+    )
+
+
+def dense_sub(x: Mat4, y: Mat4) -> Mat4:
+    return Mat4([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(x.rows, y.rows)])
+
+
+class TestSparseStorage:
+    def test_matmul_matches_dense_reference(self):
+        ids = list(GeneratorId)
+        for a in ids:
+            x = get_generator(a)
+            for b in ids:
+                y = get_generator(b)
+                assert x @ y == dense_matmul(x, y), (a, b)
+                assert commutator(x, y) == dense_sub(dense_matmul(x, y), dense_matmul(y, x)), (a, b)
+
+    def test_explicit_zeros_compare_and_hash_equal(self):
+        product = get_generator(GeneratorId.B0) @ get_generator(GeneratorId.F2)
+        grid = [list(row) for row in product.rows]
+        assert sum(x.is_zero for row in grid for x in row) == 12
+        explicit = Mat4(grid)
+        assert explicit == product and hash(explicit) == hash(product)
+        assert Mat4([[ZERO] * 4] * 4) == Mat4.zero()
+        assert hash(Mat4([[ZERO] * 4] * 4)) == hash(Mat4.zero())
+        assert Mat4([[RingElem.monomial(1) if i == j else ZERO for j in range(4)] for i in range(4)]) == IDENTITY
+
+    def test_json_with_unit_denominators_and_zero_entries(self):
+        product = get_generator(GeneratorId.T1) @ get_generator(GeneratorId.B2)
+        d = product.to_json_dict()
+        terms = [t for row in d["rows"] for entry in row for t in entry["terms"]]
+        assert any(t["den"] == "1" for t in terms)
+        assert any(not entry["terms"] for row in d["rows"] for entry in row)
+        d["rows"][0][0]["terms"].append({"num": "0", "den": "1", "q": 0, "pi": 0})
+        for t in terms:
+            t["num"], t["den"] = str(3 * int(t["num"])), str(3 * int(t["den"]))
+        rebuilt = Mat4.from_json_dict(d)
+        assert rebuilt == product and hash(rebuilt) == hash(product)
+
+    def test_absent_entries_read_as_zero(self):
+        b2 = get_generator(GeneratorId.B2)
+        assert b2[0, 0] is ZERO and b2[3, 3] is ZERO
+        assert b2[0, 2] == RingElem.monomial(-1, 4, 0)
+        assert b2.rows[0] == (ZERO, ZERO, RingElem.monomial(-1, 4, 0), ZERO)
+        assert all(len(row) == 4 for row in Mat4.zero().rows)
+        assert all(x is ZERO for row in Mat4.zero().rows for x in row)
+        assert [(r, c) for r, c, _x in b2.entries()] == [(0, 2), (1, 3), (2, 0), (3, 1)]
+
+    def test_scale_by_zero_and_cancellation_store_nothing(self):
+        b0 = get_generator(GeneratorId.B0)
+        assert b0.scale(ZERO).is_zero and list(b0.scale(0).entries()) == []
+        assert list((b0 - b0).entries()) == []
+        assert list((b0 + (-b0)).entries()) == []

@@ -1,8 +1,10 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,3 +26,29 @@ def test_script_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].strip().startswith(FIRST_LINES[script])
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_flow_oracle_report_keeps_nan(monkeypatch, capsys):
+    from fmspace.catalog import GeneratorId
+    from fmspace.flows import STANDARD_Q_GRID
+
+    report = _load_script("flow_oracle_report.py")
+    real = report.closed_flow
+
+    def closed_flow(gid, p, q):
+        if gid is GeneratorId.B1 and q == STANDARD_Q_GRID[1]:
+            return np.full((4, 4), np.nan)
+        return real(gid, p, q)
+
+    monkeypatch.setattr(report, "closed_flow", closed_flow)
+    assert report.main() == 0
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines() if line.strip()}
+    assert rows["B1"] == ["nan", "nan"]
+    assert "nan" not in rows["B0"]
