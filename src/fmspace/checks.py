@@ -1,0 +1,227 @@
+"""The verify criteria: each grid, fold and bound, written once.
+
+Each check runs one suite of `fmspace verify` and returns a CheckRecord with
+every measured value next to its bound; an exact statement is a count held
+to zero.  The CLI renders the records, the acceptance tests assert on them,
+and `scripts/flow_oracle_report.py` prints the flows record.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .algebra import verify_reference_tables
+from .catalog import (
+    ISOMETRIC_IDS,
+    METAMORPHIC_IDS,
+    SHIFT_IDS,
+    GeneratorId,
+    get_generator,
+    homogeneity_order,
+    symmetry_class,
+    symmetry_space_dimensions,
+)
+from .flows import (
+    STANDARD_PARAM_GRID,
+    STANDARD_Q_GRID,
+    FlowDiscrepancy,
+    _fold_max,
+    _mp_max_diff,
+    _mp_product,
+    closed_flow,
+    expm_oracle,
+    invariance_residual,
+    reference_discrepancies,
+)
+from .fmt import inverse_ft_radial, jeffrey_identities, kernel_matrix, kr_weights, mayer_bond, step_hat
+from .matrices import IDENTITY, METRIC, metric_eigenvalues
+
+RADII = (0.3, 1.0, 2.7)  # the mayer and kernel grids
+WAVE_NUMBERS = (0.01, 0.5, 1.0, math.pi, 10.0)
+KERNEL_PREC = 50  # decimal digits of the kernels; their products and residuals take 20 more
+
+
+@dataclass(frozen=True)
+class Measure:
+    """A measured value and its bound: at most the bound, or above it if `above`; NaN fails both."""
+
+    value: float
+    bound: float
+    above: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return self.value > self.bound if self.above else self.value <= self.bound
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    """One verify suite: its name, the detail line `verify` prints, and each measure by name."""
+
+    name: str
+    detail: str
+    measures: dict[str, Measure]
+
+    @property
+    def ok(self) -> bool:
+        return all(m.ok for m in self.measures.values())
+
+
+@dataclass(frozen=True)
+class FlowsRecord(CheckRecord):
+    """The flows record, with what the errata ledger and the oracle report print."""
+
+    # (generator, worst rel vs oracle, worst float64 invariance residual) on the grid
+    rows: tuple[tuple[GeneratorId, float, float], ...] = ()
+    discrepancies: tuple[FlowDiscrepancy, ...] = ()
+
+
+def _detail(passed: str, measures: dict[str, Measure]) -> str:
+    """`passed` if every measure holds its bound, else each failing measure with its bound."""
+    failing = [(k, m) for k, m in measures.items() if not m.ok]
+    return "; ".join(f"{k} {m.value:.2e}, bound {'>' if m.above else '<='} {m.bound:g}" for k, m in failing) or passed
+
+
+def tables() -> CheckRecord:
+    report = verify_reference_tables()
+    lines = [f"{report.cells_checked} cells, {len(report.mismatches)} mismatches", *map(str, report.mismatches)]
+    detail = "\n    ".join(lines)
+    return CheckRecord("tables", detail, {"mismatches": Measure(len(report.mismatches), 0)})
+
+
+def symmetry() -> CheckRecord:
+    problems = []
+    for ids, expected in ((ISOMETRIC_IDS, "isometric"), (METAMORPHIC_IDS, "metamorphic")):
+        problems += [f"{g.value} not {expected}" for g in ids if symmetry_class(get_generator(g)).value != expected]
+    for gid in GeneratorId:
+        expected = int(gid.value[1]) if gid.value[1].isdigit() else 0
+        if homogeneity_order(get_generator(gid)) != expected:
+            problems.append(f"{gid.value} homogeneity order != {expected}")
+    dims = symmetry_space_dimensions()
+    if dims != (6, 10):
+        problems.append(f"symmetry space dims {dims} != (6, 10)")
+    detail = "; ".join(problems) or "15 generators classified, dims (6, 10)"
+    return CheckRecord("symmetry", detail, {"misclassified": Measure(len(problems), 0)})
+
+
+def jeffrey() -> CheckRecord:
+    identities = jeffrey_identities()
+    failures = [f"{name}: {why}" for name, ok, why in identities if not ok]
+    detail = "; ".join(failures) or f"{len(identities)} identities"
+    return CheckRecord("jeffrey", detail, {"failed identities": Measure(len(failures), 0)})
+
+
+def flows() -> FlowsRecord:
+    """Closed forms vs the series oracle, isometry at prec 60, metric breaking, errata.
+
+    Each float64 flow of the grid is evaluated once, for both the oracle
+    deviation and the float64 invariance residual of its generator.
+    """
+    rows = []
+    for gid in GeneratorId:
+        rel = residual = 0.0
+        for q in STANDARD_Q_GRID:
+            for p in STANDARD_PARAM_GRID:
+                closed = closed_flow(gid, p, q)
+                oracle = expm_oracle(get_generator(gid), p, q, 1e-13)
+                scale = 1.0 + float(np.abs(closed).max())
+                rel = _fold_max(rel, float(np.abs(closed - oracle).max()) / scale)
+                residual = _fold_max(residual, float(invariance_residual(closed)))
+        rows.append((gid, rel, residual))
+    isometric = 0.0
+    for gid in ISOMETRIC_IDS:
+        for q in STANDARD_Q_GRID:
+            for p in STANDARD_PARAM_GRID:
+                isometric = _fold_max(isometric, float(invariance_residual(closed_flow(gid, p, q, prec=60), prec=60)))
+    # the least of the metamorphic and shift maxima: the NaN-keeping max fold, negated
+    least = -functools.reduce(_fold_max, (-r for gid, _rel, r in rows if gid in METAMORPHIC_IDS + SHIFT_IDS))
+    discrepancies = tuple(reference_discrepancies())
+    off_ledger = {(d.gen, d.entry) for d in discrepancies} ^ {(GeneratorId.B2, (3, 1))}
+    measures = {
+        "closed form vs oracle rel": Measure(functools.reduce(_fold_max, (rel for _g, rel, _r in rows)), 1e-9),
+        "isometric invariance residual": Measure(isometric, 1e-11),
+        "least metric-breaking residual": Measure(least, 0.1, above=True),
+        "discrepancy cells off the ledger": Measure(len(off_ledger), 0),
+    }
+    detail = _detail("20 flows vs oracle, isometry, discrepancy scan", measures)
+    return FlowsRecord("flows", detail, measures, tuple(rows), discrepancies)
+
+
+def mayer() -> CheckRecord:
+    """The Mayer-bond identity on the grid, and its q -> 0 volume limit for every radius pair."""
+    worst = limit = 0.0
+    for Ra in RADII:
+        for Rb in RADII:
+            for q in WAVE_NUMBERS:
+                step = step_hat(Ra + Rb, q)
+                worst = _fold_max(worst, abs(mayer_bond(Ra, Rb, q) - step) / (1.0 + abs(step)))
+            volume = 4.0 * math.pi * (Ra + Rb) ** 3 / 3.0
+            limit = _fold_max(limit, abs(mayer_bond(Ra, Rb, 1e-6) - volume) / volume)
+    measures = {"bond vs step rel": Measure(worst, 1e-10), "volume limit rel": Measure(limit, 1e-8)}
+    return CheckRecord("mayer", _detail(f"worst rel {worst:.2e}; q->0 volume limit ok", measures), measures)
+
+
+def kernel() -> CheckRecord:
+    """Column 0 of K_R = exp(R t1) is the weight vector; K_R is additive and commuting in R.
+
+    Each prec-50 kernel is evaluated once, for the 3 radii and their 6 sums
+    at each q, and each product K_R K_R' once; it gives the additivity
+    residual against K_{R+R'} and, against K_R' K_R, the commutator.
+    """
+    import mpmath
+
+    column = additivity = commutation = 0.0
+    for R in RADII:
+        for q in WAVE_NUMBERS:
+            column = _fold_max(column, float(np.abs(kernel_matrix(R, q)[:, 0] - kr_weights(R, q)).max()))
+    with mpmath.workdps(KERNEL_PREC + 20):
+        radii = set(RADII) | {R + Rp for R in RADII for Rp in RADII}
+        k = {(R, q): kernel_matrix(R, q, prec=KERNEL_PREC) for R in radii for q in WAVE_NUMBERS}
+        product = {(R, Rp, q): _mp_product(k[R, q], k[Rp, q]) for R in RADII for Rp in RADII for q in WAVE_NUMBERS}
+        for (R, Rp, q), ab in product.items():
+            additivity = _fold_max(additivity, float(_mp_max_diff(ab, k[R + Rp, q])))
+            commutation = _fold_max(commutation, float(_mp_max_diff(ab, product[Rp, R, q])))
+    measures = {
+        "column vs weights": Measure(column, 1e-12),
+        "additivity": Measure(additivity, 1e-11),
+        "commutation": Measure(commutation, 1e-11),
+    }
+    return CheckRecord("kernel", _detail("column, additivity, commutation", measures), measures)
+
+
+def metric() -> CheckRecord:
+    eigs = metric_eigenvalues()
+    deviation = functools.reduce(_fold_max, (abs(e - t) for e, t in zip(eigs, (-1.0, -1.0, 1.0, 1.0))))
+    measures = {
+        "eigenvalue deviation": Measure(deviation, 1e-12),
+        "nonzero entries of M^2 - 1": Measure(len(list((METRIC @ METRIC - IDENTITY).entries())), 0),
+    }
+    detail = f"eigenvalues {[format(float(e), '.6g') for e in eigs]}, M^2 = 1 exact"
+    return CheckRecord("metric", _detail(detail, measures), measures)
+
+
+def profile() -> CheckRecord:
+    """The unit-sphere step, transformed back to real space, inside and outside the sphere."""
+    hat = lambda q: step_hat(1.0, q) if q > 0 else 4.0 * math.pi / 3.0
+    worst = 0.0
+    for f, expected in zip(inverse_ft_radial(hat, (0.0, 0.5, 1.5, 2.0)), (1.0, 1.0, 0.0, 0.0)):
+        worst = _fold_max(worst, abs(f - expected))
+    measures = {"worst deviation": Measure(worst, 5e-3)}
+    return CheckRecord("profile", _detail(f"worst deviation {worst:.2e}", measures), measures)
+
+
+# The verify suites, in the order `verify --suite all` runs them.
+CHECKS = {
+    "tables": tables,
+    "symmetry": symmetry,
+    "jeffrey": jeffrey,
+    "flows": flows,
+    "mayer": mayer,
+    "kernel": kernel,
+    "metric": metric,
+    "profile": profile,
+}

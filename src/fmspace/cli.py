@@ -8,7 +8,7 @@ digits in JSON mode and 6 in text mode.
 from __future__ import annotations
 
 import argparse
-import functools
+import json
 import math
 import sys
 from typing import Optional
@@ -16,39 +16,12 @@ from typing import Optional
 import numpy as np
 
 from . import reference_tables
-from .algebra import build_table, decompose, verify_reference_tables
-from .catalog import (
-    GeneratorId,
-    ISOMETRIC_IDS,
-    METAMORPHIC_IDS,
-    SHIFT_IDS,
-    get_generator,
-    homogeneity_order,
-    resolve_id,
-    symmetry_class,
-    symmetry_space_dimensions,
-)
-from .flows import (
-    STANDARD_PARAM_GRID,
-    STANDARD_Q_GRID,
-    FlowSpec,
-    _fold_max,
-    closed_flow,
-    evaluate_flow,
-    expm_oracle,
-    group_law_residual,
-    invariance_residual,
-    reference_discrepancies,
-)
-from .fmt import (
-    inverse_ft_radial,
-    jeffrey_identities,
-    kernel_matrix,
-    kr_weights,
-    mayer_bond,
-    step_hat,
-)
-from .matrices import METRIC, IDENTITY, metric_eigenvalues
+from .algebra import build_table, decompose
+from .catalog import GeneratorId, SHIFT_IDS, get_generator, resolve_id
+from .checks import CHECKS, FlowsRecord
+from .flows import FlowSpec, _overflow_error, evaluate_flow, invariance_residual, reference_discrepancies
+from .fmt import inverse_ft_radial, kernel_matrix, kr_weights, mayer_bond, step_hat
+from .matrices import Mat4
 
 
 def _fmt_float(x: float, mode: str) -> str:
@@ -109,6 +82,8 @@ def _cmd_eval(args, out) -> int:
     spec = FlowSpec(resolve_id(args.gen), args.param, args.q)
     result = evaluate_flow(spec, method=args.method)
     residual = invariance_residual(result.matrix)
+    if not math.isfinite(residual):  # the float64 products of the residual overflowed
+        raise _overflow_error(spec)
     if args.format == "json":
         payload = {
             "matrix": result.matrix.tolist(),
@@ -123,6 +98,19 @@ def _cmd_eval(args, out) -> int:
     return 0
 
 
+def _load_json(path: str):
+    """The JSON in a file, or in stdin for "-"; ValueError naming an unreadable or invalid file."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as f:
+            return json.load(f)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
+
+
 def _cmd_decompose(args, out) -> int:
     if args.product is not None:
         ids = [resolve_id(n) for n in args.product.split(",") if n.strip()]
@@ -132,12 +120,7 @@ def _cmd_decompose(args, out) -> int:
         for gid in ids[1:]:
             matrix = matrix @ get_generator(gid)
     else:
-        import json as _json
-
-        from .matrices import Mat4
-
-        text = sys.stdin.read() if args.json == "-" else open(args.json).read()
-        matrix = Mat4.from_json_dict(_json.loads(text))
+        matrix = Mat4.from_json_dict(_load_json(args.json))
     basis = SHIFT_IDS if args.basis == "shift" else None
     dec = decompose(matrix, basis=basis)
     if args.format == "json":
@@ -188,168 +171,23 @@ def _cmd_dump_generators(args, out) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Verification suites
-# ---------------------------------------------------------------------------
-
-
-def _suite_tables() -> tuple[bool, str]:
-    report = verify_reference_tables()
-    detail = f"{report.cells_checked} cells, {len(report.mismatches)} mismatches"
-    for m in report.mismatches:
-        detail += f"\n    {m}"
-    return report.ok, detail
-
-
-def _suite_symmetry() -> tuple[bool, str]:
-    problems = []
-    for gid in ISOMETRIC_IDS:
-        if symmetry_class(get_generator(gid)).value != "isometric":
-            problems.append(f"{gid.value} not isometric")
-    for gid in METAMORPHIC_IDS:
-        if symmetry_class(get_generator(gid)).value != "metamorphic":
-            problems.append(f"{gid.value} not metamorphic")
-    for gid in GeneratorId:
-        expected = int(gid.value[1]) if gid.value[1].isdigit() else 0
-        if gid is GeneratorId.ONE:
-            expected = 0
-        if homogeneity_order(get_generator(gid)) != expected:
-            problems.append(f"{gid.value} homogeneity order != {expected}")
-    dims = symmetry_space_dimensions()
-    if dims != (6, 10):
-        problems.append(f"symmetry space dims {dims} != (6, 10)")
-    return not problems, "; ".join(problems) if problems else "15 generators classified, dims (6, 10)"
-
-
-def _suite_jeffrey() -> tuple[bool, str]:
-    report = jeffrey_identities()
-    if report.ok:
-        return True, f"{len(report.checks)} identities"
-    return False, "; ".join(f"{n}: {d}" for n, d in report.failures())
-
-
-def _suite_flows() -> tuple[bool, str]:
-    problems = []
-    for gid in GeneratorId:
-        worst = 0.0
-        for q in STANDARD_Q_GRID:
-            for p in STANDARD_PARAM_GRID:
-                closed = closed_flow(gid, p, q)
-                oracle = expm_oracle(get_generator(gid), p, q, 1e-13)
-                rel = float(np.abs(closed - oracle).max()) / (1.0 + float(np.abs(closed).max()))
-                worst = _fold_max(worst, rel)
-        if not (worst <= 1e-9):
-            problems.append(f"{gid.value} closed form vs oracle rel {worst:.2e}")
-    for gid in ISOMETRIC_IDS:
-        for q in STANDARD_Q_GRID:
-            for p in STANDARD_PARAM_GRID:
-                r = float(invariance_residual(closed_flow(gid, p, q, prec=60), prec=60))
-                if not (r <= 1e-11):
-                    problems.append(f"{gid.value} invariance residual {r:.2e} at ({p}, {q})")
-    for gid in list(METAMORPHIC_IDS) + list(SHIFT_IDS):
-        best = functools.reduce(
-            _fold_max,
-            (
-                float(invariance_residual(closed_flow(gid, p, q)))
-                for q in STANDARD_Q_GRID
-                for p in STANDARD_PARAM_GRID
-            ),
-        )
-        if not (best > 0.1):
-            problems.append(f"{gid.value} never breaks the metric (max residual {best:.2e})")
-    discrepancies = reference_discrepancies()
-    expected = [(GeneratorId.B2, (3, 1))]
-    if [(d.gen, d.entry) for d in discrepancies] != expected:
-        problems.append(f"unexpected published-form discrepancies: {[str(d) for d in discrepancies]}")
-    return not problems, "; ".join(problems) if problems else "20 flows vs oracle, isometry, discrepancy scan"
-
-
-def _suite_mayer() -> tuple[bool, str]:
-    worst = 0.0
-    for Ra in (0.3, 1.0, 2.7):
-        for Rb in (0.3, 1.0, 2.7):
-            for q in (0.01, 0.5, 1.0, math.pi, 10.0):
-                lhs = mayer_bond(Ra, Rb, q)
-                rhs = step_hat(Ra + Rb, q)
-                worst = _fold_max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    ok = worst <= 1e-10
-    limit = mayer_bond(1.0, 0.5, 1e-6)
-    volume = 4.0 * math.pi * 1.5**3 / 3.0
-    ok = ok and abs(limit - volume) / volume <= 1e-8
-    return ok, f"worst rel {worst:.2e}; q->0 volume limit ok"
-
-
-def _suite_kernel() -> tuple[bool, str]:
-    problems = []
-    radii = (0.3, 1.0, 2.7)
-    qs = (0.01, 0.5, 1.0, math.pi, 10.0)
-    for R in radii:
-        for q in qs:
-            col = np.asarray(kernel_matrix(R, q))[:, 0]
-            if not (float(np.abs(col - kr_weights(R, q)).max()) <= 1e-12):
-                problems.append(f"column identity fails at R={R}, q={q}")
-    import mpmath
-
-    for R in radii:
-        for Rp in radii:
-            for q in qs:
-                add = group_law_residual(GeneratorId.T1, R, Rp, q, prec=50)
-                if not (float(add) <= 1e-11):
-                    problems.append(f"additivity {float(add):.2e} at ({R}, {Rp}, {q})")
-                with mpmath.workdps(70):
-                    a = kernel_matrix(R, q, prec=50)
-                    b = kernel_matrix(Rp, q, prec=50)
-                    comm = functools.reduce(
-                        _fold_max,
-                        (
-                            abs(sum(a[i][k] * b[k][j] for k in range(4)) - sum(b[i][k] * a[k][j] for k in range(4)))
-                            for i in range(4)
-                            for j in range(4)
-                        ),
-                    )
-                if not (float(comm) <= 1e-11):
-                    problems.append(f"commutation {float(comm):.2e} at ({R}, {Rp}, {q})")
-    return not problems, "; ".join(problems) if problems else "column, additivity, commutation"
-
-
-def _suite_metric() -> tuple[bool, str]:
-    eigs = metric_eigenvalues()
-    ok = functools.reduce(_fold_max, (abs(e - t) for e, t in zip(eigs, (-1.0, -1.0, 1.0, 1.0)))) <= 1e-12
-    ok = ok and (METRIC @ METRIC) == IDENTITY
-    return ok, f"eigenvalues {[_fmt_float(e, 'text') for e in eigs]}, M^2 = 1 exact"
-
-
-def _suite_profile() -> tuple[bool, str]:
-    hat = lambda q: step_hat(1.0, q) if q > 0 else 4.0 * math.pi / 3.0
-    radii, expected = (0.0, 0.5, 1.5, 2.0), (1.0, 1.0, 0.0, 0.0)
-    worst = 0.0
-    for f, e in zip(inverse_ft_radial(hat, radii), expected):
-        worst = _fold_max(worst, abs(f - e))
-    return worst <= 5e-3, f"worst deviation {worst:.2e}"
-
-
-_SUITES = {
-    "tables": _suite_tables,
-    "symmetry": _suite_symmetry,
-    "jeffrey": _suite_jeffrey,
-    "flows": _suite_flows,
-    "mayer": _suite_mayer,
-    "kernel": _suite_kernel,
-    "metric": _suite_metric,
-    "profile": _suite_profile,
-}
+# The verify suites; perfbench/tracing.py wraps the entries of this dict.
+_SUITES = dict(CHECKS)
 
 
 def _cmd_verify(args, out) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
+    discrepancies = None
     for name in names:
-        ok, detail = _SUITES[name]()
-        all_ok = all_ok and ok
-        out.write(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})\n")
+        record = _SUITES[name]()
+        all_ok = all_ok and record.ok
+        out.write(f"{name}: {'PASS' if record.ok else 'FAIL'} ({record.detail})\n")
+        if isinstance(record, FlowsRecord):
+            discrepancies = record.discrepancies
     if args.errata:
         out.write("\nknown discrepancies between published forms and generated algebra:\n")
-        for d in reference_discrepancies():
+        for d in reference_discrepancies() if discrepancies is None else discrepancies:
             out.write(f"  {d}\n")
         for table, row, col, published, generated in reference_tables.PUBLISHED_TABLE_ERRATA:
             out.write(
@@ -431,6 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if value == []:  # argparse drops "--" from a value, so --R=-- parses as []
+            parser.error(f"argument --{name}: expected one value")
     try:
         return args.func(args, sys.stdout)
     except (ValueError, KeyError, ZeroDivisionError) as exc:

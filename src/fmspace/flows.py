@@ -450,16 +450,18 @@ def group_law_residual(gen, p1: float, p2: float, q: float, prec: Optional[int] 
         return float(np.abs(a @ b - ab).max())
     import mpmath
 
-    with mpmath.workdps((prec or 15) + 20):
-        rows_a, rows_b, rows_ab = _as_rows(a), _as_rows(b), _as_rows(ab)
-        residual = 0
-        for i in range(4):
-            for j in range(4):
-                acc = -rows_ab[i][j]
-                for k in range(4):
-                    acc = acc + rows_a[i][k] * rows_b[k][j]
-                residual = _fold_max(residual, abs(acc))
-    return residual
+    with mpmath.workdps(prec + 20):
+        return _mp_max_diff(_mp_product(a, b), ab)
+
+
+def _mp_product(a: list, b: list) -> list:
+    """a @ b for 4x4 nested lists of mpf, rounded at the ambient precision."""
+    return [[sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+
+
+def _mp_max_diff(a: list, b: list):
+    """Max-norm of a - b for 4x4 nested lists of mpf, at the ambient precision; NaN propagates."""
+    return max_abs([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
 
 
 @dataclass(frozen=True)

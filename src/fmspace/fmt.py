@@ -17,7 +17,6 @@ the weight vector itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -101,64 +100,32 @@ def jeffrey_decomposition(nu: int) -> Decomposition:
     return decompose(get_generator(SHIFT_IDS[nu]))
 
 
-@dataclass
-class CheckReport:
-    """Named exact checks with a failure detail per entry."""
+def jeffrey_identities() -> list[tuple[str, bool, str]]:
+    """Exact identities among the shift generators, zero tolerance.
 
-    checks: list = field(default_factory=list)  # (name, ok, detail)
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, bool(ok), detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _name, ok, _detail in self.checks)
-
-    def failures(self) -> list:
-        return [(n, d) for n, ok, d in self.checks if not ok]
-
-
-def jeffrey_identities() -> CheckReport:
-    """Exact identities among the shift generators, zero tolerance."""
+    One (name, ok, detail for a failure) per identity.
+    """
     from . import reference_tables
     from .algebra import verify_reference_tables
 
     t = [get_generator(gid) for gid in SHIFT_IDS]
-    report = CheckReport()
-
-    lhs = t[1] @ t[1]
-    rhs = t[2].scale(RingElem.monomial(8, 0, 1))
-    report.add("t1.t1 = 8pi t2", lhs == rhs)
-
-    lhs = t[1] @ t[3]
-    rhs = IDENTITY.scale(RingElem.monomial(Fraction(-1, 8), 4, -1))
-    report.add("t1.t3 = -q^4/(8pi) 1", lhs == rhs)
-
-    for i in range(4):
-        for j in range(i + 1, 4):
-            report.add(
-                f"[t{i}, t{j}] = 0",
-                commutator(t[i], t[j]).is_zero,
-            )
+    checks = [
+        ("t1.t1 = 8pi t2", t[1] @ t[1] == t[2].scale(RingElem.monomial(8, 0, 1)), ""),
+        ("t1.t3 = -q^4/(8pi) 1", t[1] @ t[3] == IDENTITY.scale(RingElem.monomial(Fraction(-1, 8), 4, -1)), ""),
+    ]
+    checks += [(f"[t{i}, t{j}] = 0", commutator(t[i], t[j]).is_zero, "") for i in range(4) for j in range(i + 1, 4)]
 
     shift_specs = [s for s in reference_tables.TABLES if s.name.startswith("shift")]
     table_report = verify_reference_tables(shift_specs)
     detail = "; ".join(str(m) for m in table_report.mismatches)
-    report.add("shift product/commutator tables", table_report.ok, detail)
+    checks.append(("shift product/commutator tables", table_report.ok, detail))
 
     for nu in range(4):
         expected = reference_tables.parse_cell(reference_tables.SHIFT_DECOMPOSITIONS[f"T{nu}"])
         actual = jeffrey_decomposition(nu)
-        report.add(
-            f"t{nu} decomposition",
-            expected == actual,
-            "" if expected == actual else f"expected {expected}, generated {actual}",
-        )
-        report.add(
-            f"t{nu} decomposition reconstructs",
-            actual.reconstruct() == get_generator(SHIFT_IDS[nu]),
-        )
-    return report
+        checks.append((f"t{nu} decomposition", expected == actual, f"expected {expected}, generated {actual}"))
+        checks.append((f"t{nu} decomposition reconstructs", actual.reconstruct() == get_generator(SHIFT_IDS[nu]), ""))
+    return checks
 
 
 # Grid nodes per block of the radial transform: one block at the default n,

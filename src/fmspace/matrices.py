@@ -162,7 +162,11 @@ class Mat4:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Mat4":
-        return Mat4([[RingElem.from_json_dict(x) for x in row] for row in d["rows"]])
+        """The inverse of to_json_dict; ValueError on any other shape."""
+        rows = d.get("rows") if isinstance(d, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError('a matrix must be {"rows": [4 lists of 4 entries]}')
+        return Mat4([[RingElem.from_json_dict(x) for x in row] for row in rows])
 
 
 _COLS = range(4)

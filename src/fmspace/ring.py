@@ -269,12 +269,18 @@ class RingElem:
 
     @staticmethod
     def from_json_dict(d: dict) -> "RingElem":
-        return RingElem(
-            {
-                (int(t["q"]), int(t["pi"])): Fraction(int(t["num"]), int(t["den"]))
-                for t in d["terms"]
-            }
-        )
+        """The inverse of to_json_dict; ValueError on any other shape or a zero denominator."""
+        try:
+            return RingElem(
+                {
+                    (int(t["q"]), int(t["pi"])): Fraction(int(t["num"]), int(t["den"]))
+                    for t in d["terms"]
+                }
+            )
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in ring element {d!r}") from None
+        except (KeyError, TypeError):
+            raise ValueError(f'a ring element must be {{"terms": [{{num, den, q, pi}}, ...]}}, got {d!r}') from None
 
 
 ZERO = RingElem()

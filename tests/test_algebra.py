@@ -94,7 +94,7 @@ class TestDecompose:
 
         monkeypatch.setattr(ring.FieldElem, "__init__", forbidden)
         assert verify_reference_tables().ok
-        assert jeffrey_identities().ok
+        assert all(ok for _name, ok, _why in jeffrey_identities())
 
 
 class TestBuildTable:

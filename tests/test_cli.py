@@ -1,18 +1,23 @@
+import collections
 import contextlib
 import io
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmspace import cli
+from fmspace import checks, flows
 from fmspace.catalog import GeneratorId, get_generator
 from fmspace.cli import main
 from fmspace.fmt import mayer_bond
 from fmspace.matrices import Mat4
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -155,10 +160,44 @@ def test_verify_errata_lists_b2_entry(capsys):
     ("profile", "inverse_ft_radial", lambda hat, radii, **kw: [math.nan] * len(radii)),
 ])
 def test_verify_fails_on_nan(capsys, monkeypatch, suite, name, fake):
-    monkeypatch.setattr(cli, name, fake)
+    monkeypatch.setattr(checks, name, fake)
     code, out, _ = run_cli(capsys, "verify", "--suite", suite)
     assert code == 1
     assert out.startswith(f"{suite}: FAIL")
+
+
+def test_verify_mayer_reports_a_failed_volume_limit(capsys, monkeypatch):
+    real = checks.mayer_bond
+    monkeypatch.setattr(checks, "mayer_bond", lambda Ra, Rb, q: real(Ra, Rb, q) * (2 if q == 1e-6 else 1))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "mayer")
+    assert code == 1
+    assert out.startswith("mayer: FAIL (")
+    assert "ok" not in out[len("mayer: FAIL ("):]
+    assert "volume limit rel 1.00e+00, bound <= 1e-08" in out
+
+
+def test_verify_evaluates_each_flow_once(capsys, monkeypatch):
+    counts = collections.Counter()
+    for name in ("closed_flow", "reference_discrepancies"):
+        original = getattr(flows, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name, kwargs.get("prec")] += 1
+            return _original(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "fmspace"]:
+            for attr in [a for a, value in vars(module).items() if value is original]:
+                monkeypatch.setattr(module, attr, counting)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--errata")
+    assert code == 0
+    # flows: 20 x 20 float flows, 6 x 20 at prec=60; errata scan: 15 x 20; kernel:
+    # 15 float columns, and one prec=50 kernel per distinct (radius, q), 9 x 5
+    assert counts == {
+        ("closed_flow", None): 400 + 300 + 15,
+        ("closed_flow", 60): 120,
+        ("closed_flow", 50): 45,
+        ("reference_discrepancies", None): 1,
+    }
 
 
 def test_domain_error_exit_one(capsys):
@@ -184,6 +223,12 @@ def test_domain_error_exit_one(capsys):
     (("mayer", "--Ra", "1", "--Rb", "1", "--q", "1e308"), "float64 overflow"),
     (("mayer", "--Ra", "1e200", "--Rb", "1e200", "--q", "1"), "float64 overflow in the Mayer bond"),
     (("decompose", "--product", ""), "empty --product list"),
+    (("eval", "--gen", "B1", "--param", "0.5", "--q", "1000"), "float64 overflow"),  # residual overflows
+    (("eval", "--gen", "B1", "--param", "0.5", "--q", "1000", "--format", "json"), "float64 overflow"),
+    (("decompose", "--json", str(DATA / "no_such_matrix.json")), "cannot read"),
+    (("decompose", "--json", str(DATA / "bad_matrix_rows_5.json")), "a matrix must be"),
+    (("decompose", "--json", str(DATA / "bad_matrix_list.json")), "a matrix must be"),
+    (("decompose", "--json", str(DATA / "bad_matrix_zero_den.json")), "zero denominator"),
 ])
 def test_out_of_domain_input_exits_one_with_a_message(capsys, argv, words):
     code, out, err = run_cli(capsys, *argv)
@@ -198,6 +243,9 @@ def test_usage_error_exit_two(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--gen", "B1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "--R=--", "--q=1"])  # argparse parses the value as []
     assert exc.value.code == 2
 
 

