@@ -200,16 +200,66 @@ def build_table(
     cols: Iterable[GeneratorId],
     basis: Optional[Sequence[GeneratorId]] = None,
 ) -> StructureTable:
-    """Decompose op(row, col) for every pair; exact, zero tolerance."""
+    """Decompose op(row, col) for every pair; exact, zero tolerance.
+
+    Each ordered product is decomposed once, and a half-(anti)commutator
+    cell follows from two of them by linearity.
+    """
+    return _build_table(kind, rows, cols, basis, {})
+
+
+def _build_table(kind: TableKind, rows, cols, basis, products: dict) -> StructureTable:
+    """build_table, with the product decompositions memoised in `products` by the caller.
+
+    A product is decomposed in the whole family the basis belongs to (One +
+    15 or T0..T3), once per memo; decompose is linear, so (d(x y) -+ d(y x))
+    / 2 is a half-(anti)commutator cell.  When a cell leaves the basis, or a
+    product is outside the family's span, op(x, y) itself is decomposed,
+    which may still lie in the span (an isometric half-commutator in the
+    isometric basis) or raise as before.
+    """
     row_ids = tuple(GeneratorId(r) for r in rows)
     col_ids = tuple(GeneratorId(c) for c in cols)
-    mats_r = [get_generator(gid) for gid in row_ids]
-    mats_c = [get_generator(gid) for gid in col_ids]
-    cells = tuple(
-        tuple(decompose(_table_op(kind, xr, xc), basis) for xc in mats_c)
-        for xr in mats_r
+    ids = frozenset(BASIS_IDS if basis is None else (GeneratorId(g) for g in basis))
+    family = next((f for f in (BASIS_IDS, SHIFT_IDS) if ids <= set(f)), None)
+    sign = _HALF_SIGNS.get(kind)
+    if kind != "product" and sign is None:
+        family = None  # an unknown kind: _table_op raises
+    cells = []
+    for x in row_ids:
+        row = []
+        for y in col_ids:
+            cell = None if family is None else _product_decomposition(x, y, family, products)
+            if sign is not None and cell is not None:
+                yx = _product_decomposition(y, x, family, products)
+                cell = None if yx is None else _half_combination(cell, yx, sign)
+            if cell is None or not cell.coeffs.keys() <= ids:
+                cell = decompose(_table_op(kind, get_generator(x), get_generator(y)), basis)
+            row.append(cell)
+        cells.append(tuple(row))
+    return StructureTable(kind, row_ids, col_ids, tuple(cells))
+
+
+_HALF_SIGNS = {"half_commutator": -1, "half_anticommutator": 1}
+
+
+def _half_combination(xy: Decomposition, yx: Decomposition, sign: int) -> Decomposition:
+    """(xy + sign * yx) / 2, coefficient by coefficient."""
+    a, b = xy.coeffs, yx.coeffs
+    return Decomposition(
+        {g: (a.get(g, ZERO) + b.get(g, ZERO) if sign > 0 else a.get(g, ZERO) - b.get(g, ZERO)) * _HALF for g in a.keys() | b.keys()}
     )
-    return StructureTable(kind, row_ids, col_ids, cells)
+
+
+def _product_decomposition(x: GeneratorId, y: GeneratorId, family: tuple, products: dict) -> Optional[Decomposition]:
+    """decompose(x y, family), or None outside its span; memoised in products."""
+    key = (x, y, family)
+    if key not in products:
+        try:
+            products[key] = decompose(get_generator(x) @ get_generator(y), family)
+        except NotInSpanError:
+            products[key] = None
+    return products[key]
 
 
 # ---------------------------------------------------------------------------
@@ -249,24 +299,33 @@ def build_reference_table(spec) -> StructureTable:
     A spec with op_order "col_row" is published with reversed operand order:
     its cell (row, col) holds op(col, row).
     """
+    return _reference_table(spec, {})
+
+
+def _reference_table(spec, products: dict) -> StructureTable:
     row_ids = tuple(resolve_id(n) for n in spec.row_names)
     col_ids = tuple(resolve_id(n) for n in spec.col_names)
     basis = tuple(resolve_id(n) for n in spec.basis_names) if spec.basis_names else None
     if spec.op_order == "row_col":
-        return build_table(spec.kind, row_ids, col_ids, basis=basis)
-    reversed_table = build_table(spec.kind, col_ids, row_ids, basis=basis)
+        return _build_table(spec.kind, row_ids, col_ids, basis, products)
+    reversed_table = _build_table(spec.kind, col_ids, row_ids, basis, products)
     return StructureTable(spec.kind, row_ids, col_ids, tuple(zip(*reversed_table.cells)))
 
 
 def verify_reference_tables(table_specs=None) -> TableVerification:
-    """Regenerate every reference table from the catalog and diff the cells."""
+    """Regenerate every reference table from the catalog and diff the cells.
+
+    Each distinct ordered product of the tables is decomposed once per call;
+    nothing is kept between calls.
+    """
     from . import reference_tables
 
     if table_specs is None:
         table_specs = reference_tables.TABLES
     report = TableVerification()
+    products: dict = {}
     for spec in table_specs:
-        generated = build_reference_table(spec)
+        generated = _reference_table(spec, products)
         for i, row_name in enumerate(spec.row_names):
             for j, col_name in enumerate(spec.col_names):
                 report.cells_checked += 1

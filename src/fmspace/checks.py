@@ -33,7 +33,7 @@ from .flows import (
     _mp_max_diff,
     _mp_product,
     closed_flow,
-    expm_oracle,
+    grid_flows,
     invariance_residual,
     reference_discrepancies,
 )
@@ -118,16 +118,17 @@ def jeffrey() -> CheckRecord:
 def flows() -> FlowsRecord:
     """Closed forms vs the series oracle, isometry at prec 60, metric breaking, errata.
 
-    Each float64 flow of the grid is evaluated once, for both the oracle
-    deviation and the float64 invariance residual of its generator.
+    Each float64 flow of the grid and its oracle are evaluated once, for the
+    oracle deviation, the float64 invariance residual of its generator and
+    the discrepancy scan of the published forms.
     """
+    evaluated = grid_flows(GeneratorId)
     rows = []
     for gid in GeneratorId:
         rel = residual = 0.0
         for q in STANDARD_Q_GRID:
             for p in STANDARD_PARAM_GRID:
-                closed = closed_flow(gid, p, q)
-                oracle = expm_oracle(get_generator(gid), p, q, 1e-13)
+                closed, oracle = evaluated[gid, q, p]
                 scale = 1.0 + float(np.abs(closed).max())
                 rel = _fold_max(rel, float(np.abs(closed - oracle).max()) / scale)
                 residual = _fold_max(residual, float(invariance_residual(closed)))
@@ -139,7 +140,7 @@ def flows() -> FlowsRecord:
                 isometric = _fold_max(isometric, float(invariance_residual(closed_flow(gid, p, q, prec=60), prec=60)))
     # the least of the metamorphic and shift maxima: the NaN-keeping max fold, negated
     least = -functools.reduce(_fold_max, (-r for gid, _rel, r in rows if gid in METAMORPHIC_IDS + SHIFT_IDS))
-    discrepancies = tuple(reference_discrepancies())
+    discrepancies = tuple(reference_discrepancies(evaluated=evaluated))
     off_ledger = {(d.gen, d.entry) for d in discrepancies} ^ {(GeneratorId.B2, (3, 1))}
     measures = {
         "closed form vs oracle rel": Measure(functools.reduce(_fold_max, (rel for _g, rel, _r in rows)), 1e-9),
@@ -179,9 +180,11 @@ def kernel() -> CheckRecord:
         for q in WAVE_NUMBERS:
             column = _fold_max(column, float(np.abs(kernel_matrix(R, q)[:, 0] - kr_weights(R, q)).max()))
     with mpmath.workdps(KERNEL_PREC + 20):
-        radii = set(RADII) | {R + Rp for R in RADII for Rp in RADII}
-        k = {(R, q): kernel_matrix(R, q, prec=KERNEL_PREC) for R in radii for q in WAVE_NUMBERS}
-        product = {(R, Rp, q): _mp_product(k[R, q], k[Rp, q]) for R in RADII for Rp in RADII for q in WAVE_NUMBERS}
+        # K_{R+R'} at the exact sum of the two binary radii, not at a float sum: 0.3 + 2.7 rounds
+        radii = [mpmath.mpf(R) for R in RADII]
+        sums = {R + Rp for R in radii for Rp in radii}
+        k = {(R, q): kernel_matrix(R, q, prec=KERNEL_PREC) for R in set(radii) | sums for q in WAVE_NUMBERS}
+        product = {(R, Rp, q): _mp_product(k[R, q], k[Rp, q]) for R in radii for Rp in radii for q in WAVE_NUMBERS}
         for (R, Rp, q), ab in product.items():
             additivity = _fold_max(additivity, float(_mp_max_diff(ab, k[R + Rp, q])))
             commutation = _fold_max(commutation, float(_mp_max_diff(ab, product[Rp, R, q])))

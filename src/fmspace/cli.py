@@ -19,13 +19,49 @@ from . import reference_tables
 from .algebra import build_table, decompose
 from .catalog import GeneratorId, SHIFT_IDS, get_generator, resolve_id
 from .checks import CHECKS, FlowsRecord
-from .flows import FlowSpec, _overflow_error, evaluate_flow, invariance_residual, reference_discrepancies
+from .flows import FlowSpec, _overflow_error, closed_flow, evaluate_flow, invariance_residual, reference_discrepancies
 from .fmt import inverse_ft_radial, kernel_matrix, kr_weights, mayer_bond, step_hat
 from .matrices import Mat4
 
 
-def _fmt_float(x: float, mode: str) -> str:
-    return format(float(x), ".17g" if mode == "json" else ".6g")
+def _fmt_float(x, mode: str) -> str:
+    """17 significant digits in JSON mode, 6 in text mode; an mpf is rounded from its own digits."""
+    digits = 17 if mode == "json" else 6
+    if _is_mpf(x):
+        return _fmt_mpf(x, digits)
+    return format(float(x), f".{digits}g")
+
+
+def _is_mpf(x) -> bool:
+    mpmath = sys.modules.get("mpmath")  # an mpf can only exist once mpmath is imported
+    return mpmath is not None and isinstance(x, mpmath.mpf)
+
+
+def _fmt_mpf(x, digits: int) -> str:
+    """format(x, f".{digits}g") for an mpf of any magnitude, also far beyond float64's range."""
+    import mpmath
+
+    if not mpmath.isfinite(x) or not x:
+        return format(float(x), f".{digits}g")
+    sign = "-" if x < 0 else ""
+    # enough digits for the decimal exponent, however long, and for `digits` exact digits after it
+    with mpmath.workdps(2 * digits + 40 + len(str(mpmath.mag(x)))):
+        x = abs(x)  # rounds at the ambient precision, so only inside this context
+        e = int(mpmath.floor(mpmath.log10(x)))
+        k = digits - 1 - e
+        if abs(k) < 400:  # an exact power of ten keeps a decimal tie of a float64 value a tie
+            scaled = x * mpmath.mpf(10) ** k if k >= 0 else x / mpmath.mpf(10) ** -k
+        else:  # beyond float64's range: 10**k by repeated squaring would take seconds
+            scaled = x * mpmath.exp(k * mpmath.ln10)
+        m = int(mpmath.nint(scaled))
+    if m >= 10**digits:  # the rounding carried into one more digit
+        m, e = m // 10, e + 1
+    ds = str(m)
+    if -4 <= e < digits:
+        text = ds[: e + 1] + "." + ds[e + 1 :] if e >= 0 else "0." + "0" * (-e - 1) + ds
+        return sign + text.rstrip("0").rstrip(".")
+    tail = ds[1:].rstrip("0")
+    return f"{sign}{ds[0]}{'.' + tail if tail else ''}e{e:+03d}"
 
 
 def _json_value(obj, mode: str = "json") -> str:
@@ -39,7 +75,7 @@ def _json_value(obj, mode: str = "json") -> str:
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, (float, np.floating)) or _is_mpf(obj):
         return _fmt_float(obj, "json")
     if obj is None:
         return "null"
@@ -79,21 +115,30 @@ def _cmd_tables(args, out) -> int:
 
 
 def _cmd_eval(args, out) -> int:
+    if args.prec is not None and args.method != "closed":
+        raise ValueError("--prec applies to --method closed only")
+    if args.prec is not None and args.prec < 1:
+        raise ValueError(f"--prec must be at least 1 decimal digit, got {args.prec}")
     spec = FlowSpec(resolve_id(args.gen), args.param, args.q)
-    result = evaluate_flow(spec, method=args.method)
-    residual = invariance_residual(result.matrix)
-    if not math.isfinite(residual):  # the float64 products of the residual overflowed
-        raise _overflow_error(spec)
+    if args.prec is None:
+        result = evaluate_flow(spec, method=args.method)
+        matrix, method = result.matrix.tolist(), result.method
+        residual = invariance_residual(matrix)
+        if not math.isfinite(residual):  # the float64 products of the residual overflowed
+            raise _overflow_error(spec)
+    else:
+        matrix, method = closed_flow(spec, prec=args.prec), "closed_form"
+        residual = invariance_residual(matrix, prec=args.prec)
     if args.format == "json":
         payload = {
-            "matrix": result.matrix.tolist(),
-            "method": result.method,
+            "matrix": matrix,
+            "method": method,
             "invariance_residual": residual,
         }
         out.write(_json_value(payload) + "\n")
     else:
-        out.write(f"exp({_fmt_float(args.param, 'text')} * {spec.gen.value}) at q = {_fmt_float(args.q, 'text')} ({result.method})\n")
-        _print_numeric_matrix(result.matrix, "text", out)
+        out.write(f"exp({_fmt_float(args.param, 'text')} * {spec.gen.value}) at q = {_fmt_float(args.q, 'text')} ({method})\n")
+        _print_numeric_matrix(matrix, "text", out)
         out.write(f"invariance residual: {_fmt_float(residual, 'text')}\n")
     return 0
 
@@ -222,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--method", choices=("closed", "series"), default="closed")
+    p.add_argument("--prec", type=int, help="decimal digits: evaluate the closed form through mpmath")
     add_format(p)
     p.set_defaults(func=_cmd_eval)
 

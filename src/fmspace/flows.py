@@ -4,8 +4,9 @@ Closed forms for the twelve boost/rotation generators come from the exact
 square identity X@X = +/- q^(2a) * 1 (cosh/cos plus sinh/sin structure); the
 diagonal and shift-generator transforms are transcribed closed forms.  An
 independently coded scaling-and-squaring Taylor exponential validates all of
-them, and `reference_discrepancies` diffs the generated closed forms against
-the published transform matrices entry by entry.
+them (`expm_oracles` takes a whole grid in one stacked call, with the bits of
+one call per point), and `reference_discrepancies` diffs the generated closed
+forms against the published transform matrices entry by entry.
 
 The boost/rotation class of each generator's square is computed exactly,
 once per generator, on the first flow that needs it.
@@ -22,16 +23,18 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .catalog import ALL_IDS, GeneratorId, SquareClass, classify_square, get_generator
-from .matrices import Mat4, eval_mat
+from .matrices import Mat4, eval_rows
 
 STANDARD_Q_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 STANDARD_PARAM_GRID = (-2.0, -0.5, 0.1, 1.5)
+ORACLE_TOL = 1e-13  # the series oracle's truncation bound wherever it judges a closed form
 
 NumericMat = Union[np.ndarray, list]
 
@@ -169,7 +172,7 @@ def _closed_rows(spec: FlowSpec, bk: _Backend) -> list:
     else:
         diag = bk.cos(arg)
         factor = tau * bk.sinc(arg)
-    xn = eval_mat(mat, q)
+    xn = eval_rows(mat, q)
     rows = [[factor * xn[i][j] for j in range(4)] for i in range(4)]
     for i in range(4):
         rows[i][i] = rows[i][i] + diag
@@ -342,10 +345,11 @@ def printed_flow(gen, param: float = None, q: float = None) -> np.ndarray:
 # 2^s with s = ceil(log2(norm / 0.5)) must stay a float64: norm <= 2^1022.
 # NaN and inf fail the comparison too.
 _MAX_ORACLE_NORM = 2.0**1022
+_EYE = np.eye(4)
 
 
 def expm_oracle(x: Mat4, param: float, q: float, tol: float = 1e-12) -> np.ndarray:
-    """Scaling-and-squaring Taylor evaluation of exp(param * X(q)).
+    """Scaling-and-squaring Taylor evaluation of exp(param * X(q)): `expm_oracles` at one point.
 
     The argument is halved until its 1-norm is at most 0.5, the series is
     summed until the next term's norm drops below tol / 2^s, and the result
@@ -353,35 +357,87 @@ def expm_oracle(x: Mat4, param: float, q: float, tol: float = 1e-12) -> np.ndarr
     (relative to the result's scale).  A non-finite 1-norm, or a result that
     overflows float64, raises ValueError.
     """
+    return expm_oracles([(x, param, q)], tol)[0]
+
+
+def expm_oracles(points: Sequence[tuple], tol: float = 1e-12) -> np.ndarray:
+    """expm_oracle at each (X, param, q) of points, stacked into shape (n, 4, 4).
+
+    Each point keeps its own scaling exponent s, leaves the Taylor loop once
+    its own term has converged and is squared s times, so every slice has the
+    bits of a one-point call.  The first point that fails a stage (X(q)
+    overflows, a 1-norm beyond scaling, a non-finite result) raises the
+    ValueError a one-point call would.
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    try:
-        xq = eval_mat(x, q)
-    except OverflowError:
-        raise ValueError(f"float64 overflow: the entries of X(q) overflow at q = {q!r}") from None
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        z = param * xq
-        norm = float(np.abs(z).sum(axis=0).max())
+    n = len(points)
+    if not n:
+        return np.empty((0, 4, 4))
+    z = np.fromiter(_scaled_entries(points), float, 16 * n).reshape(n, 4, 4)
+    norms = np.maximum.reduce(np.add.reduce(np.abs(z), axis=1), axis=1).tolist()
+    for norm in norms:
         if not norm <= _MAX_ORACLE_NORM:
             raise ValueError(
                 f"float64 overflow: the 1-norm of param * X(q) is {norm!r}, "
                 "beyond what scaling and squaring can take"
             )
-        s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
-        z /= 2.0**s
-        total = np.eye(4)
-        term = np.eye(4)
-        threshold = tol / 2.0**s
-        for k in range(1, 80):
-            term = term @ z / k
-            total = total + term
-            if float(np.abs(term).max()) < threshold:
+    s = [max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0 for norm in norms]
+    # most squarings first, so the points still squaring at each step are a prefix
+    permuted = any(map(operator.lt, s, s[1:]))
+    if permuted:
+        order = sorted(range(n), key=s.__getitem__, reverse=True)
+        z, s = z[order], [s[i] for i in order]
+    scale = [2.0**si for si in s]
+    if s[0] == s[-1]:  # one scale for every point
+        z /= scale[0]
+    else:
+        z /= np.array(scale)[:, None, None]
+    total = _EYE[None].repeat(n, 0)
+    # the points still summing: their indices into total, and their sums, terms, z and thresholds
+    live, acc, term, threshold = list(range(n)), total, total.copy(), [tol / sc for sc in scale]
+    work = np.empty_like(z)  # the outputs of each step go into place: fewer allocations per term
+    for k in range(1, 80):
+        np.divide(np.matmul(term, z, work), k, term)
+        acc += term
+        maxima = np.maximum.reduce(np.abs(term, work), axis=(1, 2)).tolist()
+        if any(map(operator.lt, maxima, threshold)):
+            done = list(map(operator.lt, maxima, threshold))
+            if all(done):
                 break
-        for _ in range(s):
-            total = total @ total
+            total[[i for i, d in zip(live, done) if d]] = acc[done]
+            keep = [not d for d in done]
+            acc, term, z, work = acc[keep], term[keep], z[keep], work[keep]
+            live, threshold = [i for i, d in zip(live, done) if not d], [t for t, d in zip(threshold, done) if not d]
+    if acc is not total:
+        total[live] = acc
+    if s[0]:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+            for _ in range(s[-1]):  # squarings of every point
+                total = total @ total
+            m = n
+            for step in range(s[-1], s[0]):
+                while s[m - 1] <= step:
+                    m -= 1
+                total[:m] = total[:m] @ total[:m]
+    if permuted:
+        total[order] = total.copy()
     if not np.isfinite(total).all():
-        raise ValueError(f"float64 overflow: exp(param * X(q)) is not finite at norm {norm!r}")
+        bad = next(i for i in range(n) if not np.isfinite(total[i]).all())
+        raise ValueError(f"float64 overflow: exp(param * X(q)) is not finite at norm {norms[bad]!r}")
     return total
+
+
+def _scaled_entries(points):
+    """The entries of param * X(q), point by point and row by row, as floats."""
+    for x, param, q in points:
+        try:
+            xq = eval_rows(x, q)
+        except OverflowError:
+            raise ValueError(f"float64 overflow: the entries of X(q) overflow at q = {q!r}") from None
+        for row in xq:
+            for v in row:
+                yield param * v
 
 
 def evaluate_flow(spec: FlowSpec, method: str = "closed") -> FlowResult:
@@ -433,12 +489,36 @@ def invariance_residual(a, prec: Optional[int] = None) -> float:
     every product at the *ambient* precision, so the residual arithmetic must
     run inside a matching context or the cancellation is destroyed.
     """
+    rows = _as_rows(a)
     if prec is not None:
         import mpmath
 
         with mpmath.workdps(prec + 20):
-            return _invariance_impl(_as_rows(a))
-    return _invariance_impl(_as_rows(a))
+            # a NaN or inf goes through the dense fold, where it reaches the result
+            if all(mpmath.isfinite(x) for row in rows for x in row):
+                return _sparse_invariance(rows)
+            return _invariance_impl(rows)
+    return _invariance_impl(rows)
+
+
+def _sparse_invariance(rows: list):
+    """_invariance_impl for finite entries, skipping the products with an exact-zero factor.
+
+    A finite product with a zero factor is zero and leaves the sum as it is.
+    """
+    columns = [[(k, rows[k][mu]) for k in range(4) if rows[k][mu]] for mu in range(4)]
+    residual = 0
+    for mu in range(4):
+        for nu in range(4):
+            acc = 0
+            for k, x in columns[mu]:
+                y = rows[3 - k][nu]
+                if y:
+                    acc = acc + x * y
+            if mu + nu == 3:
+                acc = acc - 1
+            residual = _fold_max(residual, abs(acc))
+    return residual
 
 
 def group_law_residual(gen, p1: float, p2: float, q: float, prec: Optional[int] = None) -> float:
@@ -483,19 +563,34 @@ class FlowDiscrepancy:
         )
 
 
+def grid_flows(gens, q_grid=STANDARD_Q_GRID, param_grid=STANDARD_PARAM_GRID) -> dict:
+    """{(gen, q, param): (float64 closed flow, series oracle at ORACLE_TOL)} over the grid.
+
+    Each flow is evaluated once, and all the oracles in one `expm_oracles` call.
+    """
+    keys = [(GeneratorId(g), q, p) for g in gens for q in q_grid for p in param_grid]
+    closed = [closed_flow(gid, p, q) for gid, q, p in keys]
+    oracles = expm_oracles([(get_generator(gid), p, q) for gid, q, p in keys], ORACLE_TOL)
+    return dict(zip(keys, zip(closed, oracles)))
+
+
 def reference_discrepancies(
-    q_grid=STANDARD_Q_GRID, param_grid=STANDARD_PARAM_GRID, rel_tol: float = 1e-6
+    q_grid=STANDARD_Q_GRID, param_grid=STANDARD_PARAM_GRID, rel_tol: float = 1e-6, evaluated: Optional[dict] = None
 ) -> list[FlowDiscrepancy]:
     """Diff the generated closed forms against the published matrices.
 
     Returns one record per (generator, entry) that deviates anywhere on the
-    grid, with an oracle verdict on which side is correct.
+    grid, with an oracle verdict on which side is correct.  `evaluated` is a
+    `grid_flows` result that covers the published generators on the grid;
+    by default they are evaluated here.
     """
+    if evaluated is None:
+        evaluated = grid_flows(_PUBLISHED, q_grid, param_grid)
     found: dict[tuple[GeneratorId, tuple[int, int]], FlowDiscrepancy] = {}
     for gid in _PUBLISHED:
         for q in q_grid:
             for param in param_grid:
-                closed = closed_flow(gid, param, q)
+                closed, oracle = evaluated[gid, q, param]
                 printed = printed_flow(gid, param, q)
                 scale = 1.0 + float(np.abs(closed).max())
                 dev = np.abs(printed - closed) / scale
@@ -504,7 +599,6 @@ def reference_discrepancies(
                     rel = float(dev[r, c])
                     if key in found and found[key].max_relative_deviation >= rel:
                         continue
-                    oracle = expm_oracle(get_generator(gid), param, q, tol=1e-13)
                     printed_ok = abs(printed[r, c] - oracle[r, c]) <= rel_tol * scale
                     closed_ok = abs(closed[r][c] - oracle[r, c]) <= rel_tol * scale
                     found[key] = FlowDiscrepancy(gid, (int(r), int(c)), rel, printed_ok, closed_ok)

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .ring import ONE, ZERO, RingElem
+from .ring import ONE, ZERO, RingElem, float_sum
 
 Scalar = Union["RingElem", int, Fraction]
 
@@ -28,10 +28,11 @@ class Mat4:
     """Immutable 4x4 matrix with RingElem entries.
 
     Stored as four sparse rows, each a dict column -> nonzero entry; absent
-    entries are zero.  Arithmetic touches only the stored entries.
+    entries are zero.  Arithmetic touches only the stored entries.  The
+    float terms of the entries are compiled on first use (`float_terms`).
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_float_terms")
 
     def __init__(self, rows: Iterable[Iterable]):
         mat = tuple(tuple(_as_ring(x) for x in row) for row in rows)
@@ -87,6 +88,16 @@ class Mat4:
         for r, row in enumerate(self._rows):
             for c, x in row.items():
                 yield r, c, x
+
+    @property
+    def float_terms(self) -> tuple:
+        """(row, col, RingElem.float_terms()) per nonzero entry, row by row; compiled once per matrix."""
+        try:
+            return self._float_terms
+        except AttributeError:
+            compiled = tuple((r, c, x.float_terms()) for r, c, x in self.entries())
+            object.__setattr__(self, "_float_terms", compiled)
+            return compiled
 
     @property
     def is_zero(self) -> bool:
@@ -209,24 +220,35 @@ def anticommutator(x: Mat4, y: Mat4) -> Mat4:
     return x @ y + y @ x
 
 
-def eval_mat(x: Mat4, q):
-    """Entrywise numeric evaluation at wave number q > 0; zero entries stay 0.
+def eval_rows(x: Mat4, q) -> list:
+    """Entrywise numeric evaluation at wave number q > 0, as four lists of four; zero entries stay 0.
 
-    Returns a float64 ndarray for float q, or a nested list of mpf for an
-    mpmath q (the caller controls mpmath precision).
+    A float q sums the matrix's compiled float terms into Python floats; an
+    mpmath q evaluates each exact entry at the active mpmath precision.
     """
     if not (q > 0):
         raise ValueError(f"wave number q must be positive, got {q!r}")
     if isinstance(q, (int, float)):
         q = float(q)
-        out = np.zeros((4, 4))
-    else:
-        import mpmath
+        out = [[0.0] * 4 for _ in range(4)]
+        for r, c, terms in x.float_terms:
+            out[r][c] = float_sum(terms, q)
+        return out
+    import mpmath
 
-        out = [[mpmath.mpf(0)] * 4 for _ in range(4)]
+    out = [[mpmath.mpf(0)] * 4 for _ in range(4)]
     for r, c, entry in x.entries():
         out[r][c] = entry.evaluate(q)
     return out
+
+
+def eval_mat(x: Mat4, q):
+    """eval_rows as a float64 ndarray for float q, or a nested list of mpf for an mpmath q.
+
+    The caller controls mpmath precision.
+    """
+    rows = eval_rows(x, q)
+    return np.array(rows) if isinstance(q, (int, float)) else rows
 
 
 def bilinear(u: Sequence, v: Sequence) -> float:
@@ -265,5 +287,5 @@ def metric_eigenvalues(q: float = 1.0) -> list[float]:
     y2 = (-c2 - disc**0.5) / 2.0
     if y1 < 0 or y2 < 0:
         raise ValueError("negative squared eigenvalue; metric is not real-symmetric")
-    r1, r2 = y1**0.5, y2**0.5
+    r1, r2 = float(y1**0.5), float(y2**0.5)
     return sorted([-r1, -r2, r2, r1])

@@ -224,11 +224,7 @@ class RingElem:
         (evaluates at the active mpmath precision).
         """
         if isinstance(q, (int, float)):
-            total = 0.0
-            pi = math.pi
-            for (j, k), c in self._terms.items():
-                total += float(c) * float(q) ** j * pi**k
-            return total
+            return float_sum(self.float_terms(), float(q))
         import mpmath
 
         pi = +mpmath.mp.pi
@@ -236,6 +232,10 @@ class RingElem:
         for (j, k), c in self._terms.items():
             total += mpmath.mpf(c.numerator) / c.denominator * q**j * pi**k
         return total
+
+    def float_terms(self) -> tuple:
+        """((float(coef), q_pow, pi**pi_pow), ...): the terms float evaluation sums, in its order."""
+        return tuple((float(c), j, math.pi**k) for (j, k), c in self._terms.items())
 
     # -- comparisons, hashing, repr ----------------------------------------
 
@@ -285,6 +285,18 @@ class RingElem:
 
 ZERO = RingElem()
 ONE = RingElem.monomial(1)
+
+
+def float_sum(terms: tuple, q: float) -> float:
+    """The float64 value at q of compiled terms: coef * q**q_pow * pi_term added to 0.0 in order.
+
+    The one float evaluation of a ring element, so an entry evaluates to the
+    same bits whichever caller compiled its terms.
+    """
+    total = 0.0
+    for coef, j, pik in terms:
+        total += coef * q**j * pik
+    return total
 
 
 def _poly_divide_exact(num: dict, den: dict) -> Optional[dict]:

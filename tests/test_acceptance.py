@@ -105,6 +105,11 @@ def test_criterion_6_kernel_identities():
     ), record.detail
 
 
+def test_kernel_additivity_is_exact_at_prec_50():
+    """K_R K_R' against K_{R+R'} at the exact radius sum: 50-digit agreement, not float64 rounding of R + R'."""
+    assert checks.kernel().measures["additivity"].value < 1e-40
+
+
 def test_criterion_7_shift_algebra():
     record = checks.jeffrey()
     ok = record.ok and _held(record, "failed identities", 0) == 0
@@ -210,3 +215,10 @@ def test_criterion_10_real_space_spot_check():
         f"inverse transform of the unit-sphere step, worst deviation "
         f"{worst:.2e} (<= 5e-3), {elapsed:.2f}s",
     )
+
+
+def test_every_measure_is_a_plain_number():
+    """Each measured value of every check is an int or a float, never a numpy scalar."""
+    for name, check in checks.CHECKS.items():
+        for key, measure in check().measures.items():
+            assert type(measure.value) in (int, float), (name, key, type(measure.value))

@@ -256,9 +256,11 @@ class TestCanonicalCoefficients:
 
 
 # Ring operations of one warm verify_reference_tables() pass, plus 20% headroom.
-# Measured: 14508 products and 7920 sums (the dense layer made 24128 and 32248).
-_MUL_CEILING = 17409
-_ADD_CEILING = 9504
+# Measured: 7659 products and 4074 sums, with each ordered catalog product
+# decomposed once (14508 and 7920 decomposing all 599 cells; the dense layer
+# made 24128 and 32248).
+_MUL_CEILING = 9191
+_ADD_CEILING = 4889
 
 
 def test_reference_tables_ring_op_counts(monkeypatch):
@@ -280,3 +282,36 @@ def test_reference_tables_ring_op_counts(monkeypatch):
     assert verify_reference_tables().ok
     assert counts["mul"] <= _MUL_CEILING, counts
     assert counts["add"] <= _ADD_CEILING, counts
+
+
+@pytest.mark.parametrize("kind", ["product", "half_commutator", "half_anticommutator"])
+@pytest.mark.parametrize(
+    "basis",
+    [None, ISOMETRIC_IDS, METAMORPHIC_IDS, SHIFT_IDS, (GeneratorId.T1,), (GeneratorId.ONE, GeneratorId.B0)],
+    ids=["full", "isometric", "metamorphic", "shift", "T1", "One,B0"],
+)
+def test_table_cells_match_direct_decomposition(kind, basis):
+    """Every cell from the memoised product decompositions is decompose(op(x, y), basis), or raises as it does."""
+    from fmspace import algebra
+
+    products = {}
+    for x in GeneratorId:
+        for y in GeneratorId:
+            op = algebra._table_op(kind, get_generator(x), get_generator(y))
+            try:
+                expected = decompose(op, basis)
+            except NotInSpanError as exc:
+                with pytest.raises(NotInSpanError) as raised:
+                    algebra._build_table(kind, (x,), (y,), basis, products)
+                assert raised.value.residual == exc.residual, (x, y)
+            else:
+                assert algebra._build_table(kind, (x,), (y,), basis, products).cells == ((expected,),), (x, y)
+
+
+@pytest.mark.parametrize("kind, basis, words", [
+    ("sum", None, "unknown table kind"),
+    ("product", (GeneratorId.B1, GeneratorId.T1), "basis must be a subset"),
+])
+def test_build_table_rejects_as_decompose_does(kind, basis, words):
+    with pytest.raises(ValueError, match=words):
+        build_table(kind, [GeneratorId.B1], [GeneratorId.B2], basis=basis)

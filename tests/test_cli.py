@@ -47,6 +47,60 @@ def test_eval_series_method(capsys):
     assert payload["method"] == "series"
 
 
+def test_eval_prec_goes_past_float64(capsys):
+    """The overflow error's advice works: --prec evaluates through mpmath and prints at the CLI's digits."""
+    code, out, _ = run_cli(capsys, "eval", "--gen", "B1", "--param", "1000", "--q", "1", "--prec", "30")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["9.85036e+433", "-9.85036e+433", "0", "0"]
+    code, out, _ = run_cli(capsys, "eval", "--gen", "B1", "--param", "1000", "--q", "1", "--prec", "30", "--format", "json")
+    assert code == 0
+    assert out.startswith('{"matrix": [[9.850355570085235e+433, -9.850355570085235e+433, 0, 0], ')
+
+
+def test_eval_prec_residual_is_taken_at_prec(capsys):
+    argv = ("eval", "--gen", "B1", "--param", "0.7", "--q", "1.2", "--format", "json")
+    closed = json.loads(run_cli(capsys, *argv)[1])
+    code, out, _ = run_cli(capsys, *argv, "--prec", "40")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "closed_form"
+    assert np.allclose(payload["matrix"], closed["matrix"], rtol=1e-15, atol=0)
+    assert payload["invariance_residual"] <= 1e-35
+
+
+@pytest.mark.parametrize("extra, words", [
+    (("--prec", "30", "--method", "series"), "--prec applies to --method closed only"),
+    (("--prec", "0"), "--prec must be at least 1"),
+    (("--prec", "-3"), "--prec must be at least 1"),
+])
+def test_eval_prec_rejects(capsys, extra, words):
+    code, _, err = run_cli(capsys, "eval", "--gen", "B1", "--param", "1", "--q", "1", *extra)
+    assert code == 1
+    assert err.startswith("error: ") and words in err
+
+
+def test_mpf_digits_match_float_formatting():
+    """An mpf holding a float prints as that float does, ties and subnormals included."""
+    import random
+    import struct
+
+    import mpmath
+
+    from fmspace.cli import _fmt_float
+
+    rng = random.Random(11)
+    values = [0.5, 2.0**-10, 1234565.0, 123456.5, 999.99, 1000.0, 1e-4, 9.9999e-5, 5e-324, 1.7976931348623157e308]
+    values += [struct.unpack("d", struct.pack("Q", rng.getrandbits(63)))[0] for _ in range(2000)]
+    values += [rng.randint(-10**9, 10**9) / 2.0 ** rng.randint(0, 30) for _ in range(2000)]
+    for x in filter(math.isfinite, values):
+        for mode in ("text", "json"):
+            assert _fmt_float(mpmath.mpf(x), mode) == _fmt_float(x, mode), x
+    with mpmath.workdps(30):  # digits beyond float64, and a magnitude beyond its range
+        third, big = mpmath.mpf(1) / 3, -mpmath.cosh(mpmath.mpf(10) ** 20)
+    assert _fmt_float(third, "json") == "0.33333333333333333"
+    assert _fmt_float(big, "json") == "-6.4842820304241448e+43429448190325182764"
+
+
 def test_output_determinism(capsys):
     argv = ("eval", "--gen", "D2", "--param", "0.3", "--q", "1.7", "--format", "json")
     _, first, _ = run_cli(capsys, *argv)
@@ -190,14 +244,52 @@ def test_verify_evaluates_each_flow_once(capsys, monkeypatch):
                 monkeypatch.setattr(module, attr, counting)
     code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--errata")
     assert code == 0
-    # flows: 20 x 20 float flows, 6 x 20 at prec=60; errata scan: 15 x 20; kernel:
-    # 15 float columns, and one prec=50 kernel per distinct (radius, q), 9 x 5
+    # flows: 20 x 20 float flows, which the errata scan reuses, and 6 x 20 at
+    # prec=60; kernel: 15 float columns, and one prec=50 kernel per distinct
+    # (radius, q), 9 x 5
     assert counts == {
-        ("closed_flow", None): 400 + 300 + 15,
+        ("closed_flow", None): 400 + 15,
         ("closed_flow", 60): 120,
         ("closed_flow", 50): 45,
         ("reference_discrepancies", None): 1,
     }
+
+
+def test_verify_passes_repeat_the_same_table_work(capsys, monkeypatch):
+    """Each pass decomposes at most the 241 distinct ordered table products, and a second pass does the same work."""
+    from fmspace import algebra, cli
+
+    assert run_cli(capsys, "verify", "--suite", "all")[0] == 0  # fill the per-generator caches
+    where = {"pass": 0, "suite": None}
+    counts = collections.Counter()
+    for name, check in list(cli._SUITES.items()):
+        def tagged(_name=name, _check=check):
+            where["suite"] = _name
+            return _check()
+
+        monkeypatch.setitem(cli._SUITES, name, tagged)
+    matmul, decompose = Mat4.__matmul__, algebra.decompose
+
+    def counting_matmul(self, other):
+        counts[where["pass"], where["suite"], "matmul"] += 1
+        return matmul(self, other)
+
+    def counting_decompose(*args, **kwargs):
+        counts[where["pass"], where["suite"], "decompose"] += 1
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(Mat4, "__matmul__", counting_matmul)
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "fmspace"]:
+        for attr in [a for a, value in vars(module).items() if value is decompose]:
+            monkeypatch.setattr(module, attr, counting_decompose)
+    for n in (1, 2):
+        where["pass"] = n
+        assert run_cli(capsys, "verify", "--suite", "all")[0] == 0
+    first = {key[1:]: v for key, v in counts.items() if key[0] == 1}
+    second = {key[1:]: v for key, v in counts.items() if key[0] == 2}
+    assert first == second
+    assert 0 < first.get(("tables", "decompose"), 0) <= 241
+    assert 0 < first.get(("tables", "matmul"), 0) <= 241
 
 
 def test_domain_error_exit_one(capsys):
@@ -257,16 +349,18 @@ _NUMBERS = st.one_of(
 )
 _NAMES = st.one_of(st.sampled_from([g.value for g in GeneratorId] + ["b0p", "F3'"]), st.text(max_size=4))
 _FORMATS = st.sampled_from(["text", "json"])
+# absent, small digit counts (below 1 too), or not an integer
+_PRECS = st.one_of(st.none(), st.integers(-2, 40).map(str), st.sampled_from(["x", "1.5", "", "--", "1e3"]))
 
 
 def _options(command, **values):
-    return [command] + [f"--{k}={v}" for k, v in values.items()]
+    return [command] + [f"--{k}={v}" for k, v in values.items() if v is not None]
 
 
 _ARGV = st.one_of(
     st.builds(
-        lambda gen, param, q, method, fmt: _options("eval", gen=gen, param=param, q=q, method=method, format=fmt),
-        _NAMES, _NUMBERS, _NUMBERS, st.sampled_from(["closed", "series"]), _FORMATS,
+        lambda gen, param, q, method, fmt, prec: _options("eval", gen=gen, param=param, q=q, method=method, format=fmt, prec=prec),
+        _NAMES, _NUMBERS, _NUMBERS, st.sampled_from(["closed", "series"]), _FORMATS, _PRECS,
     ),
     st.builds(lambda R, q, fmt: _options("weights", R=R, q=q, format=fmt), _NUMBERS, _NUMBERS, _FORMATS),
     st.builds(lambda Ra, Rb, q: _options("mayer", Ra=Ra, Rb=Rb, q=q), _NUMBERS, _NUMBERS, _NUMBERS),

@@ -149,6 +149,61 @@ class TestOracle:
             expm_oracle(get_generator(gid), param, 1.0)
 
 
+def _scalar_taylor_oracle(x: Mat4, param: float, q: float, tol: float) -> np.ndarray:
+    """The scalar scaling-and-squaring Taylor loop, point by point: the reference for expm_oracle's bits."""
+    xq = np.zeros((4, 4))
+    for r, c, entry in x.entries():
+        xq[r, c] = entry.evaluate(q)
+    z = param * xq
+    norm = float(np.abs(z).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    z /= 2.0**s
+    total = np.eye(4)
+    term = np.eye(4)
+    threshold = tol / 2.0**s
+    for k in range(1, 80):
+        term = term @ z / k
+        total = total + term
+        if float(np.abs(term).max()) < threshold:
+            break
+    for _ in range(s):
+        total = total @ total
+    return total
+
+
+def _oracle_points():
+    """The flows check's 400 grid points, then 300 seeded draws over the envelope (see TestEnvelope)."""
+    points = [(gid, p, q) for gid in ALL_IDS for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID]
+    rng = np.random.default_rng(20111)
+    while len(points) < 700:
+        gid = ALL_IDS[rng.integers(len(ALL_IDS))]
+        q = 10.0 ** rng.uniform(-2.0, 1.0)
+        param = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-7.0, 1.0) / q ** homogeneity_order(get_generator(gid))
+        if abs(param) * float(np.abs(eval_mat(get_generator(gid), q)).sum(axis=0).max()) <= ENVELOPE_NORM:
+            points.append((gid, float(param), q))
+    return points
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+def test_oracle_matches_the_scalar_loop_bit_for_bit(tol):
+    points = [(get_generator(gid), param, q) for gid, param, q in _oracle_points()]
+    stacked = flows.expm_oracles(points, tol)
+    assert stacked.shape == (len(points), 4, 4)
+    for (x, param, q), batched in zip(points, stacked):
+        reference = _scalar_taylor_oracle(x, param, q, tol)
+        assert np.array_equal(batched, reference), (x, param, q)
+        assert np.array_equal(expm_oracle(x, param, q, tol), reference), (x, param, q)
+
+
+def test_stacked_oracle_raises_for_the_first_failing_point():
+    good = (get_generator(GeneratorId.B1), 0.5, 1.0)
+    assert flows.expm_oracles([], 1e-13).shape == (0, 4, 4)
+    with pytest.raises(ValueError, match="the 1-norm of param"):
+        flows.expm_oracles([good, (get_generator(GeneratorId.T1), 1e308, 1.0), good])
+    with pytest.raises(ValueError, match="is not finite at norm 1e[+]300"):
+        flows.expm_oracles([good, (get_generator(GeneratorId.B1), 1e300, 1.0)])
+
+
 class TestInvarianceResidual:
     def test_identity_is_zero(self):
         assert invariance_residual(np.eye(4)) == 0.0
@@ -173,6 +228,25 @@ class TestInvarianceResidual:
         rows = [[mpmath.mpf(int(i == j)) for j in range(4)] for i in range(4)]
         rows[1][1] = mpmath.nan
         assert mpmath.isnan(invariance_residual(rows, prec=30))
+
+    def test_mp_infinite_entry_is_not_small(self):
+        import mpmath
+
+        rows = [[mpmath.mpf(int(i == j < 3)) for j in range(4)] for i in range(4)]
+        rows[0][0] = mpmath.inf  # only ever multiplied by the zero row 3: inf * 0 is NaN, a skipped product 0
+        assert not invariance_residual(rows, prec=30) <= 1.0
+
+    def test_mp_residual_equals_the_dense_fold(self):
+        """Skipping the products with a zero factor changes no value of the prec-60 grid."""
+        import mpmath
+
+        for gid in ALL_IDS:
+            for q in STANDARD_Q_GRID:
+                for p in STANDARD_PARAM_GRID:
+                    a = closed_flow(gid, p, q, prec=60)
+                    with mpmath.workdps(80):
+                        dense = flows._invariance_impl(a)
+                    assert invariance_residual(a, prec=60) == dense, (gid, p, q)
 
     def test_max_abs_propagates_nan(self):
         assert max_abs(np.eye(4)) == 1.0

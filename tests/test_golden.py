@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from fmspace import checks
 from fmspace.catalog import GeneratorId
 from fmspace.cli import main
 
@@ -45,3 +46,31 @@ def test_eval_json_is_unchanged_for_every_generator(capsys):
         for gid in GeneratorId
     )
     assert out == (DATA / "eval_closed.jsonl").read_text()
+
+
+def flows_record_text(record) -> str:
+    """Every row, measure and discrepancy of the flows record, at full float precision."""
+    lines = [f"{gid.value} {rel!r} {residual!r}" for gid, rel, residual in record.rows]
+    lines += [f"{name}: {measure.value!r}" for name, measure in record.measures.items()]
+    lines += [repr(d) for d in record.discrepancies]
+    lines += [str(d) for d in record.discrepancies]
+    return "\n".join(lines) + "\n"
+
+
+def test_flows_record_is_unchanged():
+    assert flows_record_text(checks.flows()) == (DATA / "flows_record.txt").read_text()
+
+
+def tables_text(capsys) -> str:
+    """Every `tables` output: each set, kind and format, under a `$ argv` line."""
+    out = []
+    for table_set in ("isometric", "metamorphic", "mixed", "shift"):
+        for kind in ("product", "half_commutator", "half_anticommutator"):
+            for fmt in ("text", "json"):
+                argv = ["tables", "--set", table_set, "--kind", kind, "--format", fmt]
+                out.append(f"$ {' '.join(argv)}\n" + run(capsys, argv))
+    return "".join(out)
+
+
+def test_every_table_output_is_unchanged(capsys):
+    assert tables_text(capsys) == (DATA / "tables_all.txt").read_text()

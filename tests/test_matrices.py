@@ -144,6 +144,21 @@ class TestEvalMat:
         expected[3, 1] = 1.0
         assert np.array_equal(m, expected)
 
+    def test_compiled_terms_keep_the_bits_of_the_term_loop(self):
+        """eval_mat reads each matrix's compiled float terms; every entry keeps the bits of the plain loop."""
+        import math
+
+        rng = random.Random(7)
+        mats = [get_generator(g) for g in GeneratorId] + [random_mat(rng) for _ in range(50)]
+        for x in mats:
+            for q in (1e-3, 0.37, 1.0, 2.0, 7.5, 1e3):
+                reference = np.zeros((4, 4))
+                for r, c, entry in x.entries():
+                    for (j, k), coef in entry._terms.items():  # evaluation order is insertion order
+                        reference[r, c] += float(coef) * q**j * math.pi**k
+                assert np.array_equal(eval_mat(x, q), reference), (x, q)
+                assert x.float_terms is x.float_terms  # compiled once
+
     def test_zero_matrix(self):
         assert np.array_equal(eval_mat(Mat4.zero(), 2.0), np.zeros((4, 4)))
 

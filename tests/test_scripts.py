@@ -36,19 +36,19 @@ def _load_script(name):
 
 
 def test_flow_oracle_report_keeps_nan(monkeypatch, capsys):
-    from fmspace import checks
+    from fmspace import flows
     from fmspace.catalog import GeneratorId
     from fmspace.flows import STANDARD_Q_GRID
 
     report = _load_script("flow_oracle_report.py")
-    real = checks.closed_flow
+    real = flows.closed_flow
 
     def closed_flow(gid, p, q, prec=None):
         if gid is GeneratorId.B1 and q == STANDARD_Q_GRID[1] and prec is None:
             return np.full((4, 4), np.nan)
         return real(gid, p, q, prec=prec)
 
-    monkeypatch.setattr(checks, "closed_flow", closed_flow)
+    monkeypatch.setattr(flows, "closed_flow", closed_flow)  # grid_flows evaluates the float grid
     assert report.main() == 0
     rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines() if line.strip()}
     assert rows["B1"] == ["nan", "nan"]
