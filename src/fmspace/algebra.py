@@ -6,6 +6,10 @@ basis of the 4x4 matrix space that is orthogonal under the trace form: tr(X Y)
 of the coefficient ring.  So the coefficient of X in T is tr(T X) / tr(X^2),
 exact and without elimination; products and commutators of catalog matrices
 land back in the span with single-monomial coefficients.
+
+The reference tables are checked the other way round: each published cell is
+multiplied out, sum of coefficient * generator, and compared with the
+catalog's product, so a passing check decomposes nothing.
 """
 
 from __future__ import annotations
@@ -152,13 +156,18 @@ def decompose(t: Mat4, basis: Optional[Sequence[GeneratorId]] = None) -> Decompo
     return dec
 
 
-def _table_op(kind: TableKind, x: Mat4, y: Mat4) -> Mat4:
+def _product(x: GeneratorId, y: GeneratorId) -> Mat4:
+    return get_generator(x) @ get_generator(y)
+
+
+def _table_op(kind: TableKind, x: GeneratorId, y: GeneratorId, product=_product) -> Mat4:
+    """op(x, y) of two catalog generators, with each ordered product x y taken from product(x, y)."""
     if kind == "product":
-        return x @ y
+        return product(x, y)
     if kind == "half_commutator":
-        return (x @ y - y @ x).scale(_HALF)
+        return (product(x, y) - product(y, x)).scale(_HALF)
     if kind == "half_anticommutator":
-        return (x @ y + y @ x).scale(_HALF)
+        return (product(x, y) + product(y, x)).scale(_HALF)
     raise ValueError(f"unknown table kind {kind!r}")
 
 
@@ -200,66 +209,11 @@ def build_table(
     cols: Iterable[GeneratorId],
     basis: Optional[Sequence[GeneratorId]] = None,
 ) -> StructureTable:
-    """Decompose op(row, col) for every pair; exact, zero tolerance.
-
-    Each ordered product is decomposed once, and a half-(anti)commutator
-    cell follows from two of them by linearity.
-    """
-    return _build_table(kind, rows, cols, basis, {})
-
-
-def _build_table(kind: TableKind, rows, cols, basis, products: dict) -> StructureTable:
-    """build_table, with the product decompositions memoised in `products` by the caller.
-
-    A product is decomposed in the whole family the basis belongs to (One +
-    15 or T0..T3), once per memo; decompose is linear, so (d(x y) -+ d(y x))
-    / 2 is a half-(anti)commutator cell.  When a cell leaves the basis, or a
-    product is outside the family's span, op(x, y) itself is decomposed,
-    which may still lie in the span (an isometric half-commutator in the
-    isometric basis) or raise as before.
-    """
+    """decompose(op(row, col), basis) for every pair; exact, zero tolerance."""
     row_ids = tuple(GeneratorId(r) for r in rows)
     col_ids = tuple(GeneratorId(c) for c in cols)
-    ids = frozenset(BASIS_IDS if basis is None else (GeneratorId(g) for g in basis))
-    family = next((f for f in (BASIS_IDS, SHIFT_IDS) if ids <= set(f)), None)
-    sign = _HALF_SIGNS.get(kind)
-    if kind != "product" and sign is None:
-        family = None  # an unknown kind: _table_op raises
-    cells = []
-    for x in row_ids:
-        row = []
-        for y in col_ids:
-            cell = None if family is None else _product_decomposition(x, y, family, products)
-            if sign is not None and cell is not None:
-                yx = _product_decomposition(y, x, family, products)
-                cell = None if yx is None else _half_combination(cell, yx, sign)
-            if cell is None or not cell.coeffs.keys() <= ids:
-                cell = decompose(_table_op(kind, get_generator(x), get_generator(y)), basis)
-            row.append(cell)
-        cells.append(tuple(row))
-    return StructureTable(kind, row_ids, col_ids, tuple(cells))
-
-
-_HALF_SIGNS = {"half_commutator": -1, "half_anticommutator": 1}
-
-
-def _half_combination(xy: Decomposition, yx: Decomposition, sign: int) -> Decomposition:
-    """(xy + sign * yx) / 2, coefficient by coefficient."""
-    a, b = xy.coeffs, yx.coeffs
-    return Decomposition(
-        {g: (a.get(g, ZERO) + b.get(g, ZERO) if sign > 0 else a.get(g, ZERO) - b.get(g, ZERO)) * _HALF for g in a.keys() | b.keys()}
-    )
-
-
-def _product_decomposition(x: GeneratorId, y: GeneratorId, family: tuple, products: dict) -> Optional[Decomposition]:
-    """decompose(x y, family), or None outside its span; memoised in products."""
-    key = (x, y, family)
-    if key not in products:
-        try:
-            products[key] = decompose(get_generator(x) @ get_generator(y), family)
-        except NotInSpanError:
-            products[key] = None
-    return products[key]
+    cells = tuple(tuple(decompose(_table_op(kind, x, y), basis) for y in col_ids) for x in row_ids)
+    return StructureTable(kind, row_ids, col_ids, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -293,53 +247,64 @@ class TableVerification:
         return not self.mismatches
 
 
-def build_reference_table(spec) -> StructureTable:
-    """Generate a reference table's cells in its published row/column layout.
-
-    A spec with op_order "col_row" is published with reversed operand order:
-    its cell (row, col) holds op(col, row).
-    """
-    return _reference_table(spec, {})
-
-
-def _reference_table(spec, products: dict) -> StructureTable:
+def _spec_ids(spec) -> tuple:
+    """(row ids, column ids, basis ids or None for One + 15) of a reference table."""
     row_ids = tuple(resolve_id(n) for n in spec.row_names)
     col_ids = tuple(resolve_id(n) for n in spec.col_names)
     basis = tuple(resolve_id(n) for n in spec.basis_names) if spec.basis_names else None
-    if spec.op_order == "row_col":
-        return _build_table(spec.kind, row_ids, col_ids, basis, products)
-    reversed_table = _build_table(spec.kind, col_ids, row_ids, basis, products)
-    return StructureTable(spec.kind, row_ids, col_ids, tuple(zip(*reversed_table.cells)))
+    return row_ids, col_ids, basis
+
+
+def _spec_op(spec, x: GeneratorId, y: GeneratorId, product=_product) -> Mat4:
+    """The operation of a reference table's cell (x, y).
+
+    A spec with op_order "col_row" is published with reversed operand order:
+    its cell (x, y) holds op(y, x).
+    """
+    operands = (x, y) if spec.op_order == "row_col" else (y, x)
+    return _table_op(spec.kind, *operands, product)
+
+
+def build_reference_table(spec) -> StructureTable:
+    """Generate a reference table's cells in its published row/column layout."""
+    row_ids, col_ids, basis = _spec_ids(spec)
+    cells = tuple(tuple(decompose(_spec_op(spec, x, y), basis) for y in col_ids) for x in row_ids)
+    return StructureTable(spec.kind, row_ids, col_ids, cells)
 
 
 def verify_reference_tables(table_specs=None) -> TableVerification:
-    """Regenerate every reference table from the catalog and diff the cells.
+    """Multiply out every published cell and compare it with the catalog's op(row, col).
 
-    Each distinct ordered product of the tables is decomposed once per call;
-    nothing is kept between calls.
+    A cell holds when it names only generators of its table's basis and the
+    sum of coefficient * generator equals op(row, col) exactly.  The basis is
+    linearly independent, so that is decompose(op(row, col), basis) == cell;
+    only a failing cell is decomposed, for its message.  Each distinct
+    ordered product is computed once per call; nothing is kept between calls.
     """
     from . import reference_tables
 
     if table_specs is None:
         table_specs = reference_tables.TABLES
     report = TableVerification()
-    products: dict = {}
+    product = lru_cache(maxsize=None)(_product)
     for spec in table_specs:
-        generated = _reference_table(spec, products)
-        for i, row_name in enumerate(spec.row_names):
-            for j, col_name in enumerate(spec.col_names):
+        row_ids, col_ids, basis = _spec_ids(spec)
+        names = frozenset(BASIS_IDS if basis is None else basis)
+        for i, x in enumerate(row_ids):
+            for j, y in enumerate(col_ids):
                 report.cells_checked += 1
                 expected = reference_tables.parse_cell(spec.cells[i][j])
-                actual = generated.cells[i][j]
-                if expected != actual:
-                    report.mismatches.append(
-                        CellMismatch(
-                            spec.name,
-                            spec.kind,
-                            row_name,
-                            col_name,
-                            str(expected),
-                            str(actual),
-                        )
+                op = _spec_op(spec, x, y, product)
+                if expected.coeffs.keys() <= names and expected.reconstruct() == op:
+                    continue
+                report.mismatches.append(
+                    CellMismatch(
+                        spec.name,
+                        spec.kind,
+                        spec.row_names[i],
+                        spec.col_names[j],
+                        str(expected),
+                        str(decompose(op, basis)),
                     )
+                )
     return report

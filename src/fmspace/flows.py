@@ -35,6 +35,7 @@ from .oracle import expm_oracle, expm_oracles
 STANDARD_Q_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 STANDARD_PARAM_GRID = (-2.0, -0.5, 0.1, 1.5)
 ORACLE_TOL = 1e-13  # the series oracle's truncation bound wherever it judges a closed form
+DISCREPANCY_TOL = 1e-6  # the relative deviation of a published entry that counts as a discrepancy
 
 NumericMat = Union[np.ndarray, list]
 
@@ -75,12 +76,6 @@ def _mp_backend():
     return _Backend(
         mpmath.exp, mpmath.cos, mpmath.sin, mpmath.cosh, mpmath.sinh, +mpmath.mp.pi, mpmath.mpf
     )
-
-
-def _finalize(rows: list, prec: Optional[int]) -> NumericMat:
-    if prec is None:
-        return np.array(rows, dtype=float)
-    return rows
 
 
 def positive_finite_error(name: str, value) -> ValueError:
@@ -124,7 +119,7 @@ def closed_flow(gen, param: float = None, q: float = None, prec: Optional[int] =
         spec = FlowSpec(gen, param, q)
     if prec is None:
         try:
-            matrix = _finalize(_closed_rows(spec, _FLOAT_BACKEND), None)
+            matrix = np.array(_closed_rows(spec, _FLOAT_BACKEND), dtype=float)
         except (OverflowError, ValueError) as exc:
             # with finite inputs, libm's domain error means cos/sin of an
             # argument that overflowed to inf
@@ -465,20 +460,18 @@ class FlowDiscrepancy:
         )
 
 
-def grid_flows(gens, q_grid=STANDARD_Q_GRID, param_grid=STANDARD_PARAM_GRID) -> dict:
+def grid_flows(gens) -> dict:
     """{(gen, q, param): (float64 closed flow, series oracle at ORACLE_TOL)} over the grid.
 
     Each flow is evaluated once, and all the oracles in one `expm_oracles` call.
     """
-    keys = [(GeneratorId(g), q, p) for g in gens for q in q_grid for p in param_grid]
+    keys = [(GeneratorId(g), q, p) for g in gens for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID]
     closed = [closed_flow(gid, p, q) for gid, q, p in keys]
     oracles = expm_oracles([(get_generator(gid), p, q) for gid, q, p in keys], ORACLE_TOL)
     return dict(zip(keys, zip(closed, oracles)))
 
 
-def reference_discrepancies(
-    q_grid=STANDARD_Q_GRID, param_grid=STANDARD_PARAM_GRID, rel_tol: float = 1e-6, evaluated: Optional[dict] = None
-) -> list[FlowDiscrepancy]:
+def reference_discrepancies(evaluated: Optional[dict] = None) -> list[FlowDiscrepancy]:
     """Diff the generated closed forms against the published matrices.
 
     Returns one record per (generator, entry) that deviates anywhere on the
@@ -487,21 +480,21 @@ def reference_discrepancies(
     by default they are evaluated here.
     """
     if evaluated is None:
-        evaluated = grid_flows(_PUBLISHED, q_grid, param_grid)
+        evaluated = grid_flows(_PUBLISHED)
     found: dict[tuple[GeneratorId, tuple[int, int]], FlowDiscrepancy] = {}
     for gid in _PUBLISHED:
-        for q in q_grid:
-            for param in param_grid:
+        for q in STANDARD_Q_GRID:
+            for param in STANDARD_PARAM_GRID:
                 closed, oracle = evaluated[gid, q, param]
                 printed = printed_flow(gid, param, q)
                 scale = 1.0 + float(np.abs(closed).max())
                 dev = np.abs(printed - closed) / scale
-                for r, c in zip(*np.nonzero(dev > rel_tol)):
+                for r, c in zip(*np.nonzero(dev > DISCREPANCY_TOL)):
                     key = (gid, (int(r), int(c)))
                     rel = float(dev[r, c])
                     if key in found and found[key].max_relative_deviation >= rel:
                         continue
-                    printed_ok = abs(printed[r, c] - oracle[r, c]) <= rel_tol * scale
-                    closed_ok = abs(closed[r][c] - oracle[r, c]) <= rel_tol * scale
+                    printed_ok = abs(printed[r, c] - oracle[r, c]) <= DISCREPANCY_TOL * scale
+                    closed_ok = abs(closed[r][c] - oracle[r, c]) <= DISCREPANCY_TOL * scale
                     found[key] = FlowDiscrepancy(gid, (int(r), int(c)), rel, printed_ok, closed_ok)
     return sorted(found.values(), key=lambda d: (list(ALL_IDS).index(d.gen), d.entry))

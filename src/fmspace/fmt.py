@@ -124,7 +124,7 @@ def jeffrey_identities() -> list[tuple[str, bool, str]]:
         expected = reference_tables.parse_cell(reference_tables.SHIFT_DECOMPOSITIONS[f"T{nu}"])
         actual = jeffrey_decomposition(nu)
         checks.append((f"t{nu} decomposition", expected == actual, f"expected {expected}, generated {actual}"))
-        checks.append((f"t{nu} decomposition reconstructs", actual.reconstruct() == get_generator(SHIFT_IDS[nu]), ""))
+        checks.append((f"t{nu} decomposition reconstructs", expected.reconstruct() == get_generator(SHIFT_IDS[nu]), ""))
     return checks
 
 

@@ -144,6 +144,22 @@ class TestVerifyReferenceTables:
         assert (mismatch.row, mismatch.col) == ("B0", "B2")
         assert mismatch.table == spec.name
 
+    @pytest.mark.parametrize("name, row, col, wrong, message", [
+        ("shift products", "T0", "T0", "One", "expected One, generated T0"),
+        ("isometric products", "B0", "B0", "T0", "expected T0, generated One"),
+    ])
+    def test_same_matrix_wrong_name_is_a_mismatch(self, name, row, col, wrong, message):
+        """One and T0 are the same matrix, but only one of them is in each table's basis."""
+        import dataclasses
+
+        spec = next(s for s in reference_tables.TABLES if s.name == name)
+        i, j = spec.row_names.index(row), spec.col_names.index(col)
+        assert get_generator(GeneratorId.ONE) == get_generator(GeneratorId.T0)
+        cells = [list(r) for r in spec.cells]
+        cells[i][j] = wrong
+        report = verify_reference_tables([dataclasses.replace(spec, cells=tuple(map(tuple, cells)))])
+        assert [str(m) for m in report.mismatches] == [f"{name} [{row}, {col}]: {message}"]
+
     def test_empty_spec_list(self):
         report = verify_reference_tables([])
         assert report.cells_checked == 0
@@ -256,11 +272,12 @@ class TestCanonicalCoefficients:
 
 
 # Ring operations of one warm verify_reference_tables() pass, plus 20% headroom.
-# Measured: 7659 products and 4074 sums, with each ordered catalog product
-# decomposed once (14508 and 7920 decomposing all 599 cells; the dense layer
-# made 24128 and 32248).
-_MUL_CEILING = 9191
-_ADD_CEILING = 4889
+# Measured: 4840 products and 1480 sums, with each ordered catalog product
+# computed once and each published cell multiplied out (7659 and 4074 with
+# each product decomposed once; 14508 and 7920 decomposing all 599 cells; the
+# dense layer made 24128 and 32248).
+_MUL_CEILING = 5808
+_ADD_CEILING = 1776
 
 
 def test_reference_tables_ring_op_counts(monkeypatch):
@@ -284,28 +301,33 @@ def test_reference_tables_ring_op_counts(monkeypatch):
     assert counts["add"] <= _ADD_CEILING, counts
 
 
-@pytest.mark.parametrize("kind", ["product", "half_commutator", "half_anticommutator"])
+_HALF = RingElem.rational(1, 2)
+_OPS = {
+    "product": lambda x, y: x @ y,
+    "half_commutator": lambda x, y: (x @ y - y @ x).scale(_HALF),
+    "half_anticommutator": lambda x, y: (x @ y + y @ x).scale(_HALF),
+}
+
+
+@pytest.mark.parametrize("kind", list(_OPS))
 @pytest.mark.parametrize(
     "basis",
     [None, ISOMETRIC_IDS, METAMORPHIC_IDS, SHIFT_IDS, (GeneratorId.T1,), (GeneratorId.ONE, GeneratorId.B0)],
     ids=["full", "isometric", "metamorphic", "shift", "T1", "One,B0"],
 )
 def test_table_cells_match_direct_decomposition(kind, basis):
-    """Every cell from the memoised product decompositions is decompose(op(x, y), basis), or raises as it does."""
-    from fmspace import algebra
-
-    products = {}
+    """Every build_table cell is decompose(op(x, y), basis), or raises as it does."""
     for x in GeneratorId:
         for y in GeneratorId:
-            op = algebra._table_op(kind, get_generator(x), get_generator(y))
+            op = _OPS[kind](get_generator(x), get_generator(y))
             try:
                 expected = decompose(op, basis)
             except NotInSpanError as exc:
                 with pytest.raises(NotInSpanError) as raised:
-                    algebra._build_table(kind, (x,), (y,), basis, products)
+                    build_table(kind, (x,), (y,), basis)
                 assert raised.value.residual == exc.residual, (x, y)
             else:
-                assert algebra._build_table(kind, (x,), (y,), basis, products).cells == ((expected,),), (x, y)
+                assert build_table(kind, (x,), (y,), basis).cells == ((expected,),), (x, y)
 
 
 @pytest.mark.parametrize("kind, basis, words", [

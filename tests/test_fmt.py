@@ -187,6 +187,15 @@ class TestJeffrey:
         failures = [(name, why) for name, ok, why in jeffrey_identities() if not ok]
         assert not failures
 
+    def test_reconstructs_identity_multiplies_out_the_published_entry(self, monkeypatch):
+        """A wrong published decomposition of t1 fails its reconstruction identity too."""
+        from fmspace import reference_tables
+
+        monkeypatch.setitem(reference_tables.SHIFT_DECOMPOSITIONS, "T1", "(F1 - H1)/2")
+        ok = {name: ok for name, ok, _why in jeffrey_identities()}
+        assert not ok["t1 decomposition reconstructs"]
+        assert all(ok[f"t{nu} decomposition reconstructs"] for nu in (0, 2, 3))
+
     def test_t3_squared(self):
         t3 = get_generator(GeneratorId.T3)
         expected = get_generator(GeneratorId.T0).scale(
