@@ -62,6 +62,7 @@ from .fmt import (
     jeffrey_decomposition,
     jeffrey_identities,
     inverse_ft_radial,
+    step_profile,
 )
 
 __version__ = "0.1.0"

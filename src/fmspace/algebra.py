@@ -279,7 +279,8 @@ def verify_reference_tables(table_specs=None) -> TableVerification:
     sum of coefficient * generator equals op(row, col) exactly.  The basis is
     linearly independent, so that is decompose(op(row, col), basis) == cell;
     only a failing cell is decomposed, for its message.  Each distinct
-    ordered product is computed once per call; nothing is kept between calls.
+    ordered product is computed once per call.  Only the parsed cells are
+    kept between calls, by `reference_tables.parse_cell`, keyed on the text.
     """
     from . import reference_tables
 

@@ -20,7 +20,7 @@ from .algebra import build_table, decompose
 from .catalog import GeneratorId, SHIFT_IDS, get_generator, resolve_id
 from .checks import CHECKS, FlowsRecord
 from .flows import FlowSpec, _overflow_error, closed_flow, evaluate_flow, invariance_residual, reference_discrepancies
-from .fmt import inverse_ft_radial, kernel_matrix, kr_weights, mayer_bond, step_hat
+from .fmt import kernel_matrix, kr_weights, mayer_bond, step_hat, step_profile
 from .matrices import Mat4
 
 
@@ -202,9 +202,8 @@ def _cmd_kernel(args, out) -> int:
 
 
 def _cmd_profile(args, out) -> int:
-    hat = lambda q: step_hat(args.R, q) if q > 0 else 4.0 * math.pi * args.R**3 / 3.0
     radii = [args.rmax * i / (args.points - 1) if args.points > 1 else 0.0 for i in range(args.points)]
-    profile = inverse_ft_radial(hat, radii, qmax=args.qmax, n=args.panels)
+    profile = step_profile(args.R, radii, qmax=args.qmax, n=args.panels)
     for r, f in zip(radii, profile):
         out.write(f"{_fmt_float(r, 'text')},{_fmt_float(f, 'text')}\n")
     return 0

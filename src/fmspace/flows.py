@@ -29,7 +29,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .catalog import ALL_IDS, GeneratorId, SquareClass, classify_square, get_generator
-from .matrices import eval_rows
+from .matrices import bilinear, eval_rows
 from .oracle import expm_oracle, expm_oracles
 
 STANDARD_Q_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -209,14 +209,40 @@ def step_weight(R, q, bk: _Backend = _FLOAT_BACKEND) -> tuple:
     w3 is the Fourier transform of a unit step of range R, and the one
     formula for it.  Below x = 1e-4 it evaluates by its series in x, and s
     and c are None.  R and q must already be lifted into the backend.
+
+    q may also be a float64 array of wave numbers, with a float R: then w3
+    is an array, each node takes its own branch, s and c are None, and
+    every node has the bits of the scalar call.  A node where the scalar
+    call overflows comes out non-finite instead of raising.
     """
     x = q * R
+    if isinstance(x, np.ndarray):
+        small = np.abs(x) < _SMALL_ARG
+        direct = ~small
+        w3 = np.empty_like(x)
+        w3[small] = _step_series(R, x[small], math.pi)
+        x, q = x[direct], q[direct]
+        # libm's pow, as the scalar q**3 rounds it (numpy's q**3 does not)
+        cube = np.float_power(q, 3)
+        cube[np.isinf(cube)] = math.nan  # where the scalar q**3 raises
+        w3[direct] = _step_direct(x, np.sin(x), np.cos(x), cube, math.pi)
+        return w3, None, None
     if abs(x) < _SMALL_ARG:
-        x2 = x * x
-        return (4 * bk.pi / 3) * R**3 * (1 - x2 / 10 + x2 * x2 / 280), None, None
+        return _step_series(R, x, bk.pi), None, None
     s = bk.sin(x)
     c = bk.cos(x)
-    return 4 * bk.pi * (s - x * c) / q**3, s, c
+    return _step_direct(x, s, c, q**3, bk.pi), s, c
+
+
+def _step_series(R, x, pi):
+    """step_weight's w3 below x = 1e-4: (4 pi / 3) R^3 (1 - x^2/10 + x^4/280)."""
+    x2 = x * x
+    return (4 * pi / 3) * R**3 * (1 - x2 / 10 + x2 * x2 / 280)
+
+
+def _step_direct(x, s, c, cube, pi):
+    """step_weight's w3 from x = qR, sin x, cos x and q^3."""
+    return 4 * pi * (s - x * c) / cube
 
 
 def _t1_rows(chi, q, bk: _Backend) -> list:
@@ -364,17 +390,15 @@ def max_abs(a) -> float:
 
 
 def _invariance_impl(rows: list):
-    residual = 0
-    for mu in range(4):
-        for nu in range(4):
-            # (A^t M A)[mu, nu] = sum_k A[k, mu] * A[3-k, nu]
-            acc = 0
-            for k in range(4):
-                acc = acc + rows[k][mu] * rows[3 - k][nu]
-            if mu + nu == 3:
-                acc = acc - 1
-            residual = _fold_max(residual, abs(acc))
-    return residual
+    """Max-norm of a^t . M . a - M over all 16 entries, NaN if any entry is NaN.
+
+    Entry (mu, nu) of a^t . M . a is bilinear(column mu, column nu), the
+    sum over k of a[k, mu] a[3 - k, nu] added left to right.
+    """
+    columns = list(zip(*rows))
+    entries = [abs(bilinear(u, v) - (mu + nu == 3)) for mu, u in enumerate(columns) for nu, v in enumerate(columns)]
+    total = sum(entries)  # NaN exactly when an entry is: they are all >= 0
+    return total if total != total else max(entries)
 
 
 def invariance_residual(a, prec: Optional[int] = None) -> float:

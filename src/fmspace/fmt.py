@@ -124,7 +124,9 @@ def jeffrey_identities() -> list[tuple[str, bool, str]]:
         expected = reference_tables.parse_cell(reference_tables.SHIFT_DECOMPOSITIONS[f"T{nu}"])
         actual = jeffrey_decomposition(nu)
         checks.append((f"t{nu} decomposition", expected == actual, f"expected {expected}, generated {actual}"))
-        checks.append((f"t{nu} decomposition reconstructs", expected.reconstruct() == get_generator(SHIFT_IDS[nu]), ""))
+        residual = expected.reconstruct() - get_generator(SHIFT_IDS[nu])
+        entries = ", ".join(f"({r}, {c}) = {x}" for r, c, x in residual.entries())
+        checks.append((f"t{nu} decomposition reconstructs", residual.is_zero, f"reconstruction - t{nu}: {entries}"))
     return checks
 
 
@@ -149,12 +151,67 @@ def inverse_ft_radial(
     Set window=False for the bare integrand.
 
     r is one radius (the result is a float) or a sequence of radii (the
-    result is a list).  hat is sampled once per call, at the n + 1 grid
-    points, whatever the number of radii.  Each radius forms the integrand
+    result is a list).  hat is called with one Python float at a time, once
+    per grid point i * h, whatever the number of radii; a NaN or infinite
+    value raises ValueError naming its q.  Each radius forms the integrand
     in the order of the scalar rule, q^2 hat(q) sinc(qr), times the window,
     times the Simpson weight, and adds the terms strictly left to right, so
-    a radius gives the same bits alone or in a list.  The grid is processed
-    in blocks of _BLOCK nodes, carrying each running sum across blocks.
+    a radius gives the same bits alone or in a list, and the same bits as
+    that rule written as a plain loop.  The grid is processed in blocks of
+    _BLOCK nodes, carrying each running sum across blocks.  `step_profile`
+    is this transform of the unit step, with the spectrum taken as one array.
+    """
+    def spectrum(q: np.ndarray) -> np.ndarray:
+        # (i * h).tolist() gives the floats k * h of the scalar rule
+        return np.fromiter(map(hat, q.tolist()), dtype=float, count=q.size)
+
+    def non_finite(q: float, value: float) -> ValueError:
+        return ValueError(f"hat returned {'NaN' if math.isnan(value) else value} at q = {q}")
+
+    return _radial(spectrum, non_finite, r, qmax, n, window)
+
+
+def step_profile(
+    R: float,
+    r: Union[float, Sequence[float]],
+    qmax: float = 200.0,
+    n: int = 20000,
+) -> Union[float, list]:
+    """Real-space profile of the unit step of range R, transformed back from its spectrum.
+
+    This is the windowed inverse_ft_radial of step_hat(R, q), with the
+    q -> 0 limit of the spectrum, the volume 4 pi R^3 / 3, at q = 0, and it
+    returns the same bits; the spectrum is evaluated as one array
+    (`flows.step_weight`) instead of one call per grid point.  R must be
+    positive and finite; a volume or a spectrum sample that overflows
+    float64 raises ValueError.
+    """
+    if not 0 < R < math.inf:
+        raise positive_finite_error("step range", R)
+    R = float(R)
+    try:
+        volume = 4.0 * math.pi * R**3 / 3.0
+    except OverflowError:
+        volume = math.inf
+    if not math.isfinite(volume):
+        raise ValueError(f"float64 overflow in the step volume 4 pi R^3 / 3 at R = {R!r}")
+
+    def spectrum(q: np.ndarray) -> np.ndarray:
+        w3 = step_weight(R, q)[0]
+        w3[q == 0] = volume
+        return w3
+
+    def non_finite(q: float, value: float) -> ValueError:
+        return _overflow_error("the step transform", R, q)
+
+    return _radial(spectrum, non_finite, r, qmax, n, window=True)
+
+
+def _radial(spectrum, non_finite, r, qmax: float, n: int, window: bool):
+    """The Simpson/window/block core of inverse_ft_radial.
+
+    spectrum maps an array of nodes to a new array of its values;
+    non_finite(q, value) is the error for the first NaN or infinite value.
     """
     scalar = np.ndim(r) == 0
     radii = [r] if scalar else list(r)
@@ -170,21 +227,22 @@ def inverse_ft_radial(
             raise ValueError(f"q * r overflows float64 at r = {x!r}, qmax = {qmax!r}")
     if not radii:
         return []
-    exp = math.exp  # np.exp rounds differently from math.exp at some nodes
     totals = [0.0] * len(radii)
     for start in range(0, n + 1, _BLOCK):
-        nodes = range(start, min(start + _BLOCK, n + 1))
-        i = np.arange(nodes.start, nodes.stop)
+        i = np.arange(start, min(start + _BLOCK, n + 1))
         q = i * h
-        # hat at the nodes i * h as Python floats, streamed without a list
-        q2_hat = np.fromiter(map(hat, (k * h for k in nodes)), dtype=float, count=len(nodes))
-        nan = np.flatnonzero(np.isnan(q2_hat))
-        if nan.size:
-            raise ValueError(f"hat returned NaN at q = {nodes[nan[0]] * h}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sample is rejected below
+            q2_hat = spectrum(q)
+        bad = np.flatnonzero(~np.isfinite(q2_hat))
+        if bad.size:
+            raise non_finite(float(q[bad[0]]), float(q2_hat[bad[0]]))
         q2_hat *= q * q
         if window:
+            # math.exp of -18 pow(q / qmax, 2) per node, as the scalar rule
+            # rounds it: numpy's ** 2 and np.exp differ at some nodes.  The
+            # nodes stream from the array, with no list of Python floats.
             gauss = np.fromiter(
-                (exp(-18.0 * (k * h / qmax) ** 2) for k in nodes), dtype=float, count=len(nodes)
+                map(math.exp, -18.0 * np.float_power(q / qmax, 2)), dtype=float, count=q.size
             )
         weights = np.where(i % 2, 4.0, 2.0)  # Simpson weights 1, 4, 2, 4, ..., 2, 4, 1
         weights[(i == 0) | (i == n)] = 1.0

@@ -8,6 +8,7 @@ of this transcription is the point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,8 +23,14 @@ SHIFT_ORDER = ("T0", "T1", "T2", "T3")
 _NAMES = {gid.value for gid in GeneratorId}
 
 
+@functools.lru_cache(maxsize=256)  # the shipped tables and decompositions hold 98 distinct texts
 def parse_cell(text: str) -> Decomposition:
-    """Parse a reference cell into a Decomposition (primes read as 'p')."""
+    """Parse a reference cell into a Decomposition (primes read as 'p').
+
+    Each distinct text is parsed once per process, so a changed cell is
+    parsed afresh and an unchanged one not at all.  The Decomposition is
+    shared between callers: do not modify its coeffs.
+    """
     combo = parse_linear(text.replace("'", "p"), names=_NAMES)
     return Decomposition({GeneratorId(k): v for k, v in combo.items()})
 

@@ -211,7 +211,7 @@ def test_verify_errata_lists_b2_entry(capsys):
     ("mayer", "mayer_bond", lambda Ra, Rb, q: math.nan if q == 0.5 else mayer_bond(Ra, Rb, q)),
     ("kernel", "kr_weights", lambda R, q: np.full(4, math.nan)),
     ("metric", "metric_eigenvalues", lambda: [-1.0, math.nan, 1.0, 1.0]),
-    ("profile", "inverse_ft_radial", lambda hat, radii, **kw: [math.nan] * len(radii)),
+    ("profile", "step_profile", lambda R, radii, **kw: [math.nan] * len(radii)),
 ])
 def test_verify_fails_on_nan(capsys, monkeypatch, suite, name, fake):
     monkeypatch.setattr(checks, name, fake)
@@ -290,6 +290,55 @@ def test_verify_passes_repeat_the_same_table_work(capsys, monkeypatch):
     assert first == second
     assert first.get(("tables", "decompose"), 0) == 0
     assert 0 < first.get(("tables", "matmul"), 0) <= 241
+
+
+def test_second_verify_pass_parses_no_cell_and_samples_no_scalar_step(capsys, monkeypatch):
+    """Each cell text is parsed once per process; the profile check takes the step spectrum as one array."""
+    from fmspace import cli, fmt, reference_tables, ring
+
+    assert run_cli(capsys, "verify", "--suite", "all")[0] == 0
+    where = {"suite": None}
+    counts = collections.Counter()
+    for name, check in list(cli._SUITES.items()):
+        def tagged(_name=name, _check=check):
+            where["suite"] = _name
+            return _check()
+
+        monkeypatch.setitem(cli._SUITES, name, tagged)
+    for original in (ring.parse_linear, fmt.step_hat):
+        def counting(*args, _original=original, **kwargs):
+            counts[where["suite"], _original.__name__] += 1
+            return _original(*args, **kwargs)
+
+        for module in (ring, reference_tables, fmt, checks):
+            for attr in [a for a, value in vars(module).items() if value is original]:
+                monkeypatch.setattr(module, attr, counting)
+    assert run_cli(capsys, "verify", "--suite", "all")[0] == 0
+    assert sum(n for (_suite, name), n in counts.items() if name == "parse_linear") == 0
+    assert counts[("profile", "step_hat")] == 0
+    assert counts[("mayer", "step_hat")] == 45  # the guard sees the calls it counts
+
+
+@pytest.mark.parametrize("R", ["6e102", "5e102"])
+def test_profile_overflowing_volume_exits_one(capsys, R):
+    """R**3 overflows at 6e102 and 4 pi R^3 at 5e102: exit 1 with a message, not a traceback or a NaN profile."""
+    code, out, err = run_cli(capsys, "profile", "--R", R, "--rmax", "1", "--points", "2", "--panels", "10")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: float64 overflow in the step volume 4 pi R^3 / 3 at R = {float(R)!r}\n"
+
+
+def test_jeffrey_failure_prints_the_reconstruction_residual(capsys, monkeypatch):
+    """A published t_nu decomposition that does not multiply out to t_nu names the entries it misses."""
+    from fmspace import reference_tables
+
+    monkeypatch.setitem(reference_tables.SHIFT_DECOMPOSITIONS, "T1", "(F1 - H1)/2")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "jeffrey")
+    assert code == 1
+    assert out.startswith("jeffrey: FAIL (t1 decomposition: expected 1/2 F1 - 1/2 H1, generated ")
+    assert out.endswith(
+        "; t1 decomposition reconstructs: reconstruction - t1: (0, 3) = q^4/(8 pi), (1, 2) = q^2/(4 pi), (2, 1) = -8 pi)\n"
+    )
 
 
 def test_domain_error_exit_one(capsys):

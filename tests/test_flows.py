@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -204,7 +205,38 @@ def test_stacked_oracle_raises_for_the_first_failing_point():
         flows.expm_oracles([good, (get_generator(GeneratorId.B1), 1e300, 1.0)])
 
 
+def _k_loop_residual(rows) -> float:
+    """The residual as a loop: (A^t M A)[mu, nu] = sum_k A[k, mu] A[3 - k, nu], NaN kept."""
+    residual = 0.0
+    for mu in range(4):
+        for nu in range(4):
+            acc = 0.0
+            for k in range(4):
+                acc = acc + rows[k][mu] * rows[3 - k][nu]
+            if mu + nu == 3:
+                acc = acc - 1.0
+            residual = math.nan if acc != acc else max(residual, abs(acc))  # max() keeps a NaN first argument
+    return residual
+
+
 class TestInvarianceResidual:
+    def test_matches_the_k_loop_bitwise(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            gid = rng.choice(ALL_IDS)
+            a = closed_flow(gid, rng.uniform(-2.5, 2.5), rng.uniform(0.05, 4.0))
+            expected = _k_loop_residual(a.tolist())
+            assert float(invariance_residual(a)).hex() == expected.hex(), gid
+            assert float(invariance_residual(a.tolist())).hex() == expected.hex(), gid
+
+    def test_overflowed_products_give_nan(self):
+        # entry (0, 1) is 1e200 * -1e200 + 1e200 * 1e200 = -inf + inf
+        a = np.zeros((4, 4))
+        a[0, :2] = a[3, 0] = 1e200
+        a[3, 1] = -1e200
+        assert math.isnan(_k_loop_residual(a.tolist()))
+        assert math.isnan(invariance_residual(a))
+
     def test_identity_is_zero(self):
         assert invariance_residual(np.eye(4)) == 0.0
 

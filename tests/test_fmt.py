@@ -17,8 +17,9 @@ from fmspace.fmt import (
     kr_weights,
     mayer_bond,
     step_hat,
+    step_profile,
 )
-from fmspace.flows import expm_oracle
+from fmspace.flows import expm_oracle, step_weight
 from fmspace.ring import RingElem
 
 
@@ -308,3 +309,65 @@ class TestInverseTransform:
             inverse_ft_radial(lambda q: 0.0, -1.0)
         with pytest.raises(ValueError):
             inverse_ft_radial(lambda q: 0.0, 1.0, qmax=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_sample_raises(self, value):
+        with pytest.raises(ValueError, match=f"hat returned {value} at q = 0.0"):
+            inverse_ft_radial(lambda q: value, 1.0, qmax=10.0, n=10)
+        with pytest.raises(ValueError, match="hat returned -inf at q = 5.0"):
+            inverse_ft_radial(lambda q: -math.inf if q == 5.0 else 1.0, [0.0, 1.0], qmax=10.0, n=10)
+
+
+def unit_step_volume(R):
+    return lambda q: step_hat(R, q) if q > 0 else 4.0 * math.pi * R**3 / 3.0
+
+
+class TestStepProfile:
+    """step_profile against the scalar rule: the bits of every grid node's
+    window (math.exp of pow) and spectrum (libm's pow for q^3) reach the sum."""
+
+    # The default grid and a two-block one (100001 nodes > _BLOCK).  numpy's
+    # ** 2 or np.power in the window differs from pow at 16 nodes of the
+    # default grid; that reaches the sum at r = 1.4, 1.7 and 2.5, among others.
+    @pytest.mark.parametrize("qmax, n, radii", [
+        (200.0, 20000, (0.0, 0.5, 1.0, 1.4, 1.7, 2.0, 2.5)),
+        (1e3, 100000, (0.0, 0.9, 2.0)),
+    ])
+    def test_matches_the_scalar_loop_and_the_hat_path_bitwise(self, qmax, n, radii):
+        expected = [scalar_inverse_ft_radial(unit_step_hat, r, qmax, n) for r in radii]
+        hat_path = inverse_ft_radial(unit_step_hat, radii, qmax=qmax, n=n)
+        assert [x.hex() for x in hat_path] == [x.hex() for x in expected]
+        step_path = step_profile(1.0, radii, qmax=qmax, n=n)
+        assert [x.hex() for x in step_path] == [x.hex() for x in expected]
+
+    @pytest.mark.parametrize("R", [1e-6, 0.3, 2.7])
+    def test_step_spectrum_is_step_hat_at_every_node(self, R):
+        """Below x = qR = 1e-4 the series runs: at R = 1e-6 that is q < 100 of the default grid."""
+        q = np.arange(1, 20001) * (200.0 / 20000)
+        array = step_weight(R, q)[0]
+        assert [x.hex() for x in array.tolist()] == [step_hat(R, k).hex() for k in q.tolist()]
+
+    def test_series_branch_matches_the_scalar_loop_bitwise(self):
+        radii = [0.0, 1e-6, 1.0, 1.4, 1.7, 2.5]
+        expected = [scalar_inverse_ft_radial(unit_step_volume(1e-6), r, 200.0, 20000) for r in radii]
+        assert [x.hex() for x in step_profile(1e-6, radii)] == [x.hex() for x in expected]
+
+    def test_scalar_radius_gives_a_float(self):
+        assert step_profile(0.7, 0.5, qmax=80.0, n=4001) == inverse_ft_radial(unit_step_volume(0.7), 0.5, qmax=80.0, n=4001)
+
+    @pytest.mark.parametrize("R", [6e102, 5e102])
+    def test_overflowing_volume_raises(self, R):
+        with pytest.raises(ValueError, match=r"overflow in the step volume 4 pi R\^3 / 3"):
+            step_profile(R, [0.0, 1.0], n=10)
+
+    def test_overflowing_spectrum_names_its_q(self):
+        """pow(q, 3) overflows from the first node above 5.6e102: step_hat raises there too."""
+        with pytest.raises(ValueError, match=r"overflow in the step transform at radius 1.0, q = 1e\+119"):
+            step_profile(1.0, 0.0, qmax=1e120, n=10)
+        with pytest.raises(ValueError, match="overflow in the step transform"):
+            step_hat(1.0, 1e119)
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
+    def test_range_must_be_positive_and_finite(self, R):
+        with pytest.raises(ValueError, match="step range must be"):
+            step_profile(R, 1.0)
