@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Layer timings and verify-check margins of fmspace, written as one JSON file.
+
+    python scripts/bench.py --out BENCH_<n>.json [--repeats 7]
+
+Every timing is taken in this process after one warm-up run, and reported as
+the median and the min over --repeats repeats:
+
+- layers: seconds per call of a fixed loop over one layer of the package,
+  from the exact ring multiply up to the 4-radius radial request (four
+  windowed `inverse_ft_radial` calls of the unit step, one per radius);
+- checks: seconds of each `verify` check, and each measure of its last
+  CheckRecord with its value, bound and margin (how far the value is inside
+  its bound; negative when it fails, null when not finite);
+- the Python, numpy and mpmath versions and the CPU count.
+
+It gates nothing: the exit status is 0 whatever the numbers.  Run it on an
+otherwise idle machine; the spread between median and min shows the noise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+from datetime import datetime, timezone
+
+import mpmath
+import numpy as np
+
+from fmspace import checks
+from fmspace.algebra import decompose, verify_reference_tables
+from fmspace.catalog import GeneratorId, get_generator
+from fmspace.flows import closed_flow
+from fmspace.fmt import inverse_ft_radial, kr_weights, step_hat
+from fmspace.oracle import expm_oracle
+from fmspace.ring import RingElem
+
+RADII = (0.0, 0.5, 1.5, 2.0)  # the radial request, as the profile check reads the unit step
+
+
+def _unit_step_hat(q: float) -> float:
+    return step_hat(1.0, q) if q > 0 else 4.0 * math.pi / 3.0
+
+
+def _layers() -> dict:
+    """name -> (calls per repeat, function of no arguments)."""
+    a = get_generator(GeneratorId.T1)[0, 3]
+    b = get_generator(GeneratorId.T3)[3, 0]
+    b1, t3, t1 = (get_generator(g) for g in (GeneratorId.B1, GeneratorId.T3, GeneratorId.T1))
+    return {
+        "ring.mul": (2000, lambda: a * b),
+        "matrices.matmul": (200, lambda: b1 @ t3),
+        "algebra.decompose": (20, lambda: decompose(t1)),
+        "algebra.table_diff": (1, verify_reference_tables),
+        "flows.closed_flow.B1": (500, lambda: closed_flow(GeneratorId.B1, 0.5, 1.3)),
+        "flows.closed_flow.T1": (500, lambda: closed_flow(GeneratorId.T1, 0.5, 1.3)),
+        "flows.closed_flow.T1.prec50": (50, lambda: closed_flow(GeneratorId.T1, 0.5, 1.3, prec=50)),
+        "oracle.expm_oracle.B1": (50, lambda: expm_oracle(b1, 0.5, 1.3, 1e-13)),
+        "fmt.kr_weights": (2000, lambda: kr_weights(1.3, 2.7)),
+        "fmt.step_hat": (20000, lambda: step_hat(1.3, 2.7)),
+        "fmt.inverse_ft_radial": (1, lambda: inverse_ft_radial(_unit_step_hat, 0.5)),
+        "fmt.radial_request": (1, lambda: [inverse_ft_radial(_unit_step_hat, r) for r in RADII]),
+    }
+
+
+def _seconds(calls: int, fn) -> float:
+    t0 = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return (time.perf_counter() - t0) / calls
+
+
+def _summary(samples: list) -> dict:
+    return {"median_s": statistics.median(samples), "min_s": min(samples)}
+
+
+def _finite(x):
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
+def _measure(m) -> dict:
+    margin = m.value - m.bound if m.above else m.bound - m.value
+    return {"value": _finite(m.value), "bound": m.bound, "above": m.above, "ok": m.ok, "margin": _finite(margin)}
+
+
+def bench(repeats: int) -> dict:
+    layers = {}
+    for name, (calls, fn) in _layers().items():
+        fn()  # warm-up
+        samples = [_seconds(calls, fn) for _ in range(repeats)]
+        layers[name] = {"calls": calls, **_summary(samples)}
+
+    records = {name: check() for name, check in checks.CHECKS.items()}  # warm-up
+    seconds = {name: [] for name in checks.CHECKS}
+    for _ in range(repeats):
+        for name, check in checks.CHECKS.items():
+            t0 = time.perf_counter()
+            records[name] = check()
+            seconds[name].append(time.perf_counter() - t0)
+    passes = [sum(s[i] for s in seconds.values()) for i in range(repeats)]
+    return {
+        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "repeats": repeats,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "mpmath": mpmath.__version__,
+            "machine": platform.machine(),
+            "nproc": os.cpu_count(),
+        },
+        "layers": layers,
+        "verify_pass": _summary(passes),
+        "checks": {
+            name: {
+                "ok": record.ok,
+                **_summary(seconds[name]),
+                "measures": {k: _measure(m) for k, m in record.measures.items()},
+            }
+            for name, record in records.items()
+        },
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    parser.add_argument("--repeats", type=int, default=7, help="timed repeats after the warm-up (default 7)")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    result = bench(args.repeats)
+    with open(args.out, "w") as f:
+        json.dump(result, f, indent=1)
+        f.write("\n")
+    print(f"wrote {args.out}: verify pass {result['verify_pass']['median_s'] * 1e3:.1f} ms median")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

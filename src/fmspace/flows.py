@@ -186,52 +186,63 @@ def weight_column(radius, q, bk: _Backend = _FLOAT_BACKEND) -> list:
     This is column 0 of the T1 flow at parameter R.  Below qR = 1e-4 the
     0/0-prone expressions switch to their series in x = qR.
     """
-    R = bk.lift(radius)
-    q = bk.lift(q)
+    return _weights(bk.lift(radius), bk.lift(q), bk)[0]
+
+
+def _weights(R, q, bk: _Backend) -> tuple:
+    """(weight column, sin qR, cos qR) of R and q already lifted into the backend.
+
+    The sine and cosine are step_weight's: None below qR = 1e-4.
+    """
     pi = bk.pi
     x = q * R
-    w3, s, c = step_weight(R, q, bk)
+    w3, s, c = step_weight(R, q, bk.sin, bk.cos, pi)
     if s is None:
         x2 = x * x
         w0 = 1 - x2 * x2 / 24
         w1 = R * (1 - x2 / 3 + x2 * x2 / 40)
         w2 = 4 * pi * R * R * (1 - x2 / 6 + x2 * x2 / 120)
-        return [w0, w1, w2, w3]
+        return [w0, w1, w2, w3], s, c
     w0 = c + x * s / 2
     w1 = (x * c + s) / (2 * q)
     w2 = 4 * pi * R * s / q
-    return [w0, w1, w2, w3]
+    return [w0, w1, w2, w3], s, c
 
 
-def step_weight(R, q, bk: _Backend = _FLOAT_BACKEND) -> tuple:
+def step_weight(R, q, sin=math.sin, cos=math.cos, pi=math.pi) -> tuple:
     """(w3, s, c): w3 = 4 pi (s - x c) / q^3 with x = qR, s = sin x, c = cos x.
 
     w3 is the Fourier transform of a unit step of range R, and the one
     formula for it.  Below x = 1e-4 it evaluates by its series in x, and s
-    and c are None.  R and q must already be lifted into the backend.
-
-    q may also be a float64 array of wave numbers, with a float R: then w3
-    is an array, each node takes its own branch, s and c are None, and
-    every node has the bits of the scalar call.  A node where the scalar
-    call overflows comes out non-finite instead of raising.
+    and c are None.  R and q are floats here, with float64's sin, cos and
+    pi; the mpmath backend passes its own with mpf R and q.
+    `step_weight_array` is the same w3 over an array of wave numbers.
     """
     x = q * R
-    if isinstance(x, np.ndarray):
-        small = np.abs(x) < _SMALL_ARG
-        direct = ~small
-        w3 = np.empty_like(x)
-        w3[small] = _step_series(R, x[small], math.pi)
-        x, q = x[direct], q[direct]
-        # libm's pow, as the scalar q**3 rounds it (numpy's q**3 does not)
-        cube = np.float_power(q, 3)
-        cube[np.isinf(cube)] = math.nan  # where the scalar q**3 raises
-        w3[direct] = _step_direct(x, np.sin(x), np.cos(x), cube, math.pi)
-        return w3, None, None
     if abs(x) < _SMALL_ARG:
-        return _step_series(R, x, bk.pi), None, None
-    s = bk.sin(x)
-    c = bk.cos(x)
-    return _step_direct(x, s, c, q**3, bk.pi), s, c
+        return _step_series(R, x, pi), None, None
+    s = sin(x)
+    c = cos(x)
+    return _step_direct(x, s, c, q**3, pi), s, c
+
+
+def step_weight_array(R: float, q: np.ndarray) -> np.ndarray:
+    """step_weight's w3 at each of a float64 array of wave numbers, for a float R.
+
+    Each node takes the branch of its scalar call and has its bits.  A node
+    where the scalar call overflows comes out non-finite instead of raising.
+    """
+    x = q * R
+    small = np.abs(x) < _SMALL_ARG
+    direct = ~small
+    w3 = np.empty_like(x)
+    w3[small] = _step_series(R, x[small], math.pi)
+    x, q = x[direct], q[direct]
+    # libm's pow, as the scalar q**3 rounds it (numpy's q**3 does not)
+    cube = np.float_power(q, 3)
+    cube[np.isinf(cube)] = math.nan  # where the scalar q**3 raises
+    w3[direct] = _step_direct(x, np.sin(x), np.cos(x), cube, math.pi)
+    return w3
 
 
 def _step_series(R, x, pi):
@@ -246,15 +257,28 @@ def _step_direct(x, s, c, cube, pi):
 
 
 def _t1_rows(chi, q, bk: _Backend) -> list:
+    """exp(chi t1): the weight column, then 12 entries of which 4 repeat, each computed once."""
     pi = bk.pi
-    s = bk.sin(q * chi)
-    c = bk.cos(q * chi)
-    w0, w1, w2, w3 = weight_column(chi, q, bk)
+    column, s, c = _weights(chi, q, bk)
+    if s is None:  # the column took its series; the other entries have none
+        s = bk.sin(q * chi)
+        c = bk.cos(q * chi)
+    w0, w1, w2, w3 = column
+    q2 = q**2
+    q3 = q**3
+    pi16 = 16 * pi
+    s3 = 3 * s
+    cq2chi = c * q2 * chi
+    cqchi = c * q * chi
+    qschi2 = q * s * chi / 2
+    a = (cq2chi - q * s) / 2  # (0, 1) and (2, 3)
+    b = -q3 * s * chi / pi16  # (0, 2) and (1, 3)
+    d = c - qschi2  # (1, 1) and (2, 2)
     return [
-        [w0, (c * q**2 * chi - q * s) / 2, -(q**3) * s * chi / (16 * pi), (c * q**4 * chi - 3 * s * q**3) / (16 * pi)],
-        [w1, c - q * s * chi / 2, -(3 * s * q + c * q**2 * chi) / (16 * pi), -(q**3) * s * chi / (16 * pi)],
-        [w2, 4 * pi * (s + c * q * chi) / q, c - q * s * chi / 2, (c * q**2 * chi - s * q) / 2],
-        [w3, 4 * pi * s * chi / q, (s + c * q * chi) / (2 * q), c + q * s * chi / 2],
+        [w0, a, b, (c * q**4 * chi - s3 * q3) / pi16],
+        [w1, d, -(s3 * q + cq2chi) / pi16, b],
+        [w2, 4 * pi * (s + cqchi) / q, d, a],
+        [w3, 4 * pi * s * chi / q, (s + cqchi) / (2 * q), c + qschi2],
     ]
 
 
@@ -518,7 +542,7 @@ def reference_discrepancies(evaluated: Optional[dict] = None) -> list[FlowDiscre
                     rel = float(dev[r, c])
                     if key in found and found[key].max_relative_deviation >= rel:
                         continue
-                    printed_ok = abs(printed[r, c] - oracle[r, c]) <= DISCREPANCY_TOL * scale
-                    closed_ok = abs(closed[r][c] - oracle[r, c]) <= DISCREPANCY_TOL * scale
+                    printed_ok = bool(abs(printed[r, c] - oracle[r, c]) <= DISCREPANCY_TOL * scale)
+                    closed_ok = bool(abs(closed[r][c] - oracle[r, c]) <= DISCREPANCY_TOL * scale)
                     found[key] = FlowDiscrepancy(gid, (int(r), int(c)), rel, printed_ok, closed_ok)
     return sorted(found.values(), key=lambda d: (list(ALL_IDS).index(d.gen), d.entry))

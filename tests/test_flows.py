@@ -448,6 +448,9 @@ class TestPublishedForms:
         assert [(d.gen, d.entry) for d in found] == [(GeneratorId.B2, (3, 1))]
         assert found[0].closed_matches_oracle
         assert not found[0].printed_matches_oracle
+        # plain bools, as declared (not np.bool_), so the record serialises as JSON
+        assert type(found[0].closed_matches_oracle) is bool
+        assert type(found[0].printed_matches_oracle) is bool
 
     def test_published_b2_entry_fails_oracle(self):
         # the published (3,1) entry q^2 sinh cannot reproduce the exponential
@@ -478,3 +481,53 @@ def test_evaluate_flow_methods():
     assert np.abs(closed.matrix - series.matrix).max() < 1e-11
     with pytest.raises(ValueError):
         evaluate_flow(spec, "magic")
+
+
+def reference_t1_rows(chi, q, sin, cos, pi):
+    """exp(chi t1) as the transcription reads, each entry written out in full.
+
+    Column 0 is the weight vector, by series below x = q chi = 1e-4.
+    """
+    x = q * chi
+    s = sin(q * chi)
+    c = cos(q * chi)
+    if abs(x) < 1e-4:
+        x2 = x * x
+        w0 = 1 - x2 * x2 / 24
+        w1 = chi * (1 - x2 / 3 + x2 * x2 / 40)
+        w2 = 4 * pi * chi * chi * (1 - x2 / 6 + x2 * x2 / 120)
+        w3 = (4 * pi / 3) * chi**3 * (1 - x2 / 10 + x2 * x2 / 280)
+    else:
+        w0 = c + x * s / 2
+        w1 = (x * c + s) / (2 * q)
+        w2 = 4 * pi * chi * s / q
+        w3 = 4 * pi * (s - x * c) / q**3
+    return [
+        [w0, (c * q**2 * chi - q * s) / 2, -(q**3) * s * chi / (16 * pi), (c * q**4 * chi - 3 * s * q**3) / (16 * pi)],
+        [w1, c - q * s * chi / 2, -(3 * s * q + c * q**2 * chi) / (16 * pi), -(q**3) * s * chi / (16 * pi)],
+        [w2, 4 * pi * (s + c * q * chi) / q, c - q * s * chi / 2, (c * q**2 * chi - s * q) / 2],
+        [w3, 4 * pi * s * chi / q, (s + c * q * chi) / (2 * q), c + q * s * chi / 2],
+    ]
+
+
+T1_POINTS = [(1e-6, 1.0), (2.0, 4.9e-5), (-3.0, 1e-5), (0.7, 1.2)] + [
+    (random.Random(k).uniform(-5.0, 5.0), 10 ** random.Random(k + 1).uniform(-6.0, 2.0)) for k in range(0, 600, 2)
+]
+
+
+def test_t1_flow_is_the_transcription_bit_for_bit():
+    """closed_flow(T1) shares its repeated subexpressions; every entry keeps its bits."""
+    for chi, q in T1_POINTS:
+        expected = reference_t1_rows(chi, q, math.sin, math.cos, math.pi)
+        got = closed_flow(GeneratorId.T1, chi, q).tolist()
+        assert [x.hex() for row in got for x in row] == [x.hex() for row in expected for x in row], (chi, q)
+
+
+def test_t1_mp_flow_is_the_transcription_bit_for_bit():
+    import mpmath
+
+    for chi, q in T1_POINTS[:60]:
+        got = closed_flow(GeneratorId.T1, chi, q, prec=50)
+        with mpmath.workdps(50):
+            expected = reference_t1_rows(mpmath.mpf(chi), mpmath.mpf(q), mpmath.sin, mpmath.cos, +mpmath.mp.pi)
+        assert got == expected, (chi, q)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from fmspace.fmt import (
     step_hat,
     step_profile,
 )
-from fmspace.flows import expm_oracle, step_weight
+from fmspace.flows import expm_oracle, step_weight_array
 from fmspace.ring import RingElem
 
 
@@ -111,6 +112,51 @@ class TestStepHat:
         with pytest.raises(ValueError, match=word):
             step_hat(R, q)
 
+    def test_matches_the_formula_written_out_bit_for_bit(self):
+        """Value bits, or exception type and message, of step_hat and of the reference below."""
+        rng = random.Random(9)
+        draws = [(10 ** rng.uniform(-8, 3), 10 ** rng.uniform(-8, 4)) for _ in range(4000)]
+        assert sum(abs(R * q) < 1e-4 for R, q in draws) > 500  # both branches, many times
+        threshold = [(R, x / R) for R in (1.0, 2.0, 0.5) for x in (math.nextafter(1e-4, 0), 1e-4, math.nextafter(1e-4, 1))]
+        special = [
+            (1, 2), (True, 1), (2, True), (True, True), (3, 0.5),
+            (10**400, 1.0), (1.0, 10**400), (1.0, 1e103), (1e-200, 1e103), (1e300, 1e10),
+            (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0),
+            (0, 1.0), (1.0, 0), (0.0, 0.0), (False, 1.0), (-1.0, 1.0), (1.0, -2.5), (-0.0, 1.0),
+        ]
+        for R, q in draws + threshold + special:
+            assert outcome(step_hat, R, q) == outcome(reference_step_hat, R, q), (R, q)
+
+
+def reference_step_hat(Rtot, q):
+    """step_hat written out: its checks and w3 = 4 pi (sin x - x cos x) / q^3, x = qR,
+    with the series (4 pi / 3) R^3 (1 - x^2/10 + x^4/280) below x = 1e-4."""
+    for name, value in (("step range", Rtot), ("wave number q", q)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}, got {value!r}")
+    overflow = ValueError(f"float64 overflow in the step transform at radius {Rtot!r}, q = {q!r}")
+    try:
+        R, k = float(Rtot), float(q)
+        x = k * R
+        if abs(x) < 1e-4:
+            x2 = x * x
+            w3 = (4 * math.pi / 3) * R**3 * (1 - x2 / 10 + x2 * x2 / 280)
+        else:
+            w3 = 4 * math.pi * (math.sin(x) - x * math.cos(x)) / k**3
+    except (OverflowError, ValueError):
+        raise overflow from None
+    if not math.isfinite(w3):
+        raise overflow
+    return w3
+
+
+def outcome(f, *args):
+    try:
+        value = f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value.hex()
+
 
 class TestMayerBond:
     def test_equal_radii_closed_form(self):
@@ -197,6 +243,28 @@ class TestJeffrey:
         assert not ok["t1 decomposition reconstructs"]
         assert all(ok[f"t{nu} decomposition reconstructs"] for nu in (0, 2, 3))
 
+    def test_decomposition_identity_prints_expected_and_generated(self, monkeypatch):
+        from fmspace import reference_tables
+
+        monkeypatch.setitem(reference_tables.SHIFT_DECOMPOSITIONS, "T1", "(F1 - H1)/2")
+        monkeypatch.setitem(reference_tables.SHIFT_DECOMPOSITIONS, "T0", "T0")  # t0 itself, not in One + 15
+        why = {name: why for name, ok, why in jeffrey_identities() if not ok}
+        assert why["t1 decomposition"] == (
+            "expected 1/2 F1 - 1/2 H1, generated 1/2 F1 + (-1/(32 q^2 pi) + 2 pi/(q^2)) F3 - 1/2 H1"
+            " + (3/(32 q^2 pi) - 2 pi/(q^2)) F3p + (3/(32 q^2 pi) + 2 pi/(q^2)) P3"
+            " + (-1/(32 q^2 pi) - 2 pi/(q^2)) P3p"
+        )
+        assert why["t0 decomposition"] == "expected T0, generated One"
+        assert "t0 decomposition reconstructs" not in why
+        assert set(why) == {"t0 decomposition", "t1 decomposition", "t1 decomposition reconstructs"}
+
+    def test_passing_decompositions_decompose_nothing(self, monkeypatch):
+        calls = []
+        real = fmt.decompose
+        monkeypatch.setattr(fmt, "decompose", lambda *a: calls.append(a) or real(*a))
+        assert all(ok for _name, ok, _why in jeffrey_identities())
+        assert calls == []
+
     def test_t3_squared(self):
         t3 = get_generator(GeneratorId.T3)
         expected = get_generator(GeneratorId.T0).scale(
@@ -274,6 +342,38 @@ class TestInverseTransform:
             inverse_ft_radial(hat, radii, qmax=20.0, n=n)
             assert hat.calls == points
 
+    def test_second_call_on_a_grid_builds_no_window(self):
+        fmt._window.cache_clear()
+        inverse_ft_radial(unit_step_hat, 0.5, qmax=50.0, n=2000)
+        first = fmt._window.cache_info()
+        inverse_ft_radial(unit_step_hat, [0.0, 1.5], qmax=50.0, n=2000)
+        step_profile(1.0, 0.5, qmax=50.0, n=2000)
+        inverse_ft_radial(unit_step_hat, 0.5, qmax=50.0, n=2000, window=False)
+        info = fmt._window.cache_info()
+        assert (first.misses, first.hits) == (1, 0)
+        assert (info.misses, info.hits) == (1, 2)
+        assert info.maxsize == fmt._WINDOWS
+
+    def test_memoised_window_is_read_only(self):
+        inverse_ft_radial(unit_step_hat, 0.5, qmax=50.0, n=2000)
+        gauss = fmt._window(50.0, 2000, 0, 2001)
+        assert not gauss.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            gauss[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            gauss *= 2.0
+
+    def test_bits_hold_with_other_grids_called_in_between(self):
+        radii = [0.0, 0.37, 2.5]
+        expected = [x.hex() for x in (scalar_inverse_ft_radial(unit_step_hat, r, 30.0, 400) for r in radii)]
+        fmt._window.cache_clear()
+        for others in (1, fmt._WINDOWS + 1):  # the grid's window is reused, then evicted
+            assert [x.hex() for x in inverse_ft_radial(unit_step_hat, radii, qmax=30.0, n=400)] == expected
+            for k in range(others):
+                inverse_ft_radial(unit_step_hat, radii, qmax=31.0 + k, n=400)
+            assert step_profile(1.0, 0.37, qmax=30.0, n=400).hex() == expected[1]
+        assert fmt._window.cache_info().hits >= 2
+
     def test_empty_radius_list(self):
         hat = CountingHat(unit_step_hat)
         assert inverse_ft_radial(hat, [], qmax=20.0, n=100) == []
@@ -344,7 +444,7 @@ class TestStepProfile:
     def test_step_spectrum_is_step_hat_at_every_node(self, R):
         """Below x = qR = 1e-4 the series runs: at R = 1e-6 that is q < 100 of the default grid."""
         q = np.arange(1, 20001) * (200.0 / 20000)
-        array = step_weight(R, q)[0]
+        array = step_weight_array(R, q)
         assert [x.hex() for x in array.tolist()] == [step_hat(R, k).hex() for k in q.tolist()]
 
     def test_series_branch_matches_the_scalar_loop_bitwise(self):

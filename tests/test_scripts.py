@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -16,16 +17,47 @@ FIRST_LINES = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
-def test_script_runs(script):
+# bench.py writes a file and takes its arguments: test_bench_writes_its_record runs it
+NO_ARGUMENTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py") if p.name != "bench.py")
+
+
+def run_script(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script)],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("script", NO_ARGUMENTS)
+def test_script_runs(script):
+    proc = run_script(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].strip().startswith(FIRST_LINES[script])
+
+
+def test_bench_writes_its_record(tmp_path):
+    """One repeat: every layer and check has its timings, every measure its bound and margin."""
+    from fmspace import checks
+
+    out = tmp_path / "bench.json"
+    proc = run_script("bench.py", "--repeats", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert record["repeats"] == 1
+    assert record["environment"]["nproc"] >= 1
+    assert {"python", "numpy", "mpmath"} <= record["environment"].keys()
+    assert {"fmt.step_hat", "fmt.radial_request", "flows.closed_flow.T1.prec50", "ring.mul"} <= record["layers"].keys()
+    for timing in [*record["layers"].values(), record["verify_pass"], *record["checks"].values()]:
+        assert 0 < timing["min_s"] <= timing["median_s"]
+    assert list(record["checks"]) == list(checks.CHECKS)
+    for check in record["checks"].values():
+        assert check["ok"] is True
+        for measure in check["measures"].values():
+            assert measure["ok"] is True and measure["margin"] >= 0
+    kernel = record["checks"]["kernel"]["measures"]["additivity"]
+    assert kernel["margin"] == kernel["bound"] - kernel["value"]
 
 
 def _load_script(name):
