@@ -201,38 +201,12 @@ def homogeneity_order(x: Mat4) -> Optional[int]:
 
 
 def symmetry_space_dimensions() -> tuple[int, int]:
-    """Exact dimensions of the odd and even counter-transpose eigenspaces.
+    """Dimensions of the odd and even counter-transpose eigenspaces; expected (6, 10).
 
-    Computed as kernel ranks of (ct + id) and (ct - id) on the 16 coordinate
-    matrices; expected (6, 10): six isometric parameters, ten metamorphic.
+    Counter-transposition sends E_(mu,nu) to E_(3-nu,3-mu), an involution that
+    permutes the 16 coordinate matrices.  Each swapped pair spans one odd and
+    one even direction, each fixed point (the counter diagonal) one even one.
     """
-    dims = []
-    for sign in (1, -1):
-        # Row for coordinate (mu, nu): ct(E_{mu,nu}) + sign * E_{mu,nu}.
-        rows = []
-        for mu in range(4):
-            for nu in range(4):
-                row = [Fraction(0)] * 16
-                row[(3 - nu) * 4 + (3 - mu)] += 1
-                row[mu * 4 + nu] += sign
-                rows.append(row)
-        dims.append(16 - _rank_over_q(rows))
-    return dims[0], dims[1]
-
-
-def _rank_over_q(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    ncols = len(rows[0])
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        piv = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / piv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    fixed = sum((3 - nu, 3 - mu) == (mu, nu) for mu in range(4) for nu in range(4))
+    pairs = (16 - fixed) // 2
+    return pairs, pairs + fixed

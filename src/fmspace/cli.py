@@ -19,7 +19,7 @@ from . import reference_tables
 from .algebra import build_table, decompose
 from .catalog import GeneratorId, SHIFT_IDS, get_generator, resolve_id
 from .checks import CHECKS, FlowsRecord
-from .flows import FlowSpec, _overflow_error, closed_flow, evaluate_flow, invariance_residual, reference_discrepancies
+from .flows import FlowSpec, _range_error, closed_flow, evaluate_flow, invariance_residual, reference_discrepancies
 from .fmt import kernel_matrix, kr_weights, mayer_bond, step_hat, step_profile
 from .matrices import Mat4
 
@@ -125,7 +125,7 @@ def _cmd_eval(args, out) -> int:
         matrix, method = result.matrix.tolist(), result.method
         residual = invariance_residual(matrix)
         if not math.isfinite(residual):  # the float64 products of the residual overflowed
-            raise _overflow_error(spec)
+            raise _range_error(spec)
     else:
         matrix, method = closed_flow(spec, prec=args.prec), "closed_form"
         residual = invariance_residual(matrix, prec=args.prec)
@@ -202,6 +202,8 @@ def _cmd_kernel(args, out) -> int:
 
 
 def _cmd_profile(args, out) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points needs at least 1, got {args.points}")
     radii = [args.rmax * i / (args.points - 1) if args.points > 1 else 0.0 for i in range(args.points)]
     profile = step_profile(args.R, radii, qmax=args.qmax, n=args.panels)
     for r, f in zip(radii, profile):

@@ -14,9 +14,9 @@ once per generator, on the first flow that needs it.
 All flows evaluate in float64 by default; passing `prec` (decimal digits)
 evaluates through mpmath instead, which matters for isometry residuals of
 large boost arguments where double precision cannot even represent the
-difference between cosh and sinh.  A float64 flow that overflows raises a
-ValueError that says so; the residual folds carry a NaN through instead of
-dropping it.
+difference between cosh and sinh.  A float64 flow that overflows or
+underflows raises a ValueError that says so; the residual folds carry a NaN
+through instead of dropping it.
 """
 
 from __future__ import annotations
@@ -120,14 +120,14 @@ def closed_flow(gen, param: float = None, q: float = None, prec: Optional[int] =
     if prec is None:
         try:
             matrix = np.array(_closed_rows(spec, _FLOAT_BACKEND), dtype=float)
-        except (OverflowError, ValueError) as exc:
-            # with finite inputs, libm's domain error means cos/sin of an
-            # argument that overflowed to inf
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:
+            # with finite inputs, libm's domain error means cos/sin of an argument that
+            # overflowed to inf, and a zero division means a power of q underflowed to 0
             if isinstance(exc, ValueError) and str(exc) != "math domain error":
                 raise
-            raise _overflow_error(spec) from None
+            raise _range_error(spec, exc) from None
         if not np.isfinite(matrix).all():
-            raise _overflow_error(spec)
+            raise _range_error(spec)
         return matrix
     import mpmath
 
@@ -136,9 +136,10 @@ def closed_flow(gen, param: float = None, q: float = None, prec: Optional[int] =
     return rows
 
 
-def _overflow_error(spec: FlowSpec) -> ValueError:
+def _range_error(spec: FlowSpec, exc: Optional[Exception] = None) -> ValueError:
+    event = "underflow" if isinstance(exc, ZeroDivisionError) else "overflow"
     return ValueError(
-        f"float64 overflow in exp({spec.param!r} * {spec.gen.value}) at q = {spec.q!r}; "
+        f"float64 {event} in exp({spec.param!r} * {spec.gen.value}) at q = {spec.q!r}; "
         "pass prec (decimal digits) to evaluate through mpmath"
     )
 

@@ -35,7 +35,7 @@ def kr_weights(R: float, q: float) -> np.ndarray:
 
     Component w_nu carries units (length)^nu.  Below qR = 1e-4 the 0/0-prone
     expressions evaluate by series.  R and q must be positive and finite; a
-    float64 overflow raises ValueError.
+    float64 overflow or underflow raises ValueError.
     """
     if not 0 < R < math.inf:
         raise positive_finite_error("radius", R)
@@ -43,11 +43,11 @@ def kr_weights(R: float, q: float) -> np.ndarray:
         raise positive_finite_error("wave number q", q)
     try:
         w = weight_column(float(R), float(q))
-    except (OverflowError, ValueError):
-        # q^3 overflowed, or libm's domain error on a q R that overflowed to inf
-        raise _overflow_error("the weight vector", R, q) from None
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        # q^3 overflowed or underflowed to 0, or libm's domain error on a q R that overflowed to inf
+        raise _range_error("the weight vector", R, q, exc) from None
     if not all(map(math.isfinite, w)):
-        raise _overflow_error("the weight vector", R, q)
+        raise _range_error("the weight vector", R, q)
     return np.array(w, dtype=float)
 
 
@@ -56,7 +56,7 @@ def step_hat(Rtot: float, q: float) -> float:
 
     This is w3 of kr_weights(Rtot, q), computed alone through the float
     path of `flows.step_weight`, the one formula for w3.  Rtot and q must be
-    positive and finite; a float64 overflow raises ValueError.
+    positive and finite; a float64 overflow or underflow raises ValueError.
     """
     if not 0 < Rtot < math.inf:
         raise positive_finite_error("step range", Rtot)
@@ -64,15 +64,16 @@ def step_hat(Rtot: float, q: float) -> float:
         raise positive_finite_error("wave number q", q)
     try:
         w3 = step_weight(float(Rtot), float(q))[0]
-    except (OverflowError, ValueError):
-        raise _overflow_error("the step transform", Rtot, q) from None
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        raise _range_error("the step transform", Rtot, q, exc) from None
     if not math.isfinite(w3):
-        raise _overflow_error("the step transform", Rtot, q)
+        raise _range_error("the step transform", Rtot, q)
     return w3
 
 
-def _overflow_error(what: str, R: float, q: float) -> ValueError:
-    return ValueError(f"float64 overflow in {what} at radius {R!r}, q = {q!r}")
+def _range_error(what: str, R: float, q: float, exc: Optional[Exception] = None) -> ValueError:
+    event = "underflow" if isinstance(exc, ZeroDivisionError) else "overflow"
+    return ValueError(f"float64 {event} in {what} at radius {R!r}, q = {q!r}")
 
 
 def mayer_bond(Ra: float, Rb: float, q: float) -> float:
@@ -216,7 +217,7 @@ def step_profile(
         return w3
 
     def non_finite(q: float, value: float) -> ValueError:
-        return _overflow_error("the step transform", R, q)
+        return _range_error("the step transform", R, q)
 
     return _radial(spectrum, non_finite, r, qmax, n, window=True)
 

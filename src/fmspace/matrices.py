@@ -256,36 +256,6 @@ def bilinear(u: Sequence, v: Sequence) -> float:
     return u[0] * v[3] + u[1] * v[2] + u[2] * v[1] + u[3] * v[0]
 
 
-def char_poly_coeffs(a: np.ndarray) -> list[float]:
-    """Coefficients [c3, c2, c1, c0] of det(lambda*1 - A), Faddeev-LeVerrier."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    coeffs = []
-    m = np.zeros_like(a)
-    c = 1.0
-    for k in range(1, n + 1):
-        m = a @ m + c * np.eye(n)
-        c = -(a * m.T).sum() / k
-        coeffs.append(c)
-    return coeffs
-
-
-def metric_eigenvalues(q: float = 1.0) -> list[float]:
-    """Eigenvalues of the evaluated metric from its characteristic polynomial.
-
-    The metric's polynomial is biquadratic, so the roots come in closed form
-    as +/- sqrt of the roots of a quadratic; no general eigensolver involved.
-    """
-    c3, c2, c1, c0 = char_poly_coeffs(eval_mat(METRIC, q))
-    if abs(c3) > 1e-12 or abs(c1) > 1e-12:
-        raise ValueError("metric characteristic polynomial is not biquadratic")
-    # lambda^4 + c2 lambda^2 + c0 = 0  =>  y^2 + c2 y + c0 = 0 with y = lambda^2
-    disc = c2 * c2 - 4.0 * c0
-    if disc < 0:
-        raise ValueError("complex eigenvalue pair; not a real-diagonalizable metric")
-    y1 = (-c2 + disc**0.5) / 2.0
-    y2 = (-c2 - disc**0.5) / 2.0
-    if y1 < 0 or y2 < 0:
-        raise ValueError("negative squared eigenvalue; metric is not real-symmetric")
-    r1, r2 = float(y1**0.5), float(y2**0.5)
-    return sorted([-r1, -r2, r2, r1])
+def metric_eigenvalues() -> list[float]:
+    """Eigenvalues of the metric, ascending, by numpy's symmetric eigensolver; its entries are constants."""
+    return np.linalg.eigvalsh(eval_mat(METRIC, 1.0)).tolist()

@@ -140,5 +140,17 @@ class TestHomogeneityOrder:
 
 
 def test_symmetry_space_dimensions():
-    # six isometric parameters, ten metamorphic, from exact rank computation
-    assert symmetry_space_dimensions() == (6, 10)
+    # six isometric parameters, ten metamorphic: the swapped pairs, and the
+    # pairs plus the fixed points, of the permutation that counter_transpose
+    # applies to the 16 coordinate matrices E_(mu,nu)
+    image = {}
+    for mu in range(4):
+        for nu in range(4):
+            ((r, c, x),) = Mat4.from_entries([(mu, nu, 1)]).counter_transpose().entries()
+            assert x == RingElem.monomial(1)
+            image[mu, nu] = (r, c)
+    assert sorted(image.values()) == sorted(image)  # a permutation
+    assert all(image[image[k]] == k for k in image)  # an involution
+    fixed = sum(image[k] == k for k in image)
+    pairs = (len(image) - fixed) // 2
+    assert symmetry_space_dimensions() == (pairs, pairs + fixed) == (6, 10)

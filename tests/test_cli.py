@@ -48,13 +48,16 @@ def test_eval_series_method(capsys):
 
 
 def test_eval_prec_goes_past_float64(capsys):
-    """The overflow error's advice works: --prec evaluates through mpmath and prints at the CLI's digits."""
+    """The overflow and underflow errors' advice works: --prec evaluates through mpmath and prints at the CLI's digits."""
     code, out, _ = run_cli(capsys, "eval", "--gen", "B1", "--param", "1000", "--q", "1", "--prec", "30")
     assert code == 0
     assert out.splitlines()[1].split() == ["9.85036e+433", "-9.85036e+433", "0", "0"]
     code, out, _ = run_cli(capsys, "eval", "--gen", "B1", "--param", "1000", "--q", "1", "--prec", "30", "--format", "json")
     assert code == 0
     assert out.startswith('{"matrix": [[9.850355570085235e+433, -9.850355570085235e+433, 0, 0], ')
+    code, out, _ = run_cli(capsys, "eval", "--gen", "T3", "--param", "1", "--q", "1e-120", "--prec", "30")
+    assert code == 0  # and the underflow error's: float64 q^3 is 0 here
+    assert out.splitlines()[4].split() == ["1", "-1.98944e-482", "0", "1"]
 
 
 def test_eval_prec_residual_is_taken_at_prec(capsys):
@@ -182,12 +185,6 @@ def test_profile_csv(capsys):
     assert len(rows) == 5
     assert float(rows[0][1]) == pytest.approx(1.0, abs=5e-3)
     assert float(rows[-1][1]) == pytest.approx(0.0, abs=5e-3)
-
-
-def test_profile_without_points_prints_nothing(capsys):
-    code, out, _ = run_cli(capsys, "profile", "--R", "1", "--rmax", "2", "--points", "0")
-    assert code == 0
-    assert out == ""
 
 
 def test_verify_fast_suites_exit_zero(capsys):
@@ -370,6 +367,13 @@ def test_domain_error_exit_one(capsys):
     (("decompose", "--json", str(DATA / "bad_matrix_rows_5.json")), "a matrix must be"),
     (("decompose", "--json", str(DATA / "bad_matrix_list.json")), "a matrix must be"),
     (("decompose", "--json", str(DATA / "bad_matrix_zero_den.json")), "zero denominator"),
+    (("weights", "--R", "1e200", "--q", "1e-200"), "float64 underflow in the weight vector at radius 1e+200, q = 1e-200"),
+    (("mayer", "--Ra", "1e200", "--Rb", "1", "--q", "1e-200"), "float64 underflow in the weight vector at radius 1e+200"),
+    (("kernel", "--R", "1e200", "--q", "1e-200"), "float64 underflow in exp(1e+200 * T1) at q = 1e-200; pass prec"),
+    (("eval", "--gen", "T1", "--param", "1e200", "--q", "1e-200"), "float64 underflow in exp(1e+200 * T1) at q = 1e-200; pass prec"),
+    (("eval", "--gen", "T3", "--param", "1", "--q", "1e-110"), "float64 underflow in exp(1.0 * T3) at q = 1e-110; pass prec"),
+    (("profile", "--R", "1", "--rmax", "2", "--points", "0"), "--points needs at least 1, got 0"),
+    (("profile", "--R", "1", "--rmax", "2", "--points", "-3"), "--points needs at least 1, got -3"),
 ])
 def test_out_of_domain_input_exits_one_with_a_message(capsys, argv, words):
     code, out, err = run_cli(capsys, *argv)

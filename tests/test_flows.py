@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,17 @@ class TestClosedFlow:
     def test_float64_overflow_is_a_value_error_pointing_to_prec(self, gid, param, q):
         with pytest.raises(ValueError, match=r"float64 overflow.*prec"):
             closed_flow(gid, param, q)
+
+    @pytest.mark.parametrize("gid, param, q", [
+        (GeneratorId.T1, 1e200, 1e-200),  # w3 divides by a q**3 that rounded to 0
+        (GeneratorId.T3, 1.0, 1e-110),
+    ])
+    def test_float64_underflow_is_a_value_error_pointing_to_prec(self, gid, param, q):
+        with pytest.raises(ValueError, match="^" + re.escape(f"float64 underflow in exp({param!r} * {gid.value}) at q = {q!r}; pass prec")):
+            closed_flow(gid, param, q)
+        import mpmath
+
+        assert all(mpmath.isfinite(x) for row in closed_flow(gid, param, q, prec=30) for x in row)
 
     def test_overflowing_point_evaluates_through_mpmath(self):
         import mpmath

@@ -21,6 +21,7 @@ from fmspace.fmt import (
     step_profile,
 )
 from fmspace.flows import expm_oracle, step_weight_array
+from fmspace.matrices import eval_mat
 from fmspace.ring import RingElem
 
 
@@ -91,6 +92,10 @@ class TestWeights:
         with pytest.raises(ValueError, match=word):
             kr_weights(R, q)
 
+    def test_q_cubed_underflow_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^float64 underflow in the weight vector at radius 1e\+200, q = 1e-200$"):
+            kr_weights(1e200, 1e-200)
+
 
 class TestStepHat:
     def test_volume_limit_radius_two(self):
@@ -120,7 +125,7 @@ class TestStepHat:
         threshold = [(R, x / R) for R in (1.0, 2.0, 0.5) for x in (math.nextafter(1e-4, 0), 1e-4, math.nextafter(1e-4, 1))]
         special = [
             (1, 2), (True, 1), (2, True), (True, True), (3, 0.5),
-            (10**400, 1.0), (1.0, 10**400), (1.0, 1e103), (1e-200, 1e103), (1e300, 1e10),
+            (10**400, 1.0), (1.0, 10**400), (1.0, 1e103), (1e-200, 1e103), (1e300, 1e10), (1e200, 1e-200),
             (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0),
             (0, 1.0), (1.0, 0), (0.0, 0.0), (False, 1.0), (-1.0, 1.0), (1.0, -2.5), (-0.0, 1.0),
         ]
@@ -135,6 +140,7 @@ def reference_step_hat(Rtot, q):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}, got {value!r}")
     overflow = ValueError(f"float64 overflow in the step transform at radius {Rtot!r}, q = {q!r}")
+    underflow = ValueError(f"float64 underflow in the step transform at radius {Rtot!r}, q = {q!r}")
     try:
         R, k = float(Rtot), float(q)
         x = k * R
@@ -145,6 +151,8 @@ def reference_step_hat(Rtot, q):
             w3 = 4 * math.pi * (math.sin(x) - x * math.cos(x)) / k**3
     except (OverflowError, ValueError):
         raise overflow from None
+    except ZeroDivisionError:  # q^3 rounded to 0
+        raise underflow from None
     if not math.isfinite(w3):
         raise overflow
     return w3
@@ -197,6 +205,25 @@ class TestKernel:
                     c = kernel_matrix(R + Rp, q)
                     assert float(np.abs(a @ b - c).max()) <= 1e-11, (R, Rp, q)
                     assert float(np.abs(a @ b - b @ a).max()) <= 1e-11
+
+    def test_prec_50_kernel_is_the_exponential_of_the_catalog_t1(self):
+        """The prec-50 kernel against mpmath.expm(R t1(q)) at 50 digits, relative to max(1, max |entry|).
+
+        This ties the weight column the kernel check compares with to the
+        catalog matrix, not to the transcription it is built from.
+        """
+        import mpmath
+
+        t1 = get_generator(GeneratorId.T1)
+        worst = 0
+        with mpmath.workdps(50):
+            for R in RADII:
+                for q in WAVE_NUMBERS:
+                    kernel = mpmath.matrix(kernel_matrix(R, q, prec=50))
+                    reference = mpmath.expm(mpmath.mpf(R) * mpmath.matrix(eval_mat(t1, mpmath.mpf(q))))
+                    scale = max(1, max(abs(x) for x in reference))
+                    worst = max(worst, max(abs(x) for x in kernel - reference) / scale)
+        assert worst <= 1e-45
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
