@@ -10,10 +10,8 @@ from .matrices import (
     Mat4,
     METRIC,
     IDENTITY,
-    mat_mul,
     counter_transpose,
     commutator,
-    anticommutator,
     eval_mat,
     bilinear,
     metric_eigenvalues,
@@ -59,7 +57,6 @@ from .fmt import (
     step_hat,
     mayer_bond,
     kernel_matrix,
-    jeffrey_decomposition,
     jeffrey_identities,
     inverse_ft_radial,
     step_profile,

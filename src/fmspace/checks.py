@@ -2,8 +2,11 @@
 
 Each check runs one suite of `fmspace verify` and returns a CheckRecord with
 every measured value next to its bound; an exact statement is a count held
-to zero.  The CLI renders the records, the acceptance tests assert on them,
-and `scripts/flow_oracle_report.py` prints the flows record.
+to zero.  The tables and jeffrey checks both count the published cells that
+do not multiply out, over every structure table and over the shift tensor
+alone, in one record format.  The CLI renders the records, the acceptance
+tests assert on them, and `scripts/flow_oracle_report.py` prints the flows
+record.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import verify_reference_tables
+from .algebra import TableVerification, verify_reference_tables
 from .catalog import (
     ISOMETRIC_IDS,
     METAMORPHIC_IDS,
@@ -86,11 +89,14 @@ def _detail(passed: str, measures: dict[str, Measure]) -> str:
     return "; ".join(f"{k} {m.value:.2e}, bound {'>' if m.above else '<='} {m.bound:g}" for k, m in failing) or passed
 
 
-def tables() -> CheckRecord:
-    report = verify_reference_tables()
+def _table_record(name: str, report: TableVerification) -> CheckRecord:
+    """The cells checked and the mismatches held to zero, each failing cell on its own line."""
     lines = [f"{report.cells_checked} cells, {len(report.mismatches)} mismatches", *map(str, report.mismatches)]
-    detail = "\n    ".join(lines)
-    return CheckRecord("tables", detail, {"mismatches": Measure(len(report.mismatches), 0)})
+    return CheckRecord(name, "\n    ".join(lines), {"mismatches": Measure(len(report.mismatches), 0)})
+
+
+def tables() -> CheckRecord:
+    return _table_record("tables", verify_reference_tables())
 
 
 def symmetry() -> CheckRecord:
@@ -109,10 +115,7 @@ def symmetry() -> CheckRecord:
 
 
 def jeffrey() -> CheckRecord:
-    identities = jeffrey_identities()
-    failures = [f"{name}: {why}" for name, ok, why in identities if not ok]
-    detail = "; ".join(failures) or f"{len(identities)} identities"
-    return CheckRecord("jeffrey", detail, {"failed identities": Measure(len(failures), 0)})
+    return _table_record("jeffrey", jeffrey_identities())
 
 
 def flows() -> FlowsRecord:

@@ -19,7 +19,7 @@ from . import reference_tables
 from .algebra import build_table, decompose
 from .catalog import GeneratorId, SHIFT_IDS, get_generator, resolve_id
 from .checks import CHECKS, FlowsRecord
-from .flows import FlowSpec, _range_error, closed_flow, evaluate_flow, invariance_residual, reference_discrepancies
+from .flows import _PREC_HINT, FlowSpec, _range_error, closed_flow, evaluate_flow, invariance_residual, reference_discrepancies
 from .fmt import kernel_matrix, kr_weights, mayer_bond, step_hat, step_profile
 from .matrices import Mat4
 
@@ -196,7 +196,10 @@ def _cmd_mayer(args, out) -> int:
 
 
 def _cmd_kernel(args, out) -> int:
-    k = kernel_matrix(args.R, args.q)
+    try:
+        k = kernel_matrix(args.R, args.q)
+    except ValueError as exc:  # `kernel` has no --prec to point to
+        raise ValueError(str(exc).removesuffix(_PREC_HINT)) from None
     _print_numeric_matrix(k, args.format, out)
     return 0
 
@@ -204,6 +207,8 @@ def _cmd_kernel(args, out) -> int:
 def _cmd_profile(args, out) -> int:
     if args.points < 1:
         raise ValueError(f"--points needs at least 1, got {args.points}")
+    if not math.isfinite(args.rmax):  # rmax * 0 would be a NaN radius
+        raise ValueError(f"--rmax must be finite, got {args.rmax!r}")
     radii = [args.rmax * i / (args.points - 1) if args.points > 1 else 0.0 for i in range(args.points)]
     profile = step_profile(args.R, radii, qmax=args.qmax, n=args.panels)
     for r, f in zip(radii, profile):

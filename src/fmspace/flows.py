@@ -136,12 +136,13 @@ def closed_flow(gen, param: float = None, q: float = None, prec: Optional[int] =
     return rows
 
 
+# The end of a float64 range error: the way round it for a caller that can pass prec.
+_PREC_HINT = "; pass prec (decimal digits) to evaluate through mpmath"
+
+
 def _range_error(spec: FlowSpec, exc: Optional[Exception] = None) -> ValueError:
     event = "underflow" if isinstance(exc, ZeroDivisionError) else "overflow"
-    return ValueError(
-        f"float64 {event} in exp({spec.param!r} * {spec.gen.value}) at q = {spec.q!r}; "
-        "pass prec (decimal digits) to evaluate through mpmath"
-    )
+    return ValueError(f"float64 {event} in exp({spec.param!r} * {spec.gen.value}) at q = {spec.q!r}{_PREC_HINT}")
 
 
 def _closed_rows(spec: FlowSpec, bk: _Backend) -> list:

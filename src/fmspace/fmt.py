@@ -1,4 +1,4 @@
-"""Hard-sphere weight functions, Mayer-bond identities, and the shift kernel.
+"""Hard-sphere weight functions, Mayer-bond identities, the shift kernel and tensor.
 
 The four scalar weight functions of a sphere of radius R are, with
 s = sin(qR) and c = cos(qR):
@@ -11,23 +11,23 @@ s = sin(qR) and c = cos(qR):
 w3 is the Fourier transform of a unit step of range R; the bilinear form of
 two weight vectors reproduces the step of the summed radii (the Mayer bond
 up to sign), and exp(R * t1) is the shifting kernel whose first column is
-the weight vector itself.
+the weight vector itself.  The shift tensor t0..t3 is checked cell by cell
+against its published tables (`jeffrey_identities`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import Decomposition, decompose
-from .catalog import BASIS_IDS, SHIFT_IDS, GeneratorId, get_generator
+from . import reference_tables
+from .algebra import TableVerification, verify_reference_tables
+from .catalog import GeneratorId
 from .flows import closed_flow, positive_finite_error, step_weight, step_weight_array, weight_column
-from .matrices import IDENTITY, bilinear, commutator
-from .ring import RingElem
+from .matrices import bilinear
 
 
 def kr_weights(R: float, q: float) -> np.ndarray:
@@ -96,46 +96,16 @@ def kernel_matrix(R: float, q: float, prec: Optional[int] = None):
     return closed_flow(GeneratorId.T1, R, q, prec=prec)
 
 
-def jeffrey_decomposition(nu: int) -> Decomposition:
-    """Exact decomposition of the shift generator t_nu in the One + 15 basis."""
-    if nu not in (0, 1, 2, 3):
-        raise ValueError(f"shift index must be 0..3, got {nu!r}")
-    return decompose(get_generator(SHIFT_IDS[nu]))
+def jeffrey_identities() -> TableVerification:
+    """The shift tensor, held as the tables check holds a published cell: 36 cells, zero tolerance.
 
-
-def jeffrey_identities() -> list[tuple[str, bool, str]]:
-    """Exact identities among the shift generators, zero tolerance.
-
-    One (name, ok, detail for a failure) per identity.
+    The shift half-commutators and products in the shift basis (32 cells),
+    and each t_nu in the One + 15 basis as the cell [T_nu, One] of a product
+    table (4 cells).  Each cell is multiplied out, so a passing check
+    decomposes nothing.
     """
-    from . import reference_tables
-    from .algebra import verify_reference_tables
-
-    t = [get_generator(gid) for gid in SHIFT_IDS]
-    checks = [
-        ("t1.t1 = 8pi t2", t[1] @ t[1] == t[2].scale(RingElem.monomial(8, 0, 1)), ""),
-        ("t1.t3 = -q^4/(8pi) 1", t[1] @ t[3] == IDENTITY.scale(RingElem.monomial(Fraction(-1, 8), 4, -1)), ""),
-    ]
-    checks += [(f"[t{i}, t{j}] = 0", commutator(t[i], t[j]).is_zero, "") for i in range(4) for j in range(i + 1, 4)]
-
-    shift_specs = [s for s in reference_tables.TABLES if s.name.startswith("shift")]
-    table_report = verify_reference_tables(shift_specs)
-    detail = "; ".join(str(m) for m in table_report.mismatches)
-    checks.append(("shift product/commutator tables", table_report.ok, detail))
-
-    # A published entry is held as the tables check holds a cell: it names only
-    # One + 15 generators and multiplies out to t_nu.  That basis is linearly
-    # independent, so this is decompose(t_nu) == entry; decompose runs only on a
-    # failing entry, for its message.
-    for nu in range(4):
-        expected = reference_tables.parse_cell(reference_tables.SHIFT_DECOMPOSITIONS[f"T{nu}"])
-        residual = expected.reconstruct() - get_generator(SHIFT_IDS[nu])
-        ok = expected.coeffs.keys() <= set(BASIS_IDS) and residual.is_zero
-        detail = "" if ok else f"expected {expected}, generated {jeffrey_decomposition(nu)}"
-        checks.append((f"t{nu} decomposition", ok, detail))
-        entries = ", ".join(f"({r}, {c}) = {x}" for r, c, x in residual.entries())
-        checks.append((f"t{nu} decomposition reconstructs", residual.is_zero, f"reconstruction - t{nu}: {entries}"))
-    return checks
+    shift_tables = [s for s in reference_tables.TABLES if s.name.startswith("shift")]
+    return verify_reference_tables([*shift_tables, reference_tables.SHIFT_DECOMPOSITIONS])
 
 
 # Grid nodes per block of the radial transform: one block at the default n,

@@ -204,20 +204,12 @@ METRIC = Mat4.from_entries([(0, 3, 1), (1, 2, 1), (2, 1, 1), (3, 0, 1)])
 IDENTITY = Mat4.identity()
 
 
-def mat_mul(a: Mat4, b: Mat4) -> Mat4:
-    return a @ b
-
-
 def counter_transpose(x: Mat4) -> Mat4:
     return x.counter_transpose()
 
 
 def commutator(x: Mat4, y: Mat4) -> Mat4:
     return x @ y - y @ x
-
-
-def anticommutator(x: Mat4, y: Mat4) -> Mat4:
-    return x @ y + y @ x
 
 
 def eval_rows(x: Mat4, q) -> list:

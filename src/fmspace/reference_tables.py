@@ -202,12 +202,13 @@ PUBLISHED_TABLE_ERRATA = (
 )
 
 # The four shift generators as combinations of the metamorphic generators
-# (and the identity), in the closing closed-form equations.
-SHIFT_DECOMPOSITIONS = {
-    "T0": "One",
-    "T1": "(F1 - H1)/2 + 2pi (P3 - P3' + F3 - F3')/q^2"
-          " + (3 P3 - P3' - F3 + 3 F3')/(32pi q^2)",
-    "T2": "q^2 (P0 - One)/(8pi) + (F2 - H2)/2 + (F2 + H2)/(128pi^2)",
-    "T3": "q^2 (F1 + H1)/(16pi) + (P3 + P3' - F3 - F3')/4"
-          " + (3 P3 + P3' + F3 + 3 F3')/(256pi^2)",
-}
+# (and the identity), in the closing closed-form equations: t_nu is the cell
+# [T_nu, One] of a product table in the One + 15 basis.
+SHIFT_DECOMPOSITIONS = TableSpec("shift decompositions", "product", SHIFT_ORDER, ("One",), (
+    ("One",),
+    ("(F1 - H1)/2 + 2pi (P3 - P3' + F3 - F3')/q^2"
+     " + (3 P3 - P3' - F3 + 3 F3')/(32pi q^2)",),
+    ("q^2 (P0 - One)/(8pi) + (F2 - H2)/2 + (F2 + H2)/(128pi^2)",),
+    ("q^2 (F1 + H1)/(16pi) + (P3 + P3' - F3 - F3')/4"
+     " + (3 P3 + P3' + F3 + 3 F3')/(256pi^2)",),
+))

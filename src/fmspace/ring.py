@@ -350,10 +350,6 @@ class FieldElem:
     def __setattr__(self, name, value):
         raise AttributeError("FieldElem is immutable")
 
-    @staticmethod
-    def from_ring(x: RingElem) -> "FieldElem":
-        return FieldElem(x, ONE)
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero

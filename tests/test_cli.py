@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmspace import checks, flows
+from fmspace import checks, flows, reference_tables
 from fmspace.catalog import GeneratorId, get_generator
 from fmspace.cli import main
 from fmspace.fmt import mayer_bond
@@ -325,17 +326,36 @@ def test_profile_overflowing_volume_exits_one(capsys, R):
     assert err == f"error: float64 overflow in the step volume 4 pi R^3 / 3 at R = {float(R)!r}\n"
 
 
-def test_jeffrey_failure_prints_the_reconstruction_residual(capsys, monkeypatch):
-    """A published t_nu decomposition that does not multiply out to t_nu names the entries it misses."""
-    from fmspace import reference_tables
-
-    monkeypatch.setitem(reference_tables.SHIFT_DECOMPOSITIONS, "T1", "(F1 - H1)/2")
+def test_jeffrey_failure_prints_the_mismatched_cell(capsys, monkeypatch):
+    """A wrong published t_nu decomposition fails jeffrey on its cell [T_nu, One], and not the tables check."""
+    spec = reference_tables.SHIFT_DECOMPOSITIONS
+    cells = spec.cells[:1] + (("(F1 - H1)/2",),) + spec.cells[2:]
+    monkeypatch.setattr(reference_tables, "SHIFT_DECOMPOSITIONS", dataclasses.replace(spec, cells=cells))
     code, out, _ = run_cli(capsys, "verify", "--suite", "jeffrey")
     assert code == 1
-    assert out.startswith("jeffrey: FAIL (t1 decomposition: expected 1/2 F1 - 1/2 H1, generated ")
-    assert out.endswith(
-        "; t1 decomposition reconstructs: reconstruction - t1: (0, 3) = q^4/(8 pi), (1, 2) = q^2/(4 pi), (2, 1) = -8 pi)\n"
+    assert out.startswith(
+        "jeffrey: FAIL (36 cells, 1 mismatches\n"
+        "    shift decompositions [T1, One]: expected 1/2 F1 - 1/2 H1, generated 1/2 F1 + "
     )
+    assert out.count("\n") == 2
+    assert run_cli(capsys, "verify", "--suite", "tables")[:2] == (0, "tables: PASS (599 cells, 0 mismatches)\n")
+
+
+def test_shift_product_failure_fails_jeffrey_and_tables(capsys, monkeypatch):
+    """Both checks hold the 32 shift-table cells, so `verify --suite jeffrey` alone catches a wrong one."""
+    i = next(k for k, spec in enumerate(reference_tables.TABLES) if spec.name == "shift products")
+    spec = reference_tables.TABLES[i]
+    cells = [list(row) for row in spec.cells]
+    cells[1][1] = "4pi T2"  # t1 t1 = 8 pi t2
+    corrupted = dataclasses.replace(spec, cells=tuple(map(tuple, cells)))
+    monkeypatch.setattr(reference_tables, "TABLES", reference_tables.TABLES[:i] + (corrupted,) + reference_tables.TABLES[i + 1 :])
+    for suite, cells_checked in (("jeffrey", 36), ("tables", 599)):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 1
+        assert out == (
+            f"{suite}: FAIL ({cells_checked} cells, 1 mismatches\n"
+            "    shift products [T1, T1]: expected 4 pi T2, generated 8 pi T2)\n"
+        )
 
 
 def test_domain_error_exit_one(capsys):
@@ -369,11 +389,15 @@ def test_domain_error_exit_one(capsys):
     (("decompose", "--json", str(DATA / "bad_matrix_zero_den.json")), "zero denominator"),
     (("weights", "--R", "1e200", "--q", "1e-200"), "float64 underflow in the weight vector at radius 1e+200, q = 1e-200"),
     (("mayer", "--Ra", "1e200", "--Rb", "1", "--q", "1e-200"), "float64 underflow in the weight vector at radius 1e+200"),
-    (("kernel", "--R", "1e200", "--q", "1e-200"), "float64 underflow in exp(1e+200 * T1) at q = 1e-200; pass prec"),
+    # `kernel` has no --prec: its message ends at q, with no "pass prec" hint
+    (("kernel", "--R", "1e200", "--q", "1e-200"), "float64 underflow in exp(1e+200 * T1) at q = 1e-200\n"),
     (("eval", "--gen", "T1", "--param", "1e200", "--q", "1e-200"), "float64 underflow in exp(1e+200 * T1) at q = 1e-200; pass prec"),
     (("eval", "--gen", "T3", "--param", "1", "--q", "1e-110"), "float64 underflow in exp(1.0 * T3) at q = 1e-110; pass prec"),
     (("profile", "--R", "1", "--rmax", "2", "--points", "0"), "--points needs at least 1, got 0"),
     (("profile", "--R", "1", "--rmax", "2", "--points", "-3"), "--points needs at least 1, got -3"),
+    (("kernel", "--R", "1", "--q", "1e100"), "float64 overflow in exp(1.0 * T1) at q = 1e+100\n"),
+    (("profile", "--R", "1", "--rmax", "inf", "--points", "3", "--panels", "10"), "--rmax must be finite, got inf"),
+    (("profile", "--R", "1", "--rmax", "nan", "--points", "1"), "--rmax must be finite, got nan"),
 ])
 def test_out_of_domain_input_exits_one_with_a_message(capsys, argv, words):
     code, out, err = run_cli(capsys, *argv)

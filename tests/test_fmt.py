@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmspace import fmt
-from fmspace.catalog import GeneratorId, get_generator
+from fmspace import algebra, fmt, reference_tables
+from fmspace.algebra import decompose
+from fmspace.catalog import SHIFT_IDS, GeneratorId, get_generator
 from fmspace.checks import RADII, WAVE_NUMBERS
 from fmspace.fmt import (
     inverse_ft_radial,
-    jeffrey_decomposition,
     jeffrey_identities,
     kernel_matrix,
     kr_weights,
@@ -235,11 +236,13 @@ class TestKernel:
 
 
 class TestJeffrey:
+    """The shift tensor: 32 shift-table cells and the 4 published decompositions of t_nu."""
+
     def test_t0_decomposition(self):
-        assert jeffrey_decomposition(0).coeffs == {GeneratorId.ONE: RingElem.monomial(1)}
+        assert decompose(get_generator(GeneratorId.T0)).coeffs == {GeneratorId.ONE: RingElem.monomial(1)}
 
     def test_t2_decomposition_exact_coefficients(self):
-        dec = jeffrey_decomposition(2)
+        dec = decompose(get_generator(GeneratorId.T2))
         assert dec[GeneratorId.ONE] == RingElem.monomial(Fraction(-1, 8), 2, -1)
         assert dec[GeneratorId.P0] == RingElem.monomial(Fraction(1, 8), 2, -1)
         f2 = RingElem.monomial(Fraction(1, 2)) + RingElem.monomial(Fraction(1, 128), 0, -2)
@@ -249,47 +252,31 @@ class TestJeffrey:
         assert set(dec.coeffs) == {GeneratorId.ONE, GeneratorId.P0, GeneratorId.F2, GeneratorId.H2}
 
     def test_decompositions_reconstruct(self):
-        for nu in range(4):
-            dec = jeffrey_decomposition(nu)
-            assert dec.reconstruct() == get_generator(GeneratorId(f"T{nu}"))
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            jeffrey_decomposition(4)
+        for gid in SHIFT_IDS:
+            t = get_generator(gid)
+            assert decompose(t).reconstruct() == t
 
     def test_identities_all_pass(self):
-        failures = [(name, why) for name, ok, why in jeffrey_identities() if not ok]
-        assert not failures
-
-    def test_reconstructs_identity_multiplies_out_the_published_entry(self, monkeypatch):
-        """A wrong published decomposition of t1 fails its reconstruction identity too."""
-        from fmspace import reference_tables
-
-        monkeypatch.setitem(reference_tables.SHIFT_DECOMPOSITIONS, "T1", "(F1 - H1)/2")
-        ok = {name: ok for name, ok, _why in jeffrey_identities()}
-        assert not ok["t1 decomposition reconstructs"]
-        assert all(ok[f"t{nu} decomposition reconstructs"] for nu in (0, 2, 3))
+        report = jeffrey_identities()
+        assert report.cells_checked == 36
+        assert report.mismatches == []
 
     def test_decomposition_identity_prints_expected_and_generated(self, monkeypatch):
-        from fmspace import reference_tables
-
-        monkeypatch.setitem(reference_tables.SHIFT_DECOMPOSITIONS, "T1", "(F1 - H1)/2")
-        monkeypatch.setitem(reference_tables.SHIFT_DECOMPOSITIONS, "T0", "T0")  # t0 itself, not in One + 15
-        why = {name: why for name, ok, why in jeffrey_identities() if not ok}
-        assert why["t1 decomposition"] == (
-            "expected 1/2 F1 - 1/2 H1, generated 1/2 F1 + (-1/(32 q^2 pi) + 2 pi/(q^2)) F3 - 1/2 H1"
-            " + (3/(32 q^2 pi) - 2 pi/(q^2)) F3p + (3/(32 q^2 pi) + 2 pi/(q^2)) P3"
-            " + (-1/(32 q^2 pi) - 2 pi/(q^2)) P3p"
-        )
-        assert why["t0 decomposition"] == "expected T0, generated One"
-        assert "t0 decomposition reconstructs" not in why
-        assert set(why) == {"t0 decomposition", "t1 decomposition", "t1 decomposition reconstructs"}
+        spec = reference_tables.SHIFT_DECOMPOSITIONS
+        cells = (("T0",), ("(F1 - H1)/2",)) + spec.cells[2:]  # t0 itself is not in One + 15
+        monkeypatch.setattr(reference_tables, "SHIFT_DECOMPOSITIONS", dataclasses.replace(spec, cells=cells))
+        assert [str(m) for m in jeffrey_identities().mismatches] == [
+            "shift decompositions [T0, One]: expected T0, generated One",
+            "shift decompositions [T1, One]: expected 1/2 F1 - 1/2 H1, generated 1/2 F1"
+            " + (-1/(32 q^2 pi) + 2 pi/(q^2)) F3 - 1/2 H1 + (3/(32 q^2 pi) - 2 pi/(q^2)) F3p"
+            " + (3/(32 q^2 pi) + 2 pi/(q^2)) P3 + (-1/(32 q^2 pi) - 2 pi/(q^2)) P3p",
+        ]
 
     def test_passing_decompositions_decompose_nothing(self, monkeypatch):
         calls = []
-        real = fmt.decompose
-        monkeypatch.setattr(fmt, "decompose", lambda *a: calls.append(a) or real(*a))
-        assert all(ok for _name, ok, _why in jeffrey_identities())
+        real = algebra.decompose
+        monkeypatch.setattr(algebra, "decompose", lambda *a: calls.append(a) or real(*a))
+        assert jeffrey_identities().ok
         assert calls == []
 
     def test_t3_squared(self):
