@@ -9,6 +9,7 @@ the median and the min over --repeats repeats:
 - layers: seconds per call of a fixed loop over one layer of the package,
   from the exact ring multiply up to the 4-radius radial request (four
   windowed `inverse_ft_radial` calls of the unit step, one per radius);
+  `step_hat` is timed on each of its branches, direct and series;
 - checks: seconds of each `verify` check, and each measure of its last
   CheckRecord with its value, bound and margin (how far the value is inside
   its bound; negative when it fails, null when not finite);
@@ -64,6 +65,7 @@ def _layers() -> dict:
         "oracle.expm_oracle.B1": (50, lambda: expm_oracle(b1, 0.5, 1.3, 1e-13)),
         "fmt.kr_weights": (2000, lambda: kr_weights(1.3, 2.7)),
         "fmt.step_hat": (20000, lambda: step_hat(1.3, 2.7)),
+        "fmt.step_hat.series": (20000, lambda: step_hat(1.3, 1e-5)),  # qR below 1e-4
         "fmt.inverse_ft_radial": (1, lambda: inverse_ft_radial(_unit_step_hat, 0.5)),
         "fmt.radial_request": (1, lambda: [inverse_ft_radial(_unit_step_hat, r) for r in RADII]),
     }

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Optional
 
@@ -247,8 +248,30 @@ def _cmd_verify(args, out) -> int:
     return 0 if all_ok else 1
 
 
+# A negative float literal as float() reads it: digits with optional "_"
+# between them, a fraction and an exponent, or inf, infinity or nan, any case
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_FLOAT = re.compile(
+    rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[+-]?{_DIGITS})?|inf(?:inity)?|nan)\Z",
+    re.IGNORECASE,
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and each of its subparsers, that reads a negative float as a value.
+
+    argparse tells a negative number from an option name by a pattern that
+    misses exponents, -inf and -nan (in Python 3.11 it takes only -123 and
+    -1.5 forms), so `--q -1e-3` would stop with "expected one argument".
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_FLOAT
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fmspace",
         description="Operations on the four-dimensional space of local fundamental measures.",
     )
@@ -327,7 +350,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args, sys.stdout)
     except (ValueError, KeyError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

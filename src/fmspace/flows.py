@@ -211,14 +211,16 @@ def _weights(R, q, bk: _Backend) -> tuple:
     return [w0, w1, w2, w3], s, c
 
 
-def step_weight(R, q, sin=math.sin, cos=math.cos, pi=math.pi) -> tuple:
+def step_weight(R, q, sin, cos, pi) -> tuple:
     """(w3, s, c): w3 = 4 pi (s - x c) / q^3 with x = qR, s = sin x, c = cos x.
 
-    w3 is the Fourier transform of a unit step of range R, and the one
-    formula for it.  Below x = 1e-4 it evaluates by its series in x, and s
-    and c are None.  R and q are floats here, with float64's sin, cos and
-    pi; the mpmath backend passes its own with mpf R and q.
-    `step_weight_array` is the same w3 over an array of wave numbers.
+    w3 is the Fourier transform of a unit step of range R.  Below x = 1e-4
+    it evaluates by its series in x, and s and c are None.  sin, cos and pi
+    are the backend's: float64's with float R and q, mpmath's with mpf R
+    and q.  `_step_series` and `_step_direct` are the formula;
+    `step_weight_array` is the same w3 over an array of wave numbers, and
+    `fmt.step_hat` holds an inline copy of `_step_direct` that bitwise tests
+    tie to it.
     """
     x = q * R
     if abs(x) < _SMALL_ARG:
@@ -254,7 +256,7 @@ def _step_series(R, x, pi):
 
 
 def _step_direct(x, s, c, cube, pi):
-    """step_weight's w3 from x = qR, sin x, cos x and q^3."""
+    """step_weight's w3 from x = qR, sin x, cos x and q^3; `fmt.step_hat` inlines it."""
     return 4 * pi * (s - x * c) / cube
 
 

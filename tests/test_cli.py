@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmspace import checks, flows, reference_tables
+from fmspace import checks, cli, flows, reference_tables
 from fmspace.catalog import GeneratorId, get_generator
 from fmspace.cli import main
 from fmspace.fmt import mayer_bond
@@ -398,12 +398,41 @@ def test_domain_error_exit_one(capsys):
     (("kernel", "--R", "1", "--q", "1e100"), "float64 overflow in exp(1.0 * T1) at q = 1e+100\n"),
     (("profile", "--R", "1", "--rmax", "inf", "--points", "3", "--panels", "10"), "--rmax must be finite, got inf"),
     (("profile", "--R", "1", "--rmax", "nan", "--points", "1"), "--rmax must be finite, got nan"),
+    # a negative number in exponent notation, or -inf, is a value, not an option name
+    (("mayer", "--Ra", "1", "--Rb", "1", "--q", "-1e-3"), "wave number q must be positive"),
+    (("weights", "--R", "-2E+1", "--q", "1"), "radius must be positive, got -20.0"),
+    (("kernel", "--R", "1", "--q", "-inf"), "wave number q must be positive, got -inf"),
+    (("profile", "--R", "1", "--rmax", "-1e0", "--points", "3", "--panels", "10"), "r must be nonnegative"),
+    # the message of a KeyError, without its repr quotes
+    (("decompose", "--product", "X9"), "error: unknown generator name 'X9'\n"),
+    (("eval", "--gen", "X9", "--param", "1", "--q", "1"), "error: unknown generator name 'X9'\n"),
 ])
 def test_out_of_domain_input_exits_one_with_a_message(capsys, argv, words):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and words in err
+
+
+def test_negative_exponent_value_reads_as_its_decimal(capsys):
+    decimal = run_cli(capsys, "eval", "--gen", "B1", "--param", "-0.002", "--q", "1")
+    assert decimal[0] == 0
+    assert run_cli(capsys, "eval", "--gen", "B1", "--param", "-2e-3", "--q", "1") == decimal
+
+
+@pytest.mark.parametrize("text", [
+    "-1", "-0", "-1.", "-.5", "-1.5", "-2e-3", "-2E+3", "-1e5", "-.5e1", "-1.e1", "-1_000", "-1_0.5e1_0",
+    "-inf", "-Infinity", "-NaN", "-nan",
+    "-h", "-e5", "-1e", "-1e+", "-.", "-1_", "-1__0", "-_1", "-1e_5", "-infin", "-nanx", "--1", "-1.5.", "-0x10", "-1x",
+])
+def test_negative_float_pattern_is_what_float_reads(text):
+    try:
+        float(text)
+    except ValueError:
+        is_float = False
+    else:
+        is_float = True
+    assert bool(cli._NEGATIVE_FLOAT.match(text)) == is_float
 
 
 def test_usage_error_exit_two(capsys):

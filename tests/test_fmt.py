@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmspace import algebra, fmt, reference_tables
+from fmspace import algebra, flows, fmt, reference_tables
 from fmspace.algebra import decompose
 from fmspace.catalog import SHIFT_IDS, GeneratorId, get_generator
 from fmspace.checks import RADII, WAVE_NUMBERS
@@ -130,8 +130,43 @@ class TestStepHat:
             (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0),
             (0, 1.0), (1.0, 0), (0.0, 0.0), (False, 1.0), (-1.0, 1.0), (1.0, -2.5), (-0.0, 1.0),
         ]
-        for R, q in draws + threshold + special:
+        numbers = [
+            (np.float64(1.3), np.float64(2.7)), (np.float32(1.3), 2.7), (1.3, np.float32(2.7)),
+            (np.int64(2), np.int64(3)), (np.float64(1.3), 1e-5), (np.int64(1), np.float32(1e-6)),
+            (Float(1.3), Float(2.7)), (Float(2.0), 1e-6), (Float(1e300), Float(1e10)),
+            (np.float64(-1.0), 1.0), (1.0, np.float32("nan")), (np.float64(1e200), np.float64(1e-200)),
+        ]
+        for R, q in draws + threshold + special + numbers:
             assert outcome(step_hat, R, q) == outcome(reference_step_hat, R, q), (R, q)
+        for R, q in draws[:50] + threshold + numbers[:8]:
+            assert type(step_hat(R, q)) is float, (R, q)
+
+    @pytest.mark.parametrize("R", [1e-6, 0.3, 1.0, 1.3, 2.7, 1e3])
+    def test_both_branches_are_the_flows_formula_at_the_switch(self, R):
+        """At the last q with qR below 1e-4 and the first with qR at or above it, and
+        three floats to each side, step_hat has the bits of _step_series and of _step_direct."""
+        q = 1e-4 / R
+        while q * R >= 1e-4:
+            q = math.nextafter(q, 0)
+        while math.nextafter(q, math.inf) * R < 1e-4:
+            q = math.nextafter(q, math.inf)
+        below, above = [q], [math.nextafter(q, math.inf)]
+        for _ in range(3):
+            below.append(math.nextafter(below[-1], 0))
+            above.append(math.nextafter(above[-1], math.inf))
+        for k in below:
+            x = k * R
+            assert x < flows._SMALL_ARG
+            assert step_hat(R, k).hex() == flows._step_series(R, x, math.pi).hex()
+        for k in above:
+            x = k * R
+            assert x >= flows._SMALL_ARG
+            direct = flows._step_direct(x, math.sin(x), math.cos(x), k**3, math.pi)
+            assert step_hat(R, k).hex() == direct.hex()
+
+
+class Float(float):
+    """A float subclass: step_hat reads its value and returns a plain float."""
 
 
 def reference_step_hat(Rtot, q):

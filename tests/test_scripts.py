@@ -48,7 +48,7 @@ def test_bench_writes_its_record(tmp_path):
     assert record["repeats"] == 1
     assert record["environment"]["nproc"] >= 1
     assert {"python", "numpy", "mpmath"} <= record["environment"].keys()
-    assert {"fmt.step_hat", "fmt.radial_request", "flows.closed_flow.T1.prec50", "ring.mul"} <= record["layers"].keys()
+    assert {"fmt.step_hat", "fmt.step_hat.series", "fmt.radial_request", "flows.closed_flow.T1.prec50", "ring.mul"} <= record["layers"].keys()
     for timing in [*record["layers"].values(), record["verify_pass"], *record["checks"].values()]:
         assert 0 < timing["min_s"] <= timing["median_s"]
     assert list(record["checks"]) == list(checks.CHECKS)
