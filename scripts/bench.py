@@ -9,7 +9,10 @@ the median and the min over --repeats repeats:
 - layers: seconds per call of a fixed loop over one layer of the package,
   from the exact ring multiply up to the 4-radius radial request (four
   windowed `inverse_ft_radial` calls of the unit step, one per radius);
-  `step_hat` is timed on each of its branches, direct and series;
+  `step_hat` is timed on each of its branches, direct and series; a flow
+  request is a closed flow and its invariance residual, over a fixed seeded
+  mix of points drawn as perfbench's `numeric` workload draws them (float64
+  over all 20 generators; prec 60 over the 6 isometric ones);
 - checks: seconds of each `verify` check, and each measure of its last
   CheckRecord with its value, bound and margin (how far the value is inside
   its bound; negative when it fails, null when not finite);
@@ -22,6 +25,7 @@ otherwise idle machine; the spread between median and min shows the noise.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -36,9 +40,10 @@ import numpy as np
 
 from fmspace import checks
 from fmspace.algebra import decompose, verify_reference_tables
-from fmspace.catalog import GeneratorId, get_generator
-from fmspace.flows import closed_flow
+from fmspace.catalog import ISOMETRIC_IDS, METAMORPHIC_IDS, SHIFT_IDS, GeneratorId, get_generator, homogeneity_order
+from fmspace.flows import closed_flow, group_law_residual, invariance_residual
 from fmspace.fmt import inverse_ft_radial, kr_weights, step_hat
+from fmspace.matrices import eval_mat
 from fmspace.oracle import expm_oracle
 from fmspace.ring import RingElem
 
@@ -47,6 +52,43 @@ RADII = (0.0, 0.5, 1.5, 2.0)  # the radial request, as the profile check reads t
 
 def _unit_step_hat(q: float) -> float:
     return step_hat(1.0, q) if q > 0 else 4.0 * math.pi / 3.0
+
+
+# The flows suite evaluates every generator once on its grid, then the
+# metamorphic and shift generators once more for the metric breaking.
+FLOW_MIX = tuple(GeneratorId) + METAMORPHIC_IDS + SHIFT_IDS
+
+
+def _flow_points(gens, per_gen: int, seed: int) -> list:
+    """per_gen seeded (gen, param, q) draws for each entry of gens, in a shuffled order.
+
+    q is log-uniform in [1e-2, 10] and |param q^alpha| log-uniform in
+    [1e-7, 10], drawn again while ||param X(q)||_1 > 1e4.
+    """
+    rng = np.random.default_rng(seed)
+    points = []
+    for gid in gens:
+        x = get_generator(gid)
+        drawn = 0
+        while drawn < per_gen:
+            q = 10.0 ** rng.uniform(-2.0, 1.0)
+            param = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-7.0, 1.0) / q ** homogeneity_order(x)
+            if abs(param) * float(np.abs(eval_mat(x, q)).sum(axis=0).max()) <= 1e4:
+                points.append((gid, float(param), q))
+                drawn += 1
+    rng.shuffle(points)
+    return points
+
+
+def _flow_request(points, prec=None):
+    """A function of no arguments: the next point's flow and residual, round the points in turn."""
+    cycle = itertools.cycle(points)
+
+    def request():
+        gid, param, q = next(cycle)
+        return invariance_residual(closed_flow(gid, param, q, prec=prec), prec=prec)
+
+    return request
 
 
 def _layers() -> dict:
@@ -62,6 +104,12 @@ def _layers() -> dict:
         "flows.closed_flow.B1": (500, lambda: closed_flow(GeneratorId.B1, 0.5, 1.3)),
         "flows.closed_flow.T1": (500, lambda: closed_flow(GeneratorId.T1, 0.5, 1.3)),
         "flows.closed_flow.T1.prec50": (50, lambda: closed_flow(GeneratorId.T1, 0.5, 1.3, prec=50)),
+        "flows.flow_request": (2 * 6 * len(FLOW_MIX), _flow_request(_flow_points(FLOW_MIX, 6, 13))),
+        "flows.flow_request.isometric.prec60": (
+            2 * 5 * len(ISOMETRIC_IDS),
+            _flow_request(_flow_points(ISOMETRIC_IDS, 5, 60), prec=60),
+        ),
+        "flows.group_law_residual.T1.prec50": (20, lambda: group_law_residual(GeneratorId.T1, 1.0, 2.7, 1.3, prec=50)),
         "oracle.expm_oracle.B1": (50, lambda: expm_oracle(b1, 0.5, 1.3, 1e-13)),
         "fmt.kr_weights": (2000, lambda: kr_weights(1.3, 2.7)),
         "fmt.step_hat": (20000, lambda: step_hat(1.3, 2.7)),

@@ -210,6 +210,8 @@ def _cmd_profile(args, out) -> int:
         raise ValueError(f"--points needs at least 1, got {args.points}")
     if not math.isfinite(args.rmax):  # rmax * 0 would be a NaN radius
         raise ValueError(f"--rmax must be finite, got {args.rmax!r}")
+    if args.rmax < 0:  # checked here: one point is r = 0 alone, which never reads rmax
+        raise ValueError(f"r must be nonnegative, got --rmax {args.rmax!r}")
     radii = [args.rmax * i / (args.points - 1) if args.points > 1 else 0.0 for i in range(args.points)]
     profile = step_profile(args.R, radii, qmax=args.qmax, n=args.panels)
     for r, f in zip(radii, profile):

@@ -29,8 +29,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .catalog import ALL_IDS, GeneratorId, SquareClass, classify_square, get_generator
-from .matrices import bilinear, eval_rows
+from .matrices import Mat4
 from .oracle import expm_oracle, expm_oracles
+from .ring import float_sum
 
 STANDARD_Q_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 STANDARD_PARAM_GRID = (-2.0, -0.5, 0.1, 1.5)
@@ -51,6 +52,7 @@ class _Backend:
     sinh: Callable
     pi: object
     lift: Callable
+    entries: Callable  # (Mat4, lifted q) -> [(row, col, value)] of the matrix's nonzero entries at q
 
     def sinch(self, x):
         """sinh(x)/x, series near zero."""
@@ -67,15 +69,27 @@ class _Backend:
         return self.sin(x) / x
 
 
-_FLOAT_BACKEND = _Backend(math.exp, math.cos, math.sin, math.cosh, math.sinh, math.pi, float)
+def _float_entries(mat: Mat4, q: float) -> list:
+    """The nonzero entries of mat at a float q, each its compiled terms summed by `float_sum`."""
+    return [(r, c, float_sum(terms, q)) for r, c, terms in mat.float_terms]
 
 
-def _mp_backend():
+def _mp_entries(mat: Mat4, q) -> list:
+    """The nonzero entries of mat at an mpf q, each by `RingElem.evaluate` at the ambient precision."""
+    return [(r, c, x.evaluate(q)) for r, c, x in mat.entries()]
+
+
+_FLOAT_BACKEND = _Backend(math.exp, math.cos, math.sin, math.cosh, math.sinh, math.pi, float, _float_entries)
+
+
+@functools.lru_cache(maxsize=32)
+def _mp_backend(prec: int) -> _Backend:
+    """mpmath's backend with pi at prec decimal digits; built once per precision."""
     import mpmath
 
-    return _Backend(
-        mpmath.exp, mpmath.cos, mpmath.sin, mpmath.cosh, mpmath.sinh, +mpmath.mp.pi, mpmath.mpf
-    )
+    with mpmath.workdps(prec):
+        pi = +mpmath.mp.pi
+    return _Backend(mpmath.exp, mpmath.cos, mpmath.sin, mpmath.cosh, mpmath.sinh, pi, mpmath.mpf, _mp_entries)
 
 
 def positive_finite_error(name: str, value) -> ValueError:
@@ -85,20 +99,29 @@ def positive_finite_error(name: str, value) -> ValueError:
     return ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FlowSpec:
-    """One-parameter flow: generator tag, flow parameter, wave number q > 0."""
+    """One-parameter flow: generator tag, flow parameter, wave number q > 0.
+
+    The one check of a flow's inputs: the tag must name a generator, q must
+    be positive and finite, and the parameter finite.  A GeneratorId is
+    kept as it is; any other tag is looked up by value.
+    """
 
     gen: GeneratorId
     param: float
     q: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "gen", GeneratorId(self.gen))
-        if not 0 < self.q < math.inf:
-            raise positive_finite_error("wave number q", self.q)
-        if not math.isfinite(self.param):
-            raise ValueError(f"flow parameter must be finite, got {self.param!r}")
+    def __init__(self, gen, param: float, q: float):
+        if gen.__class__ is not GeneratorId:
+            gen = GeneratorId(gen)
+        if not 0 < q < math.inf:
+            raise positive_finite_error("wave number q", q)
+        if not math.isfinite(param):
+            raise ValueError(f"flow parameter must be finite, got {param!r}")
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "q", q)
 
 
 @dataclass(frozen=True)
@@ -111,29 +134,29 @@ def closed_flow(gen, param: float = None, q: float = None, prec: Optional[int] =
     """Closed-form finite transform exp(param * X_gen) evaluated at q.
 
     Accepts a FlowSpec or (gen, param, q).  Returns a float64 ndarray, or a
-    nested list of mpf when prec (decimal digits) is given.
+    nested list of mpf when prec (decimal digits) is given.  Both come from
+    `_closed_rows`, which forms only the entries the closed form makes
+    nonzero and fills the rest with one zero of the flow's own arithmetic.
+    A float64 result with an entry that is not finite raises a ValueError.
     """
-    if isinstance(gen, FlowSpec):
-        spec = gen
-    else:
-        spec = FlowSpec(gen, param, q)
+    spec = gen if isinstance(gen, FlowSpec) else FlowSpec(gen, param, q)
     if prec is None:
         try:
-            matrix = np.array(_closed_rows(spec, _FLOAT_BACKEND), dtype=float)
+            entries = _closed_rows(spec, _FLOAT_BACKEND)
         except (OverflowError, ValueError, ZeroDivisionError) as exc:
             # with finite inputs, libm's domain error means cos/sin of an argument that
             # overflowed to inf, and a zero division means a power of q underflowed to 0
             if isinstance(exc, ValueError) and str(exc) != "math domain error":
                 raise
             raise _range_error(spec, exc) from None
-        if not np.isfinite(matrix).all():
+        if not all(map(math.isfinite, entries)):
             raise _range_error(spec)
-        return matrix
+        return np.array(entries).reshape(4, 4)  # every entry is a Python float: float64
     import mpmath
 
     with mpmath.workdps(prec):
-        rows = _closed_rows(spec, _mp_backend())
-    return rows
+        entries = _closed_rows(spec, _mp_backend(prec))
+    return [entries[0:4], entries[4:8], entries[8:12], entries[12:16]]
 
 
 # The end of a float64 range error: the way round it for a caller that can pass prec.
@@ -146,17 +169,29 @@ def _range_error(spec: FlowSpec, exc: Optional[Exception] = None) -> ValueError:
 
 
 def _closed_rows(spec: FlowSpec, bk: _Backend) -> list:
+    """The 16 entries of exp(param X(q)), row by row in one flat list, in bk's arithmetic.
+
+    One, T0 and the shift transcriptions T1-T3 write every entry out.  For
+    the other fifteen generators exp(param X) = C 1 + param S X(q), with
+    C = cosh/cos and S = sinh(y)/y or sin(y)/y of y = param q^order, by the
+    exact square of X.  Only X(q)'s nonzero entries are evaluated (through
+    `float_sum`, or `RingElem.evaluate` for mpf) and scaled; every other
+    entry is the one value `zero = factor * 0`, which is -0.0 in float64
+    when the factor is negative, exactly as the dense product gave it.  The
+    diagonal then adds C to each of its four entries, zero or not.
+    """
     gid = spec.gen
     tau = bk.lift(spec.param)
     q = bk.lift(spec.q)
-    if gid in (GeneratorId.ONE, GeneratorId.T0):
+    if gid is GeneratorId.ONE or gid is GeneratorId.T0:
         e = bk.exp(tau)
-        return [[e if i == j else 0 * e for j in range(4)] for i in range(4)]
-    if gid == GeneratorId.T1:
+        zero = 0 * e
+        return [e, zero, zero, zero, zero, e, zero, zero, zero, zero, e, zero, zero, zero, zero, e]
+    if gid is GeneratorId.T1:
         return _t1_rows(tau, q, bk)
-    if gid == GeneratorId.T2:
+    if gid is GeneratorId.T2:
         return _t2_rows(tau, q, bk)
-    if gid == GeneratorId.T3:
+    if gid is GeneratorId.T3:
         return _t3_rows(tau, q, bk)
     mat = get_generator(gid)
     square = _square_class(gid)
@@ -169,11 +204,12 @@ def _closed_rows(spec: FlowSpec, bk: _Backend) -> list:
     else:
         diag = bk.cos(arg)
         factor = tau * bk.sinc(arg)
-    xn = eval_rows(mat, q)
-    rows = [[factor * xn[i][j] for j in range(4)] for i in range(4)]
-    for i in range(4):
-        rows[i][i] = rows[i][i] + diag
-    return rows
+    entries = [factor * 0] * 16
+    for r, c, x in bk.entries(mat, q):
+        entries[4 * r + c] = factor * x
+    for i in (0, 5, 10, 15):
+        entries[i] = entries[i] + diag
+    return entries
 
 
 @functools.cache
@@ -261,7 +297,7 @@ def _step_direct(x, s, c, cube, pi):
 
 
 def _t1_rows(chi, q, bk: _Backend) -> list:
-    """exp(chi t1): the weight column, then 12 entries of which 4 repeat, each computed once."""
+    """exp(chi t1), row by row: the weight column, then 12 entries of which 4 repeat, each computed once."""
     pi = bk.pi
     column, s, c = _weights(chi, q, bk)
     if s is None:  # the column took its series; the other entries have none
@@ -279,57 +315,55 @@ def _t1_rows(chi, q, bk: _Backend) -> list:
     b = -q3 * s * chi / pi16  # (0, 2) and (1, 3)
     d = c - qschi2  # (1, 1) and (2, 2)
     return [
-        [w0, a, b, (c * q**4 * chi - s3 * q3) / pi16],
-        [w1, d, -(s3 * q + cq2chi) / pi16, b],
-        [w2, 4 * pi * (s + cqchi) / q, d, a],
-        [w3, 4 * pi * s * chi / q, (s + cqchi) / (2 * q), c + qschi2],
+        w0, a, b, (c * q**4 * chi - s3 * q3) / pi16,
+        w1, d, -(s3 * q + cq2chi) / pi16, b,
+        w2, 4 * pi * (s + cqchi) / q, d, a,
+        w3, 4 * pi * s * chi / q, (s + cqchi) / (2 * q), c + qschi2,
     ]
 
 
 def _t2_rows(chi, q, bk: _Backend) -> list:
+    """exp(chi t2), row by row."""
     pi = bk.pi
     g = bk.exp(-(q**2) * chi / (8 * pi))
     a = g * q**2 * chi / (8 * pi)
     b = -g * q**4 * chi / (64 * pi**2)
     zero = 0 * g
     return [
-        [g + a, zero, b, zero],
-        [zero, g - a, zero, b],
-        [g * chi, zero, g - a, zero],
-        [zero, g * chi, zero, g + a],
+        g + a, zero, b, zero,
+        zero, g - a, zero, b,
+        g * chi, zero, g - a, zero,
+        zero, g * chi, zero, g + a,
     ]
 
 
 def _t3_rows(chi, q, bk: _Backend) -> list:
+    """exp(chi t3), row by row."""
     pi = bk.pi
     theta = q**3 * chi / (8 * pi)
     C = bk.cos(theta)
     S = bk.sin(theta)
     return [
-        [
-            C - q**3 * S * chi / (16 * pi),
-            -(8 * pi * q * S + C * q**4 * chi) / (16 * pi),
-            q**5 * S * chi / (128 * pi**2),
-            -(24 * pi * q**3 * S + C * q**6 * chi) / (128 * pi**2),
-        ],
-        [
-            S / (2 * q) - C * q**2 * chi / (16 * pi),
-            C + q**3 * S * chi / (16 * pi),
-            (-24 * pi * q * S + C * q**4 * chi) / (128 * pi**2),
-            q**5 * S * chi / (128 * pi**2),
-        ],
-        [
-            -q * S * chi / 2,
-            4 * pi * S / q - C * q**2 * chi / 2,
-            C + q**3 * S * chi / (16 * pi),
-            -(8 * pi * q * S + C * q**4 * chi) / (16 * pi),
-        ],
-        [
-            4 * pi * S / q**3 + C * chi / 2,
-            -q * S * chi / 2,
-            S / (2 * q) - C * q**2 * chi / (16 * pi),
-            C - q**3 * S * chi / (16 * pi),
-        ],
+        # row 0
+        C - q**3 * S * chi / (16 * pi),
+        -(8 * pi * q * S + C * q**4 * chi) / (16 * pi),
+        q**5 * S * chi / (128 * pi**2),
+        -(24 * pi * q**3 * S + C * q**6 * chi) / (128 * pi**2),
+        # row 1
+        S / (2 * q) - C * q**2 * chi / (16 * pi),
+        C + q**3 * S * chi / (16 * pi),
+        (-24 * pi * q * S + C * q**4 * chi) / (128 * pi**2),
+        q**5 * S * chi / (128 * pi**2),
+        # row 2
+        -q * S * chi / 2,
+        4 * pi * S / q - C * q**2 * chi / 2,
+        C + q**3 * S * chi / (16 * pi),
+        -(8 * pi * q * S + C * q**4 * chi) / (16 * pi),
+        # row 3
+        4 * pi * S / q**3 + C * chi / 2,
+        -q * S * chi / 2,
+        S / (2 * q) - C * q**2 * chi / (16 * pi),
+        C - q**3 * S * chi / (16 * pi),
     ]
 
 
@@ -417,14 +451,23 @@ def max_abs(a) -> float:
     return functools.reduce(_fold_max, (abs(x) for row in rows for x in row))
 
 
+# The form M's rows: entry (mu, nu) is 1 on the counter diagonal mu + nu = 3, else 0.
+_FORM_ROWS = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
+
+
 def _invariance_impl(rows: list):
     """Max-norm of a^t . M . a - M over all 16 entries, NaN if any entry is NaN.
 
-    Entry (mu, nu) of a^t . M . a is bilinear(column mu, column nu), the
-    sum over k of a[k, mu] a[3 - k, nu] added left to right.
+    Entry (mu, nu) of a^t . M . a is the bilinear form of column mu with
+    column nu, u0 v3 + u1 v2 + u2 v1 + u3 v0, written out and added left to
+    right as `matrices.bilinear` adds it.
     """
     columns = list(zip(*rows))
-    entries = [abs(bilinear(u, v) - (mu + nu == 3)) for mu, u in enumerate(columns) for nu, v in enumerate(columns)]
+    entries = [
+        abs(u0 * v3 + u1 * v2 + u2 * v1 + u3 * v0 - m)
+        for (u0, u1, u2, u3), form_row in zip(columns, _FORM_ROWS)
+        for (v0, v1, v2, v3), m in zip(columns, form_row)
+    ]
     total = sum(entries)  # NaN exactly when an entry is: they are all >= 0
     return total if total != total else max(entries)
 
@@ -432,7 +475,9 @@ def _invariance_impl(rows: list):
 def invariance_residual(a, prec: Optional[int] = None) -> float:
     """Max-norm of a^t . M . a - M; zero exactly when a preserves the form.
 
-    NaN if any entry of a^t . M . a is NaN.
+    NaN if any entry of a^t . M . a is NaN.  A float matrix sums all 64
+    products of the form's 16 entries; with prec, the products with an
+    exact-zero factor are skipped (`_sparse_invariance`).
 
     For mpf inputs pass the same prec the flow was built with: mpmath rounds
     every product at the *ambient* precision, so the residual arithmetic must
@@ -443,31 +488,37 @@ def invariance_residual(a, prec: Optional[int] = None) -> float:
         import mpmath
 
         with mpmath.workdps(prec + 20):
-            # a NaN or inf goes through the dense fold, where it reaches the result
-            if all(mpmath.isfinite(x) for row in rows for x in row):
-                return _sparse_invariance(rows)
-            return _invariance_impl(rows)
+            return _sparse_invariance(rows)
     return _invariance_impl(rows)
 
 
 def _sparse_invariance(rows: list):
-    """_invariance_impl for finite entries, skipping the products with an exact-zero factor.
+    """_invariance_impl at the ambient mpmath precision, skipping the products with an exact-zero factor.
 
-    A finite product with a zero factor is zero and leaves the sum as it is.
+    A finite product with a zero factor is zero and leaves the sum as it is,
+    so each sum starts from its first product of two nonzero factors.  An
+    entry of a^t . M . a with no such product is 0 and is left out of the
+    max, except on the counter diagonal, where it is |0 - 1| = 1.  A matrix
+    entry that is NaN or inf sends the matrix through the dense fold
+    instead, where it reaches the result (inf * 0 is NaN).
     """
-    columns = [[(k, rows[k][mu]) for k in range(4) if rows[k][mu]] for mu in range(4)]
-    residual = 0
-    for mu in range(4):
-        for nu in range(4):
-            acc = 0
-            for k, x in columns[mu]:
-                y = rows[3 - k][nu]
-                if y:
-                    acc = acc + x * y
-            if mu + nu == 3:
-                acc = acc - 1
-            residual = _fold_max(residual, abs(acc))
-    return residual
+    import mpmath
+
+    nonzero = [[(nu, y) for nu, y in enumerate(row) if y] for row in rows]
+    if not all(mpmath.isfinite(y) for row in nonzero for _, y in row):
+        return _invariance_impl(rows)
+    entries = []
+    for mu, column in enumerate(zip(*rows)):
+        sums = [None] * 4
+        for k, x in enumerate(column):
+            if x:
+                for nu, y in nonzero[3 - k]:
+                    p = x * y
+                    sums[nu] = p if sums[nu] is None else sums[nu] + p
+        counter = sums[3 - mu]  # the entry on the counter diagonal, where M is 1
+        sums[3 - mu] = (0 if counter is None else counter) - 1
+        entries += [abs(s) for s in sums if s is not None]
+    return max(entries)  # all finite, and never empty: the counter diagonal's four are in
 
 
 def group_law_residual(gen, p1: float, p2: float, q: float, prec: Optional[int] = None) -> float:
@@ -484,8 +535,12 @@ def group_law_residual(gen, p1: float, p2: float, q: float, prec: Optional[int] 
 
 
 def _mp_product(a: list, b: list) -> list:
-    """a @ b for 4x4 nested lists of mpf, rounded at the ambient precision."""
-    return [[sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+    """a @ b for 4x4 nested lists of mpf, rounded at the ambient precision.
+
+    Each entry adds its four products left to right, from the first.
+    """
+    columns = list(zip(*b))
+    return [[x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3 for y0, y1, y2, y3 in columns] for x0, x1, x2, x3 in a]
 
 
 def _mp_max_diff(a: list, b: list):

@@ -221,17 +221,30 @@ class RingElem:
         """Numeric value at wave number q with pi replaced by its constant.
 
         Accepts a float (evaluates in double precision) or an mpmath mpf
-        (evaluates at the active mpmath precision).
+        (evaluates at the active mpmath precision).  An mpf term is
+        mpf(num) / den * q**j * pi**k, the terms added in order from the
+        first; a +-1 coefficient over 1 and a pi**0 factor are left out,
+        since multiplying by them is exact.
         """
         if isinstance(q, (int, float)):
             return float_sum(self.float_terms(), float(q))
         import mpmath
 
-        pi = +mpmath.mp.pi
-        total = mpmath.mpf(0)
+        pi = None
+        total = None
         for (j, k), c in self._terms.items():
-            total += mpmath.mpf(c.numerator) / c.denominator * q**j * pi**k
-        return total
+            if c == 1:
+                term = q**j
+            elif c == -1:
+                term = -(q**j)
+            else:
+                term = mpmath.mpf(c.numerator) / c.denominator * q**j
+            if k:
+                if pi is None:
+                    pi = +mpmath.mp.pi
+                term = term * pi**k
+            total = term if total is None else total + term
+        return mpmath.mpf(0) if total is None else total
 
     def float_terms(self) -> tuple:
         """((float(coef), q_pow, pi**pi_pow), ...): the terms float evaluation sums, in its order."""
@@ -291,7 +304,11 @@ def float_sum(terms: tuple, q: float) -> float:
     """The float64 value at q of compiled terms: coef * q**q_pow * pi_term added to 0.0 in order.
 
     The one float evaluation of a ring element, so an entry evaluates to the
-    same bits whichever caller compiled its terms.
+    same bits whichever caller compiled its terms: `RingElem.evaluate`,
+    `matrices.eval_rows`, and `flows.closed_flow`, which sums only the
+    nonzero entries of a generator.  A zero entry has no terms and is never
+    summed here; its callers write their own zero (0.0 in `eval_rows`, the
+    flow's `factor * 0` in `closed_flow`).
     """
     total = 0.0
     for coef, j, pik in terms:

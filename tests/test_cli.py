@@ -406,6 +406,8 @@ def test_domain_error_exit_one(capsys):
     # the message of a KeyError, without its repr quotes
     (("decompose", "--product", "X9"), "error: unknown generator name 'X9'\n"),
     (("eval", "--gen", "X9", "--param", "1", "--q", "1"), "error: unknown generator name 'X9'\n"),
+    # one point is r = 0 alone; the sign of --rmax is checked all the same
+    (("profile", "--R", "1", "--rmax", "-1", "--points", "1"), "r must be nonnegative, got --rmax -1.0\n"),
 ])
 def test_out_of_domain_input_exits_one_with_a_message(capsys, argv, words):
     code, out, err = run_cli(capsys, *argv)

@@ -290,6 +290,7 @@ class TestInvarianceResidual:
                     a = closed_flow(gid, p, q, prec=60)
                     with mpmath.workdps(80):
                         dense = flows._invariance_impl(a)
+                        assert dense == bilinear_residual(a), (gid, p, q)
                     assert invariance_residual(a, prec=60) == dense, (gid, p, q)
 
     def test_max_abs_propagates_nan(self):
@@ -543,3 +544,193 @@ def test_t1_mp_flow_is_the_transcription_bit_for_bit():
         with mpmath.workdps(50):
             expected = reference_t1_rows(mpmath.mpf(chi), mpmath.mpf(q), mpmath.sin, mpmath.cos, +mpmath.mp.pi)
         assert got == expected, (chi, q)
+
+
+# ---------------------------------------------------------------------------
+# The sparse closed forms and the written-out residual against the dense formulas
+# ---------------------------------------------------------------------------
+
+SQUARE_CLASS_IDS = tuple(gid for gid in ALL_IDS if gid not in (GeneratorId.ONE,) + SHIFT_IDS)
+
+
+def _sinch(x, sinh):
+    if abs(x) < 1e-4:
+        x2 = x * x
+        return 1 + x2 / 6 + x2 * x2 / 120 + x2 * x2 * x2 / 5040
+    return sinh(x) / x
+
+
+def _sinc(x, sin):
+    if abs(x) < 1e-4:
+        x2 = x * x
+        return 1 - x2 / 6 + x2 * x2 / 120 - x2 * x2 * x2 / 5040
+    return sin(x) / x
+
+
+def _dense_square_class_rows(gid, tau, q, xq, fns):
+    """cosh/cos * 1 + tau * sinch/sinc * X(q), all 16 products formed; fns = (cosh, sinh, cos, sin)."""
+    cosh, sinh, cos, sin = fns
+    square = classify_square(get_generator(gid))
+    arg = tau * q**square.order
+    if square.kind == "boost":
+        diag, factor = cosh(arg), tau * _sinch(arg, sinh)
+    else:
+        diag, factor = cos(arg), tau * _sinc(arg, sin)
+    rows = [[factor * xq[i][j] for j in range(4)] for i in range(4)]
+    for i in range(4):
+        rows[i][i] = rows[i][i] + diag
+    return rows
+
+
+def reference_t2_rows(chi, q, exp, pi):
+    g = exp(-(q**2) * chi / (8 * pi))
+    a = g * q**2 * chi / (8 * pi)
+    b = -g * q**4 * chi / (64 * pi**2)
+    zero = 0 * g
+    return [[g + a, zero, b, zero], [zero, g - a, zero, b], [g * chi, zero, g - a, zero], [zero, g * chi, zero, g + a]]
+
+
+def reference_t3_rows(chi, q, sin, cos, pi):
+    theta = q**3 * chi / (8 * pi)
+    C, S = cos(theta), sin(theta)
+    return [
+        [C - q**3 * S * chi / (16 * pi), -(8 * pi * q * S + C * q**4 * chi) / (16 * pi),
+         q**5 * S * chi / (128 * pi**2), -(24 * pi * q**3 * S + C * q**6 * chi) / (128 * pi**2)],
+        [S / (2 * q) - C * q**2 * chi / (16 * pi), C + q**3 * S * chi / (16 * pi),
+         (-24 * pi * q * S + C * q**4 * chi) / (128 * pi**2), q**5 * S * chi / (128 * pi**2)],
+        [-q * S * chi / 2, 4 * pi * S / q - C * q**2 * chi / 2,
+         C + q**3 * S * chi / (16 * pi), -(8 * pi * q * S + C * q**4 * chi) / (16 * pi)],
+        [4 * pi * S / q**3 + C * chi / 2, -q * S * chi / 2,
+         S / (2 * q) - C * q**2 * chi / (16 * pi), C - q**3 * S * chi / (16 * pi)],
+    ]
+
+
+def dense_float_flow(gid, tau, q) -> np.ndarray:
+    """exp(tau X_gid) at q as the dense formulas give it: every product formed, the zeros included."""
+    if gid in (GeneratorId.ONE, GeneratorId.T0):
+        e = math.exp(tau)
+        rows = [[e if i == j else 0 * e for j in range(4)] for i in range(4)]
+    elif gid == GeneratorId.T1:
+        rows = reference_t1_rows(tau, q, math.sin, math.cos, math.pi)
+    elif gid == GeneratorId.T2:
+        rows = reference_t2_rows(tau, q, math.exp, math.pi)
+    elif gid == GeneratorId.T3:
+        rows = reference_t3_rows(tau, q, math.sin, math.cos, math.pi)
+    else:
+        xq = eval_mat(get_generator(gid), q).tolist()
+        rows = _dense_square_class_rows(gid, tau, q, xq, (math.cosh, math.sinh, math.cos, math.sin))
+    return np.array(rows, dtype=float)
+
+
+def _sparse_points():
+    """The standard grid, its negated parameters, the series branch |tau q^alpha| < 1e-4, and seeded draws."""
+    points = [(gid, p, q) for gid in ALL_IDS for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID]
+    points += [(gid, -p, q) for gid, p, q in points]
+    for gid in ALL_IDS:
+        alpha = homogeneity_order(get_generator(gid))
+        for q in STANDARD_Q_GRID:
+            for arg in (9.9e-5, -9.9e-5, 3e-7, -1e-12, 1e-4, -1e-4):
+                points.append((gid, arg / q**alpha, q))
+    rng = random.Random(1311)
+    for _ in range(400):
+        gid = rng.choice(ALL_IDS)
+        q = 10 ** rng.uniform(-2.0, 1.0)
+        arg = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-7.0, 1.0)
+        points.append((gid, arg / q ** homogeneity_order(get_generator(gid)), q))
+    return points
+
+
+class TestSparseClosedForm:
+    def test_float_flow_is_the_dense_formula_bit_for_bit(self):
+        negative_zeros = 0
+        series = set()
+        for gid, tau, q in _sparse_points():
+            got = closed_flow(gid, tau, q)
+            expected = dense_float_flow(gid, tau, q)
+            assert got.dtype == np.float64 and got.shape == (4, 4) and got.flags.c_contiguous
+            assert got.tobytes() == expected.tobytes(), (gid, tau, q)
+            negative_zeros += int(np.count_nonzero((got == 0) & np.signbit(got)))
+            if gid in SQUARE_CLASS_IDS and abs(tau * q ** classify_square(get_generator(gid)).order) < 1e-4:
+                series.add(gid)
+        assert negative_zeros > 1000  # the signed zeros of negative parameters are among the bits compared
+        assert series == set(SQUARE_CLASS_IDS)  # and every generator's series branch
+
+    def test_mp_flow_is_the_dense_formula_entrywise(self):
+        import mpmath
+
+        fns = (mpmath.cosh, mpmath.sinh, mpmath.cos, mpmath.sin)
+        for gid in SQUARE_CLASS_IDS:
+            for q in STANDARD_Q_GRID:
+                for p in STANDARD_PARAM_GRID + (9.9e-5,):
+                    got = closed_flow(gid, p, q, prec=60)
+                    with mpmath.workdps(60):
+                        tau, mq = mpmath.mpf(p), mpmath.mpf(q)
+                        expected = _dense_square_class_rows(gid, tau, mq, eval_mat(get_generator(gid), mq), fns)
+                    assert got == expected, (gid, p, q)
+                    assert all(type(x) is mpmath.mpf for row in got for x in row)
+
+    def test_shift_mp_flows_are_the_transcriptions(self):
+        import mpmath
+
+        for q in STANDARD_Q_GRID:
+            for p in STANDARD_PARAM_GRID:
+                with mpmath.workdps(50):
+                    chi, mq, pi = mpmath.mpf(p), mpmath.mpf(q), +mpmath.mp.pi
+                    t2 = reference_t2_rows(chi, mq, mpmath.exp, pi)
+                    t3 = reference_t3_rows(chi, mq, mpmath.sin, mpmath.cos, pi)
+                assert closed_flow(GeneratorId.T2, p, q, prec=50) == t2, (p, q)
+                assert closed_flow(GeneratorId.T3, p, q, prec=50) == t3, (p, q)
+
+    def test_mp_backend_keeps_each_precision_pi(self):
+        """Flows at 30 and 60 digits, in turn, each with its own precision's pi (T3 has pi in every entry)."""
+        import mpmath
+
+        def t3_flows(prec):
+            return [closed_flow(GeneratorId.T3, p, q, prec=prec) for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID]
+
+        def reference(prec):
+            with mpmath.workdps(prec):
+                pi = +mpmath.mp.pi
+                return [reference_t3_rows(mpmath.mpf(p), mpmath.mpf(q), mpmath.sin, mpmath.cos, pi)
+                        for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID]
+
+        flows._mp_backend.cache_clear()
+        fresh = t3_flows(30)
+        assert t3_flows(60) == reference(60)
+        assert t3_flows(30) == fresh == reference(30)
+        for prec in (30, 60):
+            with mpmath.workdps(prec):
+                assert flows._mp_backend(prec).pi == +mpmath.mp.pi
+
+    def test_mp_product_is_the_sum_from_zero(self):
+        import mpmath
+
+        for R, Rp in ((0.3, 2.7), (-1.0, 0.5)):
+            a = closed_flow(GeneratorId.T1, R, 1.3, prec=50)
+            b = closed_flow(GeneratorId.T3, Rp, 1.3, prec=50)
+            with mpmath.workdps(70):
+                expected = [[sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+                assert flows._mp_product(a, b) == expected
+
+
+def bilinear_residual(rows) -> float:
+    """Max-norm of a^t M a - M through `bilinear` on each pair of columns; NaN if an entry is NaN."""
+    columns = list(zip(*rows))
+    entries = [abs(bilinear(u, v) - (mu + nu == 3)) for mu, u in enumerate(columns) for nu, v in enumerate(columns)]
+    total = sum(entries)
+    return total if total != total else max(entries)
+
+
+def test_float_residual_is_the_bilinear_reference_by_repr():
+    rng = random.Random(1312)
+    pool = [0.0, -0.0, 1.0, -1.0, 0.5, 3e-9, 1e200, -1e200, 1e-300, math.inf, -math.inf, math.nan]
+    matrices = [closed_flow(gid, p, q) for gid, p, q in _sparse_points()[::7]]
+    for _ in range(500):
+        matrices.append(np.array([rng.choice(pool) if rng.random() < 0.3 else rng.uniform(-3.0, 3.0) for _ in range(16)]).reshape(4, 4))
+    kinds = set()
+    for a in matrices:
+        expected = repr(bilinear_residual(a.tolist()))
+        kinds.add("nan" if expected == "nan" else "inf" if expected == "inf" else "finite")
+        assert repr(invariance_residual(a)) == expected, a
+        assert repr(invariance_residual(a.tolist())) == expected, a
+    assert kinds == {"nan", "inf", "finite"}

@@ -111,6 +111,30 @@ class TestEval:
             val = RingElem.monomial(1, 0, 2).evaluate(mpmath.mpf(1))
             assert abs(val - mpmath.mp.pi**2) < mpmath.mpf(10) ** -35
 
+    def test_mpf_evaluation_is_every_term_in_full(self):
+        """Leaving out a +-1 coefficient over 1 and pi**0 changes no bit of an mpf value."""
+        import mpmath
+
+        def in_full(x, q):
+            pi = +mpmath.mp.pi
+            total = mpmath.mpf(0)
+            for (j, k), c in x._terms.items():
+                total += mpmath.mpf(c.numerator) / c.denominator * q**j * pi**k
+            return total
+
+        rng = random.Random(13)
+        coefs = (1, -1, 2, -3, Fraction(1, 3), Fraction(-5, 7))
+        elements = [ZERO, ONE, -ONE, Q2, -Q4, RingElem.monomial(-1, -3, 1)]
+        for _ in range(300):
+            terms = [((rng.randint(-6, 6), rng.randint(-2, 2)), rng.choice(coefs)) for _ in range(rng.randint(1, 3))]
+            elements.append(RingElem(terms))
+        for dps in (15, 30, 60):
+            with mpmath.workdps(dps):
+                for q in (mpmath.mpf("0.37"), mpmath.mpf(1), mpmath.mpf("2.9")):
+                    for x in elements:
+                        got = x.evaluate(q)
+                        assert type(got) is mpmath.mpf and got == in_full(x, q), (x, dps)
+
 
 class TestFieldElem:
     def test_product_of_inverses(self):
