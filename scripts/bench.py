@@ -9,7 +9,8 @@ the median and the min over --repeats repeats:
 - layers: seconds per call of a fixed loop over one layer of the package,
   from the exact ring multiply up to the 4-radius radial request (four
   windowed `inverse_ft_radial` calls of the unit step, one per radius);
-  `step_hat` is timed on each of its branches, direct and series; a flow
+  `step_hat` is timed on each of its branches, direct and series; the
+  stacked oracle on the flows check's 400 grid points; a flow
   request is a closed flow and its invariance residual, over a fixed seeded
   mix of points drawn as perfbench's `numeric` workload draws them (float64
   over all 20 generators; prec 60 over the 6 isometric ones);
@@ -41,10 +42,10 @@ import numpy as np
 from fmspace import checks
 from fmspace.algebra import decompose, verify_reference_tables
 from fmspace.catalog import ISOMETRIC_IDS, METAMORPHIC_IDS, SHIFT_IDS, GeneratorId, get_generator, homogeneity_order
-from fmspace.flows import closed_flow, group_law_residual, invariance_residual
+from fmspace.flows import ORACLE_TOL, STANDARD_PARAM_GRID, STANDARD_Q_GRID, closed_flow, group_law_residual, invariance_residual
 from fmspace.fmt import inverse_ft_radial, kr_weights, step_hat
 from fmspace.matrices import eval_mat
-from fmspace.oracle import expm_oracle
+from fmspace.oracle import expm_oracle, expm_oracles
 from fmspace.ring import RingElem
 
 RADII = (0.0, 0.5, 1.5, 2.0)  # the radial request, as the profile check reads the unit step
@@ -96,6 +97,8 @@ def _layers() -> dict:
     a = get_generator(GeneratorId.T1)[0, 3]
     b = get_generator(GeneratorId.T3)[3, 0]
     b1, t3, t1 = (get_generator(g) for g in (GeneratorId.B1, GeneratorId.T3, GeneratorId.T1))
+    # the flows check's stacked oracle call: 20 generators x the standard grid
+    grid = [(get_generator(g), p, q) for g in GeneratorId for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID]
     return {
         "ring.mul": (2000, lambda: a * b),
         "matrices.matmul": (200, lambda: b1 @ t3),
@@ -111,6 +114,7 @@ def _layers() -> dict:
         ),
         "flows.group_law_residual.T1.prec50": (20, lambda: group_law_residual(GeneratorId.T1, 1.0, 2.7, 1.3, prec=50)),
         "oracle.expm_oracle.B1": (50, lambda: expm_oracle(b1, 0.5, 1.3, 1e-13)),
+        "oracle.expm_oracles.grid": (5, lambda: expm_oracles(grid, ORACLE_TOL)),
         "fmt.kr_weights": (2000, lambda: kr_weights(1.3, 2.7)),
         "fmt.step_hat": (20000, lambda: step_hat(1.3, 2.7)),
         "fmt.step_hat.series": (20000, lambda: step_hat(1.3, 1e-5)),  # qR below 1e-4

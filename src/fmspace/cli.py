@@ -65,13 +65,13 @@ def _fmt_mpf(x, digits: int) -> str:
     return f"{sign}{ds[0]}{'.' + tail if tail else ''}e{e:+03d}"
 
 
-def _json_value(obj, mode: str = "json") -> str:
+def _json_value(obj) -> str:
     """Deterministic JSON with explicit float formatting."""
     if isinstance(obj, dict):
-        inner = ", ".join(f'"{k}": {_json_value(v, mode)}' for k, v in obj.items())
+        inner = ", ".join(f'"{k}": {_json_value(v)}' for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_value(v, mode) for v in obj) + "]"
+        return "[" + ", ".join(_json_value(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):

@@ -218,56 +218,38 @@ def _square_class(gid: GeneratorId) -> SquareClass:
     return classify_square(get_generator(gid))
 
 
-def weight_column(radius, q, bk: _Backend = _FLOAT_BACKEND) -> list:
-    """The four weight values (w0, w1, w2, w3) of a sphere of given radius.
-
-    This is column 0 of the T1 flow at parameter R.  Below qR = 1e-4 the
-    0/0-prone expressions switch to their series in x = qR.
-    """
-    return _weights(bk.lift(radius), bk.lift(q), bk)[0]
-
-
 def _weights(R, q, bk: _Backend) -> tuple:
     """(weight column, sin qR, cos qR) of R and q already lifted into the backend.
 
-    The sine and cosine are step_weight's: None below qR = 1e-4.
+    The column is (w0, w1, w2, w3) of a sphere of radius R, column 0 of the
+    T1 flow at parameter R, with w3 = 4 pi (s - x c) / q^3 for x = qR,
+    s = sin x and c = cos x: the Fourier transform of a unit step of range
+    R.  Below x = 1e-4 every entry evaluates by its series in x, and s and c
+    are None.  `_step_series` and `_step_direct` are w3's formula;
+    `step_weight_array` is the same w3 over an array of wave numbers, and
+    `fmt.step_hat` holds an inline copy of `_step_direct` that bitwise tests
+    tie to it.
     """
     pi = bk.pi
     x = q * R
-    w3, s, c = step_weight(R, q, bk.sin, bk.cos, pi)
-    if s is None:
+    if abs(x) < _SMALL_ARG:
+        w3 = _step_series(R, x, pi)
         x2 = x * x
         w0 = 1 - x2 * x2 / 24
         w1 = R * (1 - x2 / 3 + x2 * x2 / 40)
         w2 = 4 * pi * R * R * (1 - x2 / 6 + x2 * x2 / 120)
-        return [w0, w1, w2, w3], s, c
+        return [w0, w1, w2, w3], None, None
+    s = bk.sin(x)
+    c = bk.cos(x)
+    w3 = _step_direct(x, s, c, q**3, pi)
     w0 = c + x * s / 2
     w1 = (x * c + s) / (2 * q)
     w2 = 4 * pi * R * s / q
     return [w0, w1, w2, w3], s, c
 
 
-def step_weight(R, q, sin, cos, pi) -> tuple:
-    """(w3, s, c): w3 = 4 pi (s - x c) / q^3 with x = qR, s = sin x, c = cos x.
-
-    w3 is the Fourier transform of a unit step of range R.  Below x = 1e-4
-    it evaluates by its series in x, and s and c are None.  sin, cos and pi
-    are the backend's: float64's with float R and q, mpmath's with mpf R
-    and q.  `_step_series` and `_step_direct` are the formula;
-    `step_weight_array` is the same w3 over an array of wave numbers, and
-    `fmt.step_hat` holds an inline copy of `_step_direct` that bitwise tests
-    tie to it.
-    """
-    x = q * R
-    if abs(x) < _SMALL_ARG:
-        return _step_series(R, x, pi), None, None
-    s = sin(x)
-    c = cos(x)
-    return _step_direct(x, s, c, q**3, pi), s, c
-
-
 def step_weight_array(R: float, q: np.ndarray) -> np.ndarray:
-    """step_weight's w3 at each of a float64 array of wave numbers, for a float R.
+    """w3 of `_weights` at each of a float64 array of wave numbers, for a float R.
 
     Each node takes the branch of its scalar call and has its bits.  A node
     where the scalar call overflows comes out non-finite instead of raising.
@@ -286,13 +268,13 @@ def step_weight_array(R: float, q: np.ndarray) -> np.ndarray:
 
 
 def _step_series(R, x, pi):
-    """step_weight's w3 below x = 1e-4: (4 pi / 3) R^3 (1 - x^2/10 + x^4/280)."""
+    """w3 of `_weights` below x = 1e-4: (4 pi / 3) R^3 (1 - x^2/10 + x^4/280)."""
     x2 = x * x
     return (4 * pi / 3) * R**3 * (1 - x2 / 10 + x2 * x2 / 280)
 
 
 def _step_direct(x, s, c, cube, pi):
-    """step_weight's w3 from x = qR, sin x, cos x and q^3; `fmt.step_hat` inlines it."""
+    """w3 of `_weights` from x = qR, sin x, cos x and q^3; `fmt.step_hat` inlines it."""
     return 4 * pi * (s - x * c) / cube
 
 

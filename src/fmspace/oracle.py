@@ -2,13 +2,14 @@
 
 exp(param * X(q)) by scaling and squaring a Taylor series, coded apart from
 the closed forms in `fmspace.flows`.  `expm_oracles` evaluates many points in
-one stacked call, each slice with the bits of a one-point `expm_oracle`.
+one masked pass over the whole stack, each slice with the bits of a one-point
+`expm_oracle`: a converged series adds zero terms, and a squaring step
+squares only the points that still need it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from typing import Sequence
 
 import numpy as np
@@ -37,18 +38,17 @@ def expm_oracle(x: Mat4, param: float, q: float, tol: float = 1e-12) -> np.ndarr
 def expm_oracles(points: Sequence[tuple], tol: float = 1e-12) -> np.ndarray:
     """expm_oracle at each (X, param, q) of points, stacked into shape (n, 4, 4).
 
-    Each point keeps its own scaling exponent s, leaves the Taylor loop once
-    its own term has converged and is squared s times, so every slice has the
-    bits of a one-point call.  The first point that fails a stage (X(q)
-    overflows, a 1-norm beyond scaling, a non-finite result) raises the
-    ValueError a one-point call would.
+    One masked pass over the stack: each point is divided by its own 2^s,
+    every point runs the Taylor loop, and a point's term is zeroed once it
+    first drops below tol / 2^s, which ends that point's sum; squaring step
+    `step` squares the points with s > step.  So every slice has the bits of
+    a one-point call, and the first point in input order that fails a stage
+    (X(q) overflows, a 1-norm beyond scaling, a non-finite result) raises
+    the ValueError a one-point call would.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    n = len(points)
-    if not n:
-        return np.empty((0, 4, 4))
-    z = np.fromiter(_scaled_entries(points), float, 16 * n).reshape(n, 4, 4)
+    z = np.fromiter(_scaled_entries(points), float, 16 * len(points)).reshape(-1, 4, 4)
     norms = np.maximum.reduce(np.add.reduce(np.abs(z), axis=1), axis=1).tolist()
     for norm in norms:
         if not norm <= _MAX_ORACLE_NORM:
@@ -57,48 +57,29 @@ def expm_oracles(points: Sequence[tuple], tol: float = 1e-12) -> np.ndarray:
                 "beyond what scaling and squaring can take"
             )
     s = [max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0 for norm in norms]
-    # most squarings first, so the points still squaring at each step are a prefix
-    permuted = any(map(operator.lt, s, s[1:]))
-    if permuted:
-        order = sorted(range(n), key=s.__getitem__, reverse=True)
-        z, s = z[order], [s[i] for i in order]
     scale = [2.0**si for si in s]
-    if s[0] == s[-1]:  # one scale for every point
-        z /= scale[0]
-    else:
-        z /= np.array(scale)[:, None, None]
-    total = _EYE[None].repeat(n, 0)
-    # the points still summing: their indices into total, and their sums, terms, z and thresholds
-    live, acc, term, threshold = list(range(n)), total, total.copy(), [tol / sc for sc in scale]
+    z /= np.array(scale)[:, None, None]
+    threshold = [tol / sc for sc in scale]
+    total = _EYE[None].repeat(len(z), 0)
+    term = total.copy()
     work = np.empty_like(z)  # the outputs of each step go into place: fewer allocations per term
     for k in range(1, 80):
         np.divide(np.matmul(term, z, work), k, term)
-        acc += term
+        total += term
         maxima = np.maximum.reduce(np.abs(term, work), axis=(1, 2)).tolist()
-        if any(map(operator.lt, maxima, threshold)):
-            done = list(map(operator.lt, maxima, threshold))
+        if any(map(float.__lt__, maxima, threshold)):
+            done = list(map(float.__lt__, maxima, threshold))
             if all(done):
                 break
-            total[[i for i, d in zip(live, done) if d]] = acc[done]
-            keep = [not d for d in done]
-            acc, term, z, work = acc[keep], term[keep], z[keep], work[keep]
-            live, threshold = [i for i, d in zip(live, done) if not d], [t for t, d in zip(threshold, done) if not d]
-    if acc is not total:
-        total[live] = acc
-    if s[0]:
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-            for _ in range(s[-1]):  # squarings of every point
-                total = total @ total
-            m = n
-            for step in range(s[-1], s[0]):
-                while s[m - 1] <= step:
-                    m -= 1
-                total[:m] = total[:m] @ total[:m]
-    if permuted:
-        total[order] = total.copy()
-    if not np.isfinite(total).all():
-        bad = next(i for i in range(n) if not np.isfinite(total[i]).all())
-        raise ValueError(f"float64 overflow: exp(param * X(q)) is not finite at norm {norms[bad]!r}")
+            # a zero term stays zero, and adding it keeps the bits of a sum, which never holds -0.0
+            term[np.array(done)] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        exponents = np.array(s)[:, None, None]
+        for step in range(max(s, default=0)):
+            np.copyto(total, total @ total, where=exponents > step)
+    finite = np.isfinite(total).all(axis=(1, 2)).tolist()
+    if not all(finite):
+        raise ValueError(f"float64 overflow: exp(param * X(q)) is not finite at norm {norms[finite.index(False)]!r}")
     return total
 
 

@@ -408,6 +408,9 @@ def test_domain_error_exit_one(capsys):
     (("eval", "--gen", "X9", "--param", "1", "--q", "1"), "error: unknown generator name 'X9'\n"),
     # one point is r = 0 alone; the sign of --rmax is checked all the same
     (("profile", "--R", "1", "--rmax", "-1", "--points", "1"), "r must be nonnegative, got --rmax -1.0\n"),
+    # Simpson's rule would alias the integrand's top frequency R + max r
+    (("profile", "--R", "150", "--rmax", "170", "--points", "2"), "(R + max r) * qmax / panels = 3.2 is above 1"),
+    (("profile", "--R", "1e100", "--rmax", "1", "--points", "2"), "would alias"),
 ])
 def test_out_of_domain_input_exits_one_with_a_message(capsys, argv, words):
     code, out, err = run_cli(capsys, *argv)

@@ -215,6 +215,12 @@ def test_stacked_oracle_raises_for_the_first_failing_point():
         flows.expm_oracles([good, (get_generator(GeneratorId.T1), 1e308, 1.0), good])
     with pytest.raises(ValueError, match="is not finite at norm 1e[+]300"):
         flows.expm_oracles([good, (get_generator(GeneratorId.B1), 1e300, 1.0)])
+    # the later point needs more squarings, but the error names the first in input order
+    b1 = get_generator(GeneratorId.B1)
+    with pytest.raises(ValueError, match="is not finite at norm 1e[+]200"):
+        flows.expm_oracles([good, (b1, 1e200, 1.0), (b1, 1e300, 1.0)])
+    with pytest.raises(ValueError, match="is not finite at norm 1e[+]300"):
+        flows.expm_oracles([good, (b1, 1e300, 1.0), (b1, 1e200, 1.0)])
 
 
 def _k_loop_residual(rows) -> float:
