@@ -7,7 +7,8 @@ Every timing is taken in this process after one warm-up run, and reported as
 the median and the min over --repeats repeats:
 
 - layers: seconds per call of a fixed loop over one layer of the package,
-  from the exact ring multiply up to the 4-radius radial request (four
+  from the exact ring multiply and the parse of the reference tables' 98
+  distinct cell texts (uncached) up to the 4-radius radial request (four
   windowed `inverse_ft_radial` calls of the unit step, one per radius);
   `step_hat` is timed on each of its branches, direct and series; the
   stacked oracle on the flows check's 400 grid points; a flow
@@ -39,7 +40,7 @@ from datetime import datetime, timezone
 import mpmath
 import numpy as np
 
-from fmspace import checks
+from fmspace import checks, reference_tables
 from fmspace.algebra import decompose, verify_reference_tables
 from fmspace.catalog import ISOMETRIC_IDS, METAMORPHIC_IDS, SHIFT_IDS, GeneratorId, get_generator, homogeneity_order
 from fmspace.flows import ORACLE_TOL, STANDARD_PARAM_GRID, STANDARD_Q_GRID, closed_flow, group_law_residual, invariance_residual
@@ -99,8 +100,14 @@ def _layers() -> dict:
     b1, t3, t1 = (get_generator(g) for g in (GeneratorId.B1, GeneratorId.T3, GeneratorId.T1))
     # the flows check's stacked oracle call: 20 generators x the standard grid
     grid = [(get_generator(g), p, q) for g in GeneratorId for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID]
+    # the 98 distinct texts of the reference tables and the shift decompositions,
+    # parsed past parse_cell's per-process cache
+    specs = (*reference_tables.TABLES, reference_tables.SHIFT_DECOMPOSITIONS)
+    texts = list(dict.fromkeys(text for spec in specs for row in spec.cells for text in row))
+    parse = reference_tables.parse_cell.__wrapped__
     return {
         "ring.mul": (2000, lambda: a * b),
+        "reference_tables.parse_cell.uncached": (20, lambda: [parse(text) for text in texts]),
         "matrices.matmul": (200, lambda: b1 @ t3),
         "algebra.decompose": (20, lambda: decompose(t1)),
         "algebra.table_diff": (1, verify_reference_tables),

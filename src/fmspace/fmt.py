@@ -133,6 +133,11 @@ _WINDOWS = 4
 # while this is at most 1.  Coarse grids go wrong first (1.2e-3 at 2 on 20
 # panels, O(1) at 3 on 100), and past pi Simpson's rule aliases R + r on any grid.
 _MAX_PHASE_STEP = 1.0
+# The fewest panels of a step profile, after rounding up to even.  At
+# (R + r) * h = 1 the Gaussian window itself is under-resolved on fewer:
+# against grids 8x finer, over r / R from 0 to 10, the error is 4.6e-3 on 8
+# panels, 4.9e-5 on 12, 5.5e-8 on 16 and 3.7e-10 on 20.
+_MIN_PANELS = 20
 
 
 def inverse_ft_radial(
@@ -188,7 +193,8 @@ def step_profile(
     volume or a spectrum sample that overflows float64 raises ValueError,
     and so does a grid too coarse for the integrand's top frequency
     R + max r: (R + max r) * h above _MAX_PHASE_STEP, with h = qmax / n
-    after n is rounded up to even.
+    after n is rounded up to even, or for its window: n below _MIN_PANELS
+    after that rounding.
     """
     if not 0 < R < math.inf:
         raise positive_finite_error("step range", R)
@@ -210,12 +216,15 @@ def step_profile(
 
     profile = _radial(spectrum, non_finite, r, qmax, n)
     # checked after the transform, so that an input it refuses keeps its message
-    phase_step = (R + float(np.max(r, initial=0.0))) * qmax / (n + n % 2)
+    panels = n + n % 2
+    phase_step = (R + float(np.max(r, initial=0.0))) * qmax / panels
     if phase_step > _MAX_PHASE_STEP:
         raise ValueError(
             f"the step profile at R = {R!r} would alias: (R + max r) * qmax / panels = {phase_step:.6g} "
             f"is above {_MAX_PHASE_STEP:g}; lower --qmax or raise --panels"
         )
+    if panels < _MIN_PANELS:
+        raise ValueError(f"the step profile needs at least {_MIN_PANELS} panels to resolve its window, got --panels {n}")
     return profile
 
 

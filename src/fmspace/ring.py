@@ -8,6 +8,7 @@ a float (or mpf) inside :meth:`RingElem.evaluate`.
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from fractions import Fraction
@@ -410,7 +411,9 @@ class FieldElem:
 
 
 # ---------------------------------------------------------------------------
-# Formatting and parsing of the compact text form, e.g. "-q^4/(8pi)".
+# Formatting and parsing of the compact text form, e.g. "-q^4/(8pi)": Python
+# arithmetic on integers, q, pi and names, in which ^ is a power and two
+# factors side by side multiply, linear in the names.
 # ---------------------------------------------------------------------------
 
 
@@ -462,146 +465,83 @@ def format_ring(x: RingElem) -> str:
     return " ".join(parts)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(pi)|([A-Za-z][A-Za-z0-9]*'?)|(\^-?\d+)|([()+\-*/]))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(pi)|([A-Za-z][A-Za-z0-9]*)|(\^-?\d+)|([()+\-*/]))")
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
+def _python_expression(text: str) -> str:
+    """The text as Python: '^k' becomes '**(k)', and '*' joins two factors side by side."""
+    out = []
     pos = 0
+    after_factor = False
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             raise ValueError(f"cannot tokenize {text!r} at position {pos}")
-        if m.group(1):
-            tokens.append(("int", int(m.group(1))))
-        elif m.group(2):
-            tokens.append(("pi", None))
-        elif m.group(3):
-            tokens.append(("name", m.group(3)))
-        elif m.group(4):
-            tokens.append(("pow", int(m.group(4)[1:])))
+        number, _pi, _name, power, punct = m.groups()
+        if power:
+            out.append(f"**({int(power[1:])})")
         else:
-            tokens.append((m.group(5), None))
+            if after_factor and punct in (None, "("):
+                out.append("*")
+            out.append(str(int(number)) if number else m.group(m.lastindex))
+        after_factor = punct in (None, ")")
         pos = m.end()
-    return tokens
+    return "".join(out)
 
 
-class _Linear:
-    """Value scalar + sum_k vector[k] * symbol_k, linear in the symbols."""
-
-    __slots__ = ("scalar", "vector")
-
-    def __init__(self, scalar: RingElem = ZERO, vector: Optional[dict] = None):
-        self.scalar = scalar
-        self.vector = vector or {}
-
-    def __add__(self, other: "_Linear") -> "_Linear":
-        vec = dict(self.vector)
-        for k, v in other.vector.items():
-            vec[k] = vec.get(k, ZERO) + v
-        return _Linear(self.scalar + other.scalar, vec)
-
-    def scaled(self, factor: RingElem) -> "_Linear":
-        return _Linear(self.scalar * factor, {k: v * factor for k, v in self.vector.items()})
-
-    def __mul__(self, other: "_Linear") -> "_Linear":
-        if self.vector and other.vector:
-            raise ValueError("product of two named symbols is not a linear expression")
-        if other.vector:
-            return other.scaled(self.scalar)
-        return self.scaled(other.scalar)
+_POWERS = {"q": RingElem.qpow, "pi": RingElem.pipow}  # the symbols that take a power
 
 
-class _LinearParser:
-    """Recursive-descent parser for sums of ring-coefficient * name terms."""
+def _scaled(combo: dict, factor) -> dict:
+    return {k: v * factor for k, v in combo.items()}
 
-    def __init__(self, tokens: list, names: Optional[set] = None):
-        self.tokens = tokens
-        self.pos = 0
-        self.names = names
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+def _combination(node: ast.expr, names) -> dict:
+    """The value of a parsed expression as {None: ring scalar, name: ring coefficient}."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return {None: RingElem.monomial(node.value)}
+    if isinstance(node, ast.Name) and node.id in _POWERS:
+        return {None: _POWERS[node.id](1)}
+    if isinstance(node, ast.Name) and node.id in names:
+        return {node.id: ONE}
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        value = _combination(node.operand, names)
+        return _scaled(value, -1) if isinstance(node.op, ast.USub) else value
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow))):
+        raise ValueError(f"{ast.unparse(node)!r} is not a number, q, pi or an allowed name, nor +, -, * or / of them")
+    if isinstance(node.op, ast.Pow):
+        negative = isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)
+        exponent = node.right.operand if negative else node.right
+        if not (isinstance(node.left, ast.Name) and node.left.id in _POWERS
+                and isinstance(exponent, ast.Constant) and type(exponent.value) is int):
+            raise ValueError(f"only q and pi take a power, an integer one: {ast.unparse(node)!r}")
+        return {None: _POWERS[node.left.id](-exponent.value if negative else exponent.value)}
+    left = _combination(node.left, names)
+    right = _combination(node.right, names)
+    if isinstance(node.op, ast.Sub):
+        right = _scaled(right, -1)
+    if isinstance(node.op, (ast.Add, ast.Sub)):
+        return {k: left.get(k, ZERO) + right.get(k, ZERO) for k in {**left, **right}}
+    if isinstance(node.op, ast.Mult) and left.keys() <= {None}:
+        left, right = right, left  # the named factor, if there is one, goes first
+    if not right.keys() <= {None}:
+        raise ValueError(f"not linear in the names: {ast.unparse(node)!r}")
+    factor = right.get(None, ZERO)
+    return _scaled(left, factor.invert_monomial() if isinstance(node.op, ast.Div) else factor)
 
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
 
-    def parse(self) -> _Linear:
-        val = self.expr()
-        if self.pos != len(self.tokens):
-            raise ValueError(f"unexpected token {self.peek()!r}")
-        return val
-
-    def expr(self) -> _Linear:
-        kind, _ = self.peek()
-        sign = 1
-        if kind in ("+", "-"):
-            self.next()
-            sign = -1 if kind == "-" else 1
-        total = self.term().scaled(RingElem.rational(sign))
-        while True:
-            kind, _ = self.peek()
-            if kind not in ("+", "-"):
-                break
-            self.next()
-            sgn = RingElem.rational(-1 if kind == "-" else 1)
-            total = total + self.term().scaled(sgn)
-        return total
-
-    def term(self) -> _Linear:
-        value = self.factor()
-        while True:
-            kind, _ = self.peek()
-            if kind in ("int", "pi", "name", "("):
-                value = value * self.factor()
-            elif kind == "*":
-                self.next()
-                value = value * self.factor()
-            elif kind == "/":
-                self.next()
-                divisor = self.factor()
-                if divisor.vector:
-                    raise ValueError("cannot divide by a named symbol")
-                value = value.scaled(divisor.scalar.invert_monomial())
-            else:
-                break
-        return value
-
-    def factor(self) -> _Linear:
-        kind, value = self.next()
-        if kind == "int":
-            return _Linear(RingElem.rational(value))
-        if kind == "pi":
-            return _Linear(RingElem.pipow(self.maybe_power()))
-        if kind == "name":
-            if value == "q":
-                return _Linear(RingElem.qpow(self.maybe_power()))
-            if self.names is not None and value not in self.names:
-                raise ValueError(f"unknown symbol {value!r}")
-            return _Linear(ZERO, {value: ONE})
-        if kind == "(":
-            val = self.expr()
-            if self.next()[0] != ")":
-                raise ValueError("missing closing parenthesis")
-            return val
-        raise ValueError(f"unexpected token {kind!r}")
-
-    def maybe_power(self) -> int:
-        kind, value = self.peek()
-        if kind == "pow":
-            self.next()
-            return value
-        return 1
+def _parse(text: str, names) -> dict:
+    """The text as a linear combination; it is parsed, never compiled or evaluated."""
+    try:
+        tree = ast.parse(_python_expression(text), mode="eval")
+        return _combination(tree.body, names)
+    except (SyntaxError, RecursionError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse {text!r} ({type(exc).__name__})") from None
 
 
 def parse_ring(text: str) -> RingElem:
     """Parse a pure ring element, e.g. '-q^2/(4pi)' or '1/2 + 1/(128 pi^2)'."""
-    val = _LinearParser(_tokenize(text), names=set()).parse()
-    if val.vector:
-        raise ValueError(f"named symbols are not allowed here: {text!r}")
-    return val.scalar
+    return _parse(text, names=()).get(None, ZERO)
 
 
 def parse_linear(text: str, names: set) -> dict[str, RingElem]:
@@ -610,7 +550,7 @@ def parse_linear(text: str, names: set) -> dict[str, RingElem]:
     '0' parses to the empty combination; stray constant terms are rejected
     (write them as explicit multiples of the identity symbol instead).
     """
-    val = _LinearParser(_tokenize(text), names=names).parse()
-    if not val.scalar.is_zero:
+    combo = _parse(text, names)
+    if not combo.pop(None, ZERO).is_zero:
         raise ValueError(f"stray constant term in {text!r}; use an explicit symbol")
-    return {k: v for k, v in val.vector.items() if not v.is_zero}
+    return {k: v for k, v in combo.items() if not v.is_zero}

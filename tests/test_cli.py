@@ -411,6 +411,8 @@ def test_domain_error_exit_one(capsys):
     # Simpson's rule would alias the integrand's top frequency R + max r
     (("profile", "--R", "150", "--rmax", "170", "--points", "2"), "(R + max r) * qmax / panels = 3.2 is above 1"),
     (("profile", "--R", "1e100", "--rmax", "1", "--points", "2"), "would alias"),
+    # the Gaussian window is under-resolved on fewer than 20 panels
+    (("profile", "--R", "1", "--rmax", "0", "--points", "1", "--qmax", "8", "--panels", "8"), "at least 20 panels to resolve its window, got --panels 8"),
 ])
 def test_out_of_domain_input_exits_one_with_a_message(capsys, argv, words):
     code, out, err = run_cli(capsys, *argv)

@@ -520,7 +520,13 @@ class TestStepProfile:
             with pytest.raises(ValueError, match=r"would alias: .* lower --qmax or raise --panels"):
                 step_profile(R, r)
         assert step_profile(1.0, [0.0, 99.0])[0] == pytest.approx(1.0, abs=5e-3)  # (R + max r) * h = 1
-        assert step_profile(1.0, 0.0, qmax=4.0, n=3) == step_profile(1.0, 0.0, qmax=4.0, n=4)  # h = 1
+        assert step_profile(1.0, 0.0, qmax=20.0, n=19) == step_profile(1.0, 0.0, qmax=20.0, n=20)  # h = 1
+
+    def test_a_grid_under_the_window_raises(self):
+        """Fewer than 20 panels after rounding up to even raises, naming --panels (19 rounds up to 20, above)."""
+        for n in (2, 8, 18):
+            with pytest.raises(ValueError, match=rf"at least 20 panels to resolve its window, got --panels {n}$"):
+                step_profile(1.0, 0.0, qmax=1.0, n=n)
 
     @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
     def test_range_must_be_positive_and_finite(self, R):

@@ -1,11 +1,14 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmspace import reference_tables
 from fmspace.ring import (
     ONE,
     ZERO,
@@ -256,3 +259,20 @@ class TestParseFormat:
             parse_linear("q^2", names={"B0"})
         with pytest.raises(ValueError):
             parse_linear("A B", names={"A", "B"})
+        for text in ("2^3", "q^", "(q", "1.5", "q^2 B0'"):
+            with pytest.raises(ValueError):
+                parse_ring(text)
+            with pytest.raises(ValueError):
+                parse_linear(text, names={"B0"})
+
+    def test_every_published_cell_parses_as_pinned(self):
+        """Each distinct text of the tables, the shift decompositions and the errata, with its parse."""
+        texts = [text for spec in (*reference_tables.TABLES, reference_tables.SHIFT_DECOMPOSITIONS)
+                 for row in spec.cells for text in row]
+        texts += [text for entry in reference_tables.PUBLISHED_TABLE_ERRATA for text in entry[3:5]]
+        lines = (Path(__file__).parent / "data" / "parsed_cells.txt").read_text().splitlines()
+        pinned = dict(json.loads(line) for line in lines)
+        assert len(pinned) == len(lines) == 98
+        assert list(pinned) == list(dict.fromkeys(texts))
+        for text, expected in pinned.items():
+            assert reference_tables.parse_cell.__wrapped__(text).to_json_dict() == expected, text
