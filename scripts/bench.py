@@ -124,7 +124,7 @@ def _layers() -> dict:
         "oracle.expm_oracles.grid": (5, lambda: expm_oracles(grid, ORACLE_TOL)),
         "fmt.kr_weights": (2000, lambda: kr_weights(1.3, 2.7)),
         "fmt.step_hat": (20000, lambda: step_hat(1.3, 2.7)),
-        "fmt.step_hat.series": (20000, lambda: step_hat(1.3, 1e-5)),  # qR below 1e-4
+        "fmt.step_hat.series": (20000, lambda: step_hat(1.3, 1e-5)),  # qR below 0.05
         "fmt.inverse_ft_radial": (1, lambda: inverse_ft_radial(_unit_step_hat, 0.5)),
         "fmt.radial_request": (1, lambda: [inverse_ft_radial(_unit_step_hat, r) for r in RADII]),
     }

@@ -174,19 +174,21 @@ def kernel() -> CheckRecord:
 
     Each prec-50 kernel is evaluated once, for the 3 radii and their 6 sums
     at each q, and each product K_R K_R' once; it gives the additivity
-    residual against K_{R+R'} and, against K_R' K_R, the commutator.
+    residual against K_{R+R'} and, against K_R' K_R, the commutator.  The
+    float weight vector is held against column 0 of the prec-50 kernel.
     """
     import mpmath
 
     column = additivity = commutation = 0.0
-    for R in RADII:
-        for q in WAVE_NUMBERS:
-            column = _fold_max(column, float(np.abs(kernel_matrix(R, q)[:, 0] - kr_weights(R, q)).max()))
     with mpmath.workdps(KERNEL_PREC + 20):
         # K_{R+R'} at the exact sum of the two binary radii, not at a float sum: 0.3 + 2.7 rounds
         radii = [mpmath.mpf(R) for R in RADII]
         sums = {R + Rp for R in radii for Rp in radii}
         k = {(R, q): kernel_matrix(R, q, prec=KERNEL_PREC) for R in set(radii) | sums for q in WAVE_NUMBERS}
+        for R, exact in zip(RADII, radii):
+            for q in WAVE_NUMBERS:
+                for w, row in zip(kr_weights(R, q).tolist(), k[exact, q]):
+                    column = _fold_max(column, float(abs(w - row[0])))
         product = {(R, Rp, q): _mp_product(k[R, q], k[Rp, q]) for R in radii for Rp in radii for q in WAVE_NUMBERS}
         for (R, Rp, q), ab in product.items():
             additivity = _fold_max(additivity, float(_mp_max_diff(ab, k[R + Rp, q])))

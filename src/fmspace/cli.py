@@ -20,7 +20,7 @@ from . import reference_tables
 from .algebra import build_table, decompose
 from .catalog import GeneratorId, SHIFT_IDS, get_generator, resolve_id
 from .checks import CHECKS, FlowsRecord
-from .flows import _PREC_HINT, FlowSpec, _range_error, closed_flow, evaluate_flow, invariance_residual, reference_discrepancies
+from .flows import FlowSpec, closed_flow, evaluate_flow, invariance_residual, reference_discrepancies
 from .fmt import kernel_matrix, kr_weights, mayer_bond, step_hat, step_profile
 from .matrices import Mat4
 
@@ -122,11 +122,15 @@ def _cmd_eval(args, out) -> int:
         raise ValueError(f"--prec must be at least 1 decimal digit, got {args.prec}")
     spec = FlowSpec(resolve_id(args.gen), args.param, args.q)
     if args.prec is None:
-        result = evaluate_flow(spec, method=args.method)
+        hint = "; pass prec (decimal digits) with --prec to evaluate through mpmath" if args.method == "closed" else ""
+        try:
+            result = evaluate_flow(spec, method=args.method)
+        except ValueError as exc:
+            raise ValueError(f"{exc}{hint}") from None
         matrix, method = result.matrix.tolist(), result.method
         residual = invariance_residual(matrix)
         if not math.isfinite(residual):  # the float64 products of the residual overflowed
-            raise _range_error(spec)
+            raise ValueError(f"float64 overflow in the invariance residual of exp({spec.param!r} * {spec.gen.value}) at q = {spec.q!r}{hint}")
     else:
         matrix, method = closed_flow(spec, prec=args.prec), "closed_form"
         residual = invariance_residual(matrix, prec=args.prec)
@@ -197,11 +201,7 @@ def _cmd_mayer(args, out) -> int:
 
 
 def _cmd_kernel(args, out) -> int:
-    try:
-        k = kernel_matrix(args.R, args.q)
-    except ValueError as exc:  # `kernel` has no --prec to point to
-        raise ValueError(str(exc).removesuffix(_PREC_HINT)) from None
-    _print_numeric_matrix(k, args.format, out)
+    _print_numeric_matrix(kernel_matrix(args.R, args.q), args.format, out)
     return 0
 
 

@@ -14,17 +14,18 @@ once per generator, on the first flow that needs it.
 All flows evaluate in float64 by default; passing `prec` (decimal digits)
 evaluates through mpmath instead, which matters for isometry residuals of
 large boost arguments where double precision cannot even represent the
-difference between cosh and sinh.  A float64 flow that overflows or
-underflows raises a ValueError that says so; the residual folds carry a NaN
-through instead of dropping it.
+difference between cosh and sinh.  `float64_domain` refuses, before any
+evaluation, a float64 flow that float64 cannot hold to the flows bound;
+the residual folds carry a NaN through instead of dropping it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -40,7 +41,11 @@ DISCREPANCY_TOL = 1e-6  # the relative deviation of a published entry that count
 
 NumericMat = Union[np.ndarray, list]
 
-_SMALL_ARG = 1e-4  # below this, sin(x)/x-style factors switch to series
+_W3_SWITCH = 0.05  # below this |x|, w3 takes its series: the direct form would lose about eps / x^2
+
+
+def _w3_divisors(terms: int) -> tuple:
+    return tuple(2 * (j + 1) * (2 * j + 5) for j in reversed(range(terms - 1)))  # `_w3_series`'s, innermost first
 
 
 @dataclass(frozen=True)
@@ -53,20 +58,7 @@ class _Backend:
     pi: object
     lift: Callable
     entries: Callable  # (Mat4, lifted q) -> [(row, col, value)] of the matrix's nonzero entries at q
-
-    def sinch(self, x):
-        """sinh(x)/x, series near zero."""
-        if abs(x) < _SMALL_ARG:
-            x2 = x * x
-            return 1 + x2 / 6 + x2 * x2 / 120 + x2 * x2 * x2 / 5040
-        return self.sinh(x) / x
-
-    def sinc(self, x):
-        """sin(x)/x, series near zero."""
-        if abs(x) < _SMALL_ARG:
-            x2 = x * x
-            return 1 - x2 / 6 + x2 * x2 / 120 - x2 * x2 * x2 / 5040
-        return self.sin(x) / x
+    w3_divisors: tuple  # `_w3_series`'s terms, enough for the backend's precision at |x| < _W3_SWITCH
 
 
 def _float_entries(mat: Mat4, q: float) -> list:
@@ -79,7 +71,8 @@ def _mp_entries(mat: Mat4, q) -> list:
     return [(r, c, x.evaluate(q)) for r, c, x in mat.entries()]
 
 
-_FLOAT_BACKEND = _Backend(math.exp, math.cos, math.sin, math.cosh, math.sinh, math.pi, float, _float_entries)
+# 13 terms: below |x| = 0.9 the series is within 4.1e-16 of (sin x - x cos x) / x^3
+_FLOAT_BACKEND = _Backend(math.exp, math.cos, math.sin, math.cosh, math.sinh, math.pi, float, _float_entries, _w3_divisors(13))
 
 
 @functools.lru_cache(maxsize=32)
@@ -89,7 +82,9 @@ def _mp_backend(prec: int) -> _Backend:
 
     with mpmath.workdps(prec):
         pi = +mpmath.mp.pi
-    return _Backend(mpmath.exp, mpmath.cos, mpmath.sin, mpmath.cosh, mpmath.sinh, pi, mpmath.mpf, _mp_entries)
+    # below the switch each term of the w3 series is at most x^2 / 10 < 10^-3.6 of the one before it
+    divisors = _w3_divisors(max(13, prec // 3 + 2))
+    return _Backend(mpmath.exp, mpmath.cos, mpmath.sin, mpmath.cosh, mpmath.sinh, pi, mpmath.mpf, _mp_entries, divisors)
 
 
 def positive_finite_error(name: str, value) -> ValueError:
@@ -130,6 +125,81 @@ class FlowResult:
     method: str  # "closed_form" | "series"
 
 
+PHASE_BOUND = 1e-9 / (64 * sys.float_info.epsilon)  # 7.04e4; see float64_domain
+_LN_MAX = math.log(sys.float_info.max)  # 709.78: e^y overflows above it
+# (q_min, q_max) of each largest power p: q^p and q^-p are normal float64 numbers
+_Q_RANGE = ((0.0, math.inf),) + tuple((2.0 ** (-1022 / p), 2.0 ** (1022 / p)) for p in range(1, 7))
+
+
+class Exponents(NamedTuple):
+    """One closed form as `float64_domain` reads it; subject names it in a message, phase names y."""
+
+    subject: str  # with {tau!r} and {q!r} fields
+    phase: str
+    order: int
+    power: int
+    growth: Optional[int] = None
+    scale: float = 1.0
+    headroom: float = 0.0
+
+
+# The weight column is column 0 of the T1 flow, and takes its domain.
+WEIGHT_EXPONENTS = Exponents("the weight vector at radius {tau!r}, q = {q!r}", "q R", 1, 4)
+STEP_EXPONENTS = Exponents("the step transform at radius {tau!r}, q = {q!r}", "q R", 1, 4)
+
+
+def float64_domain(form: Exponents, tau: float, q: float) -> None:
+    """Refuse, with a ValueError naming the argument, a float64 form that cannot hold its answer.
+
+    The one decision of the float64 domain, from the exponents alone, before
+    anything is evaluated, for a flow exp(tau X) at q (`closed_flow`) and the
+    weight column at radius tau = R (`fmt.kr_weights`, so `mayer_bond`,
+    `kernel_matrix`, `step_profile` and `fmt.step_hat`, which writes the
+    first two tests inline).  float64 evaluates only where all three hold:
+
+    - Every power q^k that the formula forms is normal: q^power and
+      q^-power lie in [2^-1022, 2^1022].  power is 2 alpha for the fifteen
+      boost and rotation flows of order alpha, 4 for T1, T2 and the weight
+      column, 6 for T3.  R^3 in w3's series then stays finite, and where it
+      is subnormal, w3 is off by less than 2^-1070.
+    - The phase |y| = |scale tau q^order| (x = qR for the weights) is at
+      most PHASE_BOUND = 1e-9 / (64 eps) = 7.04e4.  y is rounded before sin,
+      cos, sinh or cosh reads it, so an entry q^(nu - mu) f(y) is off by
+      about eps |y f'(y)|: divided by q^(nu - mu) (the graded frame), the
+      normwise error is c eps |y|, with c at most 1.4 over 53000 seeded
+      draws, |y| in [1, 6.3e4]: 2.1e-11 at the bound, 1/47 of the flows
+      bound (tests/test_domain.py holds it).
+    - A form that grows as e^|y| stays finite: |y| + growth |ln q| +
+      headroom is under ln(DBL_MAX) = 709.78.  growth is alpha for One, T0
+      and the boosts; T2 forms e^|y| q^4 beside (1 + |y|) 8 pi < 2^15.
+    """
+    lo, hi = _Q_RANGE[form.power]
+    if lo <= q <= hi:
+        y = abs(form.scale * tau * q**form.order)  # q^order is normal here; the product may be inf
+        if not y <= PHASE_BOUND:
+            subject = form.subject.format(tau=tau, q=q)
+            raise ValueError(f"float64 phase error in {subject}: |{form.phase}| = {y:.6g} is above the phase bound {PHASE_BOUND:.6g}")
+        if form.growth is None or y + form.growth * abs(math.log(q)) + form.headroom < _LN_MAX:
+            return
+    raise ValueError(f"float64 {'underflow' if q < lo else 'overflow'} in {form.subject.format(tau=tau, q=q)}")
+
+
+@functools.cache
+def _flow_exponents(gid: GeneratorId) -> Exponents:
+    """The exponents of gid's closed form, as `_closed_rows` writes it."""
+    subject = f"exp({{tau!r}} * {gid.value}) at q = {{q!r}}"
+    if gid is GeneratorId.ONE or gid is GeneratorId.T0:
+        return Exponents(subject, "param", 0, 0, growth=0)
+    if gid is GeneratorId.T1:
+        return Exponents(subject, "param q", 1, 4)
+    if gid is GeneratorId.T2:
+        return Exponents(subject, "param q^2 / (8 pi)", 2, 4, growth=4, scale=1 / (8 * math.pi), headroom=math.log(2**15))
+    if gid is GeneratorId.T3:
+        return Exponents(subject, "param q^3 / (8 pi)", 3, 6, scale=1 / (8 * math.pi))
+    square = _square_class(gid)
+    return Exponents(subject, f"param q^{square.order}", square.order, 2 * square.order, square.order if square.kind == "boost" else None)
+
+
 def closed_flow(gen, param: float = None, q: float = None, prec: Optional[int] = None) -> NumericMat:
     """Closed-form finite transform exp(param * X_gen) evaluated at q.
 
@@ -137,33 +207,17 @@ def closed_flow(gen, param: float = None, q: float = None, prec: Optional[int] =
     nested list of mpf when prec (decimal digits) is given.  Both come from
     `_closed_rows`, which forms only the entries the closed form makes
     nonzero and fills the rest with one zero of the flow's own arithmetic.
-    A float64 result with an entry that is not finite raises a ValueError.
+    A float64 flow outside `float64_domain` raises a ValueError.
     """
     spec = gen if isinstance(gen, FlowSpec) else FlowSpec(gen, param, q)
     if prec is None:
-        try:
-            entries = _closed_rows(spec, _FLOAT_BACKEND)
-        except (OverflowError, ValueError, ZeroDivisionError) as exc:
-            # with finite inputs, the one ValueError is libm's domain error on cos/sin of an
-            # argument that overflowed to inf, and a zero division means a power of q underflowed to 0
-            raise _range_error(spec, exc) from None
-        if not all(map(math.isfinite, entries)):
-            raise _range_error(spec)
-        return np.array(entries).reshape(4, 4)  # every entry is a Python float: float64
+        float64_domain(_flow_exponents(spec.gen), spec.param, spec.q)
+        return np.array(_closed_rows(spec, _FLOAT_BACKEND)).reshape(4, 4)  # every entry is a Python float: float64
     import mpmath
 
     with mpmath.workdps(prec):
         entries = _closed_rows(spec, _mp_backend(prec))
     return [entries[0:4], entries[4:8], entries[8:12], entries[12:16]]
-
-
-# The end of a float64 range error: the way round it for a caller that can pass prec.
-_PREC_HINT = "; pass prec (decimal digits) to evaluate through mpmath"
-
-
-def _range_error(spec: FlowSpec, exc: Optional[Exception] = None) -> ValueError:
-    event = "underflow" if isinstance(exc, ZeroDivisionError) else "overflow"
-    return ValueError(f"float64 {event} in exp({spec.param!r} * {spec.gen.value}) at q = {spec.q!r}{_PREC_HINT}")
 
 
 def _closed_rows(spec: FlowSpec, bk: _Backend) -> list:
@@ -194,12 +248,9 @@ def _closed_rows(spec: FlowSpec, bk: _Backend) -> list:
     mat = get_generator(gid)
     square = _square_class(gid)  # a boost or a rotation for each of the fifteen (tests/test_catalog.py)
     arg = tau * q**square.order
-    if square.kind == "boost":
-        diag = bk.cosh(arg)
-        factor = tau * bk.sinch(arg)
-    else:
-        diag = bk.cos(arg)
-        factor = tau * bk.sinc(arg)
+    diag, odd = (bk.cosh(arg), bk.sinh(arg)) if square.kind == "boost" else (bk.cos(arg), bk.sin(arg))
+    # sinh(y)/y and sin(y)/y do not cancel, down to the subnormals: only y = 0 needs its limit
+    factor = tau * (odd / arg if arg else 1 + arg)
     entries = [factor * 0] * 16
     for r, c, x in bk.entries(mat, q):
         entries[4 * r + c] = factor * x
@@ -220,53 +271,43 @@ def _weights(R, q, bk: _Backend) -> tuple:
     The column is (w0, w1, w2, w3) of a sphere of radius R, column 0 of the
     T1 flow at parameter R, with w3 = 4 pi (s - x c) / q^3 for x = qR,
     s = sin x and c = cos x: the Fourier transform of a unit step of range
-    R.  Below x = 1e-4 every entry evaluates by its series in x, and s and c
-    are None.  `_step_series` and `_step_direct` are w3's formula;
-    `step_weight_array` is the same w3 over an array of wave numbers, and
-    `fmt.step_hat` holds an inline copy of `_step_direct` that bitwise tests
-    tie to it.
+    R.  w3 cancels as x -> 0, so below |x| = _W3_SWITCH it takes
+    `_w3_series`; w0, w1 and w2 do not cancel and have no series.
     """
     pi = bk.pi
     x = q * R
-    if abs(x) < _SMALL_ARG:
-        w3 = _step_series(R, x, pi)
-        x2 = x * x
-        w0 = 1 - x2 * x2 / 24
-        w1 = R * (1 - x2 / 3 + x2 * x2 / 40)
-        w2 = 4 * pi * R * R * (1 - x2 / 6 + x2 * x2 / 120)
-        return [w0, w1, w2, w3], None, None
-    s = bk.sin(x)
-    c = bk.cos(x)
-    w3 = _step_direct(x, s, c, q**3, pi)
-    w0 = c + x * s / 2
-    w1 = (x * c + s) / (2 * q)
-    w2 = 4 * pi * R * s / q
-    return [w0, w1, w2, w3], s, c
+    s, c = bk.sin(x), bk.cos(x)
+    w3 = _w3_series(R, x, pi, bk.w3_divisors) if abs(x) < _W3_SWITCH else _step_direct(x, s, c, q**3, pi)
+    return [c + x * s / 2, (x * c + s) / (2 * q), 4 * pi * R * s / q, w3], s, c
 
 
 def step_weight_array(R: float, q: np.ndarray) -> np.ndarray:
-    """w3 of `_weights` at each of a float64 array of wave numbers, for a float R.
+    """w3 of `_weights`, with the bits of its scalar call, at each of an array of q >= 0 in `float64_domain`.
 
-    Each node takes the branch of its scalar call and has its bits.  A node
-    where the scalar call overflows comes out non-finite instead of raising.
+    At q = 0 the series gives the volume 4 pi R^3 / 3.
     """
     x = q * R
-    small = np.abs(x) < _SMALL_ARG
-    direct = ~small
+    small = x < _W3_SWITCH
     w3 = np.empty_like(x)
-    w3[small] = _step_series(R, x[small], math.pi)
-    x, q = x[direct], q[direct]
+    w3[small] = _w3_series(R, x[small], math.pi, _FLOAT_BACKEND.w3_divisors)
+    x, q = x[~small], q[~small]
     # libm's pow, as the scalar q**3 rounds it (numpy's q**3 does not)
-    cube = np.float_power(q, 3)
-    cube[np.isinf(cube)] = math.nan  # where the scalar q**3 raises
-    w3[direct] = _step_direct(x, np.sin(x), np.cos(x), cube, math.pi)
+    w3[~small] = _step_direct(x, np.sin(x), np.cos(x), np.float_power(q, 3), math.pi)
     return w3
 
 
-def _step_series(R, x, pi):
-    """w3 of `_weights` below x = 1e-4: (4 pi / 3) R^3 (1 - x^2/10 + x^4/280)."""
-    x2 = x * x
-    return (4 * pi / 3) * R**3 * (1 - x2 / 10 + x2 * x2 / 280)
+def _w3_series(R, x, pi, divisors: tuple):
+    """w3 of `_weights` below |x| = _W3_SWITCH: 4 pi R^3 g / 3 with g = 3 (sin x - x cos x) / x^3.
+
+    g = sum_j (-1)^j 6 (j + 1) / (2j + 3)! x^(2j) in Horner form: term j + 1
+    is term j times -x^2 / d_j, d_j = 2 (j + 1) (2j + 5), and the integer
+    `divisors` keep the coefficients exact for a float, mpf or array x.
+    """
+    t = x * x
+    g = 1
+    for d in divisors:
+        g = 1 - t * g / d
+    return 4 * pi * R**3 * g / 3
 
 
 def _step_direct(x, s, c, cube, pi):
@@ -277,11 +318,7 @@ def _step_direct(x, s, c, cube, pi):
 def _t1_rows(chi, q, bk: _Backend) -> list:
     """exp(chi t1), row by row: the weight column, then 12 entries of which 4 repeat, each computed once."""
     pi = bk.pi
-    column, s, c = _weights(chi, q, bk)
-    if s is None:  # the column took its series; the other entries have none
-        s = bk.sin(q * chi)
-        c = bk.cos(q * chi)
-    w0, w1, w2, w3 = column
+    (w0, w1, w2, w3), s, c = _weights(chi, q, bk)
     q2 = q**2
     q3 = q**3
     pi16 = 16 * pi
@@ -379,10 +416,7 @@ def printed_flow(gen, param: float = None, q: float = None) -> np.ndarray:
     For the shift generators and the identity the published form and the
     generated closed form coincide by construction.
     """
-    if isinstance(gen, FlowSpec):
-        spec = gen
-    else:
-        spec = FlowSpec(gen, param, q)
+    spec = gen if isinstance(gen, FlowSpec) else FlowSpec(gen, param, q)
     template = _PUBLISHED.get(spec.gen)
     if template is None:
         return closed_flow(spec)

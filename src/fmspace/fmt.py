@@ -26,78 +26,55 @@ import numpy as np
 from . import reference_tables
 from .algebra import TableVerification, verify_reference_tables
 from .catalog import GeneratorId
-from .flows import _FLOAT_BACKEND, _SMALL_ARG, _step_series, _weights, closed_flow, positive_finite_error, step_weight_array
+from .flows import _FLOAT_BACKEND, _Q_RANGE, _W3_SWITCH, PHASE_BOUND, STEP_EXPONENTS, WEIGHT_EXPONENTS, _w3_series, _weights
+from .flows import closed_flow, float64_domain, positive_finite_error, step_weight_array
 from .matrices import bilinear
 
 
 def kr_weights(R: float, q: float) -> np.ndarray:
     """Weight vector (w0, w1, w2, w3) of a sphere of radius R at wave number q.
 
-    Component w_nu carries units (length)^nu.  Below qR = 1e-4 the 0/0-prone
-    expressions evaluate by series.  R and q must be positive and finite; a
-    float64 overflow or underflow raises ValueError.
+    Component w_nu carries units (length)^nu.  Below qR = 0.05, w3 evaluates
+    by its series.  R and q must be positive and finite, and inside
+    `flows.float64_domain`, or a ValueError names the problem.
     """
     if not 0 < R < math.inf:
         raise positive_finite_error("radius", R)
     if not 0 < q < math.inf:
         raise positive_finite_error("wave number q", q)
-    try:
-        w = _weights(float(R), float(q), _FLOAT_BACKEND)[0]
-    except (OverflowError, ValueError, ZeroDivisionError) as exc:
-        # q^3 overflowed or underflowed to 0, or libm's domain error on a q R that overflowed to inf
-        raise _range_error("the weight vector", R, q, exc) from None
-    if not all(map(math.isfinite, w)):
-        raise _range_error("the weight vector", R, q)
-    return np.array(w, dtype=float)
+    R, q = float(R), float(q)
+    float64_domain(WEIGHT_EXPONENTS, R, q)
+    return np.array(_weights(R, q, _FLOAT_BACKEND)[0], dtype=float)
 
 
 _FOUR_PI = 4 * math.pi  # the first product of flows._step_direct, so the same bits
+_STEP_Q_MIN, _STEP_Q_MAX = _Q_RANGE[STEP_EXPONENTS.power]
 
 
 def step_hat(Rtot: float, q: float) -> float:
     """Fourier transform 4 pi [sin(q R) - q R cos(q R)] / q^3 of a unit step.
 
-    This is w3 of kr_weights(Rtot, q), computed alone.  Below x = qR = 1e-4
-    it calls `flows._step_series`.  Above, it evaluates an inline copy of
-    `flows._step_direct`, the formula that `flows._weights` and
-    `flows.step_weight_array` use: one more function call per step_hat
-    costs about a quarter of a radial transform of it.  Three bitwise tests
-    tie the copy to the formula: test_equals_w3,
-    test_step_spectrum_is_step_hat_at_every_node and
-    test_matches_the_formula_written_out_bit_for_bit.  Rtot and q must be
-    positive and finite; a float64 overflow or underflow raises ValueError.
+    w3 of kr_weights(Rtot, q) alone, with the same bits: `flows._w3_series`
+    below x = qR = 0.05, else `flows._step_direct` inline, as are the first
+    two tests of `flows.float64_domain`.  Rtot and q must be positive and
+    finite, and inside that domain, or a ValueError names the problem.
     """
     if not 0 < Rtot < math.inf:
         raise positive_finite_error("step range", Rtot)
     if not 0 < q < math.inf:
         raise positive_finite_error("wave number q", q)
-    try:
-        R, k = float(Rtot), float(q)
-        x = k * R
-        if x < _SMALL_ARG:  # x >= 0 here, so abs() is not needed
-            w3 = _step_series(R, x, math.pi)
-        else:
-            w3 = _FOUR_PI * (math.sin(x) - x * math.cos(x)) / k**3
-    except (OverflowError, ValueError, ZeroDivisionError) as exc:
-        raise _range_error("the step transform", Rtot, q, exc) from None
-    if not math.isfinite(w3):
-        raise _range_error("the step transform", Rtot, q)
-    return w3
-
-
-def _range_error(what: str, R: float, q: float, exc: Optional[Exception] = None) -> ValueError:
-    event = "underflow" if isinstance(exc, ZeroDivisionError) else "overflow"
-    return ValueError(f"float64 {event} in {what} at radius {R!r}, q = {q!r}")
+    R, k = float(Rtot), float(q)
+    x = k * R
+    if not (x <= PHASE_BOUND and _STEP_Q_MIN <= k <= _STEP_Q_MAX):
+        float64_domain(STEP_EXPONENTS, R, k)  # raises, naming the test that fails
+    if x < _W3_SWITCH:  # x >= 0 here, so abs() is not needed
+        return _w3_series(R, x, math.pi, _FLOAT_BACKEND.w3_divisors)
+    return _FOUR_PI * (math.sin(x) - x * math.cos(x)) / k**3
 
 
 def mayer_bond(Ra: float, Rb: float, q: float) -> float:
     """Bilinear form of two weight vectors; equals step_hat(Ra + Rb, q)."""
-    wa, wb = kr_weights(Ra, q), kr_weights(Rb, q)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        bond = float(bilinear(wa, wb))
-    if not math.isfinite(bond):
-        raise ValueError(f"float64 overflow in the Mayer bond of radii {Ra!r}, {Rb!r} at q = {q!r}")
-    return bond
+    return float(bilinear(kr_weights(Ra, q), kr_weights(Rb, q)))  # finite inside float64_domain
 
 
 def kernel_matrix(R: float, q: float, prec: Optional[int] = None):
@@ -133,7 +110,7 @@ _WINDOWS = 4
 # while this is at most 1.  Coarse grids go wrong first (1.2e-3 at 2 on 20
 # panels, O(1) at 3 on 100), and past pi Simpson's rule aliases R + r on any grid.
 _MAX_PHASE_STEP = 1.0
-# The fewest panels of a step profile, after rounding up to even.  At
+# The fewest panels of a radial transform, after rounding up to even.  At
 # (R + r) * h = 1 the Gaussian window itself is under-resolved on fewer:
 # against grids 8x finer, over r / R from 0 to 10, the error is 4.6e-3 on 8
 # panels, 4.9e-5 on 12, 5.5e-8 on 16 and 3.7e-10 on 20.
@@ -151,7 +128,9 @@ def inverse_ft_radial(
     Composite Simpson with n panels, under a Gaussian spectral window
     exp(-18 (q/qmax)^2): the bare truncated integral of a slowly decaying
     hat oscillates with O(1/qmax)..O(1) truncation error, while the window
-    turns truncation into a real-space smoothing of width ~6/qmax.
+    turns truncation into a real-space smoothing of width ~6/qmax.  Fewer
+    than _MIN_PANELS panels, after n is rounded up to even, raise
+    ValueError: the window itself is under-resolved there.
 
     r is one radius (the result is a float) or a sequence of radii (the
     result is a list).  hat is called with one Python float at a time, once
@@ -172,10 +151,7 @@ def inverse_ft_radial(
         # (i * h).tolist() gives the floats k * h of the scalar rule
         return np.fromiter(map(hat, q.tolist()), dtype=float, count=q.size)
 
-    def non_finite(q: float, value: float) -> ValueError:
-        return ValueError(f"hat returned {'NaN' if math.isnan(value) else value} at q = {q}")
-
-    return _radial(spectrum, non_finite, r, qmax, n)
+    return _radial(spectrum, r, qmax, n)
 
 
 def step_profile(
@@ -186,64 +162,50 @@ def step_profile(
 ) -> Union[float, list]:
     """Real-space profile of the unit step of range R, transformed back from its spectrum.
 
-    This is inverse_ft_radial of step_hat(R, q), with the q -> 0 limit of
-    the spectrum, the volume 4 pi R^3 / 3, at q = 0, and it returns the same
-    bits; the spectrum is evaluated as one array (`flows.step_weight_array`)
-    instead of one call per grid point.  R must be positive and finite; a
-    volume or a spectrum sample that overflows float64 raises ValueError,
-    and so does a grid too coarse for the integrand's top frequency
-    R + max r: (R + max r) * h above _MAX_PHASE_STEP, with h = qmax / n
-    after n is rounded up to even, or for its window: n below _MIN_PANELS
-    after that rounding.
+    This is inverse_ft_radial of step_hat(R, q), with the volume 4 pi R^3 / 3
+    at q = 0, and it returns the same bits; the spectrum is evaluated as one
+    array (`flows.step_weight_array`).  ValueError names a radius that is
+    not positive and finite, then `_radial`'s refusals, a grid too coarse
+    for the top frequency R + max r ((R + max r) * h above
+    _MAX_PHASE_STEP, h = qmax / n with n rounded up to even), and an
+    (R, qmax) outside `flows.float64_domain`.
     """
     if not 0 < R < math.inf:
         raise positive_finite_error("step range", R)
     R = float(R)
-    try:
-        volume = 4.0 * math.pi * R**3 / 3.0
-    except OverflowError:
-        volume = math.inf
-    if not math.isfinite(volume):
-        raise ValueError(f"float64 overflow in the step volume 4 pi R^3 / 3 at R = {R!r}")
 
-    def spectrum(q: np.ndarray) -> np.ndarray:
-        w3 = step_weight_array(R, q)
-        w3[q == 0] = volume
-        return w3
+    def spectrum(q: np.ndarray) -> np.ndarray:  # called once _radial has checked qmax, n and r
+        phase_step = (R + float(np.max(r, initial=0.0))) * qmax / (n + n % 2)
+        if phase_step > _MAX_PHASE_STEP:
+            raise ValueError(
+                f"the step profile at R = {R!r} would alias: (R + max r) * qmax / panels = {phase_step:.6g} "
+                f"is above {_MAX_PHASE_STEP:g}; lower --qmax or raise --panels"
+            )
+        # then every node q <= qmax is in the domain: a node on w3's direct branch has q >= 0.05 / R
+        float64_domain(STEP_EXPONENTS, R, qmax)
+        return step_weight_array(R, q)
 
-    def non_finite(q: float, value: float) -> ValueError:
-        return _range_error("the step transform", R, q)
-
-    profile = _radial(spectrum, non_finite, r, qmax, n)
-    # checked after the transform, so that an input it refuses keeps its message
-    panels = n + n % 2
-    phase_step = (R + float(np.max(r, initial=0.0))) * qmax / panels
-    if phase_step > _MAX_PHASE_STEP:
-        raise ValueError(
-            f"the step profile at R = {R!r} would alias: (R + max r) * qmax / panels = {phase_step:.6g} "
-            f"is above {_MAX_PHASE_STEP:g}; lower --qmax or raise --panels"
-        )
-    if panels < _MIN_PANELS:
-        raise ValueError(f"the step profile needs at least {_MIN_PANELS} panels to resolve its window, got --panels {n}")
-    return profile
+    return _radial(spectrum, r, qmax, n)
 
 
-def _radial(spectrum, non_finite, r, qmax: float, n: int):
+def _radial(spectrum, r, qmax: float, n: int):
     """The Simpson/window/block core of inverse_ft_radial.
 
-    spectrum maps an array of nodes to a new array of its values;
-    non_finite(q, value) is the error for the first NaN or infinite value.
+    spectrum maps an array of nodes to a new array of its values; the first
+    NaN or infinite value raises ValueError.
     """
     scalar = np.ndim(r) == 0
     radii = [r] if scalar else list(r)
-    if not 0 < qmax < math.inf or n < 2:
-        raise ValueError("need finite qmax > 0 and at least 2 panels")
-    if n % 2:
-        n += 1
-    h = qmax / n
+    if not 0 < qmax < math.inf:
+        raise ValueError(f"need finite qmax > 0, got {qmax!r}")
     for x in radii:
         if not 0 <= x < math.inf:
             raise ValueError("r must be nonnegative" if x < 0 else f"r must be finite, got {x!r}")
+    if n + n % 2 < _MIN_PANELS:
+        raise ValueError(f"the radial transform needs at least {_MIN_PANELS} panels to resolve its window, got {n}")
+    n += n % 2
+    h = qmax / n
+    for x in radii:
         if not math.isfinite(n * h * x):  # the largest q * r
             raise ValueError(f"q * r overflows float64 at r = {x!r}, qmax = {qmax!r}")
     if not radii:
@@ -256,7 +218,8 @@ def _radial(spectrum, non_finite, r, qmax: float, n: int):
             q2_hat = spectrum(q)
         bad = np.flatnonzero(~np.isfinite(q2_hat))
         if bad.size:
-            raise non_finite(float(q[bad[0]]), float(q2_hat[bad[0]]))
+            value = float(q2_hat[bad[0]])
+            raise ValueError(f"hat returned {'NaN' if math.isnan(value) else value} at q = {float(q[bad[0]])}")
         q2_hat *= q * q
         gauss = _window(qmax, n, start, start + q.size)
         weights = np.where(i % 2, 4.0, 2.0)  # Simpson weights 1, 4, 2, 4, ..., 2, 4, 1

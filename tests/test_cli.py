@@ -57,7 +57,7 @@ def test_eval_prec_goes_past_float64(capsys):
     assert code == 0
     assert out.startswith('{"matrix": [[9.850355570085235e+433, -9.850355570085235e+433, 0, 0], ')
     code, out, _ = run_cli(capsys, "eval", "--gen", "T3", "--param", "1", "--q", "1e-120", "--prec", "30")
-    assert code == 0  # and the underflow error's: float64 q^3 is 0 here
+    assert code == 0  # and the underflow error's: float64 q^6 is 0 here
     assert out.splitlines()[4].split() == ["1", "-1.98944e-482", "0", "1"]
 
 
@@ -243,10 +243,10 @@ def test_verify_evaluates_each_flow_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--errata")
     assert code == 0
     # flows: 20 x 20 float flows, which the errata scan reuses, and 6 x 20 at
-    # prec=60; kernel: 15 float columns, and one prec=50 kernel per distinct
-    # (radius, q), 9 x 5
+    # prec=60; kernel: one prec=50 kernel per distinct (radius, q), 9 x 5,
+    # whose column 0 the float weight vectors are held against
     assert counts == {
-        ("closed_flow", None): 400 + 15,
+        ("closed_flow", None): 400,
         ("closed_flow", 60): 120,
         ("closed_flow", 50): 45,
         ("reference_discrepancies", None): 1,
@@ -319,11 +319,16 @@ def test_second_verify_pass_parses_no_cell_and_samples_no_scalar_step(capsys, mo
 
 @pytest.mark.parametrize("R", ["6e102", "5e102"])
 def test_profile_overflowing_volume_exits_one(capsys, R):
-    """R**3 overflows at 6e102 and 4 pi R^3 at 5e102: exit 1 with a message, not a traceback or a NaN profile."""
-    code, out, err = run_cli(capsys, "profile", "--R", R, "--rmax", "1", "--points", "2", "--panels", "10")
+    """R**3 overflows at 6e102 and 4 pi R^3 at 5e102: exit 1 with a message, not a traceback or a NaN profile.
+
+    No grid of a radius that large is both free of aliasing and inside the float64 domain."""
+    code, out, err = run_cli(capsys, "profile", "--R", R, "--rmax", "1", "--points", "2")
     assert code == 1
     assert out == ""
-    assert err == f"error: float64 overflow in the step volume 4 pi R^3 / 3 at R = {float(R)!r}\n"
+    assert err.startswith(f"error: the step profile at R = {float(R)!r} would alias: ")
+    code, out, err = run_cli(capsys, "profile", "--R", R, "--rmax", "1", "--points", "2", "--qmax", "1e-100")
+    assert (code, out) == (1, "")
+    assert err == f"error: float64 underflow in the step transform at radius {float(R)!r}, q = 1e-100\n"
 
 
 def test_jeffrey_failure_prints_the_mismatched_cell(capsys, monkeypatch):
@@ -377,9 +382,9 @@ def test_domain_error_exit_one(capsys):
     (("eval", "--gen", "B1", "--param", "1", "--q", "1e308", "--method", "series"), "float64 overflow"),
     (("weights", "--R", "1", "--q", "1e308"), "float64 overflow in the weight vector"),
     (("weights", "--R", "1e308", "--q", "1e308"), "float64 overflow in the weight vector"),
-    (("weights", "--R", "1e308", "--q", "1"), "float64 overflow in the weight vector"),
+    (("weights", "--R", "1", "--q", "1e100"), "float64 overflow in the weight vector"),
     (("mayer", "--Ra", "1", "--Rb", "1", "--q", "1e308"), "float64 overflow"),
-    (("mayer", "--Ra", "1e200", "--Rb", "1e200", "--q", "1"), "float64 overflow in the Mayer bond"),
+    (("mayer", "--Ra", "1e200", "--Rb", "1e200", "--q", "1"), "float64 phase error in the weight vector at radius 1e+200, q = 1.0"),
     (("decompose", "--product", ""), "empty --product list"),
     (("eval", "--gen", "B1", "--param", "0.5", "--q", "1000"), "float64 overflow"),  # residual overflows
     (("eval", "--gen", "B1", "--param", "0.5", "--q", "1000", "--format", "json"), "float64 overflow"),
@@ -389,7 +394,7 @@ def test_domain_error_exit_one(capsys):
     (("decompose", "--json", str(DATA / "bad_matrix_zero_den.json")), "zero denominator"),
     (("weights", "--R", "1e200", "--q", "1e-200"), "float64 underflow in the weight vector at radius 1e+200, q = 1e-200"),
     (("mayer", "--Ra", "1e200", "--Rb", "1", "--q", "1e-200"), "float64 underflow in the weight vector at radius 1e+200"),
-    # `kernel` has no --prec: its message ends at q, with no "pass prec" hint
+    # `kernel` has no --prec: its message ends at q, with no hint; `eval` names --prec
     (("kernel", "--R", "1e200", "--q", "1e-200"), "float64 underflow in exp(1e+200 * T1) at q = 1e-200\n"),
     (("eval", "--gen", "T1", "--param", "1e200", "--q", "1e-200"), "float64 underflow in exp(1e+200 * T1) at q = 1e-200; pass prec"),
     (("eval", "--gen", "T3", "--param", "1", "--q", "1e-110"), "float64 underflow in exp(1.0 * T3) at q = 1e-110; pass prec"),
@@ -412,13 +417,22 @@ def test_domain_error_exit_one(capsys):
     (("profile", "--R", "150", "--rmax", "170", "--points", "2"), "(R + max r) * qmax / panels = 3.2 is above 1"),
     (("profile", "--R", "1e100", "--rmax", "1", "--points", "2"), "would alias"),
     # the Gaussian window is under-resolved on fewer than 20 panels
-    (("profile", "--R", "1", "--rmax", "0", "--points", "1", "--qmax", "8", "--panels", "8"), "at least 20 panels to resolve its window, got --panels 8"),
+    (("profile", "--R", "1", "--rmax", "0", "--points", "1", "--qmax", "8", "--panels", "8"), "at least 20 panels to resolve its window, got 8"),
+    # past the phase bound, or with a power of q out of the normal floats, a float64 answer would miss 1e-9
+    (("eval", "--gen", "T3", "--param", "1", "--q", "1e-106"), "float64 underflow in exp(1.0 * T3) at q = 1e-106; pass prec"),
+    (("eval", "--gen", "D1", "--param", "0.1", "--q", "1e10", "--format", "json"),
+     "float64 phase error in exp(0.1 * D1) at q = 10000000000.0: |param q^1| = 1e+09 is above the phase bound 70368.7; pass prec"),
+    (("weights", "--R", "1e5", "--q", "1"), "float64 phase error in the weight vector at radius 100000.0, q = 1.0: |q R| = 100000 is above the phase bound 70368.7\n"),
+    (("weights", "--R", "1e308", "--q", "1"), "float64 phase error in the weight vector at radius 1e+308, q = 1.0"),
+    (("kernel", "--R", "1", "--q", "1e5"), "float64 phase error in exp(1.0 * T1) at q = 100000.0: |param q| = 100000 is above the phase bound 70368.7\n"),
+    (("mayer", "--Ra", "5e4", "--Rb", "1", "--q", "2"), "float64 phase error in the weight vector at radius 50000.0, q = 2.0: |q R| = 100000"),
 ])
 def test_out_of_domain_input_exits_one_with_a_message(capsys, argv, words):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and words in err
+    assert "--prec" not in err or argv[0] == "eval"  # only eval has --prec
 
 
 def test_negative_exponent_value_reads_as_its_decimal(capsys):

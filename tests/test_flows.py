@@ -58,7 +58,7 @@ class TestClosedFlow:
             closed_flow("nope", 1.0, 1.0)
 
     def test_small_q_series_branch(self):
-        # q^a * param below the series threshold: factor -> param exactly
+        # a tiny q^a * param: sinh(y) / y is 1 and the factor is param
         a = closed_flow(GeneratorId.B1, 1e-6, 1e-3)
         oracle = expm_oracle(get_generator(GeneratorId.B1), 1e-6, 1e-3, 1e-15)
         assert np.allclose(a, oracle, rtol=0, atol=1e-15)
@@ -81,15 +81,20 @@ class TestClosedFlow:
         (GeneratorId.T3, 1e300, 1e5),
     ])
     def test_float64_overflow_is_a_value_error_pointing_to_prec(self, gid, param, q):
-        with pytest.raises(ValueError, match=r"float64 overflow.*prec"):
+        """float64 refuses the point, naming it; prec, which `eval`'s message names as --prec, evaluates it."""
+        subject = re.escape(f"exp({param!r} * {gid.value}) at q = {q!r}")
+        with pytest.raises(ValueError, match=rf"^float64 (overflow|phase error) in {subject}"):
             closed_flow(gid, param, q)
+        import mpmath
+
+        assert all(mpmath.isfinite(x) for row in closed_flow(gid, param, q, prec=30) for x in row)
 
     @pytest.mark.parametrize("gid, param, q", [
-        (GeneratorId.T1, 1e200, 1e-200),  # w3 divides by a q**3 that rounded to 0
+        (GeneratorId.T1, 1e200, 1e-200),  # q^4 is below the normal floats
         (GeneratorId.T3, 1.0, 1e-110),
     ])
     def test_float64_underflow_is_a_value_error_pointing_to_prec(self, gid, param, q):
-        with pytest.raises(ValueError, match="^" + re.escape(f"float64 underflow in exp({param!r} * {gid.value}) at q = {q!r}; pass prec")):
+        with pytest.raises(ValueError, match="^" + re.escape(f"float64 underflow in exp({param!r} * {gid.value}) at q = {q!r}") + "$"):
             closed_flow(gid, param, q)
         import mpmath
 
@@ -502,24 +507,24 @@ def test_evaluate_flow_methods():
         evaluate_flow(spec, "magic")
 
 
-def reference_t1_rows(chi, q, sin, cos, pi):
+def reference_t1_rows(chi, q, sin, cos, pi, terms=13):
     """exp(chi t1) as the transcription reads, each entry written out in full.
 
-    Column 0 is the weight vector, by series below x = q chi = 1e-4.
+    Column 0 is the weight vector, with w3 by `terms` terms of its series
+    4 pi chi^3 / 3 (1 - x^2 / 10 (1 - x^2 / 28 (1 - ...))) below |x| = |q chi| = 0.05.
     """
     x = q * chi
     s = sin(q * chi)
     c = cos(q * chi)
-    if abs(x) < 1e-4:
-        x2 = x * x
-        w0 = 1 - x2 * x2 / 24
-        w1 = chi * (1 - x2 / 3 + x2 * x2 / 40)
-        w2 = 4 * pi * chi * chi * (1 - x2 / 6 + x2 * x2 / 120)
-        w3 = (4 * pi / 3) * chi**3 * (1 - x2 / 10 + x2 * x2 / 280)
+    w0 = c + x * s / 2
+    w1 = (x * c + s) / (2 * q)
+    w2 = 4 * pi * chi * s / q
+    if abs(x) < 0.05:
+        g = 1
+        for j in reversed(range(terms - 1)):
+            g = 1 - x * x * g / (2 * (j + 1) * (2 * j + 5))
+        w3 = 4 * pi * chi**3 * g / 3
     else:
-        w0 = c + x * s / 2
-        w1 = (x * c + s) / (2 * q)
-        w2 = 4 * pi * chi * s / q
         w3 = 4 * pi * (s - x * c) / q**3
     return [
         [w0, (c * q**2 * chi - q * s) / 2, -(q**3) * s * chi / (16 * pi), (c * q**4 * chi - 3 * s * q**3) / (16 * pi)],
@@ -548,7 +553,7 @@ def test_t1_mp_flow_is_the_transcription_bit_for_bit():
     for chi, q in T1_POINTS[:60]:
         got = closed_flow(GeneratorId.T1, chi, q, prec=50)
         with mpmath.workdps(50):
-            expected = reference_t1_rows(mpmath.mpf(chi), mpmath.mpf(q), mpmath.sin, mpmath.cos, +mpmath.mp.pi)
+            expected = reference_t1_rows(mpmath.mpf(chi), mpmath.mpf(q), mpmath.sin, mpmath.cos, +mpmath.mp.pi, terms=18)
         assert got == expected, (chi, q)
 
 
@@ -560,17 +565,11 @@ SQUARE_CLASS_IDS = tuple(gid for gid in ALL_IDS if gid not in (GeneratorId.ONE,)
 
 
 def _sinch(x, sinh):
-    if abs(x) < 1e-4:
-        x2 = x * x
-        return 1 + x2 / 6 + x2 * x2 / 120 + x2 * x2 * x2 / 5040
-    return sinh(x) / x
+    return sinh(x) / x if x else 1 + x
 
 
 def _sinc(x, sin):
-    if abs(x) < 1e-4:
-        x2 = x * x
-        return 1 - x2 / 6 + x2 * x2 / 120 - x2 * x2 * x2 / 5040
-    return sin(x) / x
+    return sin(x) / x if x else 1 + x
 
 
 def _dense_square_class_rows(gid, tau, q, xq, fns):
@@ -629,7 +628,7 @@ def dense_float_flow(gid, tau, q) -> np.ndarray:
 
 
 def _sparse_points():
-    """The standard grid, its negated parameters, the series branch |tau q^alpha| < 1e-4, and seeded draws."""
+    """The standard grid, its negated parameters, small arguments |tau q^alpha| <= 1e-4, and seeded draws."""
     points = [(gid, p, q) for gid in ALL_IDS for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID]
     points += [(gid, -p, q) for gid, p, q in points]
     for gid in ALL_IDS:
@@ -659,7 +658,7 @@ class TestSparseClosedForm:
             if gid in SQUARE_CLASS_IDS and abs(tau * q ** classify_square(get_generator(gid)).order) < 1e-4:
                 series.add(gid)
         assert negative_zeros > 1000  # the signed zeros of negative parameters are among the bits compared
-        assert series == set(SQUARE_CLASS_IDS)  # and every generator's series branch
+        assert series == set(SQUARE_CLASS_IDS)  # and every generator's small arguments
 
     def test_mp_flow_is_the_dense_formula_entrywise(self):
         import mpmath

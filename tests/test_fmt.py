@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -52,13 +53,12 @@ class TestWeights:
             assert w[nu] == pytest.approx(R**nu * ref[nu], rel=1e-13)
 
     def test_series_and_direct_branches_agree(self):
-        # reference values at 50 digits straddling the series threshold; the
-        # direct w3 formula itself carries ~3e-8 cancellation error there,
-        # so the mp reference (not the float formula) is the arbiter
+        # reference values at 50 digits straddling w3's series switch at
+        # x = 0.05, where the direct w3 formula loses about eps / x^2 = 9e-14
         import mpmath
 
         R = 1.0
-        for q in (0.99e-4, 1.01e-4):
+        for q in (0.0499, 0.0501):
             with mpmath.workdps(50):
                 x = mpmath.mpf(q) * R
                 s, c = mpmath.sin(x), mpmath.cos(x)
@@ -70,12 +70,7 @@ class TestWeights:
                 ]
             w = kr_weights(R, q)
             for nu in range(4):
-                assert abs(w[nu] - float(ref[nu])) <= 1e-6 * abs(float(ref[nu])), (q, nu)
-        # the series side of the threshold is far more accurate than 1e-6
-        with mpmath.workdps(50):
-            x = mpmath.mpf(0.99e-4)
-            ref_w3 = 4 * mpmath.mp.pi * (mpmath.sin(x) - x * mpmath.cos(x)) / x**3
-        assert kr_weights(1.0, 0.99e-4)[3] == pytest.approx(float(ref_w3), rel=1e-13)
+                assert abs(w[nu] - float(ref[nu])) <= 1e-12 * abs(float(ref[nu])), (q, nu)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -122,8 +117,8 @@ class TestStepHat:
         """Value bits, or exception type and message, of step_hat and of the reference below."""
         rng = random.Random(9)
         draws = [(10 ** rng.uniform(-8, 3), 10 ** rng.uniform(-8, 4)) for _ in range(4000)]
-        assert sum(abs(R * q) < 1e-4 for R, q in draws) > 500  # both branches, many times
-        threshold = [(R, x / R) for R in (1.0, 2.0, 0.5) for x in (math.nextafter(1e-4, 0), 1e-4, math.nextafter(1e-4, 1))]
+        assert sum(abs(R * q) < 0.05 for R, q in draws) > 500  # both branches, many times
+        threshold = [(R, x / R) for R in (1.0, 2.0, 0.5) for x in (math.nextafter(0.05, 0), 0.05, math.nextafter(0.05, 1))]
         special = [
             (1, 2), (True, 1), (2, True), (True, True), (3, 0.5),
             (10**400, 1.0), (1.0, 10**400), (1.0, 1e103), (1e-200, 1e103), (1e300, 1e10), (1e200, 1e-200),
@@ -143,12 +138,12 @@ class TestStepHat:
 
     @pytest.mark.parametrize("R", [1e-6, 0.3, 1.0, 1.3, 2.7, 1e3])
     def test_both_branches_are_the_flows_formula_at_the_switch(self, R):
-        """At the last q with qR below 1e-4 and the first with qR at or above it, and
-        three floats to each side, step_hat has the bits of _step_series and of _step_direct."""
-        q = 1e-4 / R
-        while q * R >= 1e-4:
+        """At the last q with qR below 0.05 and the first with qR at or above it, and
+        three floats to each side, step_hat has the bits of _w3_series and of _step_direct."""
+        q = flows._W3_SWITCH / R
+        while q * R >= flows._W3_SWITCH:
             q = math.nextafter(q, 0)
-        while math.nextafter(q, math.inf) * R < 1e-4:
+        while math.nextafter(q, math.inf) * R < flows._W3_SWITCH:
             q = math.nextafter(q, math.inf)
         below, above = [q], [math.nextafter(q, math.inf)]
         for _ in range(3):
@@ -156,11 +151,11 @@ class TestStepHat:
             above.append(math.nextafter(above[-1], math.inf))
         for k in below:
             x = k * R
-            assert x < flows._SMALL_ARG
-            assert step_hat(R, k).hex() == flows._step_series(R, x, math.pi).hex()
+            assert x < flows._W3_SWITCH
+            assert step_hat(R, k).hex() == flows._w3_series(R, x, math.pi, flows._FLOAT_BACKEND.w3_divisors).hex()
         for k in above:
             x = k * R
-            assert x >= flows._SMALL_ARG
+            assert x >= flows._W3_SWITCH
             direct = flows._step_direct(x, math.sin(x), math.cos(x), k**3, math.pi)
             assert step_hat(R, k).hex() == direct.hex()
 
@@ -170,28 +165,26 @@ class Float(float):
 
 
 def reference_step_hat(Rtot, q):
-    """step_hat written out: its checks and w3 = 4 pi (sin x - x cos x) / q^3, x = qR,
-    with the series (4 pi / 3) R^3 (1 - x^2/10 + x^4/280) below x = 1e-4."""
+    """step_hat written out: its checks, the weight column's float64 domain (q^4 and q^-4 normal,
+    qR at most 1e-9 / (64 eps)), and w3 = 4 pi (sin x - x cos x) / q^3, x = qR, with 13 terms of
+    its series 4 pi R^3 / 3 (1 - x^2 / 10 (1 - x^2 / 28 (1 - ...))) below x = 0.05."""
     for name, value in (("step range", Rtot), ("wave number q", q)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}, got {value!r}")
-    overflow = ValueError(f"float64 overflow in the step transform at radius {Rtot!r}, q = {q!r}")
-    underflow = ValueError(f"float64 underflow in the step transform at radius {Rtot!r}, q = {q!r}")
-    try:
-        R, k = float(Rtot), float(q)
-        x = k * R
-        if abs(x) < 1e-4:
-            x2 = x * x
-            w3 = (4 * math.pi / 3) * R**3 * (1 - x2 / 10 + x2 * x2 / 280)
-        else:
-            w3 = 4 * math.pi * (math.sin(x) - x * math.cos(x)) / k**3
-    except (OverflowError, ValueError):
-        raise overflow from None
-    except ZeroDivisionError:  # q^3 rounded to 0
-        raise underflow from None
-    if not math.isfinite(w3):
-        raise overflow
-    return w3
+    R, k = float(Rtot), float(q)
+    x = k * R
+    subject = f"the step transform at radius {R!r}, q = {k!r}"
+    if not 2.0**-255.5 <= k <= 2.0**255.5:
+        raise ValueError(f"float64 {'underflow' if k < 1 else 'overflow'} in {subject}")
+    if not x <= 1e-9 / (64 * 2.0**-52):
+        raise ValueError(f"float64 phase error in {subject}: |q R| = {x:.6g} is above the phase bound 70368.7")
+    if x < 0.05:
+        t = x * x
+        g = 1
+        for j in reversed(range(12)):
+            g = 1 - t * g / (2 * (j + 1) * (2 * j + 5))
+        return 4 * math.pi * R**3 * g / 3
+    return 4 * math.pi * (math.sin(x) - x * math.cos(x)) / k**3
 
 
 def outcome(f, *args):
@@ -439,7 +432,15 @@ class TestInverseTransform:
 
     def test_overflowing_q_times_r_raises(self):
         with pytest.raises(ValueError, match="overflows float64"):
-            inverse_ft_radial(unit_step_hat, [0.0, 1e308], qmax=10.0, n=10)
+            inverse_ft_radial(unit_step_hat, [0.0, 1e308], qmax=10.0, n=20)
+
+    def test_a_grid_under_the_window_raises(self):
+        """inverse_ft_radial refuses fewer than 20 panels as step_profile does: 8 panels read 0.38480 at r = 0, 2000 read 0.38022."""
+        hat = lambda q: math.exp(-q * q / 4)
+        for n in (2, 8, 18):
+            with pytest.raises(ValueError, match=rf"^the radial transform needs at least 20 panels to resolve its window, got {n}$"):
+                inverse_ft_radial(hat, 0.0, qmax=8.0, n=n)
+        assert inverse_ft_radial(hat, 0.0, qmax=8.0, n=20) == pytest.approx(inverse_ft_radial(hat, 0.0, qmax=8.0, n=2000), rel=1e-6)
 
     def test_windowless_truncation_is_the_problem(self):
         # the bare truncated integral misses f(0) = 1 by order one, which is
@@ -460,9 +461,9 @@ class TestInverseTransform:
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_infinite_sample_raises(self, value):
         with pytest.raises(ValueError, match=f"hat returned {value} at q = 0.0"):
-            inverse_ft_radial(lambda q: value, 1.0, qmax=10.0, n=10)
+            inverse_ft_radial(lambda q: value, 1.0, qmax=10.0, n=20)
         with pytest.raises(ValueError, match="hat returned -inf at q = 5.0"):
-            inverse_ft_radial(lambda q: -math.inf if q == 5.0 else 1.0, [0.0, 1.0], qmax=10.0, n=10)
+            inverse_ft_radial(lambda q: -math.inf if q == 5.0 else 1.0, [0.0, 1.0], qmax=10.0, n=20)
 
 
 def unit_step_volume(R):
@@ -504,15 +505,19 @@ class TestStepProfile:
 
     @pytest.mark.parametrize("R", [6e102, 5e102])
     def test_overflowing_volume_raises(self, R):
-        with pytest.raises(ValueError, match=r"overflow in the step volume 4 pi R\^3 / 3"):
-            step_profile(R, [0.0, 1.0], n=10)
+        """A radius whose volume 4 pi R^3 / 3 overflows is refused before anything is evaluated:
+        on the default grid it aliases, and on a grid fine enough not to, q^4 underflows."""
+        with pytest.raises(ValueError, match="^" + re.escape(f"the step profile at R = {R!r} would alias")):
+            step_profile(R, [0.0, 1.0])
+        with pytest.raises(ValueError, match="^" + re.escape(f"float64 underflow in the step transform at radius {R!r}, q = 1e-100") + "$"):
+            step_profile(R, [0.0, 1.0], qmax=1e-100)
 
     def test_overflowing_spectrum_names_its_q(self):
-        """pow(q, 3) overflows from the first node above 5.6e102: step_hat raises there too."""
-        with pytest.raises(ValueError, match=r"overflow in the step transform at radius 1.0, q = 1e\+119"):
-            step_profile(1.0, 0.0, qmax=1e120, n=10)
-        with pytest.raises(ValueError, match="overflow in the step transform"):
+        """q^4 overflows above 2^255.5: step_hat names that q, and a profile that would reach it aliases first."""
+        with pytest.raises(ValueError, match=r"^float64 overflow in the step transform at radius 1.0, q = 1e\+119$"):
             step_hat(1.0, 1e119)
+        with pytest.raises(ValueError, match="would alias"):
+            step_profile(1.0, 0.0, qmax=1e120, n=20)
 
     def test_a_grid_that_would_alias_raises(self):
         """(R + max r) * h above 1 raises, with h from the panels rounded up to even."""
@@ -523,9 +528,9 @@ class TestStepProfile:
         assert step_profile(1.0, 0.0, qmax=20.0, n=19) == step_profile(1.0, 0.0, qmax=20.0, n=20)  # h = 1
 
     def test_a_grid_under_the_window_raises(self):
-        """Fewer than 20 panels after rounding up to even raises, naming --panels (19 rounds up to 20, above)."""
+        """Fewer than 20 panels after rounding up to even raises (19 rounds up to 20, above)."""
         for n in (2, 8, 18):
-            with pytest.raises(ValueError, match=rf"at least 20 panels to resolve its window, got --panels {n}$"):
+            with pytest.raises(ValueError, match=rf"at least 20 panels to resolve its window, got {n}$"):
                 step_profile(1.0, 0.0, qmax=1.0, n=n)
 
     @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])

@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 FIRST_LINES = {
     "dump_structure_tables.py": "# isometric half-commutators",
     "flow_oracle_report.py": "generator   worst rel vs oracle",
-    "mayer_sweep.py": "q,bond,step_hat,deviation",
 }
 
 
