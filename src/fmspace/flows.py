@@ -25,21 +25,18 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .catalog import ALL_IDS, GeneratorId, SquareClass, classify_square, get_generator
-from .matrices import Mat4
+from .matrices import entries_at
 from .oracle import expm_oracle, expm_oracles
-from .ring import float_sum
 
 STANDARD_Q_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 STANDARD_PARAM_GRID = (-2.0, -0.5, 0.1, 1.5)
 ORACLE_TOL = 1e-13  # the series oracle's truncation bound wherever it judges a closed form
 DISCREPANCY_TOL = 1e-6  # the relative deviation of a published entry that counts as a discrepancy
-
-NumericMat = Union[np.ndarray, list]
 
 _W3_SWITCH = 0.05  # below this |x|, w3 takes its series: the direct form would lose about eps / x^2
 
@@ -57,22 +54,11 @@ class _Backend:
     sinh: Callable
     pi: object
     lift: Callable
-    entries: Callable  # (Mat4, lifted q) -> [(row, col, value)] of the matrix's nonzero entries at q
     w3_divisors: tuple  # `_w3_series`'s terms, enough for the backend's precision at |x| < _W3_SWITCH
 
 
-def _float_entries(mat: Mat4, q: float) -> list:
-    """The nonzero entries of mat at a float q, each its compiled terms summed by `float_sum`."""
-    return [(r, c, float_sum(terms, q)) for r, c, terms in mat.float_terms]
-
-
-def _mp_entries(mat: Mat4, q) -> list:
-    """The nonzero entries of mat at an mpf q, each by `RingElem.evaluate` at the ambient precision."""
-    return [(r, c, x.evaluate(q)) for r, c, x in mat.entries()]
-
-
 # 13 terms: below |x| = 0.9 the series is within 4.1e-16 of (sin x - x cos x) / x^3
-_FLOAT_BACKEND = _Backend(math.exp, math.cos, math.sin, math.cosh, math.sinh, math.pi, float, _float_entries, _w3_divisors(13))
+_FLOAT_BACKEND = _Backend(math.exp, math.cos, math.sin, math.cosh, math.sinh, math.pi, float, _w3_divisors(13))
 
 
 @functools.lru_cache(maxsize=32)
@@ -84,7 +70,7 @@ def _mp_backend(prec: int) -> _Backend:
         pi = +mpmath.mp.pi
     # below the switch each term of the w3 series is at most x^2 / 10 < 10^-3.6 of the one before it
     divisors = _w3_divisors(max(13, prec // 3 + 2))
-    return _Backend(mpmath.exp, mpmath.cos, mpmath.sin, mpmath.cosh, mpmath.sinh, pi, mpmath.mpf, _mp_entries, divisors)
+    return _Backend(mpmath.exp, mpmath.cos, mpmath.sin, mpmath.cosh, mpmath.sinh, pi, mpmath.mpf, divisors)
 
 
 def positive_finite_error(name: str, value) -> ValueError:
@@ -94,13 +80,24 @@ def positive_finite_error(name: str, value) -> ValueError:
     return ValueError(f"{name} must be finite, got {value!r}")
 
 
+def positive_float(name: str, value) -> float:
+    """float(value) of a value in (0, inf), or the ValueError naming it; an int beyond float64 is not finite."""
+    if not 0 < value < math.inf:
+        raise positive_finite_error(name, value)
+    try:
+        return float(value)
+    except OverflowError:  # an int or Fraction, which `< inf` compares exactly and lets through
+        raise positive_finite_error(name, value) from None
+
+
 @dataclass(frozen=True, init=False)
 class FlowSpec:
     """One-parameter flow: generator tag, flow parameter, wave number q > 0.
 
     The one check of a flow's inputs: the tag must name a generator, q must
-    be positive and finite, and the parameter finite.  A GeneratorId is
-    kept as it is; any other tag is looked up by value.
+    be positive and finite, and the parameter finite (an int beyond float64
+    is not), both kept unconverted.  A GeneratorId is kept as it is; any
+    other tag is looked up by value.
     """
 
     gen: GeneratorId
@@ -112,7 +109,11 @@ class FlowSpec:
             gen = GeneratorId(gen)
         if not 0 < q < math.inf:
             raise positive_finite_error("wave number q", q)
-        if not math.isfinite(param):
+        try:
+            finite = math.isfinite(param)
+        except OverflowError:  # an int beyond float64
+            finite = False
+        if not finite:
             raise ValueError(f"flow parameter must be finite, got {param!r}")
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "param", param)
@@ -121,7 +122,7 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class FlowResult:
-    matrix: NumericMat
+    matrix: np.ndarray
     method: str  # "closed_form" | "series"
 
 
@@ -200,24 +201,25 @@ def _flow_exponents(gid: GeneratorId) -> Exponents:
     return Exponents(subject, f"param q^{square.order}", square.order, 2 * square.order, square.order if square.kind == "boost" else None)
 
 
-def closed_flow(gen, param: float = None, q: float = None, prec: Optional[int] = None) -> NumericMat:
-    """Closed-form finite transform exp(param * X_gen) evaluated at q.
+def closed_flow(gen, param: float = None, q: float = None, prec: Optional[int] = None) -> np.ndarray:
+    """Closed-form finite transform exp(param * X_gen) evaluated at q, as a (4, 4) ndarray.
 
-    Accepts a FlowSpec or (gen, param, q).  Returns a float64 ndarray, or a
-    nested list of mpf when prec (decimal digits) is given.  Both come from
-    `_closed_rows`, which forms only the entries the closed form makes
+    Accepts a FlowSpec or (gen, param, q).  The array is float64, or of
+    dtype object holding mpf when prec (decimal digits) is given.  Both come
+    from `_closed_rows`, which forms only the entries the closed form makes
     nonzero and fills the rest with one zero of the flow's own arithmetic.
     A float64 flow outside `float64_domain` raises a ValueError.
     """
     spec = gen if isinstance(gen, FlowSpec) else FlowSpec(gen, param, q)
     if prec is None:
         float64_domain(_flow_exponents(spec.gen), spec.param, spec.q)
-        return np.array(_closed_rows(spec, _FLOAT_BACKEND)).reshape(4, 4)  # every entry is a Python float: float64
-    import mpmath
+        entries = _closed_rows(spec, _FLOAT_BACKEND)
+    else:
+        import mpmath
 
-    with mpmath.workdps(prec):
-        entries = _closed_rows(spec, _mp_backend(prec))
-    return [entries[0:4], entries[4:8], entries[8:12], entries[12:16]]
+        with mpmath.workdps(prec):
+            entries = _closed_rows(spec, _mp_backend(prec))
+    return np.array(entries).reshape(4, 4)  # 16 Python floats make float64; 16 mpf, dtype object
 
 
 def _closed_rows(spec: FlowSpec, bk: _Backend) -> list:
@@ -226,8 +228,8 @@ def _closed_rows(spec: FlowSpec, bk: _Backend) -> list:
     One, T0 and the shift transcriptions T1-T3 write every entry out.  For
     the other fifteen generators exp(param X) = C 1 + param S X(q), with
     C = cosh/cos and S = sinh(y)/y or sin(y)/y of y = param q^order, by the
-    exact square of X.  Only X(q)'s nonzero entries are evaluated (through
-    `float_sum`, or `RingElem.evaluate` for mpf) and scaled; every other
+    exact square of X.  Only X(q)'s nonzero entries are evaluated (by
+    `matrices.entries_at`, in float64 or mpf as q is) and scaled; every other
     entry is the one value `zero = factor * 0`, which is -0.0 in float64
     when the factor is negative, exactly as the dense product gave it.  The
     diagonal then adds C to each of its four entries, zero or not.
@@ -252,7 +254,7 @@ def _closed_rows(spec: FlowSpec, bk: _Backend) -> list:
     # sinh(y)/y and sin(y)/y do not cancel, down to the subnormals: only y = 0 needs its limit
     factor = tau * (odd / arg if arg else 1 + arg)
     entries = [factor * 0] * 16
-    for r, c, x in bk.entries(mat, q):
+    for r, c, x in entries_at(mat, q):
         entries[4 * r + c] = factor * x
     for i in (0, 5, 10, 15):
         entries[i] = entries[i] + diag
@@ -446,21 +448,14 @@ def evaluate_flow(spec: FlowSpec, method: str = "closed") -> FlowResult:
     raise ValueError(f"unknown flow method {method!r}")
 
 
-def _as_rows(a) -> list:
-    if isinstance(a, np.ndarray):
-        return a.tolist()
-    return a
-
-
 def _fold_max(worst, value):
     """max(worst, value), except that a NaN is kept once seen; max() drops it."""
     return value if value > worst or value != value else worst
 
 
 def max_abs(a) -> float:
-    """Largest |entry|; NaN if any entry is NaN."""
-    rows = _as_rows(a)
-    return functools.reduce(_fold_max, (abs(x) for row in rows for x in row))
+    """Largest |entry| of an array, at the ambient mpmath precision for mpf; NaN if any entry is NaN."""
+    return functools.reduce(_fold_max, map(abs, np.ravel(a).tolist()))
 
 
 # The form M's rows: entry (mu, nu) is 1 on the counter diagonal mu + nu = 3, else 0.
@@ -484,18 +479,19 @@ def _invariance_impl(rows: list):
     return total if total != total else max(entries)
 
 
-def invariance_residual(a, prec: Optional[int] = None) -> float:
-    """Max-norm of a^t . M . a - M; zero exactly when a preserves the form.
+def invariance_residual(a: np.ndarray, prec: Optional[int] = None) -> float:
+    """Max-norm of a^t . M . a - M for a (4, 4) array a; zero exactly when a preserves the form.
 
-    NaN if any entry of a^t . M . a is NaN.  A float matrix sums all 64
-    products of the form's 16 entries; with prec, the products with an
-    exact-zero factor are skipped (`_sparse_invariance`).
+    NaN if any entry of a^t . M . a is NaN.  A float64 a sums all 64
+    products of the form's 16 entries into a Python float; with prec, a
+    holds mpf, the products with an exact-zero factor are skipped
+    (`_sparse_invariance`), and the residual is an mpf.
 
     For mpf inputs pass the same prec the flow was built with: mpmath rounds
     every product at the *ambient* precision, so the residual arithmetic must
     run inside a matching context or the cancellation is destroyed.
     """
-    rows = _as_rows(a)
+    rows = np.asarray(a).tolist()
     if prec is not None:
         import mpmath
 
@@ -534,30 +530,21 @@ def _sparse_invariance(rows: list):
 
 
 def group_law_residual(gen, p1: float, p2: float, q: float, prec: Optional[int] = None) -> float:
-    """Max-norm of flow(p1) @ flow(p2) - flow(p1 + p2) for one generator; NaN propagates."""
+    """Max-norm of flow(p1) @ flow(p2) - flow(p1 + p2) for one generator; NaN propagates.
+
+    With prec, the product and the difference round at prec + 20 digits:
+    numpy's object matmul adds each entry's four products left to right,
+    from the first.
+    """
     a = closed_flow(gen, p1, q, prec=prec)
     b = closed_flow(gen, p2, q, prec=prec)
     ab = closed_flow(gen, p1 + p2, q, prec=prec)
-    if isinstance(a, np.ndarray):
-        return float(np.abs(a @ b - ab).max())
+    if prec is None:
+        return max_abs(a @ b - ab)
     import mpmath
 
     with mpmath.workdps(prec + 20):
-        return _mp_max_diff(_mp_product(a, b), ab)
-
-
-def _mp_product(a: list, b: list) -> list:
-    """a @ b for 4x4 nested lists of mpf, rounded at the ambient precision.
-
-    Each entry adds its four products left to right, from the first.
-    """
-    columns = list(zip(*b))
-    return [[x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3 for y0, y1, y2, y3 in columns] for x0, x1, x2, x3 in a]
-
-
-def _mp_max_diff(a: list, b: list):
-    """Max-norm of a - b for 4x4 nested lists of mpf, at the ambient precision; NaN propagates."""
-    return max_abs([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        return max_abs(a @ b - ab)
 
 
 @dataclass(frozen=True)

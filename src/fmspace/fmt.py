@@ -27,7 +27,7 @@ from . import reference_tables
 from .algebra import TableVerification, verify_reference_tables
 from .catalog import GeneratorId
 from .flows import _FLOAT_BACKEND, _Q_RANGE, _W3_SWITCH, PHASE_BOUND, STEP_EXPONENTS, WEIGHT_EXPONENTS, _w3_series, _weights
-from .flows import closed_flow, float64_domain, positive_finite_error, step_weight_array
+from .flows import closed_flow, float64_domain, positive_finite_error, positive_float, step_weight_array
 from .matrices import bilinear
 
 
@@ -38,11 +38,7 @@ def kr_weights(R: float, q: float) -> np.ndarray:
     by its series.  R and q must be positive and finite, and inside
     `flows.float64_domain`, or a ValueError names the problem.
     """
-    if not 0 < R < math.inf:
-        raise positive_finite_error("radius", R)
-    if not 0 < q < math.inf:
-        raise positive_finite_error("wave number q", q)
-    R, q = float(R), float(q)
+    R, q = positive_float("radius", R), positive_float("wave number q", q)
     float64_domain(WEIGHT_EXPONENTS, R, q)
     return np.array(_weights(R, q, _FLOAT_BACKEND)[0], dtype=float)
 
@@ -63,7 +59,10 @@ def step_hat(Rtot: float, q: float) -> float:
         raise positive_finite_error("step range", Rtot)
     if not 0 < q < math.inf:
         raise positive_finite_error("wave number q", q)
-    R, k = float(Rtot), float(q)
+    try:
+        R, k = float(Rtot), float(q)
+    except OverflowError:  # an int beyond float64: positive_float raises, naming it
+        R, k = positive_float("step range", Rtot), positive_float("wave number q", q)
     x = k * R
     if not (x <= PHASE_BOUND and _STEP_Q_MIN <= k <= _STEP_Q_MAX):
         float64_domain(STEP_EXPONENTS, R, k)  # raises, naming the test that fails
@@ -77,10 +76,11 @@ def mayer_bond(Ra: float, Rb: float, q: float) -> float:
     return float(bilinear(kr_weights(Ra, q), kr_weights(Rb, q)))  # finite inside float64_domain
 
 
-def kernel_matrix(R: float, q: float, prec: Optional[int] = None):
-    """Shifting kernel exp(R * t1); column 0 is kr_weights(R, q).
+def kernel_matrix(R: float, q: float, prec: Optional[int] = None) -> np.ndarray:
+    """Shifting kernel exp(R * t1) as a (4, 4) ndarray; column 0 is kr_weights(R, q).
 
-    Satisfies K_R @ K_R' = K_{R+R'} = K_R' @ K_R.
+    `closed_flow(T1, R, q, prec)`: float64, or dtype object holding mpf when
+    prec is given, with an mpf R kept exact.  Satisfies K_R @ K_R' = K_{R+R'} = K_R' @ K_R.
     """
     if not 0 < R < math.inf:
         raise positive_finite_error("radius", R)
@@ -170,9 +170,7 @@ def step_profile(
     _MAX_PHASE_STEP, h = qmax / n with n rounded up to even), and an
     (R, qmax) outside `flows.float64_domain`.
     """
-    if not 0 < R < math.inf:
-        raise positive_finite_error("step range", R)
-    R = float(R)
+    R = positive_float("step range", R)
 
     def spectrum(q: np.ndarray) -> np.ndarray:  # called once _radial has checked qmax, n and r
         phase_step = (R + float(np.max(r, initial=0.0))) * qmax / (n + n % 2)
@@ -204,9 +202,16 @@ def _radial(spectrum, r, qmax: float, n: int):
     if n + n % 2 < _MIN_PANELS:
         raise ValueError(f"the radial transform needs at least {_MIN_PANELS} panels to resolve its window, got {n}")
     n += n % 2
-    h = qmax / n
+    try:
+        h = qmax / n
+    except OverflowError:
+        raise ValueError(f"need finite qmax > 0, got {qmax!r}") from None
     for x in radii:
-        if not math.isfinite(n * h * x):  # the largest q * r
+        try:
+            finite = math.isfinite(n * h * x)  # the largest q * r
+        except OverflowError:  # an int r beyond float64
+            finite = False
+        if not finite:
             raise ValueError(f"q * r overflows float64 at r = {x!r}, qmax = {qmax!r}")
     if not radii:
         return []

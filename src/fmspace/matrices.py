@@ -212,35 +212,40 @@ def commutator(x: Mat4, y: Mat4) -> Mat4:
     return x @ y - y @ x
 
 
-def eval_rows(x: Mat4, q) -> list:
-    """Entrywise numeric evaluation at wave number q > 0, as four lists of four; zero entries stay 0.
+def entries_at(x: Mat4, q) -> list:
+    """(row, col, value) of x's nonzero entries at wave number q, row by row.
 
-    A float q sums the matrix's compiled float terms into Python floats; an
-    mpmath q evaluates each exact entry at the active mpmath precision.
+    The one numeric evaluator of a matrix's entries: a float q sums each
+    entry's compiled float terms (`ring.float_sum`); an mpf q evaluates each
+    exact entry by `RingElem.evaluate` at the ambient mpmath precision.
+    """
+    if isinstance(q, float):
+        return [(r, c, float_sum(terms, q)) for r, c, terms in x.float_terms]
+    return [(r, c, entry.evaluate(q)) for r, c, entry in x.entries()]
+
+
+def eval_rows(x: Mat4, q) -> list:
+    """`entries_at` at wave number q > 0 as four lists of four: Python floats for an int or float q, else mpf.
+
+    Zero entries are a zero of q's own type, 0.0 or an mpf zero.
     """
     if not (q > 0):
         raise ValueError(f"wave number q must be positive, got {q!r}")
     if isinstance(q, (int, float)):
         q = float(q)
-        out = [[0.0] * 4 for _ in range(4)]
-        for r, c, terms in x.float_terms:
-            out[r][c] = float_sum(terms, q)
-        return out
-    import mpmath
-
-    out = [[mpmath.mpf(0)] * 4 for _ in range(4)]
-    for r, c, entry in x.entries():
-        out[r][c] = entry.evaluate(q)
+    zero = type(q)(0)
+    out = [[zero] * 4 for _ in range(4)]
+    for r, c, value in entries_at(x, q):
+        out[r][c] = value
     return out
 
 
-def eval_mat(x: Mat4, q):
-    """eval_rows as a float64 ndarray for float q, or a nested list of mpf for an mpmath q.
+def eval_mat(x: Mat4, q) -> np.ndarray:
+    """eval_rows as a (4, 4) ndarray: float64 for an int or float q, dtype object holding mpf for an mpf q.
 
     The caller controls mpmath precision.
     """
-    rows = eval_rows(x, q)
-    return np.array(rows) if isinstance(q, (int, float)) else rows
+    return np.array(eval_rows(x, q))
 
 
 def bilinear(u: Sequence, v: Sequence) -> float:

@@ -305,11 +305,11 @@ def float_sum(terms: tuple, q: float) -> float:
     """The float64 value at q of compiled terms: coef * q**q_pow * pi_term added to 0.0 in order.
 
     The one float evaluation of a ring element, so an entry evaluates to the
-    same bits whichever caller compiled its terms: `RingElem.evaluate`,
-    `matrices.eval_rows`, and `flows.closed_flow`, which sums only the
-    nonzero entries of a generator.  A zero entry has no terms and is never
-    summed here; its callers write their own zero (0.0 in `eval_rows`, the
-    flow's `factor * 0` in `closed_flow`).
+    same bits whichever caller compiled its terms: `RingElem.evaluate` and
+    `matrices.entries_at`, which sums only a matrix's nonzero entries for
+    `matrices.eval_rows` and `flows.closed_flow`.  A zero entry has no terms
+    and is never summed here; its callers write their own zero (0.0 in
+    `eval_rows`, the flow's `factor * 0` in `closed_flow`).
     """
     total = 0.0
     for coef, j, pik in terms:

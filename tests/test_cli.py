@@ -76,6 +76,8 @@ def test_eval_prec_residual_is_taken_at_prec(capsys):
     (("--prec", "30", "--method", "series"), "--prec applies to --method closed only"),
     (("--prec", "0"), "--prec must be at least 1"),
     (("--prec", "-3"), "--prec must be at least 1"),
+    (("--prec", "10001"), "--prec must be at least 1 and at most 10000 decimal digits, got 10001"),
+    (("--prec", "100000000"), "at most 10000 decimal digits, got 100000000"),
 ])
 def test_eval_prec_rejects(capsys, extra, words):
     code, _, err = run_cli(capsys, "eval", "--gen", "B1", "--param", "1", "--q", "1", *extra)

@@ -16,7 +16,8 @@ from fmspace.catalog import (
     get_generator,
     homogeneity_order,
 )
-from fmspace import flows
+from fmspace import checks, flows
+from fmspace.checks import KERNEL_PREC, RADII, WAVE_NUMBERS
 from fmspace.flows import (
     STANDARD_PARAM_GRID,
     STANDARD_Q_GRID,
@@ -56,6 +57,20 @@ class TestClosedFlow:
             closed_flow(GeneratorId.B0, math.inf, 1.0)
         with pytest.raises(ValueError):
             closed_flow("nope", 1.0, 1.0)
+
+    @pytest.mark.parametrize("param", [10**400, -10**400])
+    def test_rejects_a_python_int_parameter_beyond_float64(self, param):
+        """Such an int passes `x < inf`; it is refused as not finite, with or without prec."""
+        for prec in (None, 30):
+            with pytest.raises(ValueError, match=f"^flow parameter must be finite, got {param}$"):
+                closed_flow(GeneratorId.B1, param, 1.0, prec=prec)
+
+    def test_keeps_an_mpf_parameter_exact(self):
+        import mpmath
+
+        with mpmath.workdps(50):
+            R = mpmath.mpf(0.3) + mpmath.mpf(2.7)  # the exact sum of two floats, which no float holds
+        assert FlowSpec(GeneratorId.T1, R, 1.0).param is R
 
     def test_small_q_series_branch(self):
         # a tiny q^a * param: sinh(y) / y is 1 and the factor is param
@@ -554,7 +569,7 @@ def test_t1_mp_flow_is_the_transcription_bit_for_bit():
         got = closed_flow(GeneratorId.T1, chi, q, prec=50)
         with mpmath.workdps(50):
             expected = reference_t1_rows(mpmath.mpf(chi), mpmath.mpf(q), mpmath.sin, mpmath.cos, +mpmath.mp.pi, terms=18)
-        assert got == expected, (chi, q)
+        assert got.tolist() == expected, (chi, q)
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +686,8 @@ class TestSparseClosedForm:
                     with mpmath.workdps(60):
                         tau, mq = mpmath.mpf(p), mpmath.mpf(q)
                         expected = _dense_square_class_rows(gid, tau, mq, eval_mat(get_generator(gid), mq), fns)
-                    assert got == expected, (gid, p, q)
-                    assert all(type(x) is mpmath.mpf for row in got for x in row)
+                    assert got.tolist() == expected, (gid, p, q)
+                    assert all(type(x) is mpmath.mpf for x in got.flat)
 
     def test_shift_mp_flows_are_the_transcriptions(self):
         import mpmath
@@ -683,15 +698,15 @@ class TestSparseClosedForm:
                     chi, mq, pi = mpmath.mpf(p), mpmath.mpf(q), +mpmath.mp.pi
                     t2 = reference_t2_rows(chi, mq, mpmath.exp, pi)
                     t3 = reference_t3_rows(chi, mq, mpmath.sin, mpmath.cos, pi)
-                assert closed_flow(GeneratorId.T2, p, q, prec=50) == t2, (p, q)
-                assert closed_flow(GeneratorId.T3, p, q, prec=50) == t3, (p, q)
+                assert closed_flow(GeneratorId.T2, p, q, prec=50).tolist() == t2, (p, q)
+                assert closed_flow(GeneratorId.T3, p, q, prec=50).tolist() == t3, (p, q)
 
     def test_mp_backend_keeps_each_precision_pi(self):
         """Flows at 30 and 60 digits, in turn, each with its own precision's pi (T3 has pi in every entry)."""
         import mpmath
 
         def t3_flows(prec):
-            return [closed_flow(GeneratorId.T3, p, q, prec=prec) for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID]
+            return [closed_flow(GeneratorId.T3, p, q, prec=prec).tolist() for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID]
 
         def reference(prec):
             with mpmath.workdps(prec):
@@ -715,7 +730,79 @@ class TestSparseClosedForm:
             b = closed_flow(GeneratorId.T3, Rp, 1.3, prec=50)
             with mpmath.workdps(70):
                 expected = [[sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
-                assert flows._mp_product(a, b) == expected
+                assert (a @ b).tolist() == expected
+
+    @pytest.mark.parametrize("gid", ALL_IDS)
+    def test_mp_flow_is_an_array_of_mpf(self, gid):
+        import mpmath
+
+        got = closed_flow(gid, -0.7, 1.3, prec=30)
+        assert isinstance(got, np.ndarray) and got.shape == (4, 4) and got.dtype == object
+        assert all(type(x) is mpmath.mpf for x in got.flat)
+
+    def test_mp_kernel_and_eval_mat_are_arrays_of_mpf(self):
+        import mpmath
+
+        with mpmath.workdps(50):
+            arrays = [kernel_matrix(mpmath.mpf(0.3) + mpmath.mpf(2.7), 1.3, prec=50), kernel_matrix(1.5, 0.01, prec=50),
+                      eval_mat(get_generator(GeneratorId.T1), mpmath.mpf(1.3)), eval_mat(Mat4.zero(), mpmath.mpf(2))]
+        for got in arrays:
+            assert isinstance(got, np.ndarray) and got.shape == (4, 4) and got.dtype == object
+            assert all(type(x) is mpmath.mpf for x in got.flat)
+
+
+def left_to_right_product(a: list, b: list) -> list:
+    """a @ b for 4x4 rows of mpf at the ambient precision: each entry adds its four products left to right, from the first."""
+    columns = list(zip(*b))
+    return [[x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3 for y0, y1, y2, y3 in columns] for x0, x1, x2, x3 in a]
+
+
+def difference(a: list, b: list) -> list:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def largest(rows: list):
+    return max(abs(x) for row in rows for x in row)
+
+
+class TestObjectMatmul:
+    """numpy's object matmul and subtraction of mpf flows have the bits of the left-to-right rule."""
+
+    def test_group_law_residual_is_the_left_to_right_rule(self):
+        import mpmath
+
+        for R in RADII:
+            for Rp in RADII:
+                for q in WAVE_NUMBERS:
+                    a, b, ab = (closed_flow(GeneratorId.T1, p, q, prec=KERNEL_PREC).tolist() for p in (R, Rp, R + Rp))
+                    with mpmath.workdps(KERNEL_PREC + 20):
+                        expected = largest(difference(left_to_right_product(a, b), ab))
+                    got = group_law_residual(GeneratorId.T1, R, Rp, q, prec=KERNEL_PREC)
+                    assert type(got) is mpmath.mpf and got == expected, (R, Rp, q)
+
+    def test_kernel_check_is_the_left_to_right_rule(self):
+        """Each product and difference of the kernel check's grid, entry by entry, and its two measures."""
+        import mpmath
+
+        additivity = commutation = 0.0
+        with mpmath.workdps(KERNEL_PREC + 20):
+            radii = [mpmath.mpf(R) for R in RADII]
+            sums = {R + Rp for R in radii for Rp in radii}
+            k = {(R, q): kernel_matrix(R, q, prec=KERNEL_PREC) for R in {*radii, *sums} for q in WAVE_NUMBERS}
+            pairs = [(R, Rp, q) for R in radii for Rp in radii for q in WAVE_NUMBERS]
+            expected = {(R, Rp, q): left_to_right_product(k[R, q].tolist(), k[Rp, q].tolist()) for R, Rp, q in pairs}
+            for R, Rp, q in pairs:
+                ab = k[R, q] @ k[Rp, q]
+                assert ab.tolist() == expected[R, Rp, q], (R, Rp, q)
+                added = difference(expected[R, Rp, q], k[R + Rp, q].tolist())
+                commuted = difference(expected[R, Rp, q], expected[Rp, R, q])
+                assert (ab - k[R + Rp, q]).tolist() == added, (R, Rp, q)
+                assert (ab - k[Rp, q] @ k[R, q]).tolist() == commuted, (R, Rp, q)
+                additivity = max(additivity, float(largest(added)))
+                commutation = max(commutation, float(largest(commuted)))
+        measures = checks.kernel().measures
+        assert measures["additivity"].value == additivity
+        assert measures["commutation"].value == commutation
 
 
 def bilinear_residual(rows) -> float:

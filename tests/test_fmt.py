@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,19 @@ class TestStepHat:
         with pytest.raises(ValueError, match=word):
             step_hat(R, q)
 
+    @pytest.mark.parametrize("call, words", [
+        (lambda: kr_weights(10**400, 1.0), "radius must be finite"),
+        (lambda: kr_weights(1.0, 10**400), "wave number q must be finite"),
+        (lambda: mayer_bond(1.0, 10**400, 1.0), "radius must be finite"),
+        (lambda: kernel_matrix(10**400, 1.0, prec=30), "flow parameter must be finite"),
+        (lambda: step_profile(10**400, [0.0]), "step range must be finite"),
+        (lambda: step_profile(1.0, [10**400]), "q \\* r overflows float64 at r = 1000"),
+        (lambda: step_profile(1.0, [0.0], qmax=10**400), "need finite qmax > 0"),
+    ])
+    def test_a_python_int_beyond_float64_is_not_finite(self, call, words):
+        with pytest.raises(ValueError, match=f"^{words}"):
+            call()
+
     def test_matches_the_formula_written_out_bit_for_bit(self):
         """Value bits, or exception type and message, of step_hat and of the reference below."""
         rng = random.Random(9)
@@ -133,6 +147,8 @@ class TestStepHat:
         ]
         for R, q in draws + threshold + special + numbers:
             assert outcome(step_hat, R, q) == outcome(reference_step_hat, R, q), (R, q)
+        assert outcome(step_hat, 10**400, 1.0) == (ValueError, f"step range must be finite, got {10**400!r}")
+        assert outcome(step_hat, 1.0, 10**400) == (ValueError, f"wave number q must be finite, got {10**400!r}")
         for R, q in draws[:50] + threshold + numbers[:8]:
             assert type(step_hat(R, q)) is float, (R, q)
 
@@ -171,7 +187,11 @@ def reference_step_hat(Rtot, q):
     for name, value in (("step range", Rtot), ("wave number q", q)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}, got {value!r}")
-    R, k = float(Rtot), float(q)
+    try:
+        R, k = float(Rtot), float(q)
+    except OverflowError:  # an int beyond float64 is not finite either
+        name, value = ("step range", Rtot) if Rtot > sys.float_info.max else ("wave number q", q)
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
     x = k * R
     subject = f"the step transform at radius {R!r}, q = {k!r}"
     if not 2.0**-255.5 <= k <= 2.0**255.5:
