@@ -8,8 +8,9 @@ exact and without elimination; products and commutators of catalog matrices
 land back in the span with single-monomial coefficients.
 
 The reference tables are checked the other way round: each published cell is
-multiplied out, sum of coefficient * generator, and compared with the
-catalog's product, so a passing check decomposes nothing.
+multiplied out, divisor * sum of coefficient * generator, and compared with
+the catalog's whole operation x y + sign * y x, so a passing check
+decomposes nothing and halves nothing.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .matrices import Mat4
 from .ring import ZERO, RingElem, format_ring
 
 TableKind = Literal["product", "half_commutator", "half_anticommutator"]
-
-_HALF = RingElem.rational(1, 2)
 
 
 class NotInSpanError(ValueError):
@@ -160,15 +159,37 @@ def _product(x: GeneratorId, y: GeneratorId) -> Mat4:
     return get_generator(x) @ get_generator(y)
 
 
-def _table_op(kind: TableKind, x: GeneratorId, y: GeneratorId, product=_product) -> Mat4:
-    """op(x, y) of two catalog generators, with each ordered product x y taken from product(x, y)."""
-    if kind == "product":
+# Each table kind as one pair (sign, divisor): divisor * op(x, y) == x y + sign * y x.
+# A product has no y x term.
+_KINDS = {
+    "product": (None, 1),
+    "half_commutator": (-1, 2),
+    "half_anticommutator": (1, 2),
+}
+
+
+def _kind(kind: TableKind) -> tuple:
+    """(sign, divisor) of a table kind; ValueError for any other kind."""
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown table kind {kind!r}") from None
+
+
+def _whole_op(kind: TableKind, x: GeneratorId, y: GeneratorId, product=_product) -> Mat4:
+    """divisor * op(x, y) = x y + sign * y x, with each ordered product taken from product(x, y)."""
+    sign, _divisor = _kind(kind)
+    if sign is None:
         return product(x, y)
-    if kind == "half_commutator":
-        return (product(x, y) - product(y, x)).scale(_HALF)
-    if kind == "half_anticommutator":
-        return (product(x, y) + product(y, x)).scale(_HALF)
-    raise ValueError(f"unknown table kind {kind!r}")
+    xy, yx = product(x, y), product(y, x)
+    return xy - yx if sign < 0 else xy + yx
+
+
+def _table_op(kind: TableKind, x: GeneratorId, y: GeneratorId, product=_product) -> Mat4:
+    """op(x, y) of two catalog generators: the whole op over the kind's divisor."""
+    whole = _whole_op(kind, x, y, product)
+    divisor = _KINDS[kind][1]
+    return whole if divisor == 1 else whole.scale(RingElem.rational(1, divisor))
 
 
 @dataclass(frozen=True)
@@ -255,32 +276,39 @@ def _spec_ids(spec) -> tuple:
     return row_ids, col_ids, basis
 
 
-def _spec_op(spec, x: GeneratorId, y: GeneratorId, product=_product) -> Mat4:
-    """The operation of a reference table's cell (x, y).
+def _spec_operands(spec, x: GeneratorId, y: GeneratorId) -> tuple:
+    """The operands of a reference table's cell (x, y), in the order its op takes them.
 
     A spec with op_order "col_row" is published with reversed operand order:
     its cell (x, y) holds op(y, x).
     """
-    operands = (x, y) if spec.op_order == "row_col" else (y, x)
-    return _table_op(spec.kind, *operands, product)
+    return (x, y) if spec.op_order == "row_col" else (y, x)
 
 
 def build_reference_table(spec) -> StructureTable:
     """Generate a reference table's cells in its published row/column layout."""
     row_ids, col_ids, basis = _spec_ids(spec)
-    cells = tuple(tuple(decompose(_spec_op(spec, x, y), basis) for y in col_ids) for x in row_ids)
+    cells = tuple(
+        tuple(decompose(_table_op(spec.kind, *_spec_operands(spec, x, y)), basis) for y in col_ids)
+        for x in row_ids
+    )
     return StructureTable(spec.kind, row_ids, col_ids, cells)
 
 
 def verify_reference_tables(table_specs=None) -> TableVerification:
-    """Multiply out every published cell and compare it with the catalog's op(row, col).
+    """Compare divisor * cell with the whole op x y + sign * y x of every published cell.
 
-    A cell holds when it names only generators of its table's basis and the
-    sum of coefficient * generator equals op(row, col) exactly.  The basis is
-    linearly independent, so that is decompose(op(row, col), basis) == cell;
-    only a failing cell is decomposed, for its message.  Each distinct
-    ordered product is computed once per call.  Only the parsed cells are
-    kept between calls, by `reference_tables.parse_cell`, keyed on the text.
+    Each table kind is one (sign, divisor) pair: a product is x y over 1,
+    a half-commutator x y - y x over 2 and a half-anticommutator x y + y x
+    over 2.  A cell holds when it names only generators of its table's basis
+    and divisor * (sum of coefficient * generator) equals the whole op
+    exactly.  The basis is linearly independent, so that is
+    decompose(op(row, col), basis) == cell; only a failing cell is
+    decomposed, for its message.  The published side is multiplied out once
+    per process for each distinct (text, basis, divisor), by
+    `reference_tables.multiplied_cell`; each distinct ordered product of
+    the catalog is computed once per call, and nothing of it is kept
+    between calls.
     """
     from . import reference_tables
 
@@ -290,13 +318,13 @@ def verify_reference_tables(table_specs=None) -> TableVerification:
     product = lru_cache(maxsize=None)(_product)
     for spec in table_specs:
         row_ids, col_ids, basis = _spec_ids(spec)
-        names = frozenset(BASIS_IDS if basis is None else basis)
+        divisor = _kind(spec.kind)[1]
         for i, x in enumerate(row_ids):
             for j, y in enumerate(col_ids):
                 report.cells_checked += 1
-                expected = reference_tables.parse_cell(spec.cells[i][j])
-                op = _spec_op(spec, x, y, product)
-                if expected.coeffs.keys() <= names and expected.reconstruct() == op:
+                operands = _spec_operands(spec, x, y)
+                cell = reference_tables.multiplied_cell(spec.cells[i][j], basis, divisor)
+                if cell is not None and cell == _whole_op(spec.kind, *operands, product):
                     continue
                 report.mismatches.append(
                     CellMismatch(
@@ -304,8 +332,8 @@ def verify_reference_tables(table_specs=None) -> TableVerification:
                         spec.kind,
                         spec.row_names[i],
                         spec.col_names[j],
-                        str(expected),
-                        str(decompose(op, basis)),
+                        str(reference_tables.parse_cell(spec.cells[i][j])),
+                        str(decompose(_table_op(spec.kind, *operands, product), basis)),
                     )
                 )
     return report

@@ -121,13 +121,15 @@ def get_generator(gen_id: GeneratorId) -> Mat4:
     return Mat4.from_entries(_ENTRIES[GeneratorId(gen_id)])
 
 
+_BY_NAME = {gid.value.lower(): gid for gid in GeneratorId}  # the names differ in more than case
+
+
 def resolve_id(name: str) -> GeneratorId:
     """Map a user-facing name to a GeneratorId, accepting primes for 'p'."""
-    text = name.strip().replace("'", "p")
-    for gid in GeneratorId:
-        if gid.value.lower() == text.lower():
-            return gid
-    raise KeyError(f"unknown generator name {name!r}")
+    try:
+        return _BY_NAME[name.strip().replace("'", "p").lower()]
+    except KeyError:
+        raise KeyError(f"unknown generator name {name!r}") from None
 
 
 class SymmetryClass(Enum):

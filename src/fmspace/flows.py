@@ -489,14 +489,18 @@ def invariance_residual(a: np.ndarray, prec: Optional[int] = None) -> float:
 
     For mpf inputs pass the same prec the flow was built with: mpmath rounds
     every product at the *ambient* precision, so the residual arithmetic must
-    run inside a matching context or the cancellation is destroyed.
+    run inside a matching context or the cancellation is destroyed.  With
+    prec, an entry that is not an mpf (a float64 a) is lifted to mpf
+    exactly, so the residual is that of the matrix as given: a float64 flow
+    keeps its float64 rounding.
     """
     rows = np.asarray(a).tolist()
     if prec is not None:
         import mpmath
 
         with mpmath.workdps(prec + 20):
-            return _sparse_invariance(rows)
+            lifted = [[x if isinstance(x, mpmath.mpf) else mpmath.mpf(x) for x in row] for row in rows]
+            return _sparse_invariance(lifted)
     return _invariance_impl(rows)
 
 

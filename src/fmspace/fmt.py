@@ -93,7 +93,8 @@ def jeffrey_identities() -> TableVerification:
     The shift half-commutators and products in the shift basis (32 cells),
     and each t_nu in the One + 15 basis as the cell [T_nu, One] of a product
     table (4 cells).  Each cell is multiplied out, so a passing check
-    decomposes nothing.
+    decomposes nothing; the 32 shift-table cells are multiplied out once per
+    process, shared with the tables check.
     """
     shift_tables = [s for s in reference_tables.TABLES if s.name.startswith("shift")]
     return verify_reference_tables([*shift_tables, reference_tables.SHIFT_DECOMPOSITIONS])

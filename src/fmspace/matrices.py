@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .ring import ONE, ZERO, RingElem, float_sum
+from .ring import ONE, ZERO, RingElem, float_sum, is_mpf
 
 Scalar = Union["RingElem", int, Fraction]
 
@@ -106,10 +106,10 @@ class Mat4:
     # -- ring-linear algebra -------------------------------------------------
 
     def __add__(self, other: "Mat4") -> "Mat4":
-        return Mat4._sparse(_add_rows(ra, rb) for ra, rb in zip(self._rows, other._rows))
+        return Mat4._sparse(_add_rows(ra, rb, False) for ra, rb in zip(self._rows, other._rows))
 
     def __sub__(self, other: "Mat4") -> "Mat4":
-        return self + (-other)
+        return Mat4._sparse(_add_rows(ra, rb, True) for ra, rb in zip(self._rows, other._rows))
 
     def __neg__(self) -> "Mat4":
         return Mat4._sparse({c: -x for c, x in row.items()} for row in self._rows)
@@ -183,14 +183,15 @@ class Mat4:
 _COLS = range(4)
 
 
-def _add_rows(ra: dict, rb: dict) -> dict:
+def _add_rows(ra: dict, rb: dict, subtract: bool) -> dict:
+    """Row ra + rb, or ra - rb when subtract, keeping only the nonzero entries."""
     row = dict(ra)
     for c, y in rb.items():
         x = row.get(c)
         if x is None:
-            row[c] = y
+            row[c] = -y if subtract else y
         else:
-            s = x + y
+            s = x - y if subtract else x + y
             if s:
                 row[c] = s
             else:
@@ -215,23 +216,26 @@ def commutator(x: Mat4, y: Mat4) -> Mat4:
 def entries_at(x: Mat4, q) -> list:
     """(row, col, value) of x's nonzero entries at wave number q, row by row.
 
-    The one numeric evaluator of a matrix's entries: a float q sums each
-    entry's compiled float terms (`ring.float_sum`); an mpf q evaluates each
-    exact entry by `RingElem.evaluate` at the ambient mpmath precision.
+    The one numeric evaluator of a matrix's entries: an mpf q evaluates each
+    exact entry by `RingElem.evaluate` at the ambient mpmath precision; any
+    other real q (an int, a float, a numpy scalar) is read as a float and
+    sums each entry's compiled float terms (`ring.float_sum`).
     """
     if isinstance(q, float):
         return [(r, c, float_sum(terms, q)) for r, c, terms in x.float_terms]
+    if not is_mpf(q):
+        return entries_at(x, float(q))
     return [(r, c, entry.evaluate(q)) for r, c, entry in x.entries()]
 
 
 def eval_rows(x: Mat4, q) -> list:
-    """`entries_at` at wave number q > 0 as four lists of four: Python floats for an int or float q, else mpf.
+    """`entries_at` at wave number q > 0 as four lists of four: mpf for an mpf q, else Python floats.
 
-    Zero entries are a zero of q's own type, 0.0 or an mpf zero.
+    Zero entries are a zero of the entries' own type, 0.0 or an mpf zero.
     """
     if not (q > 0):
         raise ValueError(f"wave number q must be positive, got {q!r}")
-    if isinstance(q, (int, float)):
+    if isinstance(q, float) or not is_mpf(q):
         q = float(q)
     zero = type(q)(0)
     out = [[zero] * 4 for _ in range(4)]
@@ -241,7 +245,7 @@ def eval_rows(x: Mat4, q) -> list:
 
 
 def eval_mat(x: Mat4, q) -> np.ndarray:
-    """eval_rows as a (4, 4) ndarray: float64 for an int or float q, dtype object holding mpf for an mpf q.
+    """eval_rows as a (4, 4) ndarray: dtype object holding mpf for an mpf q, else float64.
 
     The caller controls mpmath precision.
     """

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Decomposition, TableKind
-from .catalog import GeneratorId
+from .catalog import BASIS_IDS, GeneratorId
+from .matrices import Mat4
 from .ring import parse_linear
 
 ISO_ORDER = ("B0", "B2", "D2", "B0'", "B1", "D1")
@@ -29,10 +30,27 @@ def parse_cell(text: str) -> Decomposition:
 
     Each distinct text is parsed once per process, so a changed cell is
     parsed afresh and an unchanged one not at all.  The Decomposition is
-    shared between callers: do not modify its coeffs.
+    shared between callers: do not modify its coeffs.  `multiplied_cell`
+    multiplies the parsed cell out, once per process as well.
     """
     combo = parse_linear(text.replace("'", "p"), names=_NAMES)
     return Decomposition({GeneratorId(k): v for k, v in combo.items()})
+
+
+@functools.lru_cache(maxsize=256)  # the shipped tables and decompositions hold 183 distinct keys
+def multiplied_cell(text: str, basis: Optional[tuple], divisor: int) -> Optional[Mat4]:
+    """divisor * (sum of coefficient * generator) of a reference cell, or None if it names a generator outside basis.
+
+    basis is a tuple of GeneratorIds, or None for One + the 15 generators.
+    Each distinct (text, basis, divisor) is multiplied out once per process,
+    so the jeffrey check's shift cells reuse what the tables check built.
+    The Mat4 is immutable and shared between callers.
+    """
+    cell = parse_cell(text)
+    if not cell.coeffs.keys() <= frozenset(BASIS_IDS if basis is None else basis):
+        return None
+    whole = cell.reconstruct()
+    return whole if divisor == 1 else whole.scale(divisor)
 
 
 @dataclass(frozen=True)

@@ -112,18 +112,7 @@ class RingElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        data = dict(self._terms)
-        for key, c in other._terms.items():
-            tot = data.get(key, 0) + c
-            if tot == 0:
-                data.pop(key, None)
-            elif tot.__class__ is Fraction and tot.denominator == 1:
-                data[key] = tot.numerator
-            else:
-                data[key] = tot
-        out = RingElem.__new__(RingElem)
-        object.__setattr__(out, "_terms", data)
-        return out
+        return _sum(self._terms, other._terms, False)
 
     __radd__ = __add__
 
@@ -136,13 +125,13 @@ class RingElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _sum(self._terms, other._terms, True)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _sum(other._terms, self._terms, True)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -221,13 +210,14 @@ class RingElem:
     def evaluate(self, q):
         """Numeric value at wave number q with pi replaced by its constant.
 
-        Accepts a float (evaluates in double precision) or an mpmath mpf
-        (evaluates at the active mpmath precision).  An mpf term is
-        mpf(num) / den * q**j * pi**k, the terms added in order from the
-        first; a +-1 coefficient over 1 and a pi**0 factor are left out,
-        since multiplying by them is exact.
+        An mpmath mpf q evaluates at the active mpmath precision; any other
+        real q (an int, a float, a numpy scalar) evaluates in double
+        precision, as float(q).  An mpf term is mpf(num) / den * q**j *
+        pi**k, the terms added in order from the first; a +-1 coefficient
+        over 1 and a pi**0 factor are left out, since multiplying by them is
+        exact.
         """
-        if isinstance(q, (int, float)):
+        if isinstance(q, (int, float)) or not is_mpf(q):
             return float_sum(self.float_terms(), float(q))
         import mpmath
 
@@ -297,8 +287,32 @@ class RingElem:
             raise ValueError(f'a ring element must be {{"terms": [{{num, den, q, pi}}, ...]}}, got {d!r}') from None
 
 
+def _sum(a: dict, b: dict, subtract: bool) -> RingElem:
+    """a + b, or a - b when subtract, of two canonical term maps, in canonical form."""
+    data = dict(a)
+    for key, c in b.items():
+        tot = data.get(key, 0)
+        tot = tot - c if subtract else tot + c
+        if tot == 0:
+            data.pop(key, None)
+        elif tot.__class__ is Fraction and tot.denominator == 1:
+            data[key] = tot.numerator
+        else:
+            data[key] = tot
+    out = RingElem.__new__(RingElem)
+    object.__setattr__(out, "_terms", data)
+    return out
+
+
 ZERO = RingElem()
 ONE = RingElem.monomial(1)
+
+
+def is_mpf(q) -> bool:
+    """Whether q is an mpmath mpf, the one real type that evaluates at mpmath precision."""
+    import mpmath
+
+    return isinstance(q, mpmath.mpf)
 
 
 def float_sum(terms: tuple, q: float) -> float:

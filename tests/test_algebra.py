@@ -6,6 +6,7 @@ import pytest
 from fmspace.algebra import (
     Decomposition,
     NotInSpanError,
+    build_reference_table,
     build_table,
     decompose,
     verify_reference_tables,
@@ -18,6 +19,7 @@ from fmspace.catalog import (
     SHIFT_IDS,
     get_generator,
     homogeneity_order,
+    resolve_id,
 )
 from fmspace.fmt import jeffrey_identities
 from fmspace.matrices import IDENTITY, commutator
@@ -160,6 +162,23 @@ class TestVerifyReferenceTables:
         report = verify_reference_tables([dataclasses.replace(spec, cells=tuple(map(tuple, cells)))])
         assert [str(m) for m in report.mismatches] == [f"{name} [{row}, {col}]: {message}"]
 
+    @pytest.mark.parametrize("name, row, col, wrong, message", [
+        ("isometric half-commutators", "B0", "B2", "-D2", "expected -D2, generated D2"),
+        ("metamorphic half-anticommutators", "F1", "F2", "F3", "expected F3, generated -F3"),
+        ("shift half-commutators", "T1", "T2", "T3", "expected T3, generated 0"),
+    ])
+    def test_a_wrong_half_op_cell_is_one_mismatch_with_the_halved_op(self, name, row, col, wrong, message):
+        """The check compares 2 cell with x y -+ y x; the message still names the cell and (x y -+ y x) / 2."""
+        import dataclasses
+
+        spec = next(s for s in reference_tables.TABLES if s.name == name)
+        i, j = spec.row_names.index(row), spec.col_names.index(col)
+        cells = [list(r) for r in spec.cells]
+        cells[i][j] = wrong
+        report = verify_reference_tables([dataclasses.replace(spec, cells=tuple(map(tuple, cells)))])
+        assert report.cells_checked == len(spec.row_names) * len(spec.col_names)
+        assert [str(m) for m in report.mismatches] == [f"{name} [{row}, {col}]: {message}"]
+
     def test_empty_spec_list(self):
         report = verify_reference_tables([])
         assert report.cells_checked == 0
@@ -238,6 +257,14 @@ def test_errata_entry_is_the_reference_cell_and_the_published_text_fails(table, 
     assert not holds(published)
 
 
+@pytest.mark.parametrize("spec", [*reference_tables.TABLES, reference_tables.SHIFT_DECOMPOSITIONS], ids=lambda spec: spec.name)
+def test_build_reference_table_generates_the_published_cells(spec):
+    """Products, half-commutators and half-anticommutators, each generated cell equal to the published one."""
+    table = build_reference_table(spec)
+    assert (table.kind, [g.value for g in table.row_ids]) == (spec.kind, [resolve_id(n).value for n in spec.row_names])
+    assert table.cells == tuple(tuple(reference_tables.parse_cell(text) for text in row) for row in spec.cells)
+
+
 def test_parse_cell_handles_postfix_powers():
     dec = reference_tables.parse_cell("-P0 q^4")
     assert dec.coeffs == {GeneratorId.P0: RingElem.monomial(-1, 4, 0)}
@@ -295,19 +322,20 @@ class TestCanonicalCoefficients:
 
 
 # Ring operations of one warm verify_reference_tables() pass, plus 20% headroom.
-# Measured: 4840 products and 1480 sums, with each ordered catalog product
-# computed once and each published cell multiplied out (7659 and 4074 with
-# each product decomposed once; 14508 and 7920 decomposing all 599 cells; the
-# dense layer made 24128 and 32248).
-_MUL_CEILING = 5808
-_ADD_CEILING = 1776
+# Measured: 1000 products and 1464 sums and differences, with each ordered
+# catalog product computed once and each published cell multiplied out once
+# per process (3368 and 1472 multiplying out every cell on each pass and
+# halving each half-op; 14508 and 7920 decomposing all 599 cells; the dense
+# layer made 24128 and 32248).
+_MUL_CEILING = 1200
+_ADD_CEILING = 1757
 
 
 def test_reference_tables_ring_op_counts(monkeypatch):
     """A deterministic guard against dense loops returning to the exact layer."""
-    assert verify_reference_tables().ok  # fill the per-generator caches first
+    assert verify_reference_tables().ok  # fill the per-generator and per-cell caches first
     counts = {"mul": 0, "add": 0}
-    mul, add = RingElem.__mul__, RingElem.__add__
+    mul, add, sub = RingElem.__mul__, RingElem.__add__, RingElem.__sub__
 
     def counted_mul(self, other):
         counts["mul"] += 1
@@ -317,8 +345,13 @@ def test_reference_tables_ring_op_counts(monkeypatch):
         counts["add"] += 1
         return add(self, other)
 
+    def counted_sub(self, other):
+        counts["add"] += 1
+        return sub(self, other)
+
     monkeypatch.setattr(RingElem, "__mul__", counted_mul)
     monkeypatch.setattr(RingElem, "__add__", counted_add)
+    monkeypatch.setattr(RingElem, "__sub__", counted_sub)
     assert verify_reference_tables().ok
     assert counts["mul"] <= _MUL_CEILING, counts
     assert counts["add"] <= _ADD_CEILING, counts

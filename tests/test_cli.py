@@ -292,6 +292,27 @@ def test_verify_passes_repeat_the_same_table_work(capsys, monkeypatch):
     assert 0 < first.get(("tables", "matmul"), 0) <= 241
 
 
+def test_published_cells_are_multiplied_out_once_per_process(capsys, monkeypatch):
+    """The tables check multiplies out each published cell once, and jeffrey reuses its shift cells; products are per pass."""
+    from fmspace.algebra import Decomposition
+
+    counts = collections.Counter()
+    for cls, name in ((Decomposition, "reconstruct"), (Mat4, "__matmul__")):
+        def counting(*args, _name=name, _original=getattr(cls, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cls, name, counting)
+    reference_tables.multiplied_cell.cache_clear()
+    runs = []
+    for suite in ("tables", "jeffrey", "tables", "jeffrey"):
+        counts.clear()
+        assert run_cli(capsys, "verify", "--suite", suite)[0] == 0
+        runs.append((suite, counts["reconstruct"], counts["__matmul__"]))
+    # 180 distinct (text, basis, divisor) in the tables; of the 4 shift decompositions, "One" is among them
+    assert runs == [("tables", 180, 241), ("jeffrey", 3, 20), ("tables", 0, 241), ("jeffrey", 0, 20)]
+
+
 def test_second_verify_pass_parses_no_cell_and_samples_no_scalar_step(capsys, monkeypatch):
     """Each cell text is parsed once per process; the profile check takes the step spectrum as one array."""
     from fmspace import cli, fmt, reference_tables, ring

@@ -319,6 +319,20 @@ class TestInvarianceResidual:
                         assert dense == bilinear_residual(a), (gid, p, q)
                     assert invariance_residual(a, prec=60) == dense, (gid, p, q)
 
+    def test_prec_lifts_a_float64_matrix_exactly(self):
+        """With prec, a float64 matrix's residual is summed in mpf: that of the matrix as given, not of the prec flow."""
+        import mpmath
+
+        for gid, param in ((GeneratorId.B1, 20.0), (GeneratorId.B1, 0.5), (GeneratorId.D2, 1.3), (GeneratorId.F3, -0.7)):
+            a = closed_flow(gid, param, 1.0)
+            lifted = [[mpmath.mpf(x) for x in row] for row in a.tolist()]  # exact: a float has 53 bits
+            assert invariance_residual(a, prec=60) == invariance_residual(lifted, prec=60), (gid, param)
+        # float64 rounds cosh 20 and sinh 20 to the same number, so the matrix as given breaks the form by 1
+        assert invariance_residual(closed_flow(GeneratorId.B1, 20.0, 1.0), prec=60) == 1
+        assert invariance_residual(closed_flow(GeneratorId.B1, 20.0, 1.0, prec=60), prec=60) < 1e-40
+        a = closed_flow(GeneratorId.B1, 0.5, 1.0)
+        assert invariance_residual(a, prec=60) != invariance_residual(a)  # summed in mpf, not in float64
+
     def test_max_abs_propagates_nan(self):
         assert max_abs(np.eye(4)) == 1.0
         a = -np.eye(4)
@@ -803,6 +817,36 @@ class TestObjectMatmul:
         measures = checks.kernel().measures
         assert measures["additivity"].value == additivity
         assert measures["commutation"].value == commutation
+
+
+def _per_point_rows(evaluated) -> list:
+    """The flows record's rows, folded point by point: (gen, worst rel vs oracle, worst float64 residual)."""
+    rows = []
+    for gid in GeneratorId:
+        rel = residual = 0.0
+        for q in STANDARD_Q_GRID:
+            for p in STANDARD_PARAM_GRID:
+                closed, oracle = evaluated[gid, q, p]
+                scale = 1.0 + float(np.abs(closed).max())
+                rel = flows._fold_max(rel, float(np.abs(closed - oracle).max()) / scale)
+                residual = flows._fold_max(residual, float(invariance_residual(closed)))
+        rows.append((gid, rel.hex(), residual.hex()))
+    return rows
+
+
+@pytest.mark.parametrize("nan_at", [None, (GeneratorId.D1, 2.0, 0.1), (GeneratorId.T3, 0.5, -2.0)])
+def test_flows_rows_are_the_per_point_folds(monkeypatch, nan_at):
+    """The stacked oracle deviations of the flows record have the bits of the per-point fold, and keep a NaN."""
+    evaluated = flows.grid_flows(GeneratorId)
+    if nan_at is not None:
+        closed, oracle = evaluated[nan_at]
+        oracle = oracle.copy()
+        oracle[1, 2] = math.nan
+        evaluated[nan_at] = (closed, oracle)
+    monkeypatch.setattr(checks, "grid_flows", lambda gens: evaluated)
+    rows = [(gid, rel.hex(), residual.hex()) for gid, rel, residual in checks.flows().rows]
+    assert rows == _per_point_rows(evaluated)
+    assert [gid for gid, rel, _ in rows if rel == "nan"] == ([] if nan_at is None else [nan_at[0]])
 
 
 def bilinear_residual(rows) -> float:

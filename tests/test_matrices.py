@@ -159,6 +159,16 @@ class TestEvalMat:
     def test_zero_matrix(self):
         assert np.array_equal(eval_mat(Mat4.zero(), 2.0), np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("q", [np.float32(1.3), np.int64(2), np.float64(0.7), 2, Fraction(13, 10)], ids=repr)
+    def test_a_real_q_that_is_not_an_mpf_evaluates_as_its_float(self, q):
+        for gid in GeneratorId:
+            x = get_generator(gid)
+            m = eval_mat(x, q)
+            assert m.dtype == np.float64, gid
+            assert np.array_equal(m, eval_mat(x, float(q))), gid
+            for _r, _c, entry in x.entries():
+                assert type(entry.evaluate(q)) is float and entry.evaluate(q) == entry.evaluate(float(q)), gid
+
     def test_nonpositive_q_rejected(self):
         with pytest.raises(ValueError):
             eval_mat(METRIC, 0.0)
