@@ -3,8 +3,8 @@
 
     python scripts/bench.py --out BENCH_<n>.json [--repeats 7]
 
-Every timing is taken in this process after one warm-up run, and reported as
-the median and the min over --repeats repeats:
+Every timing is taken after one warm-up run, in this process unless it says
+otherwise, and reported as the median and the min over --repeats repeats:
 
 - layers: seconds per call of a fixed loop over one layer of the package,
   from the exact ring multiply and the parse of the reference tables' 98
@@ -15,6 +15,9 @@ the median and the min over --repeats repeats:
   request is a closed flow and its invariance residual, over a fixed seeded
   mix of points drawn as perfbench's `numeric` workload draws them (float64
   over all 20 generators; prec 60 over the 6 isometric ones);
+- cold_import: seconds from spawn to exit of a fresh `python -c "import
+  <module>"` per repeat, for the exact `fmspace.algebra` and for
+  `fmspace.cli`, which loads every layer;
 - checks: seconds of each `verify` check, and each measure of its last
   CheckRecord with its value, bound and margin (how far the value is inside
   its bound; negative when it fails, null when not finite);
@@ -33,9 +36,11 @@ import math
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from datetime import datetime, timezone
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -49,6 +54,8 @@ from fmspace.matrices import eval_mat
 from fmspace.oracle import expm_oracle, expm_oracles
 from fmspace.ring import RingElem
 
+COLD_IMPORTS = ("fmspace.algebra", "fmspace.cli")
+SRC = str(Path(checks.__file__).resolve().parents[1])  # the fmspace tree this process imports
 RADII = (0.0, 0.5, 1.5, 2.0)  # the radial request, as the profile check reads the unit step
 
 
@@ -130,6 +137,14 @@ def _layers() -> dict:
     }
 
 
+def _cold_import(module: str) -> float:
+    """Seconds from spawn to exit of a fresh interpreter that imports module from SRC."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-c", f"import {module}"], env=env, check=True)
+    return time.perf_counter() - t0
+
+
 def _seconds(calls: int, fn) -> float:
     t0 = time.perf_counter()
     for _ in range(calls):
@@ -158,6 +173,11 @@ def bench(repeats: int) -> dict:
         samples = [_seconds(calls, fn) for _ in range(repeats)]
         layers[name] = {"calls": calls, **_summary(samples)}
 
+    cold_import = {}
+    for module in COLD_IMPORTS:
+        _cold_import(module)  # warm-up: writes the bytecode caches
+        cold_import[module] = _summary([_cold_import(module) for _ in range(repeats)])
+
     records = {name: check() for name, check in checks.CHECKS.items()}  # warm-up
     seconds = {name: [] for name in checks.CHECKS}
     for _ in range(repeats):
@@ -177,6 +197,7 @@ def bench(repeats: int) -> dict:
             "nproc": os.cpu_count(),
         },
         "layers": layers,
+        "cold_import": cold_import,
         "verify_pass": _summary(passes),
         "checks": {
             name: {

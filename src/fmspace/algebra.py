@@ -91,12 +91,6 @@ class Decomposition:
     def to_json_dict(self) -> dict:
         return {gid.value: coef.to_json_dict() for gid, coef in self.items()}
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "Decomposition":
-        return Decomposition(
-            {resolve_id(k): RingElem.from_json_dict(v) for k, v in d.items()}
-        )
-
 
 @lru_cache(maxsize=None)
 def _inverse_norm(gid: GeneratorId) -> RingElem:

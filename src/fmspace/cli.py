@@ -23,19 +23,15 @@ from .checks import CHECKS, FlowsRecord
 from .flows import FlowResult, FlowSpec, closed_flow, evaluate_flow, invariance_residual, reference_discrepancies
 from .fmt import kernel_matrix, kr_weights, mayer_bond, step_hat, step_profile
 from .matrices import Mat4
+from .ring import is_mpf
 
 
 def _fmt_float(x, mode: str) -> str:
     """17 significant digits in JSON mode, 6 in text mode; an mpf is rounded from its own digits."""
     digits = 17 if mode == "json" else 6
-    if _is_mpf(x):
+    if is_mpf(x):
         return _fmt_mpf(x, digits)
     return format(float(x), f".{digits}g")
-
-
-def _is_mpf(x) -> bool:
-    mpmath = sys.modules.get("mpmath")  # an mpf can only exist once mpmath is imported
-    return mpmath is not None and isinstance(x, mpmath.mpf)
 
 
 def _fmt_mpf(x, digits: int) -> str:
@@ -76,7 +72,7 @@ def _json_value(obj) -> str:
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)) or _is_mpf(obj):
+    if isinstance(obj, (float, np.floating)) or is_mpf(obj):
         return _fmt_float(obj, "json")
     if obj is None:
         return "null"
@@ -132,7 +128,7 @@ def _cmd_eval(args, out) -> int:
         except ValueError as exc:
             raise ValueError(f"{exc}{hint}") from None
     else:
-        result = FlowResult(closed_flow(spec, prec=args.prec), "closed_form")
+        result = FlowResult(closed_flow(spec.gen, spec.param, spec.q, prec=args.prec), "closed_form")
     residual = invariance_residual(result.matrix, prec=args.prec)
     if args.prec is None and not math.isfinite(residual):  # the float64 products of the residual overflowed
         raise ValueError(f"float64 overflow in the invariance residual of exp({spec.param!r} * {spec.gen.value}) at q = {spec.q!r}{hint}")

@@ -32,6 +32,7 @@ import numpy as np
 from .catalog import ALL_IDS, GeneratorId, SquareClass, classify_square, get_generator
 from .matrices import entries_at
 from .oracle import expm_oracle, expm_oracles
+from .ring import is_mpf
 
 STANDARD_Q_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 STANDARD_PARAM_GRID = (-2.0, -0.5, 0.1, 1.5)
@@ -201,16 +202,16 @@ def _flow_exponents(gid: GeneratorId) -> Exponents:
     return Exponents(subject, f"param q^{square.order}", square.order, 2 * square.order, square.order if square.kind == "boost" else None)
 
 
-def closed_flow(gen, param: float = None, q: float = None, prec: Optional[int] = None) -> np.ndarray:
+def closed_flow(gen, param: float, q: float, prec: Optional[int] = None) -> np.ndarray:
     """Closed-form finite transform exp(param * X_gen) evaluated at q, as a (4, 4) ndarray.
 
-    Accepts a FlowSpec or (gen, param, q).  The array is float64, or of
-    dtype object holding mpf when prec (decimal digits) is given.  Both come
+    The array is float64, or of dtype object holding mpf when prec (decimal
+    digits) is given; the inputs are checked by `FlowSpec`.  Both come
     from `_closed_rows`, which forms only the entries the closed form makes
     nonzero and fills the rest with one zero of the flow's own arithmetic.
     A float64 flow outside `float64_domain` raises a ValueError.
     """
-    spec = gen if isinstance(gen, FlowSpec) else FlowSpec(gen, param, q)
+    spec = FlowSpec(gen, param, q)
     if prec is None:
         float64_domain(_flow_exponents(spec.gen), spec.param, spec.q)
         entries = _closed_rows(spec, _FLOAT_BACKEND)
@@ -412,16 +413,16 @@ _PUBLISHED: dict[GeneratorId, tuple] = {
 }
 
 
-def printed_flow(gen, param: float = None, q: float = None) -> np.ndarray:
+def printed_flow(gen, param: float, q: float) -> np.ndarray:
     """The published finite-transform matrix, evaluated verbatim.
 
     For the shift generators and the identity the published form and the
     generated closed form coincide by construction.
     """
-    spec = gen if isinstance(gen, FlowSpec) else FlowSpec(gen, param, q)
+    spec = FlowSpec(gen, param, q)
     template = _PUBLISHED.get(spec.gen)
     if template is None:
-        return closed_flow(spec)
+        return closed_flow(spec.gen, spec.param, spec.q)
     tau, q = spec.param, spec.q
     if template[0] == "diag":
         return np.diag([math.exp(tau * s) for s in template[1]])
@@ -441,7 +442,7 @@ def printed_flow(gen, param: float = None, q: float = None) -> np.ndarray:
 
 def evaluate_flow(spec: FlowSpec, method: str = "closed") -> FlowResult:
     if method == "closed":
-        return FlowResult(closed_flow(spec), "closed_form")
+        return FlowResult(closed_flow(spec.gen, spec.param, spec.q), "closed_form")
     if method == "series":
         matrix = expm_oracle(get_generator(spec.gen), spec.param, spec.q)
         return FlowResult(matrix, "series")
@@ -487,20 +488,23 @@ def invariance_residual(a: np.ndarray, prec: Optional[int] = None) -> float:
     holds mpf, the products with an exact-zero factor are skipped
     (`_sparse_invariance`), and the residual is an mpf.
 
-    For mpf inputs pass the same prec the flow was built with: mpmath rounds
-    every product at the *ambient* precision, so the residual arithmetic must
-    run inside a matching context or the cancellation is destroyed.  With
-    prec, an entry that is not an mpf (a float64 a) is lifted to mpf
-    exactly, so the residual is that of the matrix as given: a float64 flow
-    keeps its float64 rounding.
+    Without prec, an a that holds mpf raises a ValueError: pass the prec
+    the flow was built with, since mpmath rounds every product at the
+    *ambient* precision, so the residual arithmetic must run inside a
+    matching context or the cancellation is destroyed.  With prec, an entry that is not an mpf (a
+    float64 a) is lifted to mpf exactly, so the residual is that of the
+    matrix as given: a float64 flow keeps its float64 rounding.
     """
-    rows = np.asarray(a).tolist()
+    a = np.asarray(a)
+    rows = a.tolist()
     if prec is not None:
         import mpmath
 
         with mpmath.workdps(prec + 20):
             lifted = [[x if isinstance(x, mpmath.mpf) else mpmath.mpf(x) for x in row] for row in rows]
             return _sparse_invariance(lifted)
+    if a.dtype.kind == "O" and any(map(is_mpf, a.flat)):
+        raise ValueError("a matrix of mpf entries needs prec, the decimal digits it was built with")
     return _invariance_impl(rows)
 
 

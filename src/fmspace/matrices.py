@@ -9,8 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-import numpy as np
-
 from .ring import ONE, ZERO, RingElem, float_sum, is_mpf
 
 Scalar = Union["RingElem", int, Fraction]
@@ -121,11 +119,6 @@ class Mat4:
         # the coefficient ring is an integral domain: no product of nonzeros is zero
         return Mat4._sparse({c: x * f for c, x in row.items()} for row in self._rows)
 
-    def __mul__(self, factor: Scalar) -> "Mat4":
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "Mat4") -> "Mat4":
         b = other._rows
         out = []
@@ -205,10 +198,6 @@ METRIC = Mat4.from_entries([(0, 3, 1), (1, 2, 1), (2, 1, 1), (3, 0, 1)])
 IDENTITY = Mat4.identity()
 
 
-def counter_transpose(x: Mat4) -> Mat4:
-    return x.counter_transpose()
-
-
 def commutator(x: Mat4, y: Mat4) -> Mat4:
     return x @ y - y @ x
 
@@ -244,11 +233,13 @@ def eval_rows(x: Mat4, q) -> list:
     return out
 
 
-def eval_mat(x: Mat4, q) -> np.ndarray:
+def eval_mat(x: Mat4, q):
     """eval_rows as a (4, 4) ndarray: dtype object holding mpf for an mpf q, else float64.
 
     The caller controls mpmath precision.
     """
+    import numpy as np
+
     return np.array(eval_rows(x, q))
 
 
@@ -259,4 +250,6 @@ def bilinear(u: Sequence, v: Sequence) -> float:
 
 def metric_eigenvalues() -> list[float]:
     """Eigenvalues of the metric, ascending, by numpy's symmetric eigensolver; its entries are constants."""
+    import numpy as np
+
     return np.linalg.eigvalsh(eval_mat(METRIC, 1.0)).tolist()

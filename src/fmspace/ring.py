@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -154,20 +155,6 @@ class RingElem:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.invert_monomial() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def invert_monomial(self) -> "RingElem":
         """Inverse of a single-term element; raises on zero or sums."""
         mono = self.as_monomial()
@@ -310,9 +297,8 @@ ONE = RingElem.monomial(1)
 
 def is_mpf(q) -> bool:
     """Whether q is an mpmath mpf, the one real type that evaluates at mpmath precision."""
-    import mpmath
-
-    return isinstance(q, mpmath.mpf)
+    mpmath = sys.modules.get("mpmath")  # an mpf can only exist once mpmath is imported
+    return mpmath is not None and isinstance(q, mpmath.mpf)
 
 
 def float_sum(terms: tuple, q: float) -> float:

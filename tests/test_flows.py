@@ -80,7 +80,7 @@ class TestClosedFlow:
 
     def test_flow_spec_object(self):
         spec = FlowSpec(GeneratorId.H2, 0.3, 2.0)
-        assert np.array_equal(closed_flow(spec), closed_flow(GeneratorId.H2, 0.3, 2.0))
+        assert np.array_equal(evaluate_flow(spec).matrix, closed_flow(GeneratorId.H2, 0.3, 2.0))
 
     @pytest.mark.parametrize("q", [math.inf, math.nan, -math.inf])
     def test_rejects_non_finite_wave_number(self, q):
@@ -332,6 +332,16 @@ class TestInvarianceResidual:
         assert invariance_residual(closed_flow(GeneratorId.B1, 20.0, 1.0, prec=60), prec=60) < 1e-40
         a = closed_flow(GeneratorId.B1, 0.5, 1.0)
         assert invariance_residual(a, prec=60) != invariance_residual(a)  # summed in mpf, not in float64
+
+    def test_mpf_matrix_needs_prec(self):
+        """Without prec, mpf entries would fold at mpmath's ambient 15 digits: 7.0 for a residual of 1e-45."""
+        a = closed_flow(GeneratorId.B1, 20.0, 1.0, prec=60)
+        for matrix in (a, a.tolist()):
+            with pytest.raises(ValueError, match="needs prec"):
+                invariance_residual(matrix)
+        assert invariance_residual(a, prec=60) < 1e-40
+        floats = closed_flow(GeneratorId.B1, 0.7, 1.2)
+        assert invariance_residual(floats.astype(object)) == invariance_residual(floats)  # Python floats, no mpf
 
     def test_max_abs_propagates_nan(self):
         assert max_abs(np.eye(4)) == 1.0

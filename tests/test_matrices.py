@@ -11,7 +11,6 @@ from fmspace.matrices import (
     Mat4,
     bilinear,
     commutator,
-    counter_transpose,
     eval_mat,
     metric_eigenvalues,
 )
@@ -54,32 +53,32 @@ class TestMatMul:
 
 class TestCounterTranspose:
     def test_metric_is_fixed(self):
-        assert counter_transpose(METRIC) == METRIC
+        assert METRIC.counter_transpose() == METRIC
 
     def test_b0_is_odd(self):
         b0 = get_generator(GeneratorId.B0)
-        assert counter_transpose(b0) == -b0
+        assert b0.counter_transpose() == -b0
 
     def test_f1_is_even(self):
         f1 = get_generator(GeneratorId.F1)
-        assert counter_transpose(f1) == f1
+        assert f1.counter_transpose() == f1
 
     def test_entry_mirroring(self):
         x = Mat4.from_entries([(0, 1, 3, 2, 0)])
-        assert counter_transpose(x)[2, 3] == RingElem.monomial(3, 2, 0)
+        assert x.counter_transpose()[2, 3] == RingElem.monomial(3, 2, 0)
 
     def test_matches_m_xt_m(self):
         rng = random.Random(9)
         for _ in range(25):
             x = random_mat(rng)
-            assert counter_transpose(x) == METRIC @ x.transpose() @ METRIC
+            assert x.counter_transpose() == METRIC @ x.transpose() @ METRIC
 
     def test_involution_and_antihomomorphism(self):
         rng = random.Random(13)
         for _ in range(25):
             x, y = random_mat(rng), random_mat(rng)
-            assert counter_transpose(counter_transpose(x)) == x
-            assert counter_transpose(x @ y) == counter_transpose(y) @ counter_transpose(x)
+            assert x.counter_transpose().counter_transpose() == x
+            assert (x @ y).counter_transpose() == y.counter_transpose() @ x.counter_transpose()
 
 
 class TestCommutators:

@@ -79,11 +79,6 @@ class TestMul:
     def test_mul_one_identity(self):
         assert Q2 * ONE == Q2
 
-    def test_pow(self):
-        assert Q2**3 == RingElem.qpow(6)
-        assert (Q2**0) == ONE
-        assert Q2**-1 == RingElem.qpow(-2)
-
 
 class TestEval:
     def test_q4_over_64pi2_at_2(self):

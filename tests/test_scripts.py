@@ -51,7 +51,8 @@ def test_bench_writes_its_record(tmp_path):
     assert {"flows.flow_request", "flows.flow_request.isometric.prec60", "flows.group_law_residual.T1.prec50"} <= record["layers"].keys()
     assert {"oracle.expm_oracle.B1", "oracle.expm_oracles.grid"} <= record["layers"].keys()
     assert "reference_tables.parse_cell.uncached" in record["layers"]
-    for timing in [*record["layers"].values(), record["verify_pass"], *record["checks"].values()]:
+    assert list(record["cold_import"]) == ["fmspace.algebra", "fmspace.cli"]
+    for timing in [*record["layers"].values(), *record["cold_import"].values(), record["verify_pass"], *record["checks"].values()]:
         assert 0 < timing["min_s"] <= timing["median_s"]
     assert list(record["checks"]) == list(checks.CHECKS)
     for check in record["checks"].values():
