@@ -9,9 +9,12 @@ otherwise, and reported as the median and the min over --repeats repeats:
 - layers: seconds per call of a fixed loop over one layer of the package,
   from the exact ring multiply and the parse of the reference tables' 98
   distinct cell texts (uncached) up to the 4-radius radial request (four
-  windowed `inverse_ft_radial` calls of the unit step, one per radius);
+  windowed `inverse_ft_radial` calls of the unit step, one per radius of
+  the profile check);
   `step_hat` is timed on each of its branches, direct and series; the
-  stacked oracle on the flows check's 400 grid points; a flow
+  stacked oracle on the flows check's 400 grid points, the whole grid
+  (`grid_flows`: the 400 closed flows and their oracles) and the
+  discrepancy scan on a grid built beforehand; a flow
   request is a closed flow and its invariance residual, over a fixed seeded
   mix of points drawn as perfbench's `numeric` workload draws them (float64
   over all 20 generators; prec 60 over the 6 isometric ones);
@@ -48,7 +51,8 @@ import numpy as np
 from fmspace import checks, reference_tables
 from fmspace.algebra import decompose, verify_reference_tables
 from fmspace.catalog import ISOMETRIC_IDS, METAMORPHIC_IDS, SHIFT_IDS, GeneratorId, get_generator, homogeneity_order
-from fmspace.flows import ORACLE_TOL, STANDARD_PARAM_GRID, STANDARD_Q_GRID, closed_flow, group_law_residual, invariance_residual
+from fmspace.flows import ORACLE_TOL, GRID_POINTS, closed_flow, grid_flows, group_law_residual, invariance_residual
+from fmspace.flows import reference_discrepancies
 from fmspace.fmt import inverse_ft_radial, kr_weights, step_hat
 from fmspace.matrices import eval_mat
 from fmspace.oracle import expm_oracle, expm_oracles
@@ -56,7 +60,6 @@ from fmspace.ring import RingElem
 
 COLD_IMPORTS = ("fmspace.algebra", "fmspace.cli")
 SRC = str(Path(checks.__file__).resolve().parents[1])  # the fmspace tree this process imports
-RADII = (0.0, 0.5, 1.5, 2.0)  # the radial request, as the profile check reads the unit step
 
 
 def _unit_step_hat(q: float) -> float:
@@ -106,7 +109,8 @@ def _layers() -> dict:
     b = get_generator(GeneratorId.T3)[3, 0]
     b1, t3, t1 = (get_generator(g) for g in (GeneratorId.B1, GeneratorId.T3, GeneratorId.T1))
     # the flows check's stacked oracle call: 20 generators x the standard grid
-    grid = [(get_generator(g), p, q) for g in GeneratorId for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID]
+    grid = [(get_generator(g), p, q) for g in GeneratorId for q, p in GRID_POINTS]
+    evaluated = grid_flows(GeneratorId)
     # the 98 distinct texts of the reference tables and the shift decompositions,
     # parsed past parse_cell's per-process cache
     specs = (*reference_tables.TABLES, reference_tables.SHIFT_DECOMPOSITIONS)
@@ -129,11 +133,13 @@ def _layers() -> dict:
         "flows.group_law_residual.T1.prec50": (20, lambda: group_law_residual(GeneratorId.T1, 1.0, 2.7, 1.3, prec=50)),
         "oracle.expm_oracle.B1": (50, lambda: expm_oracle(b1, 0.5, 1.3, 1e-13)),
         "oracle.expm_oracles.grid": (5, lambda: expm_oracles(grid, ORACLE_TOL)),
+        "flows.grid_flows": (5, lambda: grid_flows(GeneratorId)),
+        "flows.reference_discrepancies.grid": (20, lambda: reference_discrepancies(evaluated)),
         "fmt.kr_weights": (2000, lambda: kr_weights(1.3, 2.7)),
         "fmt.step_hat": (20000, lambda: step_hat(1.3, 2.7)),
         "fmt.step_hat.series": (20000, lambda: step_hat(1.3, 1e-5)),  # qR below 0.05
         "fmt.inverse_ft_radial": (1, lambda: inverse_ft_radial(_unit_step_hat, 0.5)),
-        "fmt.radial_request": (1, lambda: [inverse_ft_radial(_unit_step_hat, r) for r in RADII]),
+        "fmt.radial_request": (1, lambda: [inverse_ft_radial(_unit_step_hat, r) for r in checks.PROFILE_RADII]),
     }
 
 

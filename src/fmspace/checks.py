@@ -29,8 +29,7 @@ from .catalog import (
     symmetry_space_dimensions,
 )
 from .flows import (
-    STANDARD_PARAM_GRID,
-    STANDARD_Q_GRID,
+    GRID_POINTS,
     FlowDiscrepancy,
     _fold_max,
     closed_flow,
@@ -45,6 +44,7 @@ from .matrices import IDENTITY, METRIC, metric_eigenvalues
 RADII = (0.3, 1.0, 2.7)  # the mayer and kernel grids
 WAVE_NUMBERS = (0.01, 0.5, 1.0, math.pi, 10.0)
 KERNEL_PREC = 50  # decimal digits of the kernels; their products and residuals take 20 more
+PROFILE_RADII = (0.0, 0.5, 1.5, 2.0)  # where the profile check reads the unit step
 
 
 @dataclass(frozen=True)
@@ -126,20 +126,16 @@ def flows() -> FlowsRecord:
     deviations are taken as one array operation over its stacked flows.
     """
     evaluated = grid_flows(GeneratorId)
-    points = [(q, p) for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID]
     rows = []
-    for gid in GeneratorId:
-        closed = np.array([evaluated[gid, q, p][0] for q, p in points])
-        oracle = np.array([evaluated[gid, q, p][1] for q, p in points])
+    for gid, (closed, oracle) in evaluated.items():
         # max |closed - oracle| / (1 + max |closed|) at each point; numpy's max keeps a NaN, as _fold_max does
         rel = float((np.abs(closed - oracle).max(axis=(1, 2)) / (1.0 + np.abs(closed).max(axis=(1, 2)))).max())
         residual = functools.reduce(_fold_max, (float(invariance_residual(a)) for a in closed), 0.0)
         rows.append((gid, rel, residual))
     isometric = 0.0
     for gid in ISOMETRIC_IDS:
-        for q in STANDARD_Q_GRID:
-            for p in STANDARD_PARAM_GRID:
-                isometric = _fold_max(isometric, float(invariance_residual(closed_flow(gid, p, q, prec=60), prec=60)))
+        for q, p in GRID_POINTS:
+            isometric = _fold_max(isometric, float(invariance_residual(closed_flow(gid, p, q, prec=60), prec=60)))
     # the least of the metamorphic and shift maxima: the NaN-keeping max fold, negated
     least = -functools.reduce(_fold_max, (-r for gid, _rel, r in rows if gid in METAMORPHIC_IDS + SHIFT_IDS))
     discrepancies = tuple(reference_discrepancies(evaluated=evaluated))
@@ -217,7 +213,7 @@ def metric() -> CheckRecord:
 def profile() -> CheckRecord:
     """The unit-sphere step, transformed back to real space, inside and outside the sphere."""
     worst = 0.0
-    for f, expected in zip(step_profile(1.0, (0.0, 0.5, 1.5, 2.0)), (1.0, 1.0, 0.0, 0.0)):
+    for f, expected in zip(step_profile(1.0, PROFILE_RADII), (1.0, 1.0, 0.0, 0.0)):
         worst = _fold_max(worst, abs(f - expected))
     measures = {"worst deviation": Measure(worst, 5e-3)}
     return CheckRecord("profile", _detail(f"worst deviation {worst:.2e}", measures), measures)

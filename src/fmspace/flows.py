@@ -8,8 +8,9 @@ them (`fmspace.oracle`, which this module re-exports), and
 `reference_discrepancies` diffs the generated closed forms against the
 published transform matrices entry by entry.
 
-The boost/rotation class of each generator's square is computed exactly,
-once per generator, on the first flow that needs it.
+Each generator's closed form, its exponents and its rows, is decided once,
+on the first flow that needs it (`_closed_form`); the boost/rotation class
+of a square is computed exactly then.
 
 All flows evaluate in float64 by default; passing `prec` (decimal digits)
 evaluates through mpmath instead, which matters for isometry residuals of
@@ -36,6 +37,7 @@ from .ring import is_mpf
 
 STANDARD_Q_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 STANDARD_PARAM_GRID = (-2.0, -0.5, 0.1, 1.5)
+GRID_POINTS = tuple((q, p) for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID)  # (q, param): a grid stack's order
 ORACLE_TOL = 1e-13  # the series oracle's truncation bound wherever it judges a closed form
 DISCREPANCY_TOL = 1e-6  # the relative deviation of a published entry that counts as a discrepancy
 
@@ -54,12 +56,11 @@ class _Backend:
     cosh: Callable
     sinh: Callable
     pi: object
-    lift: Callable
     w3_divisors: tuple  # `_w3_series`'s terms, enough for the backend's precision at |x| < _W3_SWITCH
 
 
 # 13 terms: below |x| = 0.9 the series is within 4.1e-16 of (sin x - x cos x) / x^3
-_FLOAT_BACKEND = _Backend(math.exp, math.cos, math.sin, math.cosh, math.sinh, math.pi, float, _w3_divisors(13))
+_FLOAT_BACKEND = _Backend(math.exp, math.cos, math.sin, math.cosh, math.sinh, math.pi, _w3_divisors(13))
 
 
 @functools.lru_cache(maxsize=32)
@@ -71,7 +72,7 @@ def _mp_backend(prec: int) -> _Backend:
         pi = +mpmath.mp.pi
     # below the switch each term of the w3 series is at most x^2 / 10 < 10^-3.6 of the one before it
     divisors = _w3_divisors(max(13, prec // 3 + 2))
-    return _Backend(mpmath.exp, mpmath.cos, mpmath.sin, mpmath.cosh, mpmath.sinh, pi, mpmath.mpf, divisors)
+    return _Backend(mpmath.exp, mpmath.cos, mpmath.sin, mpmath.cosh, mpmath.sinh, pi, divisors)
 
 
 def positive_finite_error(name: str, value) -> ValueError:
@@ -187,69 +188,64 @@ def float64_domain(form: Exponents, tau: float, q: float) -> None:
 
 
 @functools.cache
-def _flow_exponents(gid: GeneratorId) -> Exponents:
-    """The exponents of gid's closed form, as `_closed_rows` writes it."""
+def _closed_form(gid: GeneratorId) -> tuple:
+    """(Exponents, rows) of gid's closed form, decided once per generator.
+
+    `float64_domain` reads the exponents; rows(tau, q, bk) gives the 16
+    entries of exp(tau X(q)), row by row in one flat list, in bk's arithmetic.
+    """
     subject = f"exp({{tau!r}} * {gid.value}) at q = {{q!r}}"
     if gid is GeneratorId.ONE or gid is GeneratorId.T0:
-        return Exponents(subject, "param", 0, 0, growth=0)
+        return Exponents(subject, "param", 0, 0, growth=0), _exp_rows
     if gid is GeneratorId.T1:
-        return Exponents(subject, "param q", 1, 4)
+        return Exponents(subject, "param q", 1, 4), _t1_rows
     if gid is GeneratorId.T2:
-        return Exponents(subject, "param q^2 / (8 pi)", 2, 4, growth=4, scale=1 / (8 * math.pi), headroom=math.log(2**15))
+        return Exponents(subject, "param q^2 / (8 pi)", 2, 4, growth=4, scale=1 / (8 * math.pi), headroom=math.log(2**15)), _t2_rows
     if gid is GeneratorId.T3:
-        return Exponents(subject, "param q^3 / (8 pi)", 3, 6, scale=1 / (8 * math.pi))
-    square = _square_class(gid)
-    return Exponents(subject, f"param q^{square.order}", square.order, 2 * square.order, square.order if square.kind == "boost" else None)
+        return Exponents(subject, "param q^3 / (8 pi)", 3, 6, scale=1 / (8 * math.pi)), _t3_rows
+    mat = get_generator(gid)
+    square = classify_square(mat)  # a boost or a rotation for each of the fifteen (tests/test_catalog.py)
+    form = Exponents(subject, f"param q^{square.order}", square.order, 2 * square.order, square.order if square.kind == "boost" else None)
+    return form, functools.partial(_square_rows, mat, square)
 
 
 def closed_flow(gen, param: float, q: float, prec: Optional[int] = None) -> np.ndarray:
     """Closed-form finite transform exp(param * X_gen) evaluated at q, as a (4, 4) ndarray.
 
     The array is float64, or of dtype object holding mpf when prec (decimal
-    digits) is given; the inputs are checked by `FlowSpec`.  Both come
-    from `_closed_rows`, which forms only the entries the closed form makes
-    nonzero and fills the rest with one zero of the flow's own arithmetic.
-    A float64 flow outside `float64_domain` raises a ValueError.
+    digits) is given, with the rows of `_closed_form`; the inputs are checked
+    by `FlowSpec`.  A float64 flow outside `float64_domain` raises a ValueError.
     """
     spec = FlowSpec(gen, param, q)
+    form, rows = _closed_form(spec.gen)
     if prec is None:
-        float64_domain(_flow_exponents(spec.gen), spec.param, spec.q)
-        entries = _closed_rows(spec, _FLOAT_BACKEND)
+        float64_domain(form, spec.param, spec.q)
+        entries = rows(float(spec.param), float(spec.q), _FLOAT_BACKEND)
     else:
         import mpmath
 
         with mpmath.workdps(prec):
-            entries = _closed_rows(spec, _mp_backend(prec))
+            entries = rows(mpmath.mpf(spec.param), mpmath.mpf(spec.q), _mp_backend(prec))
     return np.array(entries).reshape(4, 4)  # 16 Python floats make float64; 16 mpf, dtype object
 
 
-def _closed_rows(spec: FlowSpec, bk: _Backend) -> list:
-    """The 16 entries of exp(param X(q)), row by row in one flat list, in bk's arithmetic.
+def _exp_rows(tau, q, bk: _Backend) -> list:
+    """exp(tau X) for One and T0, whose X is the identity: e^tau on the diagonal."""
+    e = bk.exp(tau)
+    zero = 0 * e
+    return [e, zero, zero, zero, zero, e, zero, zero, zero, zero, e, zero, zero, zero, zero, e]
 
-    One, T0 and the shift transcriptions T1-T3 write every entry out.  For
-    the other fifteen generators exp(param X) = C 1 + param S X(q), with
-    C = cosh/cos and S = sinh(y)/y or sin(y)/y of y = param q^order, by the
-    exact square of X.  Only X(q)'s nonzero entries are evaluated (by
-    `matrices.entries_at`, in float64 or mpf as q is) and scaled; every other
-    entry is the one value `zero = factor * 0`, which is -0.0 in float64
-    when the factor is negative, exactly as the dense product gave it.  The
-    diagonal then adds C to each of its four entries, zero or not.
+
+def _square_rows(mat, square: SquareClass, tau, q, bk: _Backend) -> list:
+    """exp(tau X) = C 1 + tau S X(q) for the fifteen generators whose square is exact.
+
+    C = cosh/cos and S = sinh(y)/y or sin(y)/y of y = tau q^order.  Only
+    X(q)'s nonzero entries are evaluated (by `matrices.entries_at`, in
+    float64 or mpf as q is) and scaled; every other entry is the one value
+    `zero = factor * 0`, which is -0.0 in float64 when the factor is
+    negative, exactly as the dense product gave it.  The diagonal then adds
+    C to each of its four entries, zero or not.
     """
-    gid = spec.gen
-    tau = bk.lift(spec.param)
-    q = bk.lift(spec.q)
-    if gid is GeneratorId.ONE or gid is GeneratorId.T0:
-        e = bk.exp(tau)
-        zero = 0 * e
-        return [e, zero, zero, zero, zero, e, zero, zero, zero, zero, e, zero, zero, zero, zero, e]
-    if gid is GeneratorId.T1:
-        return _t1_rows(tau, q, bk)
-    if gid is GeneratorId.T2:
-        return _t2_rows(tau, q, bk)
-    if gid is GeneratorId.T3:
-        return _t3_rows(tau, q, bk)
-    mat = get_generator(gid)
-    square = _square_class(gid)  # a boost or a rotation for each of the fifteen (tests/test_catalog.py)
     arg = tau * q**square.order
     diag, odd = (bk.cosh(arg), bk.sinh(arg)) if square.kind == "boost" else (bk.cos(arg), bk.sin(arg))
     # sinh(y)/y and sin(y)/y do not cancel, down to the subnormals: only y = 0 needs its limit
@@ -260,12 +256,6 @@ def _closed_rows(spec: FlowSpec, bk: _Backend) -> list:
     for i in (0, 5, 10, 15):
         entries[i] = entries[i] + diag
     return entries
-
-
-@functools.cache
-def _square_class(gid: GeneratorId) -> SquareClass:
-    """The exact square class of a catalog generator, classified on first use."""
-    return classify_square(get_generator(gid))
 
 
 def _weights(R, q, bk: _Backend) -> tuple:
@@ -575,40 +565,39 @@ class FlowDiscrepancy:
 
 
 def grid_flows(gens) -> dict:
-    """{(gen, q, param): (float64 closed flow, series oracle at ORACLE_TOL)} over the grid.
+    """{gen: (closed, oracle)}: the float64 closed flows and the series oracles at ORACLE_TOL.
 
-    Each flow is evaluated once, and all the oracles in one `expm_oracles` call.
+    Each is a (20, 4, 4) stack in the order of GRID_POINTS.  Each flow is
+    evaluated once, and all the oracles in one `expm_oracles` call.
     """
-    keys = [(GeneratorId(g), q, p) for g in gens for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID]
-    closed = [closed_flow(gid, p, q) for gid, q, p in keys]
-    oracles = expm_oracles([(get_generator(gid), p, q) for gid, q, p in keys], ORACLE_TOL)
-    return dict(zip(keys, zip(closed, oracles)))
+    gids = [GeneratorId(g) for g in gens]
+    oracles = expm_oracles([(get_generator(gid), p, q) for gid in gids for q, p in GRID_POINTS], ORACLE_TOL)
+    closed = [np.array([closed_flow(gid, p, q) for q, p in GRID_POINTS]) for gid in gids]
+    return dict(zip(gids, zip(closed, oracles.reshape(len(gids), len(GRID_POINTS), 4, 4))))
 
 
 def reference_discrepancies(evaluated: Optional[dict] = None) -> list[FlowDiscrepancy]:
     """Diff the generated closed forms against the published matrices.
 
     Returns one record per (generator, entry) that deviates anywhere on the
-    grid, with an oracle verdict on which side is correct.  `evaluated` is a
-    `grid_flows` result that covers the published generators on the grid;
-    by default they are evaluated here.
+    grid, at the first point of its largest deviation, with an oracle
+    verdict on which side is correct; a NaN deviation is never a
+    discrepancy.  `evaluated` is a `grid_flows` result that covers the
+    published generators; by default they are evaluated here.
     """
     if evaluated is None:
         evaluated = grid_flows(_PUBLISHED)
-    found: dict[tuple[GeneratorId, tuple[int, int]], FlowDiscrepancy] = {}
-    for gid in _PUBLISHED:
-        for q in STANDARD_Q_GRID:
-            for param in STANDARD_PARAM_GRID:
-                closed, oracle = evaluated[gid, q, param]
-                printed = printed_flow(gid, param, q)
-                scale = 1.0 + float(np.abs(closed).max())
-                dev = np.abs(printed - closed) / scale
-                for r, c in zip(*np.nonzero(dev > DISCREPANCY_TOL)):
-                    key = (gid, (int(r), int(c)))
-                    rel = float(dev[r, c])
-                    if key in found and found[key].max_relative_deviation >= rel:
-                        continue
-                    printed_ok = bool(abs(printed[r, c] - oracle[r, c]) <= DISCREPANCY_TOL * scale)
-                    closed_ok = bool(abs(closed[r][c] - oracle[r, c]) <= DISCREPANCY_TOL * scale)
-                    found[key] = FlowDiscrepancy(gid, (int(r), int(c)), rel, printed_ok, closed_ok)
-    return sorted(found.values(), key=lambda d: (list(ALL_IDS).index(d.gen), d.entry))
+    found = []
+    for gid in sorted(_PUBLISHED, key=ALL_IDS.index):
+        closed, oracle = evaluated[gid]
+        printed = np.array([printed_flow(gid, p, q) for q, p in GRID_POINTS])
+        scale = 1.0 + np.abs(closed).max(axis=(1, 2))  # NaN at a point with a NaN entry
+        dev = np.abs(printed - closed) / scale[:, None, None]
+        over = dev > DISCREPANCY_TOL
+        first = np.where(over, dev, -np.inf).argmax(axis=0)  # argmax takes the first of equal maxima
+        for r, c in zip(*np.nonzero(over.any(axis=0))):
+            k = first[r, c]
+            printed_ok = bool(abs(printed[k, r, c] - oracle[k, r, c]) <= DISCREPANCY_TOL * scale[k])
+            closed_ok = bool(abs(closed[k, r, c] - oracle[k, r, c]) <= DISCREPANCY_TOL * scale[k])
+            found.append(FlowDiscrepancy(gid, (int(r), int(c)), float(dev[k, r, c]), printed_ok, closed_ok))
+    return found

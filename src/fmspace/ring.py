@@ -260,18 +260,21 @@ class RingElem:
 
     @staticmethod
     def from_json_dict(d: dict) -> "RingElem":
-        """The inverse of to_json_dict; ValueError on any other shape or a zero denominator."""
+        """The inverse of to_json_dict; ValueError on any other shape, a field that is no integer or a zero denominator."""
         try:
-            return RingElem(
-                {
-                    (int(t["q"]), int(t["pi"])): Fraction(int(t["num"]), int(t["den"]))
-                    for t in d["terms"]
-                }
-            )
+            return RingElem({(_json_int(t, "q"), _json_int(t, "pi")): Fraction(_json_int(t, "num"), _json_int(t, "den")) for t in d["terms"]})
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in ring element {d!r}") from None
         except (KeyError, TypeError):
             raise ValueError(f'a ring element must be {{"terms": [{{num, den, q, pi}}, ...]}}, got {d!r}') from None
+
+
+def _json_int(term: dict, field: str) -> int:
+    """An int (not a bool) at term[field], or for num and den a string of one; else a ValueError naming the term."""
+    value = term[field]
+    if value.__class__ is int or (field in ("num", "den") and value.__class__ is str and re.fullmatch("-?[0-9]+", value)):
+        return int(value)
+    raise ValueError(f"{field} must be an integer in ring term {term!r}, got {value!r}")
 
 
 def _sum(a: dict, b: dict, subtract: bool) -> RingElem:

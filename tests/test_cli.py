@@ -449,6 +449,11 @@ def test_domain_error_exit_one(capsys):
     (("weights", "--R", "1e308", "--q", "1"), "float64 phase error in the weight vector at radius 1e+308, q = 1.0"),
     (("kernel", "--R", "1", "--q", "1e5"), "float64 phase error in exp(1.0 * T1) at q = 100000.0: |param q| = 100000 is above the phase bound 70368.7\n"),
     (("mayer", "--Ra", "5e4", "--Rb", "1", "--q", "2"), "float64 phase error in the weight vector at radius 50000.0, q = 2.0: |q R| = 100000"),
+    # a term's q and pi are ints, its num and den ints or strings of one: nothing is truncated
+    (("decompose", "--json", str(DATA / "bad_matrix_float_q.json")), "q must be an integer in ring term {'num': '1', 'den': '1', 'q': 1.5, 'pi': True}"),
+    (("decompose", "--json", str(DATA / "bad_matrix_bool_pi.json")), "pi must be an integer in ring term"),
+    (("decompose", "--json", str(DATA / "bad_matrix_decimal_num.json")), "num must be an integer in ring term {'num': '1.5'"),
+    (("decompose", "--json", str(DATA / "bad_matrix_float_den.json")), "den must be an integer in ring term"),
 ])
 def test_out_of_domain_input_exits_one_with_a_message(capsys, argv, words):
     code, out, err = run_cli(capsys, *argv)

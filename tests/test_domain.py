@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from fmspace.catalog import GeneratorId
-from fmspace.flows import _LN_MAX, _Q_RANGE, _W3_SWITCH, PHASE_BOUND, WEIGHT_EXPONENTS, _flow_exponents, closed_flow
+from fmspace.flows import _LN_MAX, _Q_RANGE, _W3_SWITCH, PHASE_BOUND, WEIGHT_EXPONENTS, _closed_form, closed_flow
 from fmspace.fmt import kernel_matrix, kr_weights, mayer_bond, step_hat
 
 TOL = 1e-9  # the flows check's bound: flows, the kernel, the weights and the step
@@ -88,7 +88,7 @@ def _refused(call, subject: str):
 @pytest.mark.parametrize("gid", list(GeneratorId), ids=lambda g: g.value)
 def test_float_flow_is_right_or_refused(gid):
     rng = random.Random(f"domain-{gid.value}")
-    form = _flow_exponents(gid)
+    form = _closed_form(gid)[0]
     returned = 0
     for tau, q in _draws(rng, form, 60):
         try:

@@ -19,6 +19,7 @@ from fmspace.catalog import (
 from fmspace import checks, flows
 from fmspace.checks import KERNEL_PREC, RADII, WAVE_NUMBERS
 from fmspace.flows import (
+    GRID_POINTS,
     STANDARD_PARAM_GRID,
     STANDARD_Q_GRID,
     FlowSpec,
@@ -129,12 +130,13 @@ class TestClosedFlow:
             return classify_square(x)
 
         monkeypatch.setattr(flows, "classify_square", counting)
-        flows._square_class.cache_clear()
+        flows._closed_form.cache_clear()
         for _ in range(3):
             for gid in ALL_IDS:
                 closed_flow(gid, 0.4, 1.3)
                 closed_flow(gid, -0.2, 0.7, prec=20)
-        flows._square_class.cache_clear()
+        assert flows._closed_form.cache_info().misses == len(ALL_IDS)  # one closed form per generator, both precisions
+        flows._closed_form.cache_clear()
         assert len(calls) == len({id(x) for x in calls}) == len(ALL_IDS) - 5  # One, T0..T3 have their own forms
 
     def test_mp_mode_matches_float(self):
@@ -834,29 +836,98 @@ def _per_point_rows(evaluated) -> list:
     rows = []
     for gid in GeneratorId:
         rel = residual = 0.0
-        for q in STANDARD_Q_GRID:
-            for p in STANDARD_PARAM_GRID:
-                closed, oracle = evaluated[gid, q, p]
-                scale = 1.0 + float(np.abs(closed).max())
-                rel = flows._fold_max(rel, float(np.abs(closed - oracle).max()) / scale)
-                residual = flows._fold_max(residual, float(invariance_residual(closed)))
+        for closed, oracle in zip(*evaluated[gid]):
+            scale = 1.0 + float(np.abs(closed).max())
+            rel = flows._fold_max(rel, float(np.abs(closed - oracle).max()) / scale)
+            residual = flows._fold_max(residual, float(invariance_residual(closed)))
         rows.append((gid, rel.hex(), residual.hex()))
     return rows
 
 
-@pytest.mark.parametrize("nan_at", [None, (GeneratorId.D1, 2.0, 0.1), (GeneratorId.T3, 0.5, -2.0)])
+@pytest.mark.parametrize("nan_at", [
+    None, (GeneratorId.D1, GRID_POINTS.index((2.0, 0.1))), (GeneratorId.T3, GRID_POINTS.index((0.5, -2.0))),
+])
 def test_flows_rows_are_the_per_point_folds(monkeypatch, nan_at):
     """The stacked oracle deviations of the flows record have the bits of the per-point fold, and keep a NaN."""
     evaluated = flows.grid_flows(GeneratorId)
     if nan_at is not None:
-        closed, oracle = evaluated[nan_at]
+        gid, point = nan_at
+        closed, oracle = evaluated[gid]
         oracle = oracle.copy()
-        oracle[1, 2] = math.nan
-        evaluated[nan_at] = (closed, oracle)
+        oracle[point, 1, 2] = math.nan
+        evaluated[gid] = (closed, oracle)
     monkeypatch.setattr(checks, "grid_flows", lambda gens: evaluated)
     rows = [(gid, rel.hex(), residual.hex()) for gid, rel, residual in checks.flows().rows]
     assert rows == _per_point_rows(evaluated)
     assert [gid for gid, rel, _ in rows if rel == "nan"] == ([] if nan_at is None else [nan_at[0]])
+
+
+def test_grid_flows_stacks_each_generator_in_grid_order():
+    evaluated = flows.grid_flows([GeneratorId.B2, "T1"])
+    assert list(evaluated) == [GeneratorId.B2, GeneratorId.T1]
+    for gid, (closed, oracle) in evaluated.items():
+        assert closed.shape == oracle.shape == (len(GRID_POINTS), 4, 4) and closed.dtype == oracle.dtype == np.float64
+        for (q, p), a, b in zip(GRID_POINTS, closed, oracle):
+            assert a.tobytes() == closed_flow(gid, p, q).tobytes()
+            assert b.tobytes() == expm_oracle(get_generator(gid), p, q, flows.ORACLE_TOL).tobytes()
+
+
+def _per_point_discrepancies(evaluated) -> list:
+    """The discrepancy scan point by point: each entry keeps its first largest deviation above the bound."""
+    found = {}
+    for gid in flows._PUBLISHED:
+        for (q, param), closed, oracle in zip(GRID_POINTS, *evaluated[gid]):
+            printed = printed_flow(gid, param, q)
+            scale = 1.0 + float(np.abs(closed).max())
+            dev = np.abs(printed - closed) / scale
+            for r, c in zip(*np.nonzero(dev > flows.DISCREPANCY_TOL)):
+                key = (gid, (int(r), int(c)))
+                rel = float(dev[r, c])
+                if key in found and found[key].max_relative_deviation >= rel:
+                    continue
+                printed_ok = bool(abs(printed[r, c] - oracle[r, c]) <= flows.DISCREPANCY_TOL * scale)
+                closed_ok = bool(abs(closed[r][c] - oracle[r, c]) <= flows.DISCREPANCY_TOL * scale)
+                found[key] = flows.FlowDiscrepancy(gid, (int(r), int(c)), rel, printed_ok, closed_ok)
+    return sorted(found.values(), key=lambda d: (ALL_IDS.index(d.gen), d.entry))
+
+
+def _inject(rng, evaluated) -> dict:
+    """A copy of the published generators' stacks with NaN, inf, over-bound and tied entries written in."""
+    copy = {gid: (closed.copy(), oracle.copy()) for gid, (closed, oracle) in evaluated.items() if gid in flows._PUBLISHED}
+    n = len(GRID_POINTS)
+    for _ in range(rng.randint(1, 6)):
+        gid = rng.choice(list(copy))
+        closed, oracle = copy[gid]
+        k, r, c = rng.randrange(n), rng.randrange(4), rng.randrange(4)
+        kind = rng.choice(("nan", "inf", "bump", "tie", "oracle"))
+        if kind == "nan":
+            rng.choice((closed, oracle))[k, r, c] = math.nan
+        elif kind == "inf":
+            closed[k, r, c] = rng.choice((math.inf, -math.inf))
+        elif kind == "bump":  # over the bound by a factor of up to 1e6, or under it
+            closed[k, r, c] += rng.choice((-1, 1)) * 10 ** rng.uniform(-8.0, 0.0) * (1.0 + np.abs(closed[k]).max())
+        elif kind == "tie":  # 1e300 at two points deviates by exactly 1.0 at each; the oracle agrees at one
+            k2 = rng.randrange(n)
+            closed[k, r, c] = closed[k2, r, c] = 1e300
+            oracle[rng.choice((k, k2)), r, c] = 1e300
+        else:  # the oracle sides with the published form at this point
+            q, p = GRID_POINTS[k]
+            oracle[k, r, c] = printed_flow(gid, p, q)[r, c]
+    return copy
+
+
+def test_discrepancy_scan_is_the_per_point_loop_by_repr():
+    evaluated = flows.grid_flows(GeneratorId)
+    assert repr(reference_discrepancies(evaluated)) == repr(_per_point_discrepancies(evaluated))
+    rng = random.Random(2020)
+    seen = []
+    with np.errstate(invalid="ignore"):  # inf / inf at an infinite entry
+        for _ in range(300):
+            injected = _inject(rng, evaluated)
+            expected = repr(_per_point_discrepancies(injected))
+            assert repr(reference_discrepancies(injected)) == expected
+            seen.append(expected)
+    assert len(set(seen)) > 100 and sum("max_relative_deviation=1.0," in e for e in seen) > 10  # ties among them
 
 
 def bilinear_residual(rows) -> float:

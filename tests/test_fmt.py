@@ -221,6 +221,31 @@ class TestMayerBond:
         expected = 4 * math.pi * (math.sin(2 * q * R) - 2 * q * R * math.cos(2 * q * R)) / q**3
         assert mayer_bond(R, R, q) == pytest.approx(expected, rel=1e-12)
 
+    def test_bond_is_the_step_transform_to_50_digits(self):
+        """The bond against 4 pi (sin x - x cos x) / q^3 at x = q (Ra + Rb), written here at 50 digits.
+
+        The mayer check holds the bond against `step_hat`, which shares w3 with
+        the weights, so a defect in w3 cancels there; here it cannot.  On the
+        check's grid, and on seeded draws with x on both sides of w3's series
+        switch, within the check's bound.
+        """
+        import mpmath
+
+        points = [(Ra, Rb, q) for Ra in RADII for Rb in RADII for q in WAVE_NUMBERS]
+        rng = random.Random(2011)
+        for _ in range(200):
+            Ra, Rb = 10 ** rng.uniform(-1.0, 0.5), 10 ** rng.uniform(-1.0, 0.5)
+            points.append((Ra, Rb, flows._W3_SWITCH * 2 ** rng.uniform(-3.0, 3.0) / (Ra + Rb)))
+        sides = {q * (Ra + Rb) < flows._W3_SWITCH for Ra, Rb, q in points}
+        assert sides == {True, False}
+        for Ra, Rb, q in points:
+            with mpmath.workdps(50):
+                k = mpmath.mpf(q)
+                x = k * (mpmath.mpf(Ra) + mpmath.mpf(Rb))
+                exact = 4 * mpmath.pi * (mpmath.sin(x) - x * mpmath.cos(x)) / k**3
+                rel = abs(mayer_bond(Ra, Rb, q) - exact) / (1 + abs(exact))
+            assert rel <= 1e-10, (Ra, Rb, q, rel)
+
     def test_volume_limit(self):
         assert mayer_bond(1.0, 0.5, 1e-6) == pytest.approx(4.5 * math.pi, rel=1e-10)
         assert mayer_bond(1.0, 0.5, 1e-6) == pytest.approx(14.137167, rel=1e-6)

@@ -215,6 +215,14 @@ class TestSerialization:
         x = RingElem.monomial(Fraction(big, 3), 0, 0)
         assert RingElem.from_json_dict(x.to_json_dict()) == x
 
+    def test_fields_are_integers_or_integer_strings(self):
+        assert RingElem.from_json_dict({"terms": [{"num": -6, "den": "4", "q": -2, "pi": 1}]}) == RingElem.monomial(Fraction(-3, 2), -2, 1)
+        for field, value in (("q", 1.5), ("q", "1"), ("pi", True), ("pi", 0.0), ("num", "1.5"), ("num", True),
+                             ("num", " 1"), ("den", 2.0), ("den", "1e3"), ("den", None)):
+            term = {"num": "1", "den": "1", "q": 0, "pi": 0, field: value}
+            with pytest.raises(ValueError, match=f"^{field} must be an integer in ring term "):
+                RingElem.from_json_dict({"terms": [term]})
+
 
 class TestParseFormat:
     @pytest.mark.parametrize(

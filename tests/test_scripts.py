@@ -50,6 +50,7 @@ def test_bench_writes_its_record(tmp_path):
     assert {"fmt.step_hat", "fmt.step_hat.series", "fmt.radial_request", "flows.closed_flow.T1.prec50", "ring.mul"} <= record["layers"].keys()
     assert {"flows.flow_request", "flows.flow_request.isometric.prec60", "flows.group_law_residual.T1.prec50"} <= record["layers"].keys()
     assert {"oracle.expm_oracle.B1", "oracle.expm_oracles.grid"} <= record["layers"].keys()
+    assert {"flows.grid_flows", "flows.reference_discrepancies.grid"} <= record["layers"].keys()
     assert "reference_tables.parse_cell.uncached" in record["layers"]
     assert list(record["cold_import"]) == ["fmspace.algebra", "fmspace.cli"]
     for timing in [*record["layers"].values(), *record["cold_import"].values(), record["verify_pass"], *record["checks"].values()]:
