@@ -14,7 +14,9 @@ otherwise, and reported as the median and the min over --repeats repeats:
   `step_hat` is timed on each of its branches, direct and series; the
   stacked oracle on the flows check's 400 grid points, the whole grid
   (`grid_flows`: the 400 closed flows and their oracles) and the
-  discrepancy scan on a grid built beforehand; a flow
+  discrepancy scan on a grid built beforehand; the exact certificates of
+  the closed forms, the 7 a `verify` pass runs (the 6 isometric and T1)
+  and all 20; a flow
   request is a closed flow and its invariance residual, over a fixed seeded
   mix of points drawn as perfbench's `numeric` workload draws them (float64
   over all 20 generators; prec 60 over the 6 isometric ones);
@@ -51,6 +53,7 @@ import numpy as np
 from fmspace import checks, reference_tables
 from fmspace.algebra import decompose, verify_reference_tables
 from fmspace.catalog import ISOMETRIC_IDS, METAMORPHIC_IDS, SHIFT_IDS, GeneratorId, get_generator, homogeneity_order
+from fmspace.certificate import certify
 from fmspace.flows import ORACLE_TOL, GRID_POINTS, closed_flow, grid_flows, group_law_residual, invariance_residual
 from fmspace.flows import reference_discrepancies
 from fmspace.fmt import inverse_ft_radial, kr_weights, step_hat
@@ -135,6 +138,8 @@ def _layers() -> dict:
         "oracle.expm_oracles.grid": (5, lambda: expm_oracles(grid, ORACLE_TOL)),
         "flows.grid_flows": (5, lambda: grid_flows(GeneratorId)),
         "flows.reference_discrepancies.grid": (20, lambda: reference_discrepancies(evaluated)),
+        "flows.certificate": (5, lambda: [certify(g) for g in (*ISOMETRIC_IDS, GeneratorId.T1)]),
+        "flows.certificate.all": (5, lambda: [certify(g) for g in GeneratorId]),
         "fmt.kr_weights": (2000, lambda: kr_weights(1.3, 2.7)),
         "fmt.step_hat": (20000, lambda: step_hat(1.3, 2.7)),
         "fmt.step_hat.series": (20000, lambda: step_hat(1.3, 1e-5)),  # qR below 0.05

@@ -1,0 +1,221 @@
+"""An exact certificate that each closed form of `flows` is exp(tau X).
+
+F(tau) = exp(tau X) exactly when F(0) = 1 and dF/dtau = X F: both solve the
+same linear ODE.  `certify` runs a generator's rows builder,
+`flows._closed_form(gid)[1]`, through a third `flows._Backend` whose values
+are `Laurent` polynomials in tau and in the functions of the one phase
+y = k tau that the builder reads (cos and sin, cosh and sinh, or exp), with
+`RingElem` coefficients and q the ring's own q.  Every entry of F(0) - 1 and
+of dF/dtau - X F must reduce to 0 under sin^2 + cos^2 = 1 and
+cosh^2 - sinh^2 = 1, with zero tolerance; for the six isometric generators
+so must every entry of F^t M F - M, so their flows preserve the metric at
+every tau and q.
+
+The reduced form is canonical: no power of sin or sinh above the first is
+left, and cos, cosh and exp of k tau are transcendental over the Laurent
+polynomials in tau, q and pi, so an identity reduces to 0 and nothing else
+does.  A certificate is computed afresh on every call.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import NamedTuple, Optional
+
+from . import flows
+from .catalog import ISOMETRIC_IDS, GeneratorId, get_generator
+from .matrices import _Q  # the exact q, at which `entries_at` gives the exact entries
+from .ring import ONE, ZERO, RingElem
+
+
+class Laurent:
+    """A finite sum of r tau^t A^a B^b, held as a dict (t, a, b) -> nonzero RingElem r.
+
+    A and B are the two functions of the phase (cos and sin, cosh and sinh),
+    or A alone is exp of it.  An int, a Fraction or a RingElem mixes in as a
+    constant; a divisor must be a unit, r tau^t with r a monomial.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __add__(self, other):
+        b = _terms(other)
+        return NotImplemented if b is None else Laurent(_combine(self.terms, b, 1))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        b = _terms(other)
+        return NotImplemented if b is None else Laurent(_combine(self.terms, b, -1))
+
+    def __rsub__(self, other):
+        b = _terms(other)
+        return NotImplemented if b is None else Laurent(_combine(b, self.terms, -1))
+
+    def __neg__(self):
+        return Laurent({key: -r for key, r in self.terms.items()})
+
+    def __mul__(self, other):
+        b = _terms(other)
+        if b is None:
+            return NotImplemented
+        out = {}
+        for (t1, a1, b1), r1 in self.terms.items():
+            for (t2, a2, b2), r2 in b.items():
+                _accumulate(out, (t1 + t2, a1 + a2, b1 + b2), r1 * r2)
+        return Laurent(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        b = _terms(other)
+        if b is None:
+            return NotImplemented
+        if len(b) != 1 or any(next(iter(b))[1:]):
+            raise ValueError(f"a Laurent divisor must be a unit r tau^t, got {other!r}")
+        ((t, _a, _b), r), = b.items()
+        return self * Laurent({(-t, 0, 0): r.invert_monomial()})  # raises unless r is a monomial
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __repr__(self):
+        return f"Laurent({self.terms!r})"
+
+
+def _terms(x) -> Optional[dict]:
+    """The term dict of a Laurent, or of a constant int, Fraction or RingElem; None for anything else."""
+    if isinstance(x, Laurent):
+        return x.terms
+    if isinstance(x, (int, Fraction)):
+        x = RingElem.monomial(x)
+    if isinstance(x, RingElem):
+        return {(0, 0, 0): x} if x else {}
+    return None
+
+
+def _accumulate(out: dict, key: tuple, r: RingElem) -> None:
+    """out[key] += r, dropping the key when the sum is 0."""
+    total = out.get(key)
+    total = r if total is None else total + r
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
+def _combine(a: dict, b: dict, sign: int) -> dict:
+    """The terms of a + sign b."""
+    out = dict(a)
+    for key, r in b.items():
+        _accumulate(out, key, r if sign > 0 else -r)
+    return out
+
+
+_TAU = Laurent({(1, 0, 0): ONE})
+
+
+def _backend(phase: dict) -> flows._Backend:
+    """The exact backend: each function returns its symbol and records (kind, k) of its phase y = k tau in phase."""
+
+    def function(kind: str, key: tuple):
+        def symbol(y):
+            terms = _terms(y)
+            rate = terms.get((1, 0, 0)) if terms is not None and len(terms) == 1 else None
+            if rate is None or phase.setdefault("y", (kind, rate)) != (kind, rate):
+                raise ValueError(f"a closed form the certificate reads has one phase k tau, of one kind; got {kind} of {y!r}")
+            return Laurent({key: ONE})
+
+        return symbol
+
+    a, b = (0, 1, 0), (0, 0, 1)
+    return flows._Backend(
+        exp=function("exp", a), cos=function("trig", a), sin=function("trig", b),
+        cosh=function("hyp", a), sinh=function("hyp", b), pi=RingElem.pipow(1), w3_divisors=(),
+    )
+
+
+def _derivative(p: Laurent, kind: str, k: RingElem) -> Laurent:
+    """d/dtau of p, with A and B functions of y = k tau.
+
+    (cos, sin)' = k (-sin, cos), (cosh, sinh)' = k (sinh, cosh), exp' = k exp.
+    """
+    out = {}
+    sign = -1 if kind == "trig" else 1
+    for (t, a, b), r in p.terms.items():
+        if t:
+            _accumulate(out, (t - 1, a, b), r * t)
+        if a and kind == "exp":
+            _accumulate(out, (t, a, b), r * k * a)
+        elif a:
+            _accumulate(out, (t, a - 1, b + 1), r * k * (sign * a))
+        if b:
+            _accumulate(out, (t, a + 1, b - 1), r * k * b)
+    return Laurent(out)
+
+
+def _reduce(p: Laurent, kind: str) -> Laurent:
+    """p with each B^2 rewritten, sin^2 = 1 - cos^2 and sinh^2 = cosh^2 - 1, until B's power is at most 1."""
+    if kind == "exp":
+        return p
+    sign = 1 if kind == "trig" else -1  # B^2 = sign (1 - A^2)
+    out = {}
+    todo = list(p.terms.items())
+    while todo:
+        (t, a, b), r = todo.pop()
+        if b < 2:
+            _accumulate(out, (t, a, b), r)
+        else:
+            todo += [((t, a, b - 2), r * sign), ((t, a + 2, b - 2), r * -sign)]
+    return Laurent(out)
+
+
+def _at_zero(p: Laurent) -> Optional[RingElem]:
+    """p at tau = 0, where cos, cosh and exp are 1 and sin and sinh 0; None if p has a negative power of tau."""
+    total = ZERO
+    for (t, a, b), r in p.terms.items():
+        if t < 0:
+            return None
+        if t == 0 and b == 0:
+            total = total + r
+    return total
+
+
+class Certificate(NamedTuple):
+    """The entries of one closed form's three identities that do not reduce to 0."""
+
+    gen: GeneratorId
+    at_zero: int  # of F(0) - 1
+    ode: int  # of dF/dtau - X F
+    isometry: Optional[int]  # of F^t M F - M for an isometric generator, else None
+
+    @property
+    def failures(self) -> int:
+        """All three counts: 0 exactly when F = exp(tau X), and for an isometric X, F preserves the metric."""
+        return self.at_zero + self.ode + (self.isometry or 0)
+
+
+def certify(gen) -> Certificate:
+    """The certificate of gen's closed form: its rows builder run on the exact tau and q, then reduced."""
+    gid = GeneratorId(gen)
+    phase = {}
+    flat = [Laurent(_terms(x)) for x in flows._closed_form(gid)[1](_TAU, _Q, _backend(phase))]
+    F = [flat[4 * r : 4 * r + 4] for r in range(4)]
+    kind, k = phase["y"]  # every closed form reads its phase
+    at_zero = sum(_at_zero(_reduce(F[r][c], kind)) != int(r == c) for r in range(4) for c in range(4))
+    xf = [[Laurent({})] * 4 for _ in range(4)]
+    for r, j, x in get_generator(gid).entries():
+        xf[r] = [acc + f * x for acc, f in zip(xf[r], F[j])]
+    ode = sum(bool(_reduce(_derivative(F[r][c], kind, k) - xf[r][c], kind)) for r in range(4) for c in range(4))
+    isometry = None
+    if gid in ISOMETRIC_IDS:
+        columns = list(zip(*F))
+        isometry = sum(
+            bool(_reduce(u[0] * v[3] + u[1] * v[2] + u[2] * v[1] + u[3] * v[0] - int(mu + nu == 3), kind))
+            for mu, u in enumerate(columns)
+            for nu, v in enumerate(columns)
+        )
+    return Certificate(gid, at_zero, ode, isometry)

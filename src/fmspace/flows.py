@@ -2,22 +2,24 @@
 
 Closed forms for the twelve boost/rotation generators come from the exact
 square identity X@X = +/- q^(2a) * 1 (cosh/cos plus sinh/sin structure); the
-diagonal and shift-generator transforms are transcribed closed forms.  An
-independently coded scaling-and-squaring Taylor exponential validates all of
-them (`fmspace.oracle`, which this module re-exports), and
-`reference_discrepancies` diffs the generated closed forms against the
-published transform matrices entry by entry.
+diagonal and shift-generator transforms are transcribed closed forms.
+`fmspace.certificate` proves each of them exp(tau X) exactly, by running its
+rows through an exact backend.  An independently coded scaling-and-squaring
+Taylor exponential checks their float64 values (`fmspace.oracle`, which
+this module re-exports), and `reference_discrepancies` diffs the generated
+closed forms against the published transform matrices entry by entry.
 
 Each generator's closed form, its exponents and its rows, is decided once,
 on the first flow that needs it (`_closed_form`); the boost/rotation class
 of a square is computed exactly then.
 
 All flows evaluate in float64 by default; passing `prec` (decimal digits)
-evaluates through mpmath instead, which matters for isometry residuals of
-large boost arguments where double precision cannot even represent the
-difference between cosh and sinh.  `float64_domain` refuses, before any
-evaluation, a float64 flow that float64 cannot hold to the flows bound;
-the residual folds carry a NaN through instead of dropping it.
+evaluates through mpmath instead, for `eval --prec` and for references
+beyond float64, such as large boost arguments where double precision
+cannot even represent the difference between cosh and sinh.
+`float64_domain` refuses, before any evaluation, a float64 flow that
+float64 cannot hold to the flows bound; the residual folds carry a NaN
+through instead of dropping it.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ class _Backend:
     cosh: Callable
     sinh: Callable
     pi: object
-    w3_divisors: tuple  # `_w3_series`'s terms, enough for the backend's precision at |x| < _W3_SWITCH
+    # `_w3_series`'s terms, enough for the backend's precision at |x| < _W3_SWITCH; none for the
+    # exact backend (`fmspace.certificate`), where w3's direct form is exact
+    w3_divisors: tuple
 
 
 # 13 terms: below |x| = 0.9 the series is within 4.1e-16 of (sin x - x cos x) / x^3
@@ -265,12 +269,13 @@ def _weights(R, q, bk: _Backend) -> tuple:
     T1 flow at parameter R, with w3 = 4 pi (s - x c) / q^3 for x = qR,
     s = sin x and c = cos x: the Fourier transform of a unit step of range
     R.  w3 cancels as x -> 0, so below |x| = _W3_SWITCH it takes
-    `_w3_series`; w0, w1 and w2 do not cancel and have no series.
+    `_w3_series`, in a backend that has one; w0, w1 and w2 do not cancel
+    and have no series.
     """
     pi = bk.pi
     x = q * R
     s, c = bk.sin(x), bk.cos(x)
-    w3 = _w3_series(R, x, pi, bk.w3_divisors) if abs(x) < _W3_SWITCH else _step_direct(x, s, c, q**3, pi)
+    w3 = _w3_series(R, x, pi, bk.w3_divisors) if bk.w3_divisors and abs(x) < _W3_SWITCH else _step_direct(x, s, c, q**3, pi)
     return [c + x * s / 2, (x * c + s) / (2 * q), 4 * pi * R * s / q, w3], s, c
 
 

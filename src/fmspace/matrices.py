@@ -166,10 +166,13 @@ class Mat4:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Mat4":
-        """The inverse of to_json_dict; ValueError on any other shape."""
+        """The inverse of to_json_dict; ValueError on any other shape, naming an unknown key."""
         rows = d.get("rows") if isinstance(d, dict) else None
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError('a matrix must be {"rows": [4 lists of 4 entries]}')
+        for key in d:
+            if key != "rows":
+                raise ValueError(f'unknown key {key!r} in a matrix; a matrix must be {{"rows": [4 lists of 4 entries]}}')
         return Mat4([[RingElem.from_json_dict(x) for x in row] for row in rows])
 
 
@@ -197,6 +200,8 @@ METRIC = Mat4.from_entries([(0, 3, 1), (1, 2, 1), (2, 1, 1), (3, 0, 1)])
 
 IDENTITY = Mat4.identity()
 
+_Q = RingElem.qpow(1)
+
 
 def commutator(x: Mat4, y: Mat4) -> Mat4:
     return x @ y - y @ x
@@ -208,10 +213,15 @@ def entries_at(x: Mat4, q) -> list:
     The one numeric evaluator of a matrix's entries: an mpf q evaluates each
     exact entry by `RingElem.evaluate` at the ambient mpmath precision; any
     other real q (an int, a float, a numpy scalar) is read as a float and
-    sums each entry's compiled float terms (`ring.float_sum`).
+    sums each entry's compiled float terms (`ring.float_sum`).  The exact q,
+    `RingElem.qpow(1)`, gives the exact entries (`fmspace.certificate`).
     """
     if isinstance(q, float):
         return [(r, c, float_sum(terms, q)) for r, c, terms in x.float_terms]
+    if isinstance(q, RingElem):
+        if q != _Q:
+            raise ValueError(f"an exact wave number is the ring's q itself, got {q}")
+        return list(x.entries())
     if not is_mpf(q):
         return entries_at(x, float(q))
     return [(r, c, entry.evaluate(q)) for r, c, entry in x.entries()]

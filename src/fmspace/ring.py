@@ -155,6 +155,15 @@ class RingElem:
 
     __rmul__ = __mul__
 
+    def __pow__(self, n: int) -> "RingElem":
+        """self**n for an int n; a negative n only for a monomial, the units of the ring."""
+        if n < 0:
+            return self.invert_monomial() ** -n
+        out = ONE
+        for _ in range(n):
+            out = out * self
+        return out
+
     def invert_monomial(self) -> "RingElem":
         """Inverse of a single-term element; raises on zero or sums."""
         mono = self.as_monomial()
@@ -260,13 +269,37 @@ class RingElem:
 
     @staticmethod
     def from_json_dict(d: dict) -> "RingElem":
-        """The inverse of to_json_dict; ValueError on any other shape, a field that is no integer or a zero denominator."""
+        """The inverse of to_json_dict; ValueError on any other shape.
+
+        The message names an unknown key, a field that is no integer, a
+        zero denominator, or the second of two terms with the same q and pi
+        powers: to_json_dict writes each power pair once.
+        """
         try:
-            return RingElem({(_json_int(t, "q"), _json_int(t, "pi")): Fraction(_json_int(t, "num"), _json_int(t, "den")) for t in d["terms"]})
+            _json_keys(d, _ELEMENT_KEYS, "ring element")
+            terms = {}
+            for t in d["terms"]:
+                _json_keys(t, _TERM_KEYS, "ring term")
+                key = (_json_int(t, "q"), _json_int(t, "pi"))
+                if key in terms:
+                    raise ValueError(f"a second term with q = {key[0]}, pi = {key[1]} in ring term {t!r}")
+                terms[key] = Fraction(_json_int(t, "num"), _json_int(t, "den"))
+            return RingElem(terms)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in ring element {d!r}") from None
         except (KeyError, TypeError):
             raise ValueError(f'a ring element must be {{"terms": [{{num, den, q, pi}}, ...]}}, got {d!r}') from None
+
+
+_ELEMENT_KEYS = {"terms"}
+_TERM_KEYS = {"num", "den", "q", "pi"}
+
+
+def _json_keys(d, allowed: set, what: str) -> None:
+    """A ValueError naming the first key of a dict d that is not allowed; a d that is no dict is left to the caller."""
+    for key in d if isinstance(d, dict) else ():
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in {what} {d!r}")
 
 
 def _json_int(term: dict, field: str) -> int:

@@ -1,0 +1,144 @@
+"""The exact certificate of the closed forms: every one holds with zero tolerance, and a planted fault fails it."""
+
+import dataclasses
+import functools
+import math
+from fractions import Fraction
+
+import pytest
+
+from fmspace import checks, flows
+from fmspace.catalog import ALL_IDS, ISOMETRIC_IDS, GeneratorId, classify_square, get_generator
+from fmspace.certificate import Laurent, _backend, _reduce, certify
+from fmspace.matrices import Mat4
+from fmspace.ring import ONE, RingElem
+
+
+@pytest.mark.parametrize("gid", ALL_IDS)
+def test_every_closed_form_is_certified(gid):
+    cert = certify(gid)
+    assert (cert.at_zero, cert.ode, cert.failures) == (0, 0, 0)
+    assert cert.isometry == (0 if gid in ISOMETRIC_IDS else None)
+
+
+class TestLaurent:
+    def test_the_pythagorean_identities_reduce_to_zero(self):
+        cos, sin = Laurent({(0, 1, 0): ONE}), Laurent({(0, 0, 1): ONE})
+        tau = Laurent({(1, 0, 0): ONE})
+        assert not _reduce(sin * sin + cos * cos - 1, "trig")
+        assert not _reduce(tau * (cos * cos - sin * sin) - tau, "hyp")
+        assert _reduce(sin * sin, "trig").terms == {(0, 0, 0): ONE, (0, 2, 0): -ONE}
+        assert _reduce(sin * sin + cos * cos - 1, "hyp")  # cosh^2 + sinh^2 is not 1
+        assert _reduce(sin * sin, "exp").terms == {(0, 0, 2): ONE}  # exp has no relation
+
+    def test_a_divisor_must_be_a_unit(self):
+        tau = Laurent({(1, 0, 0): ONE})
+        q = RingElem.qpow(1)
+        assert (tau / (tau * q * 2)).terms == {(0, 0, 0): RingElem.monomial(Fraction(1, 2), -1)}
+        with pytest.raises(ValueError, match="a Laurent divisor must be a unit"):
+            tau / (tau + 1)
+        with pytest.raises(ValueError, match="a Laurent divisor must be a unit"):
+            tau / Laurent({(0, 1, 0): ONE})
+        with pytest.raises(ValueError, match="not a monomial"):
+            tau / (q + 1)
+
+    def test_the_backend_reads_one_phase(self):
+        bk = _backend({})
+        tau = Laurent({(1, 0, 0): ONE})
+        bk.cos(tau * 2)
+        bk.sin(tau * 2)  # the same phase and kind
+        for other in (lambda: bk.sin(tau * 3), lambda: bk.cosh(tau * 2)):
+            with pytest.raises(ValueError, match="one phase k tau, of one kind"):
+                other()
+        with pytest.raises(ValueError, match="one phase k tau"):
+            _backend({}).exp(tau * tau)
+
+
+def test_w3_series_is_the_taylor_series_of_its_direct_form():
+    """Horner's g = 1 - x^2 g / d over `_w3_divisors`, expanded in Fractions, for the float and prec-60 term counts.
+
+    Each coefficient of x^(2j) is that of 3 (sin x - x cos x) / x^3, from the
+    Taylor series of sin and cos, which is (-1)^j 6 (j + 1) / (2j + 3)!.
+    """
+    counts = {len(bk.w3_divisors) + 1 for bk in (flows._FLOAT_BACKEND, flows._mp_backend(60))}
+    assert counts == {13, 22}
+    for terms in counts:
+        g = [Fraction(1)]  # the coefficients of g in x^2, from x^0 up
+        for d in flows._w3_divisors(terms):
+            g = [Fraction(1)] + [-c / d for c in g]
+        assert len(g) == terms
+        for j, coefficient in enumerate(g):
+            taylor = 3 * (-1) ** (j + 1) * (Fraction(1, math.factorial(2 * j + 3)) - Fraction(1, math.factorial(2 * j + 2)))
+            assert coefficient == taylor == Fraction((-1) ** j * 6 * (j + 1), math.factorial(2 * j + 3)), (terms, j)
+
+
+def _plant(monkeypatch, gid, rows):
+    """Make rows gid's closed form, for the certificate and every flow."""
+    real = flows._closed_form
+    monkeypatch.setattr(flows, "_closed_form", lambda g: (real(g)[0], rows) if g is gid else real(g))
+
+
+def _flipped(mat: Mat4, at: tuple) -> Mat4:
+    return Mat4([[-x if (r, c) == at else x for c, x in enumerate(row)] for r, row in enumerate(mat.rows)])
+
+
+def _negated(rows, index: int):
+    """rows with the sign of its flat entry index flipped."""
+
+    def faulty(tau, q, bk):
+        entries = rows(tau, q, bk)
+        entries[index] = -entries[index]
+        return entries
+
+    return faulty
+
+
+@pytest.mark.parametrize("gid", [GeneratorId.B1, GeneratorId.D2, GeneratorId.F3])
+def test_a_flipped_sign_in_x_fails_the_certificate(monkeypatch, gid):
+    mat = get_generator(gid)
+    for r, c, _x in mat.entries():
+        _plant(monkeypatch, gid, functools.partial(flows._square_rows, _flipped(mat, (r, c)), classify_square(mat)))
+        cert = certify(gid)
+        assert cert.ode > 0 and (cert.isometry is None or cert.isometry > 0), (r, c)
+
+
+@pytest.mark.parametrize("gid", [GeneratorId.B1, GeneratorId.D2])
+def test_a_flipped_sign_in_an_isometric_x_fails_verify(monkeypatch, gid):
+    assert checks.flows().measures["isometric flows not metric-preserving (exact)"].value == 0
+    mat = get_generator(gid)
+    (r, c, _x), *_ = mat.entries()
+    _plant(monkeypatch, gid, functools.partial(flows._square_rows, _flipped(mat, (r, c)), classify_square(mat)))
+    record = checks.flows()  # certified afresh: a certificate of the first pass is not reused
+    assert record.measures["isometric flows not metric-preserving (exact)"].value > 0
+    assert not record.ok
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_a_flipped_weight_entry_fails_t1_and_the_kernel_check(monkeypatch, index):
+    real = flows._weights
+
+    def weights(R, q, bk):
+        column, s, c = real(R, q, bk)
+        column[index] = -column[index]
+        return column, s, c
+
+    monkeypatch.setattr(flows, "_weights", weights)  # read by _t1_rows
+    assert certify(GeneratorId.T1).failures > 0
+    record = checks.kernel()
+    assert record.measures["kernel not a one-parameter group (exact)"].value > 0
+    assert not record.ok
+
+
+@pytest.mark.parametrize("index", range(16))
+def test_a_flipped_sign_in_t3_rows_fails_the_certificate(monkeypatch, index):
+    _plant(monkeypatch, GeneratorId.T3, _negated(flows._t3_rows, index))
+    assert certify(GeneratorId.T3).failures > 0
+
+
+def test_a_flipped_sign_in_t2s_exponential_fails_the_certificate(monkeypatch):
+    def t2_rows(chi, q, bk):
+        return flows._t2_rows(chi, q, dataclasses.replace(bk, exp=lambda y: bk.exp(-y)))
+
+    _plant(monkeypatch, GeneratorId.T2, t2_rows)
+    cert = certify(GeneratorId.T2)
+    assert cert.at_zero == 0 and cert.ode > 0

@@ -207,7 +207,7 @@ def test_verify_errata_lists_b2_entry(capsys):
 
 
 @pytest.mark.parametrize("suite, name, fake", [
-    ("flows", "closed_flow", lambda gen, p, q, prec=None: np.full((4, 4), math.nan)),
+    ("flows", "grid_flows", lambda gens: {g: (np.full((20, 4, 4), math.nan),) * 2 for g in gens}),
     ("mayer", "mayer_bond", lambda Ra, Rb, q: math.nan if q == 0.5 else mayer_bond(Ra, Rb, q)),
     ("kernel", "kr_weights", lambda R, q: np.full(4, math.nan)),
     ("metric", "metric_eigenvalues", lambda: [-1.0, math.nan, 1.0, 1.0]),
@@ -244,13 +244,13 @@ def test_verify_evaluates_each_flow_once(capsys, monkeypatch):
                 monkeypatch.setattr(module, attr, counting)
     code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--errata")
     assert code == 0
-    # flows: 20 x 20 float flows, which the errata scan reuses, and 6 x 20 at
-    # prec=60; kernel: one prec=50 kernel per distinct (radius, q), 9 x 5,
-    # whose column 0 the float weight vectors are held against
+    # flows: 20 x 20 float flows, which the errata scan reuses; isometry is
+    # certified exactly, with no flow evaluated; kernel: one prec=50 kernel
+    # per (radius, q), 3 x 5, whose column 0 the float weight vectors are
+    # held against, and T1's exact certificate for the group law
     assert counts == {
         ("closed_flow", None): 400,
-        ("closed_flow", 60): 120,
-        ("closed_flow", 50): 45,
+        ("closed_flow", 50): 15,
         ("reference_discrepancies", None): 1,
     }
 
@@ -454,6 +454,12 @@ def test_domain_error_exit_one(capsys):
     (("decompose", "--json", str(DATA / "bad_matrix_bool_pi.json")), "pi must be an integer in ring term"),
     (("decompose", "--json", str(DATA / "bad_matrix_decimal_num.json")), "num must be an integer in ring term {'num': '1.5'"),
     (("decompose", "--json", str(DATA / "bad_matrix_float_den.json")), "den must be an integer in ring term"),
+    # a second term with the same powers, or a key to_json_dict never writes, would be dropped: a wrong answer
+    (("decompose", "--json", str(DATA / "bad_matrix_duplicate_term.json")),
+     "a second term with q = 0, pi = 0 in ring term {'num': '2', 'den': '1', 'q': 0, 'pi': 0}"),
+    (("decompose", "--json", str(DATA / "bad_matrix_extra_key.json")), "unknown key 'junk' in a matrix"),
+    (("decompose", "--json", str(DATA / "bad_matrix_extra_term_key.json")),
+     "unknown key 'junk' in ring term {'num': '1', 'den': '1', 'q': 0, 'pi': 0, 'junk': 0}"),
 ])
 def test_out_of_domain_input_exits_one_with_a_message(capsys, argv, words):
     code, out, err = run_cli(capsys, *argv)

@@ -807,7 +807,11 @@ class TestObjectMatmul:
                     assert type(got) is mpmath.mpf and got == expected, (R, Rp, q)
 
     def test_kernel_check_is_the_left_to_right_rule(self):
-        """Each product and difference of the kernel check's grid, entry by entry, and its two measures."""
+        """Each product and difference of the kernel grid's group law at prec 50, entry by entry, held at 1e-11.
+
+        The kernel check certifies the group law exactly (T1's certificate);
+        these are the numeric additivity and commutation it held before.
+        """
         import mpmath
 
         additivity = commutation = 0.0
@@ -826,9 +830,7 @@ class TestObjectMatmul:
                 assert (ab - k[Rp, q] @ k[R, q]).tolist() == commuted, (R, Rp, q)
                 additivity = max(additivity, float(largest(added)))
                 commutation = max(commutation, float(largest(commuted)))
-        measures = checks.kernel().measures
-        assert measures["additivity"].value == additivity
-        assert measures["commutation"].value == commutation
+        assert additivity <= 1e-11 and commutation <= 1e-11
 
 
 def _per_point_rows(evaluated) -> list:

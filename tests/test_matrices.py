@@ -11,6 +11,7 @@ from fmspace.matrices import (
     Mat4,
     bilinear,
     commutator,
+    entries_at,
     eval_mat,
     metric_eigenvalues,
 )
@@ -194,6 +195,18 @@ class TestSerialization:
         for _ in range(10):
             x = random_mat(rng)
             assert Mat4.from_json_dict(x.to_json_dict()) == x
+
+    def test_unknown_key_is_refused(self):
+        d = dict(get_generator(GeneratorId.B1).to_json_dict(), junk=1)
+        with pytest.raises(ValueError, match="^unknown key 'junk' in a matrix"):
+            Mat4.from_json_dict(d)
+
+
+def test_entries_at_the_exact_q_are_the_exact_entries():
+    t1 = get_generator(GeneratorId.T1)
+    assert entries_at(t1, RingElem.qpow(1)) == list(t1.entries())
+    with pytest.raises(ValueError, match="the ring's q itself"):
+        entries_at(t1, RingElem.qpow(2))
 
 
 def dense_matmul(x: Mat4, y: Mat4) -> Mat4:

@@ -223,6 +223,36 @@ class TestSerialization:
             with pytest.raises(ValueError, match=f"^{field} must be an integer in ring term "):
                 RingElem.from_json_dict({"terms": [term]})
 
+    def test_a_second_term_with_the_same_powers_is_refused(self):
+        """Two terms with one (q, pi) would read as the last alone: a wrong value, so a ValueError naming the second."""
+        first, second = ({"num": num, "den": "1", "q": 0, "pi": 0} for num in ("1", "2"))
+        with pytest.raises(ValueError, match=r"^a second term with q = 0, pi = 0 in ring term \{'num': '2'"):
+            RingElem.from_json_dict({"terms": [first, second]})
+        zero = {"num": "0", "den": "1", "q": 2, "pi": -1}
+        with pytest.raises(ValueError, match="a second term with q = 2, pi = -1"):
+            RingElem.from_json_dict({"terms": [zero, dict(zero, num="3")]})
+
+    def test_unknown_keys_are_refused(self):
+        term = {"num": "1", "den": "1", "q": 0, "pi": 0}
+        with pytest.raises(ValueError, match=r"^unknown key 'junk' in ring term \{'num': '1'"):
+            RingElem.from_json_dict({"terms": [dict(term, junk=0)]})
+        with pytest.raises(ValueError, match=r"^unknown key 'extra' in ring element "):
+            RingElem.from_json_dict({"terms": [term], "extra": []})
+
+
+class TestPower:
+    def test_powers_are_repeated_products(self):
+        x = RingElem.monomial(Fraction(-3, 2), 1, -1) + RingElem.monomial(2, 0, 1)
+        assert x**0 == ONE and x**1 == x and x**3 == x * x * x
+
+    def test_a_negative_power_of_a_monomial_is_its_inverse_power(self):
+        m = RingElem.monomial(Fraction(-3, 2), 1, -1)
+        assert m**-2 == RingElem.monomial(Fraction(4, 9), -2, 2)
+        with pytest.raises(ValueError, match="not a monomial"):
+            (m + ONE) ** -1
+        with pytest.raises(ZeroDivisionError):
+            ZERO**-1
+
 
 class TestParseFormat:
     @pytest.mark.parametrize(

@@ -51,6 +51,7 @@ def test_bench_writes_its_record(tmp_path):
     assert {"flows.flow_request", "flows.flow_request.isometric.prec60", "flows.group_law_residual.T1.prec50"} <= record["layers"].keys()
     assert {"oracle.expm_oracle.B1", "oracle.expm_oracles.grid"} <= record["layers"].keys()
     assert {"flows.grid_flows", "flows.reference_discrepancies.grid"} <= record["layers"].keys()
+    assert {"flows.certificate", "flows.certificate.all"} <= record["layers"].keys()
     assert "reference_tables.parse_cell.uncached" in record["layers"]
     assert list(record["cold_import"]) == ["fmspace.algebra", "fmspace.cli"]
     for timing in [*record["layers"].values(), *record["cold_import"].values(), record["verify_pass"], *record["checks"].values()]:
@@ -60,7 +61,7 @@ def test_bench_writes_its_record(tmp_path):
         assert check["ok"] is True
         for measure in check["measures"].values():
             assert measure["ok"] is True and measure["margin"] >= 0
-    kernel = record["checks"]["kernel"]["measures"]["additivity"]
+    kernel = record["checks"]["kernel"]["measures"]["column vs weights"]
     assert kernel["margin"] == kernel["bound"] - kernel["value"]
 
 
