@@ -13,8 +13,9 @@ otherwise, and reported as the median and the min over --repeats repeats:
   the profile check);
   `step_hat` is timed on each of its branches, direct and series; the
   stacked oracle on the flows check's 400 grid points, the whole grid
-  (`grid_flows`: the 400 closed flows and their oracles) and the
-  discrepancy scan on a grid built beforehand; the exact certificates of
+  (`grid_flows`: the 400 closed flows and their oracles), and on a grid
+  built beforehand the discrepancy scan and the 400 stacked invariance
+  residuals; the exact certificates of
   the closed forms, the 7 a `verify` pass runs (the 6 isometric and T1)
   and all 20; a flow
   request is a closed flow and its invariance residual, over a fixed seeded
@@ -55,6 +56,7 @@ from fmspace.algebra import decompose, verify_reference_tables
 from fmspace.catalog import ISOMETRIC_IDS, METAMORPHIC_IDS, SHIFT_IDS, GeneratorId, get_generator, homogeneity_order
 from fmspace.certificate import certify
 from fmspace.flows import ORACLE_TOL, GRID_POINTS, closed_flow, grid_flows, group_law_residual, invariance_residual
+from fmspace.flows import invariance_residuals
 from fmspace.flows import reference_discrepancies
 from fmspace.fmt import inverse_ft_radial, kr_weights, step_hat
 from fmspace.matrices import eval_mat
@@ -114,6 +116,7 @@ def _layers() -> dict:
     # the flows check's stacked oracle call: 20 generators x the standard grid
     grid = [(get_generator(g), p, q) for g in GeneratorId for q, p in GRID_POINTS]
     evaluated = grid_flows(GeneratorId)
+    closed_grid = np.array([closed for closed, _oracle in evaluated.values()]).reshape(-1, 4, 4)
     # the 98 distinct texts of the reference tables and the shift decompositions,
     # parsed past parse_cell's per-process cache
     specs = (*reference_tables.TABLES, reference_tables.SHIFT_DECOMPOSITIONS)
@@ -138,6 +141,7 @@ def _layers() -> dict:
         "oracle.expm_oracles.grid": (5, lambda: expm_oracles(grid, ORACLE_TOL)),
         "flows.grid_flows": (5, lambda: grid_flows(GeneratorId)),
         "flows.reference_discrepancies.grid": (20, lambda: reference_discrepancies(evaluated)),
+        "flows.invariance_residual.grid": (20, lambda: invariance_residuals(closed_grid)),
         "flows.certificate": (5, lambda: [certify(g) for g in (*ISOMETRIC_IDS, GeneratorId.T1)]),
         "flows.certificate.all": (5, lambda: [certify(g) for g in GeneratorId]),
         "fmt.kr_weights": (2000, lambda: kr_weights(1.3, 2.7)),

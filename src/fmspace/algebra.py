@@ -302,7 +302,9 @@ def verify_reference_tables(table_specs=None) -> TableVerification:
     per process for each distinct (text, basis, divisor), by
     `reference_tables.multiplied_cell`; each distinct ordered product of
     the catalog is computed once per call, and nothing of it is kept
-    between calls.
+    between calls.  The products, the whole ops and the comparisons work
+    on `Mat4`'s flat term maps and build no RingElem; a generator's terms
+    indexed by row, which `@` reads, are compiled once per matrix.
     """
     from . import reference_tables
 

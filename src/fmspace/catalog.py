@@ -186,19 +186,15 @@ def homogeneity_order(x: Mat4) -> Optional[int]:
     single q power.  None if orders are mixed or an entry mixes q powers.
     """
     alpha: Optional[int] = None
-    for mu in range(4):
-        for nu in range(4):
-            entry = x[mu, nu]
-            if entry.is_zero:
-                continue
-            q_pows = {j for j, _k, _c in entry.terms()}
-            if len(q_pows) != 1:
-                return None
-            a = q_pows.pop() - (nu - mu)
-            if alpha is None:
-                alpha = a
-            elif alpha != a:
-                return None
+    for mu, nu, entry in x.entries():
+        q_pows = {j for j, _k, _c in entry.terms()}
+        if len(q_pows) != 1:
+            return None
+        a = q_pows.pop() - (nu - mu)
+        if alpha is None:
+            alpha = a
+        elif alpha != a:
+            return None
     return alpha
 
 

@@ -29,8 +29,8 @@ from .catalog import (
     symmetry_space_dimensions,
 )
 from .certificate import certify
-from .flows import FlowDiscrepancy, _fold_max, grid_flows, invariance_residual, reference_discrepancies
-from .fmt import jeffrey_identities, kernel_matrix, kr_weights, mayer_bond, step_hat, step_profile
+from .flows import FlowDiscrepancy, _fold_max, grid_flows, invariance_residuals, reference_discrepancies
+from .fmt import jeffrey_identities, kr_weights, mayer_bond, step_hat, step_profile
 from .matrices import IDENTITY, METRIC, metric_eigenvalues
 
 RADII = (0.3, 1.0, 2.7)  # the mayer and kernel grids
@@ -121,12 +121,12 @@ def flows() -> FlowsRecord:
     every tau and q, and the entries that do not reduce to 0 are counted.
     """
     evaluated = grid_flows(GeneratorId)
-    rows = []
-    for gid, (closed, oracle) in evaluated.items():
-        # max |closed - oracle| / (1 + max |closed|) at each point; numpy's max keeps a NaN, as _fold_max does
-        rel = float((np.abs(closed - oracle).max(axis=(1, 2)) / (1.0 + np.abs(closed).max(axis=(1, 2)))).max())
-        residual = functools.reduce(_fold_max, (float(invariance_residual(a)) for a in closed), 0.0)
-        rows.append((gid, rel, residual))
+    closed = np.array([c for c, _o in evaluated.values()])
+    oracle = np.array([o for _c, o in evaluated.values()])
+    # max |closed - oracle| / (1 + max |closed|) at each point; numpy's max keeps a NaN, as _fold_max does
+    rel = (np.abs(closed - oracle).max(axis=(2, 3)) / (1.0 + np.abs(closed).max(axis=(2, 3)))).max(axis=1)
+    residual = invariance_residuals(closed.reshape(-1, 4, 4)).reshape(len(evaluated), -1).max(axis=1)
+    rows = list(zip(evaluated, rel.tolist(), residual.tolist()))
     not_isometric = sum(certify(gid).failures for gid in ISOMETRIC_IDS)
     # the least of the metamorphic and shift maxima: the NaN-keeping max fold, negated
     least = -functools.reduce(_fold_max, (-r for gid, _rel, r in rows if gid in METAMORPHIC_IDS + SHIFT_IDS))
@@ -159,11 +159,11 @@ def mayer() -> CheckRecord:
 def kernel() -> CheckRecord:
     """Column 0 of K_R = exp(R t1) is the weight vector; K_R is a one-parameter group in R.
 
-    The float weight vector is held against column 0 of the prec-50 kernel
-    at each radius and wave number.  T1's certificate (`certificate.certify`)
-    shows that its closed form is exp(R t1) exactly, so K_R K_R' = K_{R+R'}
-    = K_R' K_R for every R, R' and q; its entries that do not reduce to 0
-    are counted.
+    The float weight vector is held against the prec-50 one at each radius
+    and wave number; T1's certificate (`certificate.certify`) shows that
+    the weight vector is column 0 of exp(R t1), its closed form exactly, so
+    K_R K_R' = K_{R+R'} = K_R' K_R for every R, R' and q.  The certificate's
+    entries that do not reduce to 0 are counted.
     """
     import mpmath
 
@@ -171,8 +171,8 @@ def kernel() -> CheckRecord:
     with mpmath.workdps(KERNEL_PREC + 20):
         for R in RADII:
             for q in WAVE_NUMBERS:
-                for w, entry in zip(kr_weights(R, q).tolist(), kernel_matrix(R, q, prec=KERNEL_PREC)[:, 0]):
-                    column = _fold_max(column, float(abs(w - entry)))
+                for w, exact in zip(kr_weights(R, q).tolist(), kr_weights(R, q, prec=KERNEL_PREC)):
+                    column = _fold_max(column, float(abs(w - exact)))
     measures = {
         "column vs weights": Measure(column, 1e-12),
         "kernel not a one-parameter group (exact)": Measure(certify(GeneratorId.T1).failures, 0),

@@ -408,26 +408,41 @@ _PUBLISHED: dict[GeneratorId, tuple] = {
 }
 
 
-def printed_flow(gen, param: float, q: float) -> np.ndarray:
-    """The published finite-transform matrix, evaluated verbatim.
+def printed_flows(gen) -> np.ndarray:
+    """The published finite-transform matrix at each of GRID_POINTS, evaluated verbatim: a (20, 4, 4) stack.
 
-    For the shift generators and the identity the published form and the
-    generated closed form coincide by construction.
+    Each point takes math's exp, cosh, sinh, cos and sin and Python's **,
+    as the published formula reads, and the stack is one array of their
+    floats; numpy's exp, cosh, sinh and ** can round differently in the
+    last bit.  An entry off the diagonal that the form leaves empty is
+    0 * the diagonal value.  For the shift generators and the identity the
+    published form and the generated closed form coincide by construction,
+    and their stack is the closed one.
     """
-    spec = FlowSpec(gen, param, q)
-    template = _PUBLISHED.get(spec.gen)
+    gid = GeneratorId(gen)
+    template = _PUBLISHED.get(gid)
     if template is None:
-        return closed_flow(spec.gen, spec.param, spec.q)
-    tau, q = spec.param, spec.q
+        return _closed_stack(gid)
+    entries = []
     if template[0] == "diag":
-        return np.diag([math.exp(tau * s) for s in template[1]])
+        for _q, tau in GRID_POINTS:
+            point = [0.0] * 16
+            for i, sign in zip((0, 5, 10, 15), template[1]):
+                point[i] = math.exp(tau * sign)
+            entries += point
+        return np.array(entries).reshape(-1, 4, 4)
     kind, order, smap = template
-    arg = tau * q**order
-    diag, s = (math.cosh(arg), math.sinh(arg)) if kind == "boost" else (math.cos(arg), math.sin(arg))
-    out = np.eye(4) * diag
-    for (r, c), (coef, qpow) in smap.items():
-        out[r, c] = coef * q**qpow * s
-    return out
+    even, odd = (math.cosh, math.sinh) if kind == "boost" else (math.cos, math.sin)
+    for q, tau in GRID_POINTS:
+        arg = tau * q**order
+        diag, s = even(arg), odd(arg)
+        point = [0.0 * diag] * 16
+        for i in (0, 5, 10, 15):
+            point[i] = diag
+        for (r, c), (coef, qpow) in smap.items():
+            point[4 * r + c] = coef * q**qpow * s
+        entries += point
+    return np.array(entries).reshape(-1, 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -458,21 +473,39 @@ def max_abs(a) -> float:
 _FORM_ROWS = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
 
 
-def _invariance_impl(rows: list):
-    """Max-norm of a^t . M . a - M over all 16 entries, NaN if any entry is NaN.
+def _form_entries(columns: list) -> list:
+    """The 16 entries |a^t . M . a - M|, row by row, of a's four columns, each column four values.
 
-    Entry (mu, nu) of a^t . M . a is the bilinear form of column mu with
-    column nu, u0 v3 + u1 v2 + u2 v1 + u3 v0, written out and added left to
-    right as `matrices.bilinear` adds it.
+    Entry (mu, nu) is the bilinear form of column mu with column nu,
+    u0 v3 + u1 v2 + u2 v1 + u3 v0, written out and added left to right as
+    `matrices.bilinear` adds it.  A value is a float, an mpf, or an array
+    of one entry over a stack of matrices, each with the bits of its float.
     """
-    columns = list(zip(*rows))
-    entries = [
+    return [
         abs(u0 * v3 + u1 * v2 + u2 * v1 + u3 * v0 - m)
         for (u0, u1, u2, u3), form_row in zip(columns, _FORM_ROWS)
         for (v0, v1, v2, v3), m in zip(columns, form_row)
     ]
+
+
+def _invariance_impl(rows: list):
+    """Max-norm of a^t . M . a - M over all 16 entries (`_form_entries`), NaN if any entry is NaN."""
+    entries = _form_entries(list(zip(*rows)))
     total = sum(entries)  # NaN exactly when an entry is: they are all >= 0
     return total if total != total else max(entries)
+
+
+def invariance_residuals(stack: np.ndarray) -> np.ndarray:
+    """`invariance_residual` of each float64 matrix of an (n, 4, 4) stack, with its bits: an (n,) array.
+
+    The 16 entries of `_form_entries` are taken over the whole stack at
+    once, in the order of operations of the scalar rule; numpy's max keeps
+    a NaN, as the scalar rule does.  As with Python floats, an inf or a NaN
+    arises without a warning.
+    """
+    columns = [tuple(stack[:, i, mu] for i in range(4)) for mu in range(4)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.max(_form_entries(columns), axis=0)
 
 
 def invariance_residual(a: np.ndarray, prec: Optional[int] = None) -> float:
@@ -573,12 +606,27 @@ def grid_flows(gens) -> dict:
     """{gen: (closed, oracle)}: the float64 closed flows and the series oracles at ORACLE_TOL.
 
     Each is a (20, 4, 4) stack in the order of GRID_POINTS.  Each flow is
-    evaluated once, and all the oracles in one `expm_oracles` call.
+    evaluated once, by its rows builder (`_closed_stack`), and all the
+    oracles in one `expm_oracles` call.
     """
     gids = [GeneratorId(g) for g in gens]
     oracles = expm_oracles([(get_generator(gid), p, q) for gid in gids for q, p in GRID_POINTS], ORACLE_TOL)
-    closed = [np.array([closed_flow(gid, p, q) for q, p in GRID_POINTS]) for gid in gids]
+    closed = [_closed_stack(gid) for gid in gids]
     return dict(zip(gids, zip(closed, oracles.reshape(len(gids), len(GRID_POINTS), 4, 4))))
+
+
+def _closed_stack(gid: GeneratorId) -> np.ndarray:
+    """`closed_flow(gid, param, q)` at each (q, param) of GRID_POINTS, with its bits: a (20, 4, 4) stack.
+
+    The rows builder runs at each point, inside `float64_domain`, and the
+    stack is one array of their floats.
+    """
+    form, rows = _closed_form(gid)
+    entries = []
+    for q, param in GRID_POINTS:
+        float64_domain(form, param, q)
+        entries += rows(param, q, _FLOAT_BACKEND)
+    return np.array(entries).reshape(-1, 4, 4)
 
 
 def reference_discrepancies(evaluated: Optional[dict] = None) -> list[FlowDiscrepancy]:
@@ -595,7 +643,7 @@ def reference_discrepancies(evaluated: Optional[dict] = None) -> list[FlowDiscre
     found = []
     for gid in sorted(_PUBLISHED, key=ALL_IDS.index):
         closed, oracle = evaluated[gid]
-        printed = np.array([printed_flow(gid, p, q) for q, p in GRID_POINTS])
+        printed = printed_flows(gid)
         scale = 1.0 + np.abs(closed).max(axis=(1, 2))  # NaN at a point with a NaN entry
         dev = np.abs(printed - closed) / scale[:, None, None]
         over = dev > DISCREPANCY_TOL

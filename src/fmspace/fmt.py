@@ -26,21 +26,33 @@ import numpy as np
 from . import reference_tables
 from .algebra import TableVerification, verify_reference_tables
 from .catalog import GeneratorId
-from .flows import _FLOAT_BACKEND, _Q_RANGE, _W3_SWITCH, PHASE_BOUND, STEP_EXPONENTS, WEIGHT_EXPONENTS, _w3_series, _weights
+from .flows import _FLOAT_BACKEND, _Q_RANGE, _W3_SWITCH, PHASE_BOUND, STEP_EXPONENTS, WEIGHT_EXPONENTS, _mp_backend, _w3_series, _weights
 from .flows import closed_flow, float64_domain, positive_finite_error, positive_float, step_weight_array
 from .matrices import bilinear
 
 
-def kr_weights(R: float, q: float) -> np.ndarray:
+def kr_weights(R: float, q: float, prec: Optional[int] = None) -> np.ndarray:
     """Weight vector (w0, w1, w2, w3) of a sphere of radius R at wave number q.
 
     Component w_nu carries units (length)^nu.  Below qR = 0.05, w3 evaluates
-    by its series.  R and q must be positive and finite, and inside
-    `flows.float64_domain`, or a ValueError names the problem.
+    by its series.  R and q must be positive and finite (an int beyond
+    float64 is not), or a ValueError names the problem.  The array is
+    float64, inside `flows.float64_domain` (or a ValueError), or of dtype
+    object holding mpf when prec (decimal digits) is given, with an mpf R
+    or q kept exact, as `kernel_matrix` lifts them.  Either way it is
+    column 0 of `kernel_matrix(R, q, prec)` with the same bits:
+    `flows._weights` gives both, and T1's certificate (`certificate.certify`)
+    shows that this column is column 0 of exp(R t1).
     """
-    R, q = positive_float("radius", R), positive_float("wave number q", q)
-    float64_domain(WEIGHT_EXPONENTS, R, q)
-    return np.array(_weights(R, q, _FLOAT_BACKEND)[0], dtype=float)
+    checked = positive_float("radius", R), positive_float("wave number q", q)
+    if prec is None:
+        R, q = checked
+        float64_domain(WEIGHT_EXPONENTS, R, q)
+        return np.array(_weights(R, q, _FLOAT_BACKEND)[0], dtype=float)
+    import mpmath
+
+    with mpmath.workdps(prec):
+        return np.array(_weights(mpmath.mpf(R), mpmath.mpf(q), _mp_backend(prec))[0], dtype=object)
 
 
 _FOUR_PI = 4 * math.pi  # the first product of flows._step_direct, so the same bits

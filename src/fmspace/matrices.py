@@ -2,6 +2,12 @@
 
 Index convention: entry (mu, nu) is row mu, column nu, both 0-based; the
 counter-diagonal runs from (0,3) to (3,0).
+
+A `Mat4` is one flat term map {(row, col, q_pow, pi_pow): coefficient}:
+each nonzero entry's `RingElem` terms, keyed by where the entry sits, with
+coefficients in the ring's canonical form (an int when integral, else a
+Fraction).  Its arithmetic and comparisons work on the map and build no
+RingElem; an entry is built on demand, with its terms in the map's order.
 """
 
 from __future__ import annotations
@@ -9,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .ring import ONE, ZERO, RingElem, float_sum, is_mpf
+from .ring import ZERO, RingElem, _element, float_sum, is_mpf, sum_terms
 
 Scalar = Union["RingElem", int, Fraction]
 
@@ -23,28 +29,30 @@ def _as_ring(x) -> RingElem:
 
 
 class Mat4:
-    """Immutable 4x4 matrix with RingElem entries.
+    """Immutable 4x4 matrix with RingElem entries, held as one flat term map.
 
-    Stored as four sparse rows, each a dict column -> nonzero entry; absent
-    entries are zero.  Arithmetic touches only the stored entries.  The
-    float terms of the entries are compiled on first use (`float_terms`).
+    `_terms` maps (row, col, q_pow, pi_pow) to a nonzero coefficient; an
+    absent entry is zero.  Two slots are compiled on first use: the float
+    terms of the entries (`float_terms`), and the terms indexed by row
+    (`_by_row`), which `@` reads from its right operand.
     """
 
-    __slots__ = ("_rows", "_float_terms")
+    __slots__ = ("_terms", "_by_row", "_float_terms")
 
     def __init__(self, rows: Iterable[Iterable]):
         mat = tuple(tuple(_as_ring(x) for x in row) for row in rows)
         if len(mat) != 4 or any(len(r) != 4 for r in mat):
             raise ValueError("Mat4 requires a 4x4 grid of entries")
-        object.__setattr__(
-            self, "_rows", tuple({c: x for c, x in enumerate(row) if x} for row in mat)
-        )
+        terms = {
+            (r, c, *key): coef for r, row in enumerate(mat) for c, x in enumerate(row) for key, coef in x._terms.items()
+        }
+        object.__setattr__(self, "_terms", terms)
 
     @staticmethod
-    def _sparse(rows) -> "Mat4":
-        """Wrap four column -> nonzero entry dicts without copying them."""
+    def _of(terms: dict) -> "Mat4":
+        """Wrap a canonical flat term map without copying it."""
         out = Mat4.__new__(Mat4)
-        object.__setattr__(out, "_rows", tuple(rows))
+        object.__setattr__(out, "_terms", terms)
         return out
 
     def __setattr__(self, name, value):
@@ -54,38 +62,47 @@ class Mat4:
 
     @staticmethod
     def zero() -> "Mat4":
-        return Mat4._sparse({} for _ in range(4))
+        return Mat4._of({})
 
     @staticmethod
     def identity() -> "Mat4":
-        return Mat4._sparse({i: ONE} for i in range(4))
+        return Mat4._of({(i, i, 0, 0): 1 for i in range(4)})
 
     @staticmethod
     def from_entries(entries: Iterable[tuple]) -> "Mat4":
         """Build from (row, col, coef, q_pow, pi_pow) tuples; trailing powers optional."""
-        rows = [{} for _ in range(4)]
-        for entry in entries:
-            r, c, coef, *pows = entry
-            q_pow = pows[0] if len(pows) > 0 else 0
-            pi_pow = pows[1] if len(pows) > 1 else 0
-            rows[r][c] = rows[r].get(c, ZERO) + RingElem.monomial(coef, q_pow, pi_pow)
-        return Mat4._sparse({c: x for c, x in row.items() if x} for row in rows)
+        grid = [[ZERO] * 4 for _ in range(4)]
+        for r, c, coef, *pows in entries:
+            grid[r][c] = grid[r][c] + RingElem.monomial(coef, *pows)
+        return Mat4(grid)
 
     # -- access ------------------------------------------------------------
 
+    def _entry_terms(self) -> dict:
+        """(row, col) -> that entry's term map {(q_pow, pi_pow): coef}, in the flat map's order."""
+        out: dict[tuple[int, int], dict] = {}
+        for (r, c, j, k), coef in self._terms.items():
+            out.setdefault((r, c), {})[j, k] = coef
+        return out
+
     def __getitem__(self, rc: tuple[int, int]) -> RingElem:
         r, c = rc
-        return self._rows[r].get(_COLS[c], ZERO)
+        r, c = _COLS[r], _COLS[c]
+        terms = {(j, k): coef for (row, col, j, k), coef in self._terms.items() if row == r and col == c}
+        return _element(terms) if terms else ZERO
 
     @property
     def rows(self) -> tuple:
-        return tuple(tuple(row.get(c, ZERO) for c in _COLS) for row in self._rows)
+        entries = self._entry_terms()
+        return tuple(
+            tuple(_element(entries[r, c]) if (r, c) in entries else ZERO for c in _COLS) for r in _COLS
+        )
 
     def entries(self) -> Iterator[tuple[int, int, RingElem]]:
         """Yield (row, col, entry) for the nonzero entries, row by row."""
-        for r, row in enumerate(self._rows):
-            for c, x in row.items():
-                yield r, c, x
+        entries = self._entry_terms()
+        for r, c in sorted(entries):
+            yield r, c, _element(entries[r, c])
 
     @property
     def float_terms(self) -> tuple:
@@ -99,61 +116,63 @@ class Mat4:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self._rows)
+        return not self._terms
 
     # -- ring-linear algebra -------------------------------------------------
 
     def __add__(self, other: "Mat4") -> "Mat4":
-        return Mat4._sparse(_add_rows(ra, rb, False) for ra, rb in zip(self._rows, other._rows))
+        return Mat4._of(sum_terms(self._terms, other._terms, False))
 
     def __sub__(self, other: "Mat4") -> "Mat4":
-        return Mat4._sparse(_add_rows(ra, rb, True) for ra, rb in zip(self._rows, other._rows))
+        return Mat4._of(sum_terms(self._terms, other._terms, True))
 
     def __neg__(self) -> "Mat4":
-        return Mat4._sparse({c: -x for c, x in row.items()} for row in self._rows)
+        return Mat4._of({key: -coef for key, coef in self._terms.items()})
 
     def scale(self, factor: Scalar) -> "Mat4":
-        f = _as_ring(factor)
-        if not f:
-            return Mat4.zero()
-        # the coefficient ring is an integral domain: no product of nonzeros is zero
-        return Mat4._sparse({c: x * f for c, x in row.items()} for row in self._rows)
+        f = tuple(_as_ring(factor)._terms.items())
+        out: dict[tuple, object] = {}
+        for (r, c, j1, k1), c1 in self._terms.items():
+            for (j2, k2), c2 in f:
+                _accumulate(out, (r, c, j1 + j2, k1 + k2), c1 * c2)
+        return Mat4._of(out)
 
     def __matmul__(self, other: "Mat4") -> "Mat4":
-        b = other._rows
-        out = []
-        for arow in self._rows:
-            orow: dict[int, RingElem] = {}
-            for k, x in arow.items():
-                for j, y in b[k].items():
-                    p = x * y
-                    acc = orow.get(j)
-                    orow[j] = p if acc is None else acc + p
-            out.append({j: v for j, v in orow.items() if v})
-        return Mat4._sparse(out)
+        by_row = other._row_index()
+        out: dict[tuple, object] = {}
+        for (r, k, j1, k1), c1 in self._terms.items():
+            for c, j2, k2, c2 in by_row[k]:
+                _accumulate(out, (r, c, j1 + j2, k1 + k2), c1 * c2)
+        return Mat4._of(out)
+
+    def _row_index(self) -> tuple:
+        """Four tuples of (col, q_pow, pi_pow, coef), one per row, in the flat map's order; compiled once per matrix."""
+        try:
+            return self._by_row
+        except AttributeError:
+            rows: tuple[list, ...] = ([], [], [], [])
+            for (r, c, j, k), coef in self._terms.items():
+                rows[r].append((c, j, k, coef))
+            compiled = tuple(map(tuple, rows))
+            object.__setattr__(self, "_by_row", compiled)
+            return compiled
 
     def transpose(self) -> "Mat4":
-        out = [{} for _ in range(4)]
-        for r, c, x in self.entries():
-            out[c][r] = x
-        return Mat4._sparse(out)
+        return Mat4._of({(c, r, j, k): coef for (r, c, j, k), coef in self._terms.items()})
 
     def counter_transpose(self) -> "Mat4":
         """Mirror entries on the counter diagonal: out(mu,nu) = in(3-nu,3-mu)."""
-        out = [{} for _ in range(4)]
-        for r, c, x in self.entries():
-            out[3 - c][3 - r] = x
-        return Mat4._sparse(out)
+        return Mat4._of({(3 - c, 3 - r, j, k): coef for (r, c, j, k), coef in self._terms.items()})
 
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Mat4):
             return NotImplemented
-        return self._rows == other._rows
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(frozenset(row.items()) for row in self._rows))
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
@@ -179,20 +198,15 @@ class Mat4:
 _COLS = range(4)
 
 
-def _add_rows(ra: dict, rb: dict, subtract: bool) -> dict:
-    """Row ra + rb, or ra - rb when subtract, keeping only the nonzero entries."""
-    row = dict(ra)
-    for c, y in rb.items():
-        x = row.get(c)
-        if x is None:
-            row[c] = -y if subtract else y
-        else:
-            s = x - y if subtract else x + y
-            if s:
-                row[c] = s
-            else:
-                del row[c]
-    return row
+def _accumulate(terms: dict, key: tuple, value) -> None:
+    """terms[key] += value, in canonical form: a zero sum leaves the map, an integral Fraction becomes an int."""
+    tot = terms.get(key, 0) + value
+    if tot == 0:
+        terms.pop(key, None)
+    elif tot.__class__ is Fraction and tot.denominator == 1:
+        terms[key] = tot.numerator
+    else:
+        terms[key] = tot
 
 
 # The pseudo metric: unit entries on the counter diagonal, (+ + - -) signature.

@@ -48,7 +48,7 @@ def expm_oracles(points: Sequence[tuple], tol: float = 1e-12) -> np.ndarray:
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    z = np.fromiter(_scaled_entries(points), float, 16 * len(points)).reshape(-1, 4, 4)
+    z = np.array(_scaled_entries(points), float).reshape(-1, 4, 4)
     norms = np.maximum.reduce(np.add.reduce(np.abs(z), axis=1), axis=1).tolist()
     for norm in norms:
         if not norm <= _MAX_ORACLE_NORM:
@@ -83,13 +83,19 @@ def expm_oracles(points: Sequence[tuple], tol: float = 1e-12) -> np.ndarray:
     return total
 
 
-def _scaled_entries(points):
-    """The entries of param * X(q), point by point and row by row, as floats."""
+def _scaled_entries(points) -> list:
+    """The entries of param * X(q), point by point and row by row, as one list.
+
+    X(q) is evaluated once per distinct matrix and q of the points.
+    """
+    evaluated = {}  # (id(X), q) -> X(q)'s 16 entries; the points hold each X for the whole call
+    out = []
     for x, param, q in points:
-        try:
-            xq = eval_rows(x, q)
-        except OverflowError:
-            raise ValueError(f"float64 overflow: the entries of X(q) overflow at q = {q!r}") from None
-        for row in xq:
-            for v in row:
-                yield param * v
+        xq = evaluated.get((id(x), q))
+        if xq is None:
+            try:
+                xq = evaluated[id(x), q] = [v for row in eval_rows(x, q) for v in row]
+            except OverflowError:
+                raise ValueError(f"float64 overflow: the entries of X(q) overflow at q = {q!r}") from None
+        out += [param * v for v in xq]
+    return out

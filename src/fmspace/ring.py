@@ -113,26 +113,24 @@ class RingElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _sum(self._terms, other._terms, False)
+        return _element(sum_terms(self._terms, other._terms, False))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RingElem.__new__(RingElem)
-        object.__setattr__(out, "_terms", {key: -c for key, c in self._terms.items()})
-        return out
+        return _element({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _sum(self._terms, other._terms, True)
+        return _element(sum_terms(self._terms, other._terms, True))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _sum(other._terms, self._terms, True)
+        return _element(sum_terms(other._terms, self._terms, True))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -149,9 +147,7 @@ class RingElem:
                     data[key] = tot.numerator
                 else:
                     data[key] = tot
-        out = RingElem.__new__(RingElem)
-        object.__setattr__(out, "_terms", data)
-        return out
+        return _element(data)
 
     __rmul__ = __mul__
 
@@ -310,8 +306,14 @@ def _json_int(term: dict, field: str) -> int:
     raise ValueError(f"{field} must be an integer in ring term {term!r}, got {value!r}")
 
 
-def _sum(a: dict, b: dict, subtract: bool) -> RingElem:
-    """a + b, or a - b when subtract, of two canonical term maps, in canonical form."""
+def sum_terms(a: dict, b: dict, subtract: bool) -> dict:
+    """a + b, or a - b when subtract, of two canonical term maps, in canonical form.
+
+    The keys may be of any kind: a RingElem's (q_pow, pi_pow), or a
+    `matrices.Mat4`'s (row, col, q_pow, pi_pow).  The terms of a come
+    first, in their order, then b's new terms in theirs; a term that
+    cancels is dropped.
+    """
     data = dict(a)
     for key, c in b.items():
         tot = data.get(key, 0)
@@ -322,8 +324,13 @@ def _sum(a: dict, b: dict, subtract: bool) -> RingElem:
             data[key] = tot.numerator
         else:
             data[key] = tot
+    return data
+
+
+def _element(terms: dict) -> RingElem:
+    """The RingElem of a canonical term map, taken as it is: neither copied nor checked."""
     out = RingElem.__new__(RingElem)
-    object.__setattr__(out, "_terms", data)
+    object.__setattr__(out, "_terms", terms)
     return out
 
 

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmspace import checks, cli, flows, reference_tables
+from fmspace import checks, cli, flows, fmt, matrices, reference_tables
 from fmspace.catalog import GeneratorId, get_generator
 from fmspace.cli import main
-from fmspace.fmt import mayer_bond
+from fmspace.fmt import kr_weights, mayer_bond
 from fmspace.matrices import Mat4
 
 DATA = Path(__file__).parent / "data"
@@ -209,7 +209,7 @@ def test_verify_errata_lists_b2_entry(capsys):
 @pytest.mark.parametrize("suite, name, fake", [
     ("flows", "grid_flows", lambda gens: {g: (np.full((20, 4, 4), math.nan),) * 2 for g in gens}),
     ("mayer", "mayer_bond", lambda Ra, Rb, q: math.nan if q == 0.5 else mayer_bond(Ra, Rb, q)),
-    ("kernel", "kr_weights", lambda R, q: np.full(4, math.nan)),
+    ("kernel", "kr_weights", lambda R, q, prec=None: np.full(4, math.nan) if prec is None else kr_weights(R, q, prec)),
     ("metric", "metric_eigenvalues", lambda: [-1.0, math.nan, 1.0, 1.0]),
     ("profile", "step_profile", lambda R, radii, **kw: [math.nan] * len(radii)),
 ])
@@ -232,8 +232,9 @@ def test_verify_mayer_reports_a_failed_volume_limit(capsys, monkeypatch):
 
 def test_verify_evaluates_each_flow_once(capsys, monkeypatch):
     counts = collections.Counter()
-    for name in ("closed_flow", "reference_discrepancies"):
-        original = getattr(flows, name)
+    names = ((flows, "closed_flow"), (fmt, "kr_weights"), (matrices, "eval_rows"), (flows, "reference_discrepancies"))
+    for owner, name in names:
+        original = getattr(owner, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             counts[_name, kwargs.get("prec")] += 1
@@ -242,15 +243,31 @@ def test_verify_evaluates_each_flow_once(capsys, monkeypatch):
         for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "fmspace"]:
             for attr in [a for a, value in vars(module).items() if value is original]:
                 monkeypatch.setattr(module, attr, counting)
+    closed_form = flows._closed_form
+
+    def counting_closed_form(gid):
+        form, rows = closed_form(gid)
+
+        def counting_rows(tau, q, bk):
+            counts["rows", "float" if bk is flows._FLOAT_BACKEND else "exact"] += 1
+            return rows(tau, q, bk)
+
+        return form, counting_rows
+
+    monkeypatch.setattr(flows, "_closed_form", counting_closed_form)
     code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--errata")
     assert code == 0
-    # flows: 20 x 20 float flows, which the errata scan reuses; isometry is
-    # certified exactly, with no flow evaluated; kernel: one prec=50 kernel
-    # per (radius, q), 3 x 5, whose column 0 the float weight vectors are
-    # held against, and T1's exact certificate for the group law
+    # flows: each of the 20 x 20 float flows by its rows builder, once, which
+    # the errata scan reuses, the oracles' X(q) once per generator and q, and
+    # the 6 isometric certificates; kernel: T1's certificate, and one prec=50
+    # weight vector per (radius, q), 3 x 5, that the float weights are held
+    # against; no closed_flow at any precision
     assert counts == {
-        ("closed_flow", None): 400,
-        ("closed_flow", 50): 15,
+        ("rows", "float"): 400,
+        ("rows", "exact"): 7,
+        ("eval_rows", None): 20 * 5 + 1,  # and the metric's eigenvalues
+        ("kr_weights", None): 2 * 3 * 3 * 6 + 15,  # mayer: both radii of each pair, at 5 q and at 1e-6
+        ("kr_weights", 50): 15,
         ("reference_discrepancies", None): 1,
     }
 

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from fmspace.flows import (
     expm_oracle,
     group_law_residual,
     invariance_residual,
+    invariance_residuals,
     max_abs,
-    printed_flow,
+    printed_flows,
     reference_discrepancies,
 )
 from fmspace.fmt import kernel_matrix, kr_weights
@@ -519,8 +521,8 @@ class TestPublishedForms:
 
     def test_published_b2_entry_fails_oracle(self):
         # the published (3,1) entry q^2 sinh cannot reproduce the exponential
-        p, q = 0.3, 2.0
-        printed = printed_flow(GeneratorId.B2, p, q)
+        q, p = 2.0, 0.1
+        printed = printed_flows(GeneratorId.B2)[GRID_POINTS.index((q, p))]
         oracle = expm_oracle(get_generator(GeneratorId.B2), p, q, 1e-13)
         scale = 1.0 + float(np.abs(oracle).max())
         assert abs(printed[3, 1] - oracle[3, 1]) > 1e-9 * scale
@@ -532,7 +534,7 @@ class TestPublishedForms:
             for q in (0.5, 2.0):
                 for p in (-0.5, 1.5):
                     a = closed_flow(gid, p, q)
-                    b = printed_flow(gid, p, q)
+                    b = printed_flows(gid)[GRID_POINTS.index((q, p))]
                     scale = 1.0 + float(np.abs(a).max())
                     assert float(np.abs(a - b).max()) <= 1e-12 * scale, gid
 
@@ -874,12 +876,33 @@ def test_grid_flows_stacks_each_generator_in_grid_order():
             assert b.tobytes() == expm_oracle(get_generator(gid), p, q, flows.ORACLE_TOL).tobytes()
 
 
+def published_flow(gid, tau, q) -> np.ndarray:
+    """The published transform of gid at one point, as the paper prints it: math's functions, Python's **."""
+    kind, *template = flows._PUBLISHED[gid]
+    if kind == "diag":
+        return np.diag([math.exp(tau * s) for s in template[0]])
+    order, smap = template
+    arg = tau * q**order
+    diag, s = (math.cosh(arg), math.sinh(arg)) if kind == "boost" else (math.cos(arg), math.sin(arg))
+    out = np.eye(4) * diag
+    for (r, c), (coef, qpow) in smap.items():
+        out[r, c] = coef * q**qpow * s
+    return out
+
+
+def test_published_stacks_are_the_per_point_formula():
+    for gid in GeneratorId:
+        expected = [published_flow(gid, p, q) if gid in flows._PUBLISHED else closed_flow(gid, p, q) for q, p in GRID_POINTS]
+        assert printed_flows(gid).tobytes() == np.array(expected).tobytes(), gid
+    assert any(np.signbit(printed_flows(GeneratorId.D2)[:, 0, 1]))  # -0.0 off the diagonal of a negative cosine
+
+
 def _per_point_discrepancies(evaluated) -> list:
     """The discrepancy scan point by point: each entry keeps its first largest deviation above the bound."""
     found = {}
     for gid in flows._PUBLISHED:
         for (q, param), closed, oracle in zip(GRID_POINTS, *evaluated[gid]):
-            printed = printed_flow(gid, param, q)
+            printed = published_flow(gid, param, q)
             scale = 1.0 + float(np.abs(closed).max())
             dev = np.abs(printed - closed) / scale
             for r, c in zip(*np.nonzero(dev > flows.DISCREPANCY_TOL)):
@@ -914,7 +937,7 @@ def _inject(rng, evaluated) -> dict:
             oracle[rng.choice((k, k2)), r, c] = 1e300
         else:  # the oracle sides with the published form at this point
             q, p = GRID_POINTS[k]
-            oracle[k, r, c] = printed_flow(gid, p, q)[r, c]
+            oracle[k, r, c] = published_flow(gid, p, q)[r, c]
     return copy
 
 
@@ -930,6 +953,28 @@ def test_discrepancy_scan_is_the_per_point_loop_by_repr():
             assert repr(reference_discrepancies(injected)) == expected
             seen.append(expected)
     assert len(set(seen)) > 100 and sum("max_relative_deviation=1.0," in e for e in seen) > 10  # ties among them
+
+
+def test_stacked_residuals_are_the_per_point_residuals_by_repr():
+    """invariance_residuals over a stack is invariance_residual at each matrix, NaN, inf and -0.0 included, and warns of nothing."""
+    evaluated = flows.grid_flows(GeneratorId)
+    grid = np.array([closed for closed, _oracle in evaluated.values()]).reshape(-1, 4, 4)
+    rng = random.Random(2323)
+    stacks = [grid]
+    for _ in range(300):
+        stack = grid[rng.sample(range(len(grid)), 40)]  # a copy of 40 of the 400 flows
+        for _ in range(rng.randint(1, 8)):
+            k, r, c = rng.randrange(len(stack)), rng.randrange(4), rng.randrange(4)
+            stack[k, r, c] = rng.choice((math.nan, math.inf, -math.inf, -0.0, 1e200, -1e200))
+        stacks.append(stack)
+    kinds = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf and inf * 0 make a NaN silently, as with Python floats
+        for stack in stacks:
+            expected = [repr(invariance_residual(a)) for a in stack]
+            assert [repr(x) for x in invariance_residuals(stack).tolist()] == expected
+            kinds.update("finite" if e not in ("nan", "inf") else e for e in expected)
+    assert kinds == {"nan", "inf", "finite"}
 
 
 def bilinear_residual(rows) -> float:

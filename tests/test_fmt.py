@@ -89,6 +89,21 @@ class TestWeights:
         with pytest.raises(ValueError, match=word):
             kr_weights(R, q)
 
+    def test_prec_weights_are_the_prec_kernel_column_bit_for_bit(self):
+        import mpmath
+
+        with mpmath.workdps(70):
+            radius_sum = mpmath.mpf(0.3) + mpmath.mpf(2.7)
+        cases = [(R, q, 50) for R in RADII for q in WAVE_NUMBERS] + [(radius_sum, 1.3, 50), (1.5, 1e-5, 60), (2, 3, 30), (1e-3, 1e12, 40)]
+        for R, q, prec in cases:
+            w = kr_weights(R, q, prec=prec)
+            assert w.shape == (4,) and all(type(x) is mpmath.mpf for x in w), (R, q, prec)
+            assert w.tolist() == kernel_matrix(R, q, prec=prec)[:, 0].tolist(), (R, q, prec)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            kr_weights(0.0, 1.0, prec=30)
+        with pytest.raises(ValueError, match="wave number q must be finite"):
+            kr_weights(1.0, math.inf, prec=30)
+
     def test_q_cubed_underflow_is_a_value_error(self):
         with pytest.raises(ValueError, match=r"^float64 underflow in the weight vector at radius 1e\+200, q = 1e-200$"):
             kr_weights(1e200, 1e-200)
@@ -117,6 +132,7 @@ class TestStepHat:
     @pytest.mark.parametrize("call, words", [
         (lambda: kr_weights(10**400, 1.0), "radius must be finite"),
         (lambda: kr_weights(1.0, 10**400), "wave number q must be finite"),
+        (lambda: kr_weights(10**400, 1.0, prec=30), "radius must be finite"),
         (lambda: mayer_bond(1.0, 10**400, 1.0), "radius must be finite"),
         (lambda: kernel_matrix(10**400, 1.0, prec=30), "flow parameter must be finite"),
         (lambda: step_profile(10**400, [0.0]), "step range must be finite"),

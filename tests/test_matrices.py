@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmspace.catalog import GeneratorId, get_generator
 from fmspace.matrices import (
@@ -266,3 +268,91 @@ class TestSparseStorage:
         assert b0.scale(ZERO).is_zero and list(b0.scale(0).entries()) == []
         assert list((b0 - b0).entries()) == []
         assert list((b0 + (-b0)).entries()) == []
+
+
+# A dense reference: a 4x4 grid of RingElem, with each operation written out
+# entry by entry in RingElem arithmetic.  Entries come from a seeded pool of
+# zeros and sums of up to three terms with Fraction coefficients.
+def _pool_entry(rng: random.Random) -> RingElem:
+    terms = [((rng.randint(-2, 2), rng.randint(-1, 1)), Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for _ in range(rng.randint(1, 3))]
+    return RingElem(terms)
+
+
+_POOL = [ZERO] * 8 + [_pool_entry(random.Random(seed)) for seed in range(40)]
+_ENTRY = st.sampled_from(_POOL)
+_GRID = st.lists(st.lists(_ENTRY, min_size=4, max_size=4), min_size=4, max_size=4)
+
+
+def _dense_ops(a: list, b: list, f: RingElem) -> dict:
+    idx = range(4)
+    return {
+        "add": [[a[i][j] + b[i][j] for j in idx] for i in idx],
+        "sub": [[a[i][j] - b[i][j] for j in idx] for i in idx],
+        "neg": [[-a[i][j] for j in idx] for i in idx],
+        "matmul": [[sum((a[i][k] * b[k][j] for k in idx), ZERO) for j in idx] for i in idx],
+        "scale": [[a[i][j] * f for j in idx] for i in idx],
+        "transpose": [[a[j][i] for j in idx] for i in idx],
+        "counter_transpose": [[a[3 - j][3 - i] for j in idx] for i in idx],
+    }
+
+
+def _flat_ops(x: Mat4, y: Mat4, f: RingElem) -> dict:
+    return {
+        "add": x + y,
+        "sub": x - y,
+        "neg": -x,
+        "matmul": x @ y,
+        "scale": x.scale(f),
+        "transpose": x.transpose(),
+        "counter_transpose": x.counter_transpose(),
+    }
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_GRID, _GRID, st.one_of(_ENTRY, st.integers(-2, 2), st.sampled_from((Fraction(1, 2), Fraction(-4, 3)))))
+def test_flat_storage_is_the_dense_reference(a, b, factor):
+    """Each operation of the flat term map gives the dense grid's entries, in canonical form; equal matrices hash equal."""
+    x, y = Mat4(a), Mat4(b)
+    f = factor if isinstance(factor, RingElem) else RingElem.monomial(factor)
+    flat = _flat_ops(x, y, factor)
+    for name, grid in _dense_ops(a, b, f).items():
+        got = flat[name]
+        assert got.rows == tuple(map(tuple, grid)), name
+        assert got == Mat4(grid) and hash(got) == hash(Mat4(grid)), name
+        assert got.is_zero == all(e.is_zero for row in grid for e in row), name
+        assert [(r, c) for r, c, _e in got.entries()] == [(r, c) for r in range(4) for c in range(4) if grid[r][c]], name
+        for _r, _c, entry in got.entries():
+            for _j, _k, coef in entry.terms():
+                assert coef != 0 and (type(coef) is int or (type(coef) is Fraction and coef.denominator != 1)), (name, coef)
+    assert (x == y) == (a == b) and (x - y).is_zero == (a == b)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@pytest.fixture
+def fresh_catalog():
+    """Clear every per-process cache built from the catalog matrices, before and after the test."""
+    from fmspace import algebra, catalog, reference_tables
+
+    caches = (catalog.get_generator, reference_tables.multiplied_cell, algebra._inverse_norm, algebra._by_entry)
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_a_negated_generator_fails_the_tables_check_with_its_mismatch_text(monkeypatch, capsys, fresh_catalog):
+    """B1 planted as -B1: `verify --suite tables` prints the 72 mismatches that the term-by-row storage printed."""
+    from pathlib import Path
+
+    from fmspace import catalog, cli
+
+    flipped = [(r, c, -coef, *pows) for r, c, coef, *pows in catalog._ENTRIES[GeneratorId.B1]]
+    monkeypatch.setitem(catalog._ENTRIES, GeneratorId.B1, flipped)
+    assert cli.main(["verify", "--suite", "tables"]) == 1
+    expected = (Path(__file__).parent / "data" / "tables_minus_b1.txt").read_text()
+    assert capsys.readouterr().out == expected

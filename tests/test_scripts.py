@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -50,7 +51,7 @@ def test_bench_writes_its_record(tmp_path):
     assert {"fmt.step_hat", "fmt.step_hat.series", "fmt.radial_request", "flows.closed_flow.T1.prec50", "ring.mul"} <= record["layers"].keys()
     assert {"flows.flow_request", "flows.flow_request.isometric.prec60", "flows.group_law_residual.T1.prec50"} <= record["layers"].keys()
     assert {"oracle.expm_oracle.B1", "oracle.expm_oracles.grid"} <= record["layers"].keys()
-    assert {"flows.grid_flows", "flows.reference_discrepancies.grid"} <= record["layers"].keys()
+    assert {"flows.grid_flows", "flows.reference_discrepancies.grid", "flows.invariance_residual.grid"} <= record["layers"].keys()
     assert {"flows.certificate", "flows.certificate.all"} <= record["layers"].keys()
     assert "reference_tables.parse_cell.uncached" in record["layers"]
     assert list(record["cold_import"]) == ["fmspace.algebra", "fmspace.cli"]
@@ -78,14 +79,15 @@ def test_flow_oracle_report_keeps_nan(monkeypatch, capsys):
     from fmspace.flows import STANDARD_Q_GRID
 
     report = _load_script("flow_oracle_report.py")
-    real = flows.closed_flow
+    real = flows._closed_form
 
-    def closed_flow(gid, p, q, prec=None):
-        if gid is GeneratorId.B1 and q == STANDARD_Q_GRID[1] and prec is None:
-            return np.full((4, 4), np.nan)
-        return real(gid, p, q, prec=prec)
+    def closed_form(gid):
+        form, rows = real(gid)
+        if gid is not GeneratorId.B1:
+            return form, rows
+        return form, lambda tau, q, bk: [math.nan] * 16 if q == STANDARD_Q_GRID[1] else rows(tau, q, bk)
 
-    monkeypatch.setattr(flows, "closed_flow", closed_flow)  # grid_flows evaluates the float grid
+    monkeypatch.setattr(flows, "_closed_form", closed_form)  # grid_flows runs each rows builder on the float grid
     assert report.main() == 0
     rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines() if line.strip()}
     assert rows["B1"] == ["nan", "nan"]
