@@ -17,7 +17,8 @@ otherwise, and reported as the median and the min over --repeats repeats:
   built beforehand the discrepancy scan and the 400 stacked invariance
   residuals; the exact certificates of
   the closed forms, the 7 a `verify` pass runs (the 6 isometric and T1)
-  and all 20; a flow
+  and all 20; the CLI's parser, as `cli.main` gets it (built once per
+  process) and built afresh; a flow
   request is a closed flow and its invariance residual, over a fixed seeded
   mix of points drawn as perfbench's `numeric` workload draws them (float64
   over all 20 generators; prec 60 over the 6 isometric ones);
@@ -51,7 +52,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from fmspace import checks, reference_tables
+from fmspace import checks, cli, reference_tables
 from fmspace.algebra import decompose, verify_reference_tables
 from fmspace.catalog import ISOMETRIC_IDS, METAMORPHIC_IDS, SHIFT_IDS, GeneratorId, get_generator, homogeneity_order
 from fmspace.certificate import certify
@@ -144,6 +145,8 @@ def _layers() -> dict:
         "flows.invariance_residual.grid": (20, lambda: invariance_residuals(closed_grid)),
         "flows.certificate": (5, lambda: [certify(g) for g in (*ISOMETRIC_IDS, GeneratorId.T1)]),
         "flows.certificate.all": (5, lambda: [certify(g) for g in GeneratorId]),
+        "cli.build_parser": (2000, cli.build_parser),
+        "cli.build_parser.uncached": (20, cli.build_parser.__wrapped__),
         "fmt.kr_weights": (2000, lambda: kr_weights(1.3, 2.7)),
         "fmt.step_hat": (20000, lambda: step_hat(1.3, 2.7)),
         "fmt.step_hat.series": (20000, lambda: step_hat(1.3, 1e-5)),  # qR below 0.05

@@ -329,7 +329,20 @@ def verify_reference_tables(table_specs=None) -> TableVerification:
                         spec.row_names[i],
                         spec.col_names[j],
                         str(reference_tables.parse_cell(spec.cells[i][j])),
-                        str(decompose(_table_op(spec.kind, *operands, product), basis)),
+                        _generated_text(_table_op(spec.kind, *operands, product), basis),
                     )
                 )
     return report
+
+
+def _generated_text(op: Mat4, basis) -> str:
+    """The decomposition of a failing cell's op in basis, or op's matrix where decompose has none.
+
+    A catalog matrix off its published form can take op out of the span of
+    the basis (NotInSpanError) or leave a basis matrix's tr(X^2) zero or no
+    unit, and the mismatch still names the cell.
+    """
+    try:
+        return str(decompose(op, basis))
+    except (ValueError, ZeroDivisionError):  # NotInSpanError is a ValueError
+        return repr(op)

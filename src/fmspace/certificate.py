@@ -3,18 +3,23 @@
 F(tau) = exp(tau X) exactly when F(0) = 1 and dF/dtau = X F: both solve the
 same linear ODE.  `certify` runs a generator's rows builder,
 `flows._closed_form(gid)[1]`, through a third `flows._Backend` whose values
-are `Laurent` polynomials in tau and in the functions of the one phase
-y = k tau that the builder reads (cos and sin, cosh and sinh, or exp), with
-`RingElem` coefficients and q the ring's own q.  Every entry of F(0) - 1 and
-of dF/dtau - X F must reduce to 0 under sin^2 + cos^2 = 1 and
+are `Laurent` polynomials in tau, q, pi and the functions of the one phase
+y = k tau that the builder reads (cos and sin, cosh and sinh, or exp), held
+as one flat term map with rational coefficients, as `matrices.Mat4` holds
+its entries; q is the ring's own q.  Every entry of F(0) - 1 and of
+dF/dtau - X F must reduce to 0 under sin^2 + cos^2 = 1 and
 cosh^2 - sinh^2 = 1, with zero tolerance; for the six isometric generators
 so must every entry of F^t M F - M, so their flows preserve the metric at
-every tau and q.
+every tau and q.  F^t M F is symmetric, so that identity is reduced on its
+10 entries with mu <= nu and an entry off the diagonal counts twice.
 
 The reduced form is canonical: no power of sin or sinh above the first is
 left, and cos, cosh and exp of k tau are transcendental over the Laurent
 polynomials in tau, q and pi, so an identity reduces to 0 and nothing else
-does.  A certificate is computed afresh on every call.
+does.  The arithmetic works on the flat keys and builds no `RingElem`: one
+appears only where the rows builder hands one in (q, pi and the catalog's
+entries), and as the phase rate k.  A certificate is computed afresh on
+every call.
 """
 
 from __future__ import annotations
@@ -25,15 +30,17 @@ from typing import NamedTuple, Optional
 from . import flows
 from .catalog import ISOMETRIC_IDS, GeneratorId, get_generator
 from .matrices import _Q  # the exact q, at which `entries_at` gives the exact entries
-from .ring import ONE, ZERO, RingElem
+from .ring import RingElem, _as_coef, _quotient, accumulate, sum_terms
 
 
 class Laurent:
-    """A finite sum of r tau^t A^a B^b, held as a dict (t, a, b) -> nonzero RingElem r.
+    """A finite sum of c tau^t A^a B^b q^j pi^k, held as one flat term map (t, a, b, j, k) -> c.
 
-    A and B are the two functions of the phase (cos and sin, cosh and sinh),
-    or A alone is exp of it.  An int, a Fraction or a RingElem mixes in as a
-    constant; a divisor must be a unit, r tau^t with r a monomial.
+    Each c is nonzero and canonical, as in the ring: an int when integral,
+    else a Fraction.  A and B are the two functions of the phase (cos and
+    sin, cosh and sinh), or A alone is exp of it.  An int, a Fraction or a
+    RingElem mixes in as a constant; a divisor must be a unit, one term
+    c tau^t q^j pi^k free of A and B.
     """
 
     __slots__ = ("terms",)
@@ -43,29 +50,29 @@ class Laurent:
 
     def __add__(self, other):
         b = _terms(other)
-        return NotImplemented if b is None else Laurent(_combine(self.terms, b, 1))
+        return NotImplemented if b is None else Laurent(sum_terms(self.terms, b, False))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         b = _terms(other)
-        return NotImplemented if b is None else Laurent(_combine(self.terms, b, -1))
+        return NotImplemented if b is None else Laurent(sum_terms(self.terms, b, True))
 
     def __rsub__(self, other):
         b = _terms(other)
-        return NotImplemented if b is None else Laurent(_combine(b, self.terms, -1))
+        return NotImplemented if b is None else Laurent(sum_terms(b, self.terms, True))
 
     def __neg__(self):
-        return Laurent({key: -r for key, r in self.terms.items()})
+        return Laurent({key: -c for key, c in self.terms.items()})
 
     def __mul__(self, other):
         b = _terms(other)
         if b is None:
             return NotImplemented
         out = {}
-        for (t1, a1, b1), r1 in self.terms.items():
-            for (t2, a2, b2), r2 in b.items():
-                _accumulate(out, (t1 + t2, a1 + a2, b1 + b2), r1 * r2)
+        for (t1, a1, b1, j1, k1), c1 in self.terms.items():
+            for (t2, a2, b2, j2, k2), c2 in b.items():
+                accumulate(out, (t1 + t2, a1 + a2, b1 + b2, j1 + j2, k1 + k2), c1 * c2)
         return Laurent(out)
 
     __rmul__ = __mul__
@@ -74,10 +81,10 @@ class Laurent:
         b = _terms(other)
         if b is None:
             return NotImplemented
-        if len(b) != 1 or any(next(iter(b))[1:]):
-            raise ValueError(f"a Laurent divisor must be a unit r tau^t, got {other!r}")
-        ((t, _a, _b), r), = b.items()
-        return self * Laurent({(-t, 0, 0): r.invert_monomial()})  # raises unless r is a monomial
+        if len(b) != 1 or any(next(iter(b))[1:3]):
+            raise ValueError(f"a Laurent divisor must be a unit c tau^t q^j pi^k, got {other!r}")
+        ((t, _a, _b, j, k), c), = b.items()
+        return self * Laurent({(-t, 0, 0, -j, -k): _quotient(1, c)})
 
     def __bool__(self):
         return bool(self.terms)
@@ -87,35 +94,18 @@ class Laurent:
 
 
 def _terms(x) -> Optional[dict]:
-    """The term dict of a Laurent, or of a constant int, Fraction or RingElem; None for anything else."""
-    if isinstance(x, Laurent):
+    """The term map of a Laurent, or of a constant int, Fraction or RingElem; None for anything else."""
+    if x.__class__ is Laurent:
         return x.terms
     if isinstance(x, (int, Fraction)):
-        x = RingElem.monomial(x)
+        c = _as_coef(x)
+        return {(0, 0, 0, 0, 0): c} if c else {}
     if isinstance(x, RingElem):
-        return {(0, 0, 0): x} if x else {}
+        return {(0, 0, 0, j, k): c for (j, k), c in x._terms.items()}
     return None
 
 
-def _accumulate(out: dict, key: tuple, r: RingElem) -> None:
-    """out[key] += r, dropping the key when the sum is 0."""
-    total = out.get(key)
-    total = r if total is None else total + r
-    if total:
-        out[key] = total
-    else:
-        out.pop(key, None)
-
-
-def _combine(a: dict, b: dict, sign: int) -> dict:
-    """The terms of a + sign b."""
-    out = dict(a)
-    for key, r in b.items():
-        _accumulate(out, key, r if sign > 0 else -r)
-    return out
-
-
-_TAU = Laurent({(1, 0, 0): ONE})
+_TAU = Laurent({(1, 0, 0, 0, 0): 1})
 
 
 def _backend(phase: dict) -> flows._Backend:
@@ -124,14 +114,16 @@ def _backend(phase: dict) -> flows._Backend:
     def function(kind: str, key: tuple):
         def symbol(y):
             terms = _terms(y)
-            rate = terms.get((1, 0, 0)) if terms is not None and len(terms) == 1 else None
+            rate = None
+            if terms and all(term[:3] == (1, 0, 0) for term in terms):  # y = k tau, k a nonzero RingElem
+                rate = RingElem({term[3:]: c for term, c in terms.items()})
             if rate is None or phase.setdefault("y", (kind, rate)) != (kind, rate):
                 raise ValueError(f"a closed form the certificate reads has one phase k tau, of one kind; got {kind} of {y!r}")
-            return Laurent({key: ONE})
+            return Laurent({key: 1})
 
         return symbol
 
-    a, b = (0, 1, 0), (0, 0, 1)
+    a, b = (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)
     return flows._Backend(
         exp=function("exp", a), cos=function("trig", a), sin=function("trig", b),
         cosh=function("hyp", a), sinh=function("hyp", b), pi=RingElem.pipow(1), w3_divisors=(),
@@ -139,22 +131,22 @@ def _backend(phase: dict) -> flows._Backend:
 
 
 def _derivative(p: Laurent, kind: str, k: RingElem) -> Laurent:
-    """d/dtau of p, with A and B functions of y = k tau.
+    """d/dtau of p, with A and B functions of y = k tau: the tau derivative plus k times the y derivative.
 
-    (cos, sin)' = k (-sin, cos), (cosh, sinh)' = k (sinh, cosh), exp' = k exp.
+    (cos, sin)' = (-sin, cos), (cosh, sinh)' = (sinh, cosh), exp' = exp in y.
     """
-    out = {}
+    by_tau, by_y = {}, {}
     sign = -1 if kind == "trig" else 1
-    for (t, a, b), r in p.terms.items():
+    for (t, a, b, j, m), c in p.terms.items():
         if t:
-            _accumulate(out, (t - 1, a, b), r * t)
+            accumulate(by_tau, (t - 1, a, b, j, m), c * t)
         if a and kind == "exp":
-            _accumulate(out, (t, a, b), r * k * a)
+            accumulate(by_y, (t, a, b, j, m), c * a)
         elif a:
-            _accumulate(out, (t, a - 1, b + 1), r * k * (sign * a))
+            accumulate(by_y, (t, a - 1, b + 1, j, m), c * (sign * a))
         if b:
-            _accumulate(out, (t, a + 1, b - 1), r * k * b)
-    return Laurent(out)
+            accumulate(by_y, (t, a + 1, b - 1, j, m), c * b)
+    return Laurent(by_tau) + Laurent(by_y) * k
 
 
 def _reduce(p: Laurent, kind: str) -> Laurent:
@@ -165,23 +157,27 @@ def _reduce(p: Laurent, kind: str) -> Laurent:
     out = {}
     todo = list(p.terms.items())
     while todo:
-        (t, a, b), r = todo.pop()
+        key, c = todo.pop()
+        t, a, b, j, m = key
         if b < 2:
-            _accumulate(out, (t, a, b), r)
+            accumulate(out, key, c)
         else:
-            todo += [((t, a, b - 2), r * sign), ((t, a + 2, b - 2), r * -sign)]
+            todo += [((t, a, b - 2, j, m), c * sign), ((t, a + 2, b - 2, j, m), c * -sign)]
     return Laurent(out)
 
 
-def _at_zero(p: Laurent) -> Optional[RingElem]:
-    """p at tau = 0, where cos, cosh and exp are 1 and sin and sinh 0; None if p has a negative power of tau."""
-    total = ZERO
-    for (t, a, b), r in p.terms.items():
+def _at_zero(p: Laurent) -> Optional[dict]:
+    """The term map {(q_pow, pi_pow): c} of p at tau = 0, where cos, cosh and exp are 1 and sin and sinh 0.
+
+    None if p has a negative power of tau.
+    """
+    out = {}
+    for (t, a, b, j, m), c in p.terms.items():
         if t < 0:
             return None
         if t == 0 and b == 0:
-            total = total + r
-    return total
+            accumulate(out, (j, m), c)
+    return out
 
 
 class Certificate(NamedTuple):
@@ -199,23 +195,31 @@ class Certificate(NamedTuple):
 
 
 def certify(gen) -> Certificate:
-    """The certificate of gen's closed form: its rows builder run on the exact tau and q, then reduced."""
+    """The certificate of gen's closed form: its rows builder run on the exact tau and q, then reduced.
+
+    F^t M F is symmetric, so its identity is reduced on the 10 entries with
+    mu <= nu, and an entry off the diagonal counts twice.
+    """
     gid = GeneratorId(gen)
     phase = {}
     flat = [Laurent(_terms(x)) for x in flows._closed_form(gid)[1](_TAU, _Q, _backend(phase))]
     F = [flat[4 * r : 4 * r + 4] for r in range(4)]
     kind, k = phase["y"]  # every closed form reads its phase
-    at_zero = sum(_at_zero(_reduce(F[r][c], kind)) != int(r == c) for r in range(4) for c in range(4))
+    at_zero = sum(
+        _at_zero(_reduce(F[r][c], kind)) != ({(0, 0): 1} if r == c else {}) for r in range(4) for c in range(4)
+    )
     xf = [[Laurent({})] * 4 for _ in range(4)]
     for r, j, x in get_generator(gid).entries():
+        x = Laurent(_terms(x))
         xf[r] = [acc + f * x for acc, f in zip(xf[r], F[j])]
     ode = sum(bool(_reduce(_derivative(F[r][c], kind, k) - xf[r][c], kind)) for r in range(4) for c in range(4))
     isometry = None
     if gid in ISOMETRIC_IDS:
         columns = list(zip(*F))
         isometry = sum(
-            bool(_reduce(u[0] * v[3] + u[1] * v[2] + u[2] * v[1] + u[3] * v[0] - int(mu + nu == 3), kind))
+            (1 if mu == nu else 2)  # entry (nu, mu) is entry (mu, nu)
+            * bool(_reduce(u[0] * v[3] + u[1] * v[2] + u[2] * v[1] + u[3] * v[0] - int(mu + nu == 3), kind))
             for mu, u in enumerate(columns)
-            for nu, v in enumerate(columns)
+            for nu, v in enumerate(columns[mu:], mu)
         )
     return Certificate(gid, at_zero, ode, isometry)

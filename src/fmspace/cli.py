@@ -8,6 +8,7 @@ digits in JSON mode and 6 in text mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -20,7 +21,7 @@ from . import reference_tables
 from .algebra import build_table, decompose
 from .catalog import GeneratorId, SHIFT_IDS, get_generator, resolve_id
 from .checks import CHECKS, FlowsRecord
-from .flows import FlowResult, FlowSpec, closed_flow, evaluate_flow, invariance_residual, reference_discrepancies
+from .flows import FlowResult, FlowSpec, _closed_form, closed_flow, evaluate_flow, invariance_residual, reference_discrepancies
 from .fmt import kernel_matrix, kr_weights, mayer_bond, step_hat, step_profile
 from .matrices import Mat4
 from .ring import is_mpf
@@ -121,6 +122,8 @@ def _cmd_eval(args, out) -> int:
         if not 1 <= args.prec <= MAX_PREC:
             raise ValueError(f"--prec must be at least 1 and at most {MAX_PREC} decimal digits, got {args.prec}")
     spec = FlowSpec(resolve_id(args.gen), args.param, args.q)
+    if args.method == "closed":
+        _closed_form(spec.gen)  # a generator without a closed form raises here: no --prec gets past that
     hint = "; pass prec (decimal digits) with --prec to evaluate through mpmath" if args.method == "closed" else ""
     if args.prec is None:
         try:
@@ -270,7 +273,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_FLOAT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fmspace parser, built once per process: parsing leaves it as it was, so every call shares it."""
     parser = _Parser(
         prog="fmspace",
         description="Operations on the four-dimensional space of local fundamental measures.",

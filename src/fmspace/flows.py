@@ -197,6 +197,7 @@ def _closed_form(gid: GeneratorId) -> tuple:
 
     `float64_domain` reads the exponents; rows(tau, q, bk) gives the 16
     entries of exp(tau X(q)), row by row in one flat list, in bk's arithmetic.
+    A matrix whose square is not +-q^(2 alpha) 1 has none: ValueError.
     """
     subject = f"exp({{tau!r}} * {gid.value}) at q = {{q!r}}"
     if gid is GeneratorId.ONE or gid is GeneratorId.T0:
@@ -209,6 +210,8 @@ def _closed_form(gid: GeneratorId) -> tuple:
         return Exponents(subject, "param q^3 / (8 pi)", 3, 6, scale=1 / (8 * math.pi)), _t3_rows
     mat = get_generator(gid)
     square = classify_square(mat)  # a boost or a rotation for each of the fifteen (tests/test_catalog.py)
+    if square.kind == "other":  # a catalog matrix off its published form
+        raise ValueError(f"{gid.value} has no closed form: its square is not +-q^(2 alpha) times 1")
     form = Exponents(subject, f"param q^{square.order}", square.order, 2 * square.order, square.order if square.kind == "boost" else None)
     return form, functools.partial(_square_rows, mat, square)
 
@@ -415,14 +418,20 @@ def printed_flows(gen) -> np.ndarray:
     as the published formula reads, and the stack is one array of their
     floats; numpy's exp, cosh, sinh and ** can round differently in the
     last bit.  An entry off the diagonal that the form leaves empty is
-    0 * the diagonal value.  For the shift generators and the identity the
-    published form and the generated closed form coincide by construction,
-    and their stack is the closed one.
+    0 * the diagonal value.  A published stack depends on nothing but the
+    transcribed form, so it is evaluated once per process and shared,
+    read-only.  For the shift generators and the identity the published
+    form and the generated closed form coincide by construction, and their
+    stack is the closed one, evaluated on each call.
     """
     gid = GeneratorId(gen)
-    template = _PUBLISHED.get(gid)
-    if template is None:
-        return _closed_stack(gid)
+    return _printed_stack(gid) if gid in _PUBLISHED else _closed_stack(gid)
+
+
+@functools.cache
+def _printed_stack(gid: GeneratorId) -> np.ndarray:
+    """`printed_flows` of a generator with a published form, read-only."""
+    template = _PUBLISHED[gid]
     entries = []
     if template[0] == "diag":
         for _q, tau in GRID_POINTS:
@@ -430,19 +439,21 @@ def printed_flows(gen) -> np.ndarray:
             for i, sign in zip((0, 5, 10, 15), template[1]):
                 point[i] = math.exp(tau * sign)
             entries += point
-        return np.array(entries).reshape(-1, 4, 4)
-    kind, order, smap = template
-    even, odd = (math.cosh, math.sinh) if kind == "boost" else (math.cos, math.sin)
-    for q, tau in GRID_POINTS:
-        arg = tau * q**order
-        diag, s = even(arg), odd(arg)
-        point = [0.0 * diag] * 16
-        for i in (0, 5, 10, 15):
-            point[i] = diag
-        for (r, c), (coef, qpow) in smap.items():
-            point[4 * r + c] = coef * q**qpow * s
-        entries += point
-    return np.array(entries).reshape(-1, 4, 4)
+    else:
+        kind, order, smap = template
+        even, odd = (math.cosh, math.sinh) if kind == "boost" else (math.cos, math.sin)
+        for q, tau in GRID_POINTS:
+            arg = tau * q**order
+            diag, s = even(arg), odd(arg)
+            point = [0.0 * diag] * 16
+            for i in (0, 5, 10, 15):
+                point[i] = diag
+            for (r, c), (coef, qpow) in smap.items():
+                point[4 * r + c] = coef * q**qpow * s
+            entries += point
+    stack = np.array(entries).reshape(-1, 4, 4)
+    stack.flags.writeable = False
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +618,8 @@ def grid_flows(gens) -> dict:
 
     Each is a (20, 4, 4) stack in the order of GRID_POINTS.  Each flow is
     evaluated once, by its rows builder (`_closed_stack`), and all the
-    oracles in one `expm_oracles` call.
+    oracles in one `expm_oracles` call.  A generator without a closed form
+    has a NaN closed stack (`_closed_stack`), which fails every bound.
     """
     gids = [GeneratorId(g) for g in gens]
     oracles = expm_oracles([(get_generator(gid), p, q) for gid in gids for q, p in GRID_POINTS], ORACLE_TOL)
@@ -619,9 +631,13 @@ def _closed_stack(gid: GeneratorId) -> np.ndarray:
     """`closed_flow(gid, param, q)` at each (q, param) of GRID_POINTS, with its bits: a (20, 4, 4) stack.
 
     The rows builder runs at each point, inside `float64_domain`, and the
-    stack is one array of their floats.
+    stack is one array of their floats.  A generator without a closed form
+    (a catalog matrix off its published form) has an all-NaN stack.
     """
-    form, rows = _closed_form(gid)
+    try:
+        form, rows = _closed_form(gid)
+    except ValueError:
+        return np.full((len(GRID_POINTS), 4, 4), np.nan)
     entries = []
     for q, param in GRID_POINTS:
         float64_domain(form, param, q)

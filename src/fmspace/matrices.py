@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .ring import ZERO, RingElem, _element, float_sum, is_mpf, sum_terms
+from .ring import ZERO, RingElem, _element, accumulate, float_sum, is_mpf, sum_terms
 
 Scalar = Union["RingElem", int, Fraction]
 
@@ -134,7 +134,7 @@ class Mat4:
         out: dict[tuple, object] = {}
         for (r, c, j1, k1), c1 in self._terms.items():
             for (j2, k2), c2 in f:
-                _accumulate(out, (r, c, j1 + j2, k1 + k2), c1 * c2)
+                accumulate(out, (r, c, j1 + j2, k1 + k2), c1 * c2)
         return Mat4._of(out)
 
     def __matmul__(self, other: "Mat4") -> "Mat4":
@@ -142,7 +142,7 @@ class Mat4:
         out: dict[tuple, object] = {}
         for (r, k, j1, k1), c1 in self._terms.items():
             for c, j2, k2, c2 in by_row[k]:
-                _accumulate(out, (r, c, j1 + j2, k1 + k2), c1 * c2)
+                accumulate(out, (r, c, j1 + j2, k1 + k2), c1 * c2)
         return Mat4._of(out)
 
     def _row_index(self) -> tuple:
@@ -196,17 +196,6 @@ class Mat4:
 
 
 _COLS = range(4)
-
-
-def _accumulate(terms: dict, key: tuple, value) -> None:
-    """terms[key] += value, in canonical form: a zero sum leaves the map, an integral Fraction becomes an int."""
-    tot = terms.get(key, 0) + value
-    if tot == 0:
-        terms.pop(key, None)
-    elif tot.__class__ is Fraction and tot.denominator == 1:
-        terms[key] = tot.numerator
-    else:
-        terms[key] = tot
 
 
 # The pseudo metric: unit entries on the counter diagonal, (+ + - -) signature.

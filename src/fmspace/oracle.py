@@ -3,8 +3,14 @@
 exp(param * X(q)) by scaling and squaring a Taylor series, coded apart from
 the closed forms in `fmspace.flows`.  `expm_oracles` evaluates many points in
 one masked pass over the whole stack, each slice with the bits of a one-point
-`expm_oracle`: a converged series adds zero terms, and a squaring step
-squares only the points that still need it.
+`expm_oracle`.  Every stage works on arrays: X(q) is evaluated once per
+distinct (X, q) and scaled by the params as one array, the stopping test of
+the Taylor loop compares each point's |term| with its own tol / 2^s as an
+array and zeros the terms of the points it ends by mask (a one-point call
+counts its 16 entries instead, which costs no more than a scalar test), and
+the squaring steps that every point needs square the whole stack, while a
+later step gathers, squares and scatters back only the points that still
+need it.
 """
 
 from __future__ import annotations
@@ -35,20 +41,26 @@ def expm_oracle(x: Mat4, param: float, q: float, tol: float = 1e-12) -> np.ndarr
     return expm_oracles([(x, param, q)], tol)[0]
 
 
+# An overflow or invalid product in param * X(q) or in a squaring is reported
+# by the checks on the 1-norm and on the result instead; the Taylor loop runs
+# on norms at most 0.5 and raises neither.
+@np.errstate(over="ignore", invalid="ignore")
 def expm_oracles(points: Sequence[tuple], tol: float = 1e-12) -> np.ndarray:
     """expm_oracle at each (X, param, q) of points, stacked into shape (n, 4, 4).
 
     One masked pass over the stack: each point is divided by its own 2^s,
     every point runs the Taylor loop, and a point's term is zeroed once it
-    first drops below tol / 2^s, which ends that point's sum; squaring step
-    `step` squares the points with s > step.  So every slice has the bits of
-    a one-point call, and the first point in input order that fails a stage
-    (X(q) overflows, a 1-norm beyond scaling, a non-finite result) raises
-    the ValueError a one-point call would.
+    first drops below tol / 2^s, which ends that point's sum (a zero term
+    adds nothing); squaring step `step` squares only the points with
+    s > step.  So every slice has the bits of a one-point call, and the
+    first point in input order that fails a stage (X(q) overflows, a 1-norm
+    beyond scaling, a non-finite result) raises the ValueError a one-point
+    call would.  An inf or NaN in param * X(q) warns nothing: its 1-norm
+    raises.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    z = np.array(_scaled_entries(points), float).reshape(-1, 4, 4)
+    z = _scaled_entries(points)
     norms = np.maximum.reduce(np.add.reduce(np.abs(z), axis=1), axis=1).tolist()
     for norm in norms:
         if not norm <= _MAX_ORACLE_NORM:
@@ -57,45 +69,67 @@ def expm_oracles(points: Sequence[tuple], tol: float = 1e-12) -> np.ndarray:
                 "beyond what scaling and squaring can take"
             )
     s = [max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0 for norm in norms]
-    scale = [2.0**si for si in s]
-    z /= np.array(scale)[:, None, None]
-    threshold = [tol / sc for sc in scale]
+    exponents = np.array(s, int)
+    scale = np.ldexp(1.0, exponents)[:, None, None]  # 2.0**s, exactly
+    z /= scale
+    threshold = tol / scale
     total = _EYE[None].repeat(len(z), 0)
     term = total.copy()
     work = np.empty_like(z)  # the outputs of each step go into place: fewer allocations per term
+    below = np.empty(z.shape, bool)
     for k in range(1, 80):
         np.divide(np.matmul(term, z, work), k, term)
         total += term
-        maxima = np.maximum.reduce(np.abs(term, work), axis=(1, 2)).tolist()
-        if any(map(float.__lt__, maxima, threshold)):
-            done = list(map(float.__lt__, maxima, threshold))
-            if all(done):
+        # a point is done when all 16 of its |term| are below its threshold,
+        # which is max |term| < threshold; a NaN fails both
+        np.less(np.abs(term, work), threshold, below)
+        if len(z) == 1:  # one point: one count of its 16 entries, no row reduction
+            if np.count_nonzero(below) == 16:
+                break
+            continue
+        done = np.logical_and.reduce(below, axis=(1, 2))
+        finished = np.count_nonzero(done)
+        if finished:
+            if finished == len(done):
                 break
             # a zero term stays zero, and adding it keeps the bits of a sum, which never holds -0.0
-            term[np.array(done)] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        exponents = np.array(s)[:, None, None]
-        for step in range(max(s, default=0)):
-            np.copyto(total, total @ total, where=exponents > step)
+            term[done] = 0.0
+    # the steps that every point takes square the whole stack; the rest
+    # gather, square and scatter back the points with s > step
+    everyone = min(s, default=0)
+    for _ in range(everyone):
+        total = total @ total
+    for step in range(everyone, max(s, default=0)):
+        squared = (exponents > step).nonzero()[0]
+        part = total[squared]
+        total[squared] = part @ part
     finite = np.isfinite(total).all(axis=(1, 2)).tolist()
     if not all(finite):
         raise ValueError(f"float64 overflow: exp(param * X(q)) is not finite at norm {norms[finite.index(False)]!r}")
     return total
 
 
-def _scaled_entries(points) -> list:
-    """The entries of param * X(q), point by point and row by row, as one list.
+def _scaled_entries(points) -> np.ndarray:
+    """param * X(q) at each point, as an (n, 4, 4) stack.
 
-    X(q) is evaluated once per distinct matrix and q of the points.
+    X(q) is evaluated once per distinct matrix and q of the points, in the
+    order of the points, and each is scaled by its params as one array
+    (under the caller's errstate: an inf or NaN norm is reported there).
     """
-    evaluated = {}  # (id(X), q) -> X(q)'s 16 entries; the points hold each X for the whole call
-    out = []
-    for x, param, q in points:
-        xq = evaluated.get((id(x), q))
-        if xq is None:
+    evaluated = {}  # (id(X), q) -> index of X(q) in values; the points hold each X for the whole call
+    values = []
+    index = []
+    for x, _param, q in points:
+        i = evaluated.get((id(x), q))
+        if i is None:
             try:
-                xq = evaluated[id(x), q] = [v for row in eval_rows(x, q) for v in row]
+                values.append(eval_rows(x, q))
             except OverflowError:
                 raise ValueError(f"float64 overflow: the entries of X(q) overflow at q = {q!r}") from None
-        out += [param * v for v in xq]
-    return out
+            i = evaluated[id(x), q] = len(values) - 1
+        index.append(i)
+    stack = np.array(values, float).reshape(-1, 4, 4)
+    if len(values) < len(index):  # some point repeats an earlier (X, q); else index is 0, 1, ..., n - 1
+        stack = stack[index]
+    params = np.array([param for _x, param, _q in points], float)
+    return stack * params[:, None, None]

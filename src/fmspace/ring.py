@@ -12,8 +12,9 @@ import ast
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Optional, Union
 
 Rat = Union[int, Fraction]
 
@@ -44,7 +45,8 @@ class RingElem:
 
     def __init__(self, terms: Mapping[tuple[int, int], Rat] | Iterable = ()):
         data: dict[tuple[int, int], Rat] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        # a plain dict first: the ABC check of Mapping is the slow part of a small element's construction
+        items = terms.items() if terms.__class__ is dict or isinstance(terms, Mapping) else terms
         for (j, k), c in items:
             c = _as_coef(c)
             if c == 0:
@@ -325,6 +327,20 @@ def sum_terms(a: dict, b: dict, subtract: bool) -> dict:
         else:
             data[key] = tot
     return data
+
+
+def accumulate(terms: dict, key: tuple, value) -> None:
+    """terms[key] += value, in canonical form: a zero sum leaves the map, an integral Fraction becomes an int.
+
+    The keys may be of any kind, as in `sum_terms`.
+    """
+    tot = terms.get(key, 0) + value
+    if tot == 0:
+        terms.pop(key, None)
+    elif tot.__class__ is Fraction and tot.denominator == 1:
+        terms[key] = tot.numerator
+    else:
+        terms[key] = tot
 
 
 def _element(terms: dict) -> RingElem:

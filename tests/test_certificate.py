@@ -9,9 +9,9 @@ import pytest
 
 from fmspace import checks, flows
 from fmspace.catalog import ALL_IDS, ISOMETRIC_IDS, GeneratorId, classify_square, get_generator
-from fmspace.certificate import Laurent, _backend, _reduce, certify
-from fmspace.matrices import Mat4
-from fmspace.ring import ONE, RingElem
+from fmspace.certificate import _TAU, Laurent, _backend, _reduce, _terms, certify
+from fmspace.matrices import _Q, Mat4
+from fmspace.ring import RingElem
 
 
 @pytest.mark.parametrize("gid", ALL_IDS)
@@ -22,34 +22,43 @@ def test_every_closed_form_is_certified(gid):
 
 
 class TestLaurent:
+    """Laurent terms are keyed (t, a, b, q_pow, pi_pow), with canonical int or Fraction coefficients."""
+
     def test_the_pythagorean_identities_reduce_to_zero(self):
-        cos, sin = Laurent({(0, 1, 0): ONE}), Laurent({(0, 0, 1): ONE})
-        tau = Laurent({(1, 0, 0): ONE})
+        cos, sin = Laurent({(0, 1, 0, 0, 0): 1}), Laurent({(0, 0, 1, 0, 0): 1})
+        tau = Laurent({(1, 0, 0, 0, 0): 1})
+        q = RingElem.qpow(1)
         assert not _reduce(sin * sin + cos * cos - 1, "trig")
         assert not _reduce(tau * (cos * cos - sin * sin) - tau, "hyp")
-        assert _reduce(sin * sin, "trig").terms == {(0, 0, 0): ONE, (0, 2, 0): -ONE}
+        assert not _reduce(q * sin * sin * tau + tau * cos * cos * q - tau * q, "trig")
+        assert _reduce(sin * sin, "trig").terms == {(0, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0): -1}
+        assert _reduce(sin * sin * q / 2, "trig").terms == {(0, 0, 0, 1, 0): Fraction(1, 2), (0, 2, 0, 1, 0): Fraction(-1, 2)}
         assert _reduce(sin * sin + cos * cos - 1, "hyp")  # cosh^2 + sinh^2 is not 1
-        assert _reduce(sin * sin, "exp").terms == {(0, 0, 2): ONE}  # exp has no relation
+        assert _reduce(sin * sin, "exp").terms == {(0, 0, 2, 0, 0): 1}  # exp has no relation
 
     def test_a_divisor_must_be_a_unit(self):
-        tau = Laurent({(1, 0, 0): ONE})
+        tau = Laurent({(1, 0, 0, 0, 0): 1})
         q = RingElem.qpow(1)
-        assert (tau / (tau * q * 2)).terms == {(0, 0, 0): RingElem.monomial(Fraction(1, 2), -1)}
-        with pytest.raises(ValueError, match="a Laurent divisor must be a unit"):
-            tau / (tau + 1)
-        with pytest.raises(ValueError, match="a Laurent divisor must be a unit"):
-            tau / Laurent({(0, 1, 0): ONE})
-        with pytest.raises(ValueError, match="not a monomial"):
-            tau / (q + 1)
+        pi = RingElem.pipow(1)
+        assert (tau / (tau * q * 2)).terms == {(0, 0, 0, -1, 0): Fraction(1, 2)}
+        quotient = tau * 3 / (tau * pi * Fraction(3, 2))
+        assert quotient.terms == {(0, 0, 0, 0, -1): 2} and type(quotient.terms[0, 0, 0, 0, -1]) is int
+        for divisor in (tau + 1, Laurent({(0, 1, 0, 0, 0): 1}), q + 1, Laurent({}), 0):
+            with pytest.raises(ValueError, match="a Laurent divisor must be a unit"):
+                tau / divisor
 
     def test_the_backend_reads_one_phase(self):
         bk = _backend({})
-        tau = Laurent({(1, 0, 0): ONE})
-        bk.cos(tau * 2)
-        bk.sin(tau * 2)  # the same phase and kind
-        for other in (lambda: bk.sin(tau * 3), lambda: bk.cosh(tau * 2)):
+        tau = Laurent({(1, 0, 0, 0, 0): 1})
+        q = RingElem.qpow(1)
+        assert bk.cos(tau * q * 2).terms == {(0, 1, 0, 0, 0): 1}
+        assert bk.sin(2 * q * tau).terms == {(0, 0, 1, 0, 0): 1}  # the same phase and kind
+        for other in (lambda: bk.sin(tau * 3), lambda: bk.cosh(tau * q * 2), lambda: bk.cos(tau * q * 2 + 1)):
             with pytest.raises(ValueError, match="one phase k tau, of one kind"):
                 other()
+        phase = {}
+        _backend(phase).cos(tau * (q + 1))  # a rate of two terms is one RingElem
+        assert phase == {"y": ("trig", q + 1)}
         with pytest.raises(ValueError, match="one phase k tau"):
             _backend({}).exp(tau * tau)
 
@@ -100,6 +109,34 @@ def test_a_flipped_sign_in_x_fails_the_certificate(monkeypatch, gid):
         _plant(monkeypatch, gid, functools.partial(flows._square_rows, _flipped(mat, (r, c)), classify_square(mat)))
         cert = certify(gid)
         assert cert.ode > 0 and (cert.isometry is None or cert.isometry > 0), (r, c)
+
+
+def _full_isometry_count(gid) -> int:
+    """The entries of F^t M F - M that do not reduce to 0, counted over all 16 (mu, nu)."""
+    phase = {}
+    flat = [Laurent(_terms(x)) for x in flows._closed_form(gid)[1](_TAU, _Q, _backend(phase))]
+    kind, _k = phase["y"]
+    columns = [flat[c::4] for c in range(4)]
+    return sum(
+        bool(_reduce(u[0] * v[3] + u[1] * v[2] + u[2] * v[1] + u[3] * v[0] - int(mu + nu == 3), kind))
+        for mu, u in enumerate(columns)
+        for nu, v in enumerate(columns)
+    )
+
+
+@pytest.mark.parametrize("gid", ISOMETRIC_IDS)
+def test_the_isometry_count_over_10_entries_is_the_count_over_16(monkeypatch, gid):
+    """F^t M F is symmetric: its 10 entries with mu <= nu, those off the diagonal twice, count as all 16."""
+    assert certify(gid).isometry == _full_isometry_count(gid) == 0
+    real = flows._closed_form(gid)[1]
+    mat = get_generator(gid)
+    flips = [functools.partial(flows._square_rows, _flipped(mat, (r, c)), classify_square(mat)) for r, c, _x in mat.entries()]
+    counts = []
+    for rows in flips + [_negated(real, index) for index in range(16)]:
+        _plant(monkeypatch, gid, rows)
+        counts.append(certify(gid).isometry)
+        assert counts[-1] == _full_isometry_count(gid)
+    assert all(counts[: len(flips)])  # every flipped sign in X breaks the isometry
 
 
 @pytest.mark.parametrize("gid", [GeneratorId.B1, GeneratorId.D2])

@@ -562,3 +562,77 @@ def test_fuzzed_argv_exits_with_a_code(argv):
     assert code in (0, 1, 2), argv
     if code == 1:
         assert err.getvalue().startswith("error: "), argv
+
+
+def _call(argv) -> tuple:
+    """(exit code, stdout, stderr) of one in-process `cli.main` call, a usage error's SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_shared_parser_gives_what_a_fresh_one_gives():
+    """`build_parser` is built once per process: calls in sequence read as each call on a parser built for it."""
+    sequence = (
+        ["verify", "--suite", "tables"],
+        ["eval", "--gen", "B1", "--param", "-1e-3", "--q", "2"],
+        ["eval", "--gen", "B1", "--param"],  # a usage error, exit 2
+        ["verify", "--suite", "all", "--errata"],
+    )
+    shared = [_call(argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(_call(argv))
+    assert [code for code, _out, _err in shared] == [0, 0, 2, 0]
+    assert shared == fresh
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.fixture
+def planted_catalog(monkeypatch):
+    """Plant a catalog entry with `plant(gid, index)`; every cache built from the catalog is cleared around it."""
+    from fmspace import algebra, catalog
+
+    caches = (catalog.get_generator, reference_tables.multiplied_cell, algebra._inverse_norm, algebra._by_entry, flows._closed_form)
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+
+    def plant(gid, index):
+        r, c, coef, *pows = catalog._ENTRIES[gid][index]
+        flipped = list(catalog._ENTRIES[gid])
+        flipped[index] = (r, c, -coef, *pows)
+        monkeypatch.setitem(catalog._ENTRIES, gid, flipped)
+        clear()
+
+    clear()
+    yield plant
+    monkeypatch.undo()
+    clear()
+
+
+@pytest.mark.parametrize("gid", list(GeneratorId))
+def test_a_flipped_catalog_entry_fails_verify_with_every_suite_line(planted_catalog, gid):
+    """One entry's sign flipped in one catalog matrix: `verify --suite all` runs every suite and exits 1, with no error line."""
+    planted_catalog(gid, 0)
+    code, out, err = _call(["verify", "--suite", "all"])
+    assert code == 1
+    assert err == ""
+    suites = [line.split(": ")[0] for line in out.splitlines() if not line.startswith(" ")]
+    assert suites == list(checks.CHECKS)
+    assert out.startswith("tables: FAIL (")
+
+
+def test_eval_names_a_generator_without_a_closed_form(planted_catalog):
+    """A flipped entry leaves D1's square off +-q^2 1: `eval` exits 1 naming that, and does not offer --prec."""
+    planted_catalog(GeneratorId.D1, 0)
+    for extra in ([], ["--prec", "20"]):
+        code, out, err = _call(["eval", "--gen", "D1", "--param", "1", "--q", "1", *extra])
+        assert (code, out) == (1, "")
+        assert err == "error: D1 has no closed form: its square is not +-q^(2 alpha) times 1\n"

@@ -232,6 +232,18 @@ def test_oracle_matches_the_scalar_loop_bit_for_bit(tol):
         assert np.array_equal(expm_oracle(x, param, q, tol), reference), (x, param, q)
 
 
+def test_stacked_oracle_squares_the_whole_stack_where_every_point_needs_it():
+    """A stack whose every point needs two or more squarings squares it whole for those steps, bit for bit."""
+    points = []
+    for gid, param, q in _oracle_points():
+        x = get_generator(gid)
+        if abs(param) * float(np.abs(eval_mat(x, q)).sum(axis=0).max()) > 2.0:  # s >= 2
+            points.append((x, param, q))
+    assert len(points) > 100
+    for (x, param, q), stacked in zip(points, flows.expm_oracles(points, 1e-13)):
+        assert np.array_equal(stacked, _scalar_taylor_oracle(x, param, q, 1e-13)), (x, param, q)
+
+
 def test_stacked_oracle_raises_for_the_first_failing_point():
     good = (get_generator(GeneratorId.B1), 0.5, 1.0)
     assert flows.expm_oracles([], 1e-13).shape == (0, 4, 4)
