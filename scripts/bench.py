@@ -27,7 +27,12 @@ otherwise, and reported as the median and the min over --repeats repeats:
   `fmspace.cli`, which loads every layer;
 - checks: seconds of each `verify` check, and each measure of its last
   CheckRecord with its value, bound and margin (how far the value is inside
-  its bound; negative when it fails, null when not finite);
+  its bound; negative when it fails, null when not finite); verify_pass is
+  their sum, warm;
+- verify_pass.fresh_caches: seconds of one in-process `fmspace verify
+  --suite all --errata` (`cli.main`, output discarded) after every
+  per-process cache (CACHES) is cleared, which is what a one-shot process
+  pays after import;
 - the Python, numpy and mpmath versions and the CPU count.
 
 It gates nothing: the exit status is 0 whatever the numbers.  Run it on an
@@ -37,6 +42,8 @@ otherwise idle machine; the spread between median and min shows the noise.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -52,7 +59,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from fmspace import checks, cli, reference_tables
+from fmspace import algebra, catalog, checks, cli, flows, fmt, reference_tables
 from fmspace.algebra import decompose, verify_reference_tables
 from fmspace.catalog import ISOMETRIC_IDS, METAMORPHIC_IDS, SHIFT_IDS, GeneratorId, get_generator, homogeneity_order
 from fmspace.certificate import certify
@@ -65,6 +72,11 @@ from fmspace.oracle import expm_oracle, expm_oracles
 from fmspace.ring import RingElem
 
 COLD_IMPORTS = ("fmspace.algebra", "fmspace.cli")
+# Every cache the package builds once per process and keeps.
+CACHES = (
+    cli.build_parser, flows._closed_form, flows._printed_stack, flows._mp_backend, reference_tables.parse_cell,
+    reference_tables.multiplied_cell, fmt._window, catalog.get_generator, algebra._inverse_norm, algebra._by_entry,
+)
 SRC = str(Path(checks.__file__).resolve().parents[1])  # the fmspace tree this process imports
 
 
@@ -170,6 +182,16 @@ def _seconds(calls: int, fn) -> float:
     return (time.perf_counter() - t0) / calls
 
 
+def _fresh_verify() -> float:
+    """Seconds of one `fmspace verify --suite all --errata` through `cli.main`, its output discarded, every cache of CACHES cleared first."""
+    for cache in CACHES:
+        cache.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        t0 = time.perf_counter()
+        cli.main(["verify", "--suite", "all", "--errata"])
+        return time.perf_counter() - t0
+
+
 def _summary(samples: list) -> dict:
     return {"median_s": statistics.median(samples), "min_s": min(samples)}
 
@@ -204,6 +226,7 @@ def bench(repeats: int) -> dict:
             records[name] = check()
             seconds[name].append(time.perf_counter() - t0)
     passes = [sum(s[i] for s in seconds.values()) for i in range(repeats)]
+    fresh = [_fresh_verify() for _ in range(repeats)]
     return {
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "repeats": repeats,
@@ -217,6 +240,7 @@ def bench(repeats: int) -> dict:
         "layers": layers,
         "cold_import": cold_import,
         "verify_pass": _summary(passes),
+        "verify_pass.fresh_caches": _summary(fresh),
         "checks": {
             name: {
                 "ok": record.ok,

@@ -21,7 +21,7 @@ from typing import Iterable, Literal, Optional, Sequence
 
 from .catalog import BASIS_IDS, SHIFT_IDS, GeneratorId, get_generator, resolve_id
 from .matrices import Mat4
-from .ring import ZERO, RingElem, format_ring
+from .ring import ZERO, RingElem, format_ring, signed_sum
 
 TableKind = Literal["product", "half_commutator", "half_anticommutator"]
 
@@ -49,11 +49,6 @@ class Decomposition:
     def __getitem__(self, gen_id: GeneratorId) -> RingElem:
         return self.coeffs.get(GeneratorId(gen_id), ZERO)
 
-    def __eq__(self, other):
-        if not isinstance(other, Decomposition):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -70,23 +65,15 @@ class Decomposition:
         return total
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
+        pieces = []
         for gid, coef in self.items():
             mono = coef.as_monomial()
-            if mono is not None:
-                negative = mono[0] < 0
-                text = format_ring(-coef if negative else coef)
-                piece = gid.value if text == "1" else f"{text} {gid.value}"
+            if mono is None:
+                pieces.append((False, f"({format_ring(coef)}) {gid.value}"))
             else:
-                negative = False
-                piece = f"({format_ring(coef)}) {gid.value}"
-            if not parts:
-                parts.append(("-" if negative else "") + piece)
-            else:
-                parts.append(("- " if negative else "+ ") + piece)
-        return " ".join(parts)
+                text = format_ring(-coef if mono[0] < 0 else coef)
+                pieces.append((mono[0] < 0, gid.value if text == "1" else f"{text} {gid.value}"))
+        return signed_sum(pieces)
 
     def to_json_dict(self) -> dict:
         return {gid.value: coef.to_json_dict() for gid, coef in self.items()}

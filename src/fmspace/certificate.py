@@ -4,10 +4,10 @@ F(tau) = exp(tau X) exactly when F(0) = 1 and dF/dtau = X F: both solve the
 same linear ODE.  `certify` runs a generator's rows builder,
 `flows._closed_form(gid)[1]`, through a third `flows._Backend` whose values
 are `Laurent` polynomials in tau, q, pi and the functions of the one phase
-y = k tau that the builder reads (cos and sin, cosh and sinh, or exp), held
-as one flat term map with rational coefficients, as `matrices.Mat4` holds
-its entries; q is the ring's own q.  Every entry of F(0) - 1 and of
-dF/dtau - X F must reduce to 0 under sin^2 + cos^2 = 1 and
+y = k tau that the builder reads (cos and sin, cosh and sinh, or exp of
++-y), held as one flat term map with rational coefficients, as
+`matrices.Mat4` holds its entries; q is the ring's own q.  Every entry of
+F(0) - 1 and of dF/dtau - X F must reduce to 0 under sin^2 + cos^2 = 1 and
 cosh^2 - sinh^2 = 1, with zero tolerance; for the six isometric generators
 so must every entry of F^t M F - M, so their flows preserve the metric at
 every tau and q.  F^t M F is symmetric, so that identity is reduced on its
@@ -15,10 +15,11 @@ every tau and q.  F^t M F is symmetric, so that identity is reduced on its
 
 The reduced form is canonical: no power of sin or sinh above the first is
 left, and cos, cosh and exp of k tau are transcendental over the Laurent
-polynomials in tau, q and pi, so an identity reduces to 0 and nothing else
-does.  The arithmetic works on the flat keys and builds no `RingElem`: one
-appears only where the rows builder hands one in (q, pi and the catalog's
-entries), and as the phase rate k.  A certificate is computed afresh on
+polynomials in tau, q and pi (exp appears to negative powers too), so an
+identity reduces to 0 and nothing else does.  The arithmetic works on the
+flat keys and builds no `RingElem`: one appears only where the rows
+builder hands one in (q, pi and the catalog's entries), and as the phase
+rate k.  A certificate is computed afresh on
 every call.
 """
 
@@ -38,8 +39,8 @@ class Laurent:
 
     Each c is nonzero and canonical, as in the ring: an int when integral,
     else a Fraction.  A and B are the two functions of the phase (cos and
-    sin, cosh and sinh), or A alone is exp of it.  An int, a Fraction or a
-    RingElem mixes in as a constant; a divisor must be a unit, one term
+    sin, cosh and sinh), or A alone is exp of it, where a may be negative.
+    An int, a Fraction or a RingElem mixes in as a constant; a divisor must be a unit, one term
     c tau^t q^j pi^k free of A and B.
     """
 
@@ -109,7 +110,10 @@ _TAU = Laurent({(1, 0, 0, 0, 0): 1})
 
 
 def _backend(phase: dict) -> flows._Backend:
-    """The exact backend: each function returns its symbol and records (kind, k) of its phase y = k tau in phase."""
+    """The exact backend: each function returns its symbol and records (kind, k) of its phase y = k tau in phase.
+
+    exp of the opposite phase, -k tau, is A^-1.
+    """
 
     def function(kind: str, key: tuple):
         def symbol(y):
@@ -117,6 +121,8 @@ def _backend(phase: dict) -> flows._Backend:
             rate = None
             if terms and all(term[:3] == (1, 0, 0) for term in terms):  # y = k tau, k a nonzero RingElem
                 rate = RingElem({term[3:]: c for term, c in terms.items()})
+            if kind == "exp" and rate is not None and phase.get("y") == (kind, -rate):
+                return Laurent({(0, -1, 0, 0, 0): 1})  # exp(-k tau) = A^-1
             if rate is None or phase.setdefault("y", (kind, rate)) != (kind, rate):
                 raise ValueError(f"a closed form the certificate reads has one phase k tau, of one kind; got {kind} of {y!r}")
             return Laurent({key: 1})

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .catalog import ALL_IDS, GeneratorId, SquareClass, classify_square, get_generator
-from .matrices import entries_at
+from .matrices import Mat4, entries_at
 from .oracle import expm_oracle, expm_oracles
 from .ring import is_mpf
 
@@ -165,10 +165,11 @@ def float64_domain(form: Exponents, tau: float, q: float) -> None:
     first two tests inline).  float64 evaluates only where all three hold:
 
     - Every power q^k that the formula forms is normal: q^power and
-      q^-power lie in [2^-1022, 2^1022].  power is 2 alpha for the fifteen
-      boost and rotation flows of order alpha, 4 for T1, T2 and the weight
-      column, 6 for T3.  R^3 in w3's series then stays finite, and where it
-      is subnormal, w3 is off by less than 2^-1070.
+      q^-power lie in [2^-1022, 2^1022].  power is 0 for the five diagonal
+      flows, 2 alpha for the twelve other boost and rotation flows of order
+      alpha, 4 for T1, T2 and the weight column, 6 for T3.  R^3 in w3's
+      series then stays finite, and where it is subnormal, w3 is off by
+      less than 2^-1070.
     - The phase |y| = |scale tau q^order| (x = qR for the weights) is at
       most PHASE_BOUND = 1e-9 / (64 eps) = 7.04e4.  y is rounded before sin,
       cos, sinh or cosh reads it, so an entry q^(nu - mu) f(y) is off by
@@ -177,8 +178,9 @@ def float64_domain(form: Exponents, tau: float, q: float) -> None:
       draws, |y| in [1, 6.3e4]: 2.1e-11 at the bound, 1/47 of the flows
       bound (tests/test_domain.py holds it).
     - A form that grows as e^|y| stays finite: |y| + growth |ln q| +
-      headroom is under ln(DBL_MAX) = 709.78.  growth is alpha for One, T0
-      and the boosts; T2 forms e^|y| q^4 beside (1 + |y|) 8 pi < 2^15.
+      headroom is under ln(DBL_MAX) = 709.78.  growth is 0 for the five
+      diagonal flows and alpha for the boosts; T2 forms e^|y| q^4 beside
+      (1 + |y|) 8 pi < 2^15.
     """
     lo, hi = _Q_RANGE[form.power]
     if lo <= q <= hi:
@@ -196,12 +198,12 @@ def _closed_form(gid: GeneratorId) -> tuple:
     """(Exponents, rows) of gid's closed form, decided once per generator.
 
     `float64_domain` reads the exponents; rows(tau, q, bk) gives the 16
-    entries of exp(tau X(q)), row by row in one flat list, in bk's arithmetic.
-    A matrix whose square is not +-q^(2 alpha) 1 has none: ValueError.
+    entries of exp(tau X(q)), row by row in one flat list, in bk's arithmetic:
+    `_t1_rows`, `_t2_rows` or `_t3_rows` for a shift generator,
+    `_diagonal_rows` for a matrix diag(+-1), else `_square_rows`.  A matrix
+    whose square is not +-q^(2 alpha) 1 has none: ValueError.
     """
     subject = f"exp({{tau!r}} * {gid.value}) at q = {{q!r}}"
-    if gid is GeneratorId.ONE or gid is GeneratorId.T0:
-        return Exponents(subject, "param", 0, 0, growth=0), _exp_rows
     if gid is GeneratorId.T1:
         return Exponents(subject, "param q", 1, 4), _t1_rows
     if gid is GeneratorId.T2:
@@ -209,7 +211,10 @@ def _closed_form(gid: GeneratorId) -> tuple:
     if gid is GeneratorId.T3:
         return Exponents(subject, "param q^3 / (8 pi)", 3, 6, scale=1 / (8 * math.pi)), _t3_rows
     mat = get_generator(gid)
-    square = classify_square(mat)  # a boost or a rotation for each of the fifteen (tests/test_catalog.py)
+    signs = tuple(1 if mat[i, i] == 1 else -1 for i in range(4))
+    if mat == Mat4.from_entries((i, i, s) for i, s in enumerate(signs)):  # One, T0, B0, B0', P0: diag(+-1)
+        return Exponents(subject, "param", 0, 0, growth=0), functools.partial(_diagonal_rows, signs)
+    square = classify_square(mat)  # a boost or a rotation for each of the twelve (tests/test_catalog.py)
     if square.kind == "other":  # a catalog matrix off its published form
         raise ValueError(f"{gid.value} has no closed form: its square is not +-q^(2 alpha) times 1")
     form = Exponents(subject, f"param q^{square.order}", square.order, 2 * square.order, square.order if square.kind == "boost" else None)
@@ -236,15 +241,23 @@ def closed_flow(gen, param: float, q: float, prec: Optional[int] = None) -> np.n
     return np.array(entries).reshape(4, 4)  # 16 Python floats make float64; 16 mpf, dtype object
 
 
-def _exp_rows(tau, q, bk: _Backend) -> list:
-    """exp(tau X) for One and T0, whose X is the identity: e^tau on the diagonal."""
-    e = bk.exp(tau)
-    zero = 0 * e
-    return [e, zero, zero, zero, zero, e, zero, zero, zero, zero, e, zero, zero, zero, zero, e]
+def _diagonal_rows(signs: tuple, tau, q, bk: _Backend) -> list:
+    """exp(tau X) for X = diag(signs), each sign +-1: e^(sign tau) on the diagonal, 0 * e^(first sign tau) off it.
+
+    Each diagonal entry is its own exp, so a decaying one keeps its
+    relative precision inside `float64_domain`; C 1 + tau S X would form it as
+    cosh tau - sinh tau, which cancels to below one ulp once |tau|
+    passes about 18.
+    """
+    diag = [bk.exp(tau * s) for s in signs]
+    entries = [0 * diag[0]] * 16
+    for i, e in zip((0, 5, 10, 15), diag):
+        entries[i] = e
+    return entries
 
 
 def _square_rows(mat, square: SquareClass, tau, q, bk: _Backend) -> list:
-    """exp(tau X) = C 1 + tau S X(q) for the fifteen generators whose square is exact.
+    """exp(tau X) = C 1 + tau S X(q) for the twelve off-diagonal generators whose square is exact.
 
     C = cosh/cos and S = sinh(y)/y or sin(y)/y of y = tau q^order.  Only
     X(q)'s nonzero entries are evaluated (by `matrices.entries_at`, in

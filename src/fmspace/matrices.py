@@ -15,17 +15,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .ring import ZERO, RingElem, _element, accumulate, float_sum, is_mpf, sum_terms
+from .ring import ZERO, RingElem, _as_coef, _element, accumulate, float_sum, is_mpf, sum_terms
 
 Scalar = Union["RingElem", int, Fraction]
 
 
 def _as_ring(x) -> RingElem:
-    if isinstance(x, RingElem):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RingElem.monomial(x)
-    raise TypeError(f"expected a ring element, got {type(x).__name__}")
+    ring = RingElem._coerce(x)
+    if ring is None:
+        raise TypeError(f"expected a ring element, got {type(x).__name__}")
+    return ring
 
 
 class Mat4:
@@ -70,11 +69,11 @@ class Mat4:
 
     @staticmethod
     def from_entries(entries: Iterable[tuple]) -> "Mat4":
-        """Build from (row, col, coef, q_pow, pi_pow) tuples; trailing powers optional."""
-        grid = [[ZERO] * 4 for _ in range(4)]
-        for r, c, coef, *pows in entries:
-            grid[r][c] = grid[r][c] + RingElem.monomial(coef, *pows)
-        return Mat4(grid)
+        """Build from (row, col, coef, q_pow, pi_pow) tuples; trailing powers optional, terms of one entry summed."""
+        terms: dict[tuple, object] = {}
+        for r, c, coef, j, k in ((*entry, 0, 0)[:5] for entry in entries):
+            accumulate(terms, (r, c, int(j), int(k)), _as_coef(coef))
+        return Mat4._of(terms)
 
     # -- access ------------------------------------------------------------
 

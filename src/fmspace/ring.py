@@ -48,15 +48,7 @@ class RingElem:
         # a plain dict first: the ABC check of Mapping is the slow part of a small element's construction
         items = terms.items() if terms.__class__ is dict or isinstance(terms, Mapping) else terms
         for (j, k), c in items:
-            c = _as_coef(c)
-            if c == 0:
-                continue
-            key = (int(j), int(k))
-            tot = data.get(key, 0) + c
-            if tot == 0:
-                data.pop(key, None)
-            else:
-                data[key] = _as_coef(tot)
+            accumulate(data, (int(j), int(k)), _as_coef(c))
         object.__setattr__(self, "_terms", data)
 
     def __setattr__(self, name, value):
@@ -104,7 +96,9 @@ class RingElem:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> Optional["RingElem"]:
+    @staticmethod
+    def _coerce(other) -> Optional["RingElem"]:
+        """other as a RingElem: itself, or the constant of an int or Fraction; None for anything else."""
         if isinstance(other, RingElem):
             return other
         if isinstance(other, (int, Fraction)):
@@ -141,14 +135,7 @@ class RingElem:
         data: dict[tuple[int, int], Rat] = {}
         for (j1, k1), c1 in self._terms.items():
             for (j2, k2), c2 in other._terms.items():
-                key = (j1 + j2, k1 + k2)
-                tot = data.get(key, 0) + c1 * c2
-                if tot == 0:
-                    data.pop(key, None)
-                elif tot.__class__ is Fraction and tot.denominator == 1:
-                    data[key] = tot.numerator
-                else:
-                    data[key] = tot
+                accumulate(data, (j1 + j2, k1 + k2), c1 * c2)
         return _element(data)
 
     __rmul__ = __mul__
@@ -390,12 +377,7 @@ def _poly_divide_exact(num: dict, den: dict) -> Optional[dict]:
         c = _quotient(rem[lead], c_den)
         quot[(dj, dk)] = c
         for (j, k), cd in den.items():
-            key = (j + dj, k + dk)
-            tot = rem.get(key, 0) - c * cd
-            if tot == 0:
-                rem.pop(key, None)
-            else:
-                rem[key] = tot
+            accumulate(rem, (j + dj, k + dk), -c * cd)
     return quot
 
 
@@ -477,6 +459,7 @@ class FieldElem:
 
 
 def _format_term(c: Rat, j: int, k: int) -> str:
+    """The term c q^j pi^k without its sign, e.g. 'q^4/(8 pi)' of c = -1/8."""
     num_parts = []
     den_parts = []
     if abs(c.numerator) != 1:
@@ -499,29 +482,26 @@ def _format_term(c: Rat, j: int, k: int) -> str:
     else:
         sym("pi", -k, den_parts)
     num = " ".join(num_parts) if num_parts else "1"
-    sign = "-" if c < 0 else ""
     if not den_parts:
-        return sign + num
+        return num
     den = " ".join(den_parts)
     if len(den_parts) > 1 or not den_parts[0].isdigit():
         den = f"({den})"
-    return f"{sign}{num}/{den}"
+    return f"{num}/{den}"
+
+
+def signed_sum(pieces: Iterable[tuple[bool, str]]) -> str:
+    """'a - b + c' of (negative, text) pieces: '-' before a negative first piece, ' - ' or ' + ' before the others; '0' of none."""
+    out = []
+    for negative, text in pieces:
+        sign = ("- " if negative else "+ ") if out else ("-" if negative else "")
+        out.append(sign + text)
+    return " ".join(out) or "0"
 
 
 def format_ring(x: RingElem) -> str:
     """Human-readable form: '0', 'q^2', '-q^4/(8 pi)', '1/2 + 1/(128 pi^2)'."""
-    if x.is_zero:
-        return "0"
-    parts = []
-    for j, k, c in x.terms():
-        t = _format_term(c, j, k)
-        if not parts:
-            parts.append(t)
-        elif t.startswith("-"):
-            parts.append("- " + t[1:])
-        else:
-            parts.append("+ " + t)
-    return " ".join(parts)
+    return signed_sum((c < 0, _format_term(c, j, k)) for j, k, c in x.terms())
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(pi)|([A-Za-z][A-Za-z0-9]*)|(\^-?\d+)|([()+\-*/]))")

@@ -17,6 +17,7 @@ from fmspace.catalog import GeneratorId, get_generator
 from fmspace.cli import main
 from fmspace.fmt import kr_weights, mayer_bond
 from fmspace.matrices import Mat4
+from test_domain import PREC, TOL, _column_reference, _measures, _phase, _w3_measures
 
 DATA = Path(__file__).parent / "data"
 
@@ -59,6 +60,23 @@ def test_eval_prec_goes_past_float64(capsys):
     code, out, _ = run_cli(capsys, "eval", "--gen", "T3", "--param", "1", "--q", "1e-120", "--prec", "30")
     assert code == 0  # and the underflow error's: float64 q^6 is 0 here
     assert out.splitlines()[4].split() == ["1", "-1.98944e-482", "0", "1"]
+
+
+@pytest.mark.parametrize("argv, decaying, residual", [
+    (("--gen", "B0", "--param", "20", "--q", "1"), ((2, "2.06115e-09"), (3, "2.06115e-09")), "0"),
+    (("--gen", "P0", "--param", "-20", "--q", "0.5"), ((0, "2.06115e-09"), (3, "2.06115e-09")), None),
+    (("--gen", "B0", "--param", "700", "--q", "1"), ((2, "9.85968e-305"), (3, "9.85968e-305")), "0"),
+    (("--gen", "B0", "--param", "700", "--q", "1", "--prec", "30"), ((2, "9.85968e-305"), (3, "9.85968e-305")), "3.88085e-32"),
+])
+def test_eval_diagonal_flow_keeps_its_decaying_entries(capsys, argv, decaying, residual):
+    """e^-|tau| on the diagonal, where C 1 + tau S X printed 0 and a residual of 1 once |tau| passed about 18."""
+    code, out, _ = run_cli(capsys, "eval", *argv)
+    assert code == 0
+    lines = out.splitlines()
+    for i, value in decaying:
+        assert lines[1 + i].split()[i] == value
+    if residual is not None:
+        assert lines[5] == f"invariance residual: {residual}"
 
 
 def test_eval_prec_residual_is_taken_at_prec(capsys):
@@ -562,6 +580,69 @@ def test_fuzzed_argv_exits_with_a_code(argv):
     assert code in (0, 1, 2), argv
     if code == 1:
         assert err.getvalue().startswith("error: "), argv
+
+
+# Positive magnitudes: the whole float64 range, and the moderate values most answers come from.
+_MAGNITUDES = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(0.1, 10.0), st.integers(-8, 5)),
+)
+_SIGNED = st.builds(lambda x, sign: sign * x, _MAGNITUDES, st.sampled_from([1.0, -1.0]))
+_ANSWERED = st.one_of(
+    st.builds(lambda gen, param, q: _options("eval", gen=gen, param=repr(param), q=repr(q), format="json"),
+              st.sampled_from([g.value for g in GeneratorId]), _SIGNED, _MAGNITUDES),
+    st.builds(lambda R, q: _options("weights", R=repr(R), q=repr(q), format="json"), _MAGNITUDES, _MAGNITUDES),
+    st.builds(lambda Ra, Rb, q: _options("mayer", Ra=repr(Ra), Rb=repr(Rb), q=repr(q), format="json"), _MAGNITUDES, _MAGNITUDES, _MAGNITUDES),
+    st.builds(lambda R, q: _options("kernel", R=repr(R), q=repr(q), format="json"), _MAGNITUDES, _MAGNITUDES),
+)
+
+
+def _flow_power(i: int) -> int:
+    """The power of q that flat entry i = 4 mu + nu of a flow carries: nu - mu."""
+    return i % 4 - i // 4
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_ANSWERED)
+def test_every_float_answer_is_within_the_bound_of_prec_60(argv):
+    """An exit-0 `eval`, `weights`, `mayer` or `kernel` answer, read back from its JSON, is within 1e-9 of prec 60.
+
+    The measure README states: max|f - ref| / (1 + max|ref|) in the graded
+    frame (`tests/test_domain.py`), and unscaled as well where the phase is
+    at most 1.  A bond or step value is measured in the norm of the weight
+    column of Ra + Rb.  `eval`'s invariance residual is a float64 diagnostic
+    of the printed matrix, not an answer, and is not judged.
+    """
+    import mpmath
+
+    code, out, _err = _call(argv)
+    if code != 0:
+        return
+    command = argv[0]
+    values = dict(arg[2:].split("=", 1) for arg in argv[1:])
+    payload = json.loads(out)
+    if command == "mayer":
+        Ra, Rb, q = (float(values[k]) for k in ("Ra", "Rb", "q"))
+        total = mpmath.mpf(Ra) + mpmath.mpf(Rb)
+        column = _column_reference(total, q)
+        for value in (payload["bond"], payload["step_hat_sum"]):
+            graded, plain = _w3_measures(value, column, q)
+            assert graded <= TOL and (plain <= TOL or total * q > 1), (argv, graded, plain)
+        return
+    if command == "eval":
+        gid, tau, q = GeneratorId(values["gen"]), float(values["param"]), float(values["q"])
+        answer, reference, power = payload["matrix"], flows.closed_flow(gid, tau, q, prec=PREC), _flow_power
+        small = _phase(flows._closed_form(gid)[0], tau, q) <= 1
+    elif command == "weights":
+        R, q = float(values["R"]), float(values["q"])
+        answer, reference, power = payload, kr_weights(R, q, prec=PREC), lambda nu: -nu
+        small = R * q <= 1
+    else:
+        R, q = float(values["R"]), float(values["q"])
+        answer, reference, power = payload, flows.closed_flow(GeneratorId.T1, R, q, prec=PREC), _flow_power
+        small = R * q <= 1
+    graded, plain = _measures(np.ravel(answer).tolist(), np.ravel(reference).tolist(), q, power)
+    assert graded <= TOL and (plain <= TOL or not small), (argv, graded, plain)
 
 
 def _call(argv) -> tuple:

@@ -37,12 +37,30 @@ from fmspace.flows import (
 from fmspace.fmt import kernel_matrix, kr_weights
 from fmspace.matrices import Mat4, bilinear, eval_mat
 
+DIAGONAL_IDS = (GeneratorId.ONE, GeneratorId.B0, GeneratorId.B0P, GeneratorId.P0, GeneratorId.T0)  # X = diag(+-1)
+
 
 class TestClosedFlow:
     def test_b0_scaling(self):
         a = closed_flow(GeneratorId.B0, 0.5, 1.0)
         e = math.exp(0.5)
         assert np.allclose(a, np.diag([e, e, 1 / e, 1 / e]), rtol=1e-15)
+
+    @pytest.mark.parametrize("gid", DIAGONAL_IDS, ids=lambda g: g.value)
+    def test_diagonal_flow_is_its_exps_across_float64(self, gid):
+        """diag(math.exp(s tau)) bit for bit for |tau| in [1e-7, 709] and any q; B0 and B0' keep the metric to two ulps of 1.
+
+        C 1 + tau S X formed the decaying entries as cosh tau - sinh tau,
+        0 once |tau| passed about 18, with a residual of 1.
+        """
+        rng = random.Random(f"diagonal-{gid.value}")
+        for _ in range(2000):
+            tau = rng.choice((-1, 1)) * 10 ** rng.uniform(-7.0, math.log10(709.0))
+            q = 2.0 ** rng.uniform(-1074.0, 1023.9)
+            got = closed_flow(gid, tau, q)
+            assert got.tobytes() == np.array(_dense_diagonal_rows(gid, tau, math.exp)).tobytes(), (tau, q)
+            if gid in ISOMETRIC_IDS:
+                assert invariance_residual(got) <= 4.5e-16, (tau, q)
 
     def test_zero_parameter_is_identity(self):
         for gid in ALL_IDS:
@@ -139,7 +157,7 @@ class TestClosedFlow:
                 closed_flow(gid, -0.2, 0.7, prec=20)
         assert flows._closed_form.cache_info().misses == len(ALL_IDS)  # one closed form per generator, both precisions
         flows._closed_form.cache_clear()
-        assert len(calls) == len({id(x) for x in calls}) == len(ALL_IDS) - 5  # One, T0..T3 have their own forms
+        assert len(calls) == len({id(x) for x in calls}) == len(ALL_IDS) - 8  # T1..T3 and the diagonal five have their own forms
 
     def test_mp_mode_matches_float(self):
         rows = closed_flow(GeneratorId.F3, 0.7, 1.1, prec=40)
@@ -616,7 +634,14 @@ def test_t1_mp_flow_is_the_transcription_bit_for_bit():
 # The sparse closed forms and the written-out residual against the dense formulas
 # ---------------------------------------------------------------------------
 
-SQUARE_CLASS_IDS = tuple(gid for gid in ALL_IDS if gid not in (GeneratorId.ONE,) + SHIFT_IDS)
+SQUARE_CLASS_IDS = tuple(gid for gid in ALL_IDS if gid not in DIAGONAL_IDS + SHIFT_IDS)
+
+
+def _dense_diagonal_rows(gid, tau, exp):
+    """diag(exp(s_i tau)) of X = diag(s), every other entry 0 * exp(s_0 tau)."""
+    signs = [get_generator(gid)[i, i].as_monomial()[0] for i in range(4)]
+    diag = [exp(tau * s) for s in signs]
+    return [[diag[i] if i == j else 0 * diag[0] for j in range(4)] for i in range(4)]
 
 
 def _sinch(x, sinh):
@@ -667,9 +692,8 @@ def reference_t3_rows(chi, q, sin, cos, pi):
 
 def dense_float_flow(gid, tau, q) -> np.ndarray:
     """exp(tau X_gid) at q as the dense formulas give it: every product formed, the zeros included."""
-    if gid in (GeneratorId.ONE, GeneratorId.T0):
-        e = math.exp(tau)
-        rows = [[e if i == j else 0 * e for j in range(4)] for i in range(4)]
+    if gid in DIAGONAL_IDS:
+        rows = _dense_diagonal_rows(gid, tau, math.exp)
     elif gid == GeneratorId.T1:
         rows = reference_t1_rows(tau, q, math.sin, math.cos, math.pi)
     elif gid == GeneratorId.T2:
@@ -719,13 +743,16 @@ class TestSparseClosedForm:
         import mpmath
 
         fns = (mpmath.cosh, mpmath.sinh, mpmath.cos, mpmath.sin)
-        for gid in SQUARE_CLASS_IDS:
+        for gid in SQUARE_CLASS_IDS + DIAGONAL_IDS[1:4]:
             for q in STANDARD_Q_GRID:
                 for p in STANDARD_PARAM_GRID + (9.9e-5,):
                     got = closed_flow(gid, p, q, prec=60)
                     with mpmath.workdps(60):
                         tau, mq = mpmath.mpf(p), mpmath.mpf(q)
-                        expected = _dense_square_class_rows(gid, tau, mq, eval_mat(get_generator(gid), mq), fns)
+                        if gid in DIAGONAL_IDS:
+                            expected = _dense_diagonal_rows(gid, tau, mpmath.exp)
+                        else:
+                            expected = _dense_square_class_rows(gid, tau, mq, eval_mat(get_generator(gid), mq), fns)
                     assert got.tolist() == expected, (gid, p, q)
                     assert all(type(x) is mpmath.mpf for x in got.flat)
 

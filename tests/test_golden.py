@@ -2,9 +2,15 @@
 
 The files under tests/data were recorded with these commands from the scalar
 implementation (one Simpson loop per radius, the square class computed on
-every flow); any change in a printed digit shows up here.
+every flow); any change in a printed digit shows up here.  The B0, B0p and
+P0 lines of eval_closed.jsonl and flows_record.txt were recorded again when
+the diagonal flows took e^(s tau) for each diagonal entry instead of
+cosh tau +- sinh tau.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +43,18 @@ def run(capsys, argv) -> str:
 )
 def test_command_output_is_unchanged(capsys, argv, name):
     assert run(capsys, argv) == (DATA / name).read_text()
+
+
+def test_one_shot_verify_prints_what_an_in_process_pass_prints():
+    """`python -m fmspace.cli verify --suite all --errata` in a fresh interpreter: the caches built once per process change nothing."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fmspace.cli", "verify", "--suite", "all", "--errata"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA / "verify_all_errata.txt").read_text()
 
 
 def test_eval_json_is_unchanged_for_every_generator(capsys):
