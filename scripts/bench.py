@@ -12,13 +12,11 @@ otherwise, and reported as the median and the min over --repeats repeats:
   windowed `inverse_ft_radial` calls of the unit step, one per radius of
   the profile check);
   `step_hat` is timed on each of its branches, direct and series; the
-  stacked oracle on the flows check's 400 grid points, the whole grid
-  (`grid_flows`: the 400 closed flows and their oracles), and on a grid
-  built beforehand the discrepancy scan and the 400 stacked invariance
-  residuals; the exact certificates of
-  the closed forms, the 7 a `verify` pass runs (the 6 isometric and T1)
-  and all 20; the CLI's parser, as `cli.main` gets it (built once per
-  process) and built afresh; a flow
+  exact diff of the 15 published transforms against the certificates' F
+  (`reference_discrepancies`, on certificates built beforehand); the exact
+  certificates of the closed forms, the 6 isometric ones and T1, and all 20
+  (which a `verify` pass runs, and T1's again); the CLI's parser, as
+  `cli.main` gets it (built once per process) and built afresh; a flow
   request is a closed flow and its invariance residual, over a fixed seeded
   mix of points drawn as perfbench's `numeric` workload draws them (float64
   over all 20 generators; prec 60 over the 6 isometric ones);
@@ -28,7 +26,10 @@ otherwise, and reported as the median and the min over --repeats repeats:
 - checks: seconds of each `verify` check, and each measure of its last
   CheckRecord with its value, bound and margin (how far the value is inside
   its bound; negative when it fails, null when not finite); verify_pass is
-  their sum, warm;
+  their sum, warm.  The float evaluator's record (`checks.float_evaluator`:
+  the float flows against the oracle, the float weights against prec 50),
+  which `verify` does not run, is timed and recorded the same way, last,
+  and is not in verify_pass;
 - verify_pass.fresh_caches: seconds of one in-process `fmspace verify
   --suite all --errata` (`cli.main`, output discarded) after every
   per-process cache (CACHES) is cleared, which is what a one-shot process
@@ -63,18 +64,16 @@ from fmspace import algebra, catalog, checks, cli, flows, fmt, reference_tables
 from fmspace.algebra import decompose, verify_reference_tables
 from fmspace.catalog import ISOMETRIC_IDS, METAMORPHIC_IDS, SHIFT_IDS, GeneratorId, get_generator, homogeneity_order
 from fmspace.certificate import certify
-from fmspace.flows import ORACLE_TOL, GRID_POINTS, closed_flow, grid_flows, group_law_residual, invariance_residual
-from fmspace.flows import invariance_residuals
-from fmspace.flows import reference_discrepancies
+from fmspace.flows import closed_flow, group_law_residual, invariance_residual, reference_discrepancies
 from fmspace.fmt import inverse_ft_radial, kr_weights, step_hat
 from fmspace.matrices import eval_mat
-from fmspace.oracle import expm_oracle, expm_oracles
+from fmspace.oracle import expm_oracle
 from fmspace.ring import RingElem
 
 COLD_IMPORTS = ("fmspace.algebra", "fmspace.cli")
 # Every cache the package builds once per process and keeps.
 CACHES = (
-    cli.build_parser, flows._closed_form, flows._printed_stack, flows._mp_backend, reference_tables.parse_cell,
+    cli.build_parser, flows._closed_form, flows._mp_backend, reference_tables.parse_cell,
     reference_tables.multiplied_cell, fmt._window, catalog.get_generator, algebra._inverse_norm, algebra._by_entry,
 )
 SRC = str(Path(checks.__file__).resolve().parents[1])  # the fmspace tree this process imports
@@ -84,8 +83,8 @@ def _unit_step_hat(q: float) -> float:
     return step_hat(1.0, q) if q > 0 else 4.0 * math.pi / 3.0
 
 
-# The flows suite evaluates every generator once on its grid, then the
-# metamorphic and shift generators once more for the metric breaking.
+# The float evaluator's record evaluates every generator once on its grid,
+# then the metamorphic and shift generators once more for the metric breaking.
 FLOW_MIX = tuple(GeneratorId) + METAMORPHIC_IDS + SHIFT_IDS
 
 
@@ -126,10 +125,7 @@ def _layers() -> dict:
     a = get_generator(GeneratorId.T1)[0, 3]
     b = get_generator(GeneratorId.T3)[3, 0]
     b1, t3, t1 = (get_generator(g) for g in (GeneratorId.B1, GeneratorId.T3, GeneratorId.T1))
-    # the flows check's stacked oracle call: 20 generators x the standard grid
-    grid = [(get_generator(g), p, q) for g in GeneratorId for q, p in GRID_POINTS]
-    evaluated = grid_flows(GeneratorId)
-    closed_grid = np.array([closed for closed, _oracle in evaluated.values()]).reshape(-1, 4, 4)
+    certificates = {g: certify(g) for g in GeneratorId}  # the flows check's, whose F the exact diff reads
     # the 98 distinct texts of the reference tables and the shift decompositions,
     # parsed past parse_cell's per-process cache
     specs = (*reference_tables.TABLES, reference_tables.SHIFT_DECOMPOSITIONS)
@@ -151,10 +147,7 @@ def _layers() -> dict:
         ),
         "flows.group_law_residual.T1.prec50": (20, lambda: group_law_residual(GeneratorId.T1, 1.0, 2.7, 1.3, prec=50)),
         "oracle.expm_oracle.B1": (50, lambda: expm_oracle(b1, 0.5, 1.3, 1e-13)),
-        "oracle.expm_oracles.grid": (5, lambda: expm_oracles(grid, ORACLE_TOL)),
-        "flows.grid_flows": (5, lambda: grid_flows(GeneratorId)),
-        "flows.reference_discrepancies.grid": (20, lambda: reference_discrepancies(evaluated)),
-        "flows.invariance_residual.grid": (20, lambda: invariance_residuals(closed_grid)),
+        "flows.reference_discrepancies": (20, lambda: reference_discrepancies(certificates)),
         "flows.certificate": (5, lambda: [certify(g) for g in (*ISOMETRIC_IDS, GeneratorId.T1)]),
         "flows.certificate.all": (5, lambda: [certify(g) for g in GeneratorId]),
         "cli.build_parser": (2000, cli.build_parser),
@@ -218,14 +211,15 @@ def bench(repeats: int) -> dict:
         _cold_import(module)  # warm-up: writes the bytecode caches
         cold_import[module] = _summary([_cold_import(module) for _ in range(repeats)])
 
-    records = {name: check() for name, check in checks.CHECKS.items()}  # warm-up
-    seconds = {name: [] for name in checks.CHECKS}
+    timed = {**checks.CHECKS, "float_evaluator": checks.float_evaluator}  # the verify checks, then the float record
+    records = {name: check() for name, check in timed.items()}  # warm-up
+    seconds = {name: [] for name in timed}
     for _ in range(repeats):
-        for name, check in checks.CHECKS.items():
+        for name, check in timed.items():
             t0 = time.perf_counter()
             records[name] = check()
             seconds[name].append(time.perf_counter() - t0)
-    passes = [sum(s[i] for s in seconds.values()) for i in range(repeats)]
+    passes = [sum(seconds[name][i] for name in checks.CHECKS) for i in range(repeats)]
     fresh = [_fresh_verify() for _ in range(repeats)]
     return {
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),

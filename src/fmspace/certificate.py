@@ -19,8 +19,13 @@ polynomials in tau, q and pi (exp appears to negative powers too), so an
 identity reduces to 0 and nothing else does.  The arithmetic works on the
 flat keys and builds no `RingElem`: one appears only where the rows
 builder hands one in (q, pi and the catalog's entries), and as the phase
-rate k.  A certificate is computed afresh on
-every call.
+rate k.  A certificate is computed afresh on every call, and keeps the
+exact F it read.
+
+`published_difference` runs a published transform (`flows._published_rows`)
+on the same backend and phase as a certificate's F and reduces their
+difference entry by entry, so the errata ledger is an exact diff: the one
+entry that differs, B2's (3, 1), prints as (q^2 - q^-2) sinh(tau q^2).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import NamedTuple, Optional
 from . import flows
 from .catalog import ISOMETRIC_IDS, GeneratorId, get_generator
 from .matrices import _Q  # the exact q, at which `entries_at` gives the exact entries
-from .ring import RingElem, _as_coef, _quotient, accumulate, sum_terms
+from .ring import RingElem, _as_coef, _quotient, accumulate, signed_sum, sum_terms
 
 
 class Laurent:
@@ -68,13 +73,7 @@ class Laurent:
 
     def __mul__(self, other):
         b = _terms(other)
-        if b is None:
-            return NotImplemented
-        out = {}
-        for (t1, a1, b1, j1, k1), c1 in self.terms.items():
-            for (t2, a2, b2, j2, k2), c2 in b.items():
-                accumulate(out, (t1 + t2, a1 + a2, b1 + b2, j1 + j2, k1 + k2), c1 * c2)
-        return Laurent(out)
+        return NotImplemented if b is None else Laurent(_add_product({}, self.terms, b))
 
     __rmul__ = __mul__
 
@@ -92,6 +91,14 @@ class Laurent:
 
     def __repr__(self):
         return f"Laurent({self.terms!r})"
+
+
+def _add_product(out: dict, a: dict, b: dict) -> dict:
+    """out += a b, for term maps a and b keyed (t, a, b, q_pow, pi_pow); returns out."""
+    for (t1, a1, b1, j1, k1), c1 in a.items():
+        for (t2, a2, b2, j2, k2), c2 in b.items():
+            accumulate(out, (t1 + t2, a1 + a2, b1 + b2, j1 + j2, k1 + k2), c1 * c2)
+    return out
 
 
 def _terms(x) -> Optional[dict]:
@@ -136,23 +143,26 @@ def _backend(phase: dict) -> flows._Backend:
     )
 
 
-def _derivative(p: Laurent, kind: str, k: RingElem) -> Laurent:
-    """d/dtau of p, with A and B functions of y = k tau: the tau derivative plus k times the y derivative.
+def _derivative(p: Laurent, kind: str, k: RingElem) -> dict:
+    """The term map of d/dtau p, with A and B functions of y = k tau: the tau derivative plus k times the y derivative.
 
     (cos, sin)' = (-sin, cos), (cosh, sinh)' = (sinh, cosh), exp' = exp in y.
     """
-    by_tau, by_y = {}, {}
+    out = {}
     sign = -1 if kind == "trig" else 1
+    rate = _terms(k)
     for (t, a, b, j, m), c in p.terms.items():
         if t:
-            accumulate(by_tau, (t - 1, a, b, j, m), c * t)
+            accumulate(out, (t - 1, a, b, j, m), c * t)
+        by_y = {}
         if a and kind == "exp":
-            accumulate(by_y, (t, a, b, j, m), c * a)
+            by_y[t, a, b, j, m] = c * a
         elif a:
-            accumulate(by_y, (t, a - 1, b + 1, j, m), c * (sign * a))
+            by_y[t, a - 1, b + 1, j, m] = c * (sign * a)
         if b:
             accumulate(by_y, (t, a + 1, b - 1, j, m), c * b)
-    return Laurent(by_tau) + Laurent(by_y) * k
+        _add_product(out, by_y, rate)
+    return out
 
 
 def _reduce(p: Laurent, kind: str) -> Laurent:
@@ -187,12 +197,14 @@ def _at_zero(p: Laurent) -> Optional[dict]:
 
 
 class Certificate(NamedTuple):
-    """The entries of one closed form's three identities that do not reduce to 0."""
+    """The entries of one closed form's three identities that do not reduce to 0, and the exact F they were read from."""
 
     gen: GeneratorId
     at_zero: int  # of F(0) - 1
     ode: int  # of dF/dtau - X F
     isometry: Optional[int]  # of F^t M F - M for an isometric generator, else None
+    flow: tuple  # F's 16 entries, row by row, each a Laurent
+    phase: tuple  # (kind, k) of F's phase y = k tau
 
     @property
     def failures(self) -> int:
@@ -204,28 +216,88 @@ def certify(gen) -> Certificate:
     """The certificate of gen's closed form: its rows builder run on the exact tau and q, then reduced.
 
     F^t M F is symmetric, so its identity is reduced on the 10 entries with
-    mu <= nu, and an entry off the diagonal counts twice.
+    mu <= nu, and an entry off the diagonal counts twice.  A generator
+    without a closed form raises the ValueError of `flows._closed_form`.
     """
     gid = GeneratorId(gen)
     phase = {}
-    flat = [Laurent(_terms(x)) for x in flows._closed_form(gid)[1](_TAU, _Q, _backend(phase))]
+    flat = tuple(Laurent(_terms(x)) for x in flows._closed_form(gid)[1](_TAU, _Q, _backend(phase)))
     F = [flat[4 * r : 4 * r + 4] for r in range(4)]
     kind, k = phase["y"]  # every closed form reads its phase
-    at_zero = sum(
-        _at_zero(_reduce(F[r][c], kind)) != ({(0, 0): 1} if r == c else {}) for r in range(4) for c in range(4)
-    )
-    xf = [[Laurent({})] * 4 for _ in range(4)]
+    # tau = 0 is a substitution, so it reads F before its reduction as after it
+    at_zero = sum(_at_zero(F[r][c]) != ({(0, 0): 1} if r == c else {}) for r in range(4) for c in range(4))
+    ode = [[_derivative(F[r][c], kind, k) for c in range(4)] for r in range(4)]  # dF/dtau - X F, term maps
     for r, j, x in get_generator(gid).entries():
-        x = Laurent(_terms(x))
-        xf[r] = [acc + f * x for acc, f in zip(xf[r], F[j])]
-    ode = sum(bool(_reduce(_derivative(F[r][c], kind, k) - xf[r][c], kind)) for r in range(4) for c in range(4))
+        minus_x = {key: -c for key, c in _terms(x).items()}
+        for c in range(4):
+            _add_product(ode[r][c], F[j][c].terms, minus_x)
+    not_ode = sum(bool(_reduce(Laurent(terms), kind)) for row in ode for terms in row)
     isometry = None
     if gid in ISOMETRIC_IDS:
-        columns = list(zip(*F))
+        columns = [[f.terms for f in column] for column in zip(*F)]
+
+        def form_minus_metric(mu, u, nu, v) -> Laurent:
+            out = {(0, 0, 0, 0, 0): -1} if mu + nu == 3 else {}
+            for i in range(4):
+                _add_product(out, u[i], v[3 - i])
+            return Laurent(out)
+
         isometry = sum(
             (1 if mu == nu else 2)  # entry (nu, mu) is entry (mu, nu)
-            * bool(_reduce(u[0] * v[3] + u[1] * v[2] + u[2] * v[1] + u[3] * v[0] - int(mu + nu == 3), kind))
+            * bool(_reduce(form_minus_metric(mu, u, nu, v), kind))
             for mu, u in enumerate(columns)
             for nu, v in enumerate(columns[mu:], mu)
         )
-    return Certificate(gid, at_zero, ode, isometry)
+    return Certificate(gid, at_zero, not_ode, isometry, flat, phase["y"])
+
+
+def published_difference(cert: Certificate) -> list:
+    """(row, col, text) of each entry where the published transform minus the certificate's F does not reduce to 0.
+
+    The published rows (`flows._published_rows`) run on the exact backend
+    with F's phase, so both read the same symbols; text is the reduced
+    difference, as `_render` writes it.
+    """
+    kind, k = cert.phase
+    published = flows._published_rows(cert.gen, _TAU, _Q, _backend({"y": cert.phase}))
+    out = []
+    for i, (p, f) in enumerate(zip(published, cert.flow)):
+        difference = _reduce(Laurent(_terms(p)) - f, kind)
+        if difference:
+            out.append((i // 4, i % 4, _render(difference, kind, k)))
+    return out
+
+
+_FUNCTIONS = {"trig": ("cos", "sin"), "hyp": ("cosh", "sinh"), "exp": ("exp", None)}
+
+
+def _monomial(c, factors) -> tuple:
+    """(c < 0, text) of c times each (symbol, power) of factors: '1/8 q^3 pi^-1', 'q^-2 sinh(tau q^2)'."""
+    symbols = [name if n == 1 else f"{name}^{n}" for name, n in factors if n]
+    if abs(c) != 1 or not symbols:
+        symbols.insert(0, str(abs(c)))
+    return c < 0, " ".join(symbols)
+
+
+def _polynomial(terms: dict) -> str:
+    """The sum of c q^j pi^k over {(j, k): c}, the highest powers first: 'q^2 - q^-2'."""
+    return signed_sum(_monomial(c, (("q", j), ("pi", m))) for (j, m), c in sorted(terms.items(), reverse=True))
+
+
+def _render(p: Laurent, kind: str, k: RingElem) -> str:
+    """p as text, each product of tau and the phase's functions after its coefficient: '(q^2 - q^-2) sinh(tau q^2)'."""
+    rate = _polynomial({(j, m): c for j, m, c in k.terms()})
+    y = "tau" if rate == "1" else f"tau {rate}" if k.is_monomial else f"tau ({rate})"
+    a_name, b_name = _FUNCTIONS[kind]
+    groups = {}
+    for (t, a, b, j, m), c in p.terms.items():
+        groups.setdefault((t, a, b), {})[j, m] = c
+    pieces = []
+    for (t, a, b), coefficient in sorted(groups.items(), reverse=True):
+        functions = (("tau", t), (f"{a_name}({y})", a), (f"{b_name}({y})", b))
+        if len(coefficient) == 1:
+            ((j, m), c), = coefficient.items()
+            pieces.append(_monomial(c, (("q", j), ("pi", m), *functions)))
+        else:
+            pieces.append(_monomial(1, ((f"({_polynomial(coefficient)})", 1), *functions)))
+    return signed_sum(pieces)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure or domain error, 2 usage error.
 Output is deterministic for identical argv; floats print with 17 significant
-digits in JSON mode and 6 in text mode.
+digits in JSON mode and 6 in text mode, and `eval --prec P` prints at most P
+in JSON mode.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ from . import reference_tables
 from .algebra import build_table, decompose
 from .catalog import GeneratorId, SHIFT_IDS, get_generator, resolve_id
 from .checks import CHECKS, FlowsRecord
-from .flows import FlowResult, FlowSpec, _closed_form, closed_flow, evaluate_flow, invariance_residual, reference_discrepancies
+from .flows import FlowResult, FlowSpec, _closed_form, closed_flow, evaluate_flow, invariance_residual
 from .fmt import kernel_matrix, kr_weights, mayer_bond, step_hat, step_profile
 from .matrices import Mat4
 from .ring import is_mpf
 
 
-def _fmt_float(x, mode: str) -> str:
-    """17 significant digits in JSON mode, 6 in text mode; an mpf is rounded from its own digits."""
-    digits = 17 if mode == "json" else 6
+def _fmt_float(x, digits: int) -> str:
+    """x to `digits` significant digits (the CLI prints 17 in JSON mode, 6 in text mode); an mpf is rounded from its own digits."""
     if is_mpf(x):
         return _fmt_mpf(x, digits)
     return format(float(x), f".{digits}g")
@@ -62,19 +62,19 @@ def _fmt_mpf(x, digits: int) -> str:
     return f"{sign}{ds[0]}{'.' + tail if tail else ''}e{e:+03d}"
 
 
-def _json_value(obj) -> str:
-    """Deterministic JSON with explicit float formatting."""
+def _json_value(obj, digits: int = 17) -> str:
+    """Deterministic JSON, each float or mpf to `digits` significant digits."""
     if isinstance(obj, dict):
-        inner = ", ".join(f'"{k}": {_json_value(v)}' for k, v in obj.items())
+        inner = ", ".join(f'"{k}": {_json_value(v, digits)}' for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in obj) + "]"
+        return "[" + ", ".join(_json_value(v, digits) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)) or is_mpf(obj):
-        return _fmt_float(obj, "json")
+        return _fmt_float(obj, digits)
     if obj is None:
         return "null"
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -86,7 +86,7 @@ def _print_numeric_matrix(m: np.ndarray, mode: str, out) -> None:
         out.write(_json_value(rows) + "\n")
     else:
         for row in rows:
-            out.write("  ".join(_fmt_float(x, "text").rjust(13) for x in row) + "\n")
+            out.write("  ".join(_fmt_float(x, 6).rjust(13) for x in row) + "\n")
 
 
 _TABLE_SETS = {
@@ -141,11 +141,12 @@ def _cmd_eval(args, out) -> int:
             "method": result.method,
             "invariance_residual": residual,
         }
-        out.write(_json_value(payload) + "\n")
+        # an mpf holds about prec digits: the digits past them are not printed
+        out.write(_json_value(payload, 17 if args.prec is None else min(17, args.prec)) + "\n")
     else:
-        out.write(f"exp({_fmt_float(args.param, 'text')} * {spec.gen.value}) at q = {_fmt_float(args.q, 'text')} ({result.method})\n")
+        out.write(f"exp({_fmt_float(args.param, 6)} * {spec.gen.value}) at q = {_fmt_float(args.q, 6)} ({result.method})\n")
         _print_numeric_matrix(result.matrix, "text", out)
-        out.write(f"invariance residual: {_fmt_float(residual, 'text')}\n")
+        out.write(f"invariance residual: {_fmt_float(residual, 6)}\n")
     return 0
 
 
@@ -187,7 +188,7 @@ def _cmd_weights(args, out) -> int:
         out.write(_json_value(w.tolist()) + "\n")
     else:
         for nu, val in enumerate(w):
-            out.write(f"w{nu} = {_fmt_float(val, 'text')}\n")
+            out.write(f"w{nu} = {_fmt_float(val, 6)}\n")
     return 0
 
 
@@ -197,7 +198,7 @@ def _cmd_mayer(args, out) -> int:
     if args.format == "json":
         out.write(_json_value({"bond": value, "step_hat_sum": reference}) + "\n")
     else:
-        out.write(f"bond = {_fmt_float(value, 'text')} (step of summed radii: {_fmt_float(reference, 'text')})\n")
+        out.write(f"bond = {_fmt_float(value, 6)} (step of summed radii: {_fmt_float(reference, 6)})\n")
     return 0
 
 
@@ -216,7 +217,7 @@ def _cmd_profile(args, out) -> int:
     radii = [args.rmax * i / (args.points - 1) if args.points > 1 else 0.0 for i in range(args.points)]
     profile = step_profile(args.R, radii, qmax=args.qmax, n=args.panels)
     for r, f in zip(radii, profile):
-        out.write(f"{_fmt_float(r, 'text')},{_fmt_float(f, 'text')}\n")
+        out.write(f"{_fmt_float(r, 6)},{_fmt_float(f, 6)}\n")
     return 0
 
 
@@ -242,7 +243,7 @@ def _cmd_verify(args, out) -> int:
             discrepancies = record.discrepancies
     if args.errata:
         out.write("\nknown discrepancies between published forms and generated algebra:\n")
-        for d in reference_discrepancies() if discrepancies is None else discrepancies:
+        for d in CHECKS["flows"]().discrepancies if discrepancies is None else discrepancies:
             out.write(f"  {d}\n")
         for table, row, col, published, generated in reference_tables.PUBLISHED_TABLE_ERRATA:
             out.write(
@@ -310,7 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--method", choices=("closed", "series"), default="closed")
-    p.add_argument("--prec", type=int, help=f"decimal digits, 1 to {MAX_PREC}: evaluate the closed form through mpmath")
+    p.add_argument(
+        "--prec", type=int,
+        help=f"decimal digits, 1 to {MAX_PREC}: evaluate the closed form through mpmath; JSON prints min(17, prec)"
+        " significant digits, since the digits past prec are not held",
+    )
     add_format(p)
     p.set_defaults(func=_cmd_eval)
 

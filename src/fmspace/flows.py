@@ -1,13 +1,16 @@
-"""Numeric one-parameter finite transforms and the series-exponential oracle.
+"""Numeric one-parameter finite transforms, the published forms, and the series-exponential oracle.
 
 Closed forms for the twelve boost/rotation generators come from the exact
 square identity X@X = +/- q^(2a) * 1 (cosh/cos plus sinh/sin structure); the
 diagonal and shift-generator transforms are transcribed closed forms.
 `fmspace.certificate` proves each of them exp(tau X) exactly, by running its
-rows through an exact backend.  An independently coded scaling-and-squaring
-Taylor exponential checks their float64 values (`fmspace.oracle`, which
-this module re-exports), and `reference_discrepancies` diffs the generated
-closed forms against the published transform matrices entry by entry.
+rows through an exact backend, and `reference_discrepancies` diffs the
+published transform matrices (`_PUBLISHED`) against them on the same
+backend: `verify` states the transform claims as exact counts.  An
+independently coded scaling-and-squaring Taylor exponential
+(`fmspace.oracle`, which this module re-exports) holds the float64 values
+of the closed forms on GRID_POINTS, in the float evaluator's record that
+Tier-1 reads (`fmspace.checks.float_evaluator`).
 
 Each generator's closed form, its exponents and its rows, is decided once,
 on the first flow that needs it (`_closed_form`); the boost/rotation class
@@ -34,14 +37,13 @@ import numpy as np
 
 from .catalog import ALL_IDS, GeneratorId, SquareClass, classify_square, get_generator
 from .matrices import Mat4, entries_at
-from .oracle import expm_oracle, expm_oracles
+from .oracle import expm_oracle
 from .ring import is_mpf
 
 STANDARD_Q_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 STANDARD_PARAM_GRID = (-2.0, -0.5, 0.1, 1.5)
-GRID_POINTS = tuple((q, p) for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID)  # (q, param): a grid stack's order
+GRID_POINTS = tuple((q, p) for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID)  # (q, param): the float grid's order
 ORACLE_TOL = 1e-13  # the series oracle's truncation bound wherever it judges a closed form
-DISCREPANCY_TOL = 1e-6  # the relative deviation of a published entry that counts as a discrepancy
 
 _W3_SWITCH = 0.05  # below this |x|, w3 takes its series: the direct form would lose about eps / x^2
 
@@ -408,7 +410,7 @@ _PUBLISHED: dict[GeneratorId, tuple] = {
     GeneratorId.B0P: ("diag", (1, -1, 1, -1)),
     GeneratorId.P0: ("diag", (1, -1, -1, 1)),
     # The published (3,1) entry carries q^2 where the generator forces q^-2;
-    # kept as published so the discrepancy scan can flag it.
+    # kept as published so the exact diff flags it.
     GeneratorId.B2: ("boost", 2, {(0, 2): (-1, 2), (1, 3): (1, 2), (2, 0): (-1, -2), (3, 1): (1, 2)}),
     GeneratorId.D2: ("rotation", 2, {(0, 2): (-1, 2), (1, 3): (1, 2), (2, 0): (1, -2), (3, 1): (-1, -2)}),
     GeneratorId.B1: ("boost", 1, {(0, 1): (-1, 1), (1, 0): (-1, -1), (2, 3): (1, 1), (3, 2): (1, -1)}),
@@ -424,49 +426,26 @@ _PUBLISHED: dict[GeneratorId, tuple] = {
 }
 
 
-def printed_flows(gen) -> np.ndarray:
-    """The published finite-transform matrix at each of GRID_POINTS, evaluated verbatim: a (20, 4, 4) stack.
+def _published_rows(gid: GeneratorId, tau, q, bk: _Backend) -> list:
+    """gid's published transform, row by row in bk's arithmetic, as `_PUBLISHED` transcribes it.
 
-    Each point takes math's exp, cosh, sinh, cos and sin and Python's **,
-    as the published formula reads, and the stack is one array of their
-    floats; numpy's exp, cosh, sinh and ** can round differently in the
-    last bit.  An entry off the diagonal that the form leaves empty is
-    0 * the diagonal value.  A published stack depends on nothing but the
-    transcribed form, so it is evaluated once per process and shared,
-    read-only.  For the shift generators and the identity the published
-    form and the generated closed form coincide by construction, and their
-    stack is the closed one, evaluated on each call.
+    A ("diag", signs) template is `_diagonal_rows`; in the others an entry
+    off the diagonal that the template leaves empty is 0 times the diagonal
+    value.  `reference_discrepancies` runs it on the exact backend beside
+    the generated closed form.
     """
-    gid = GeneratorId(gen)
-    return _printed_stack(gid) if gid in _PUBLISHED else _closed_stack(gid)
-
-
-@functools.cache
-def _printed_stack(gid: GeneratorId) -> np.ndarray:
-    """`printed_flows` of a generator with a published form, read-only."""
     template = _PUBLISHED[gid]
-    entries = []
     if template[0] == "diag":
-        for _q, tau in GRID_POINTS:
-            point = [0.0] * 16
-            for i, sign in zip((0, 5, 10, 15), template[1]):
-                point[i] = math.exp(tau * sign)
-            entries += point
-    else:
-        kind, order, smap = template
-        even, odd = (math.cosh, math.sinh) if kind == "boost" else (math.cos, math.sin)
-        for q, tau in GRID_POINTS:
-            arg = tau * q**order
-            diag, s = even(arg), odd(arg)
-            point = [0.0 * diag] * 16
-            for i in (0, 5, 10, 15):
-                point[i] = diag
-            for (r, c), (coef, qpow) in smap.items():
-                point[4 * r + c] = coef * q**qpow * s
-            entries += point
-    stack = np.array(entries).reshape(-1, 4, 4)
-    stack.flags.writeable = False
-    return stack
+        return _diagonal_rows(template[1], tau, q, bk)
+    kind, order, smap = template
+    arg = tau * q**order
+    diag, odd = (bk.cosh(arg), bk.sinh(arg)) if kind == "boost" else (bk.cos(arg), bk.sin(arg))
+    entries = [0 * diag] * 16
+    for i in (0, 5, 10, 15):
+        entries[i] = diag
+    for (r, c), (coef, qpow) in smap.items():
+        entries[4 * r + c] = coef * q**qpow * odd
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -497,39 +476,21 @@ def max_abs(a) -> float:
 _FORM_ROWS = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
 
 
-def _form_entries(columns: list) -> list:
-    """The 16 entries |a^t . M . a - M|, row by row, of a's four columns, each column four values.
+def _invariance_impl(rows: list):
+    """Max-norm of a^t . M . a - M over all 16 entries, NaN if any entry is NaN.
 
     Entry (mu, nu) is the bilinear form of column mu with column nu,
     u0 v3 + u1 v2 + u2 v1 + u3 v0, written out and added left to right as
-    `matrices.bilinear` adds it.  A value is a float, an mpf, or an array
-    of one entry over a stack of matrices, each with the bits of its float.
+    `matrices.bilinear` adds it; a value is a float or an mpf.
     """
-    return [
+    columns = list(zip(*rows))
+    entries = [
         abs(u0 * v3 + u1 * v2 + u2 * v1 + u3 * v0 - m)
         for (u0, u1, u2, u3), form_row in zip(columns, _FORM_ROWS)
         for (v0, v1, v2, v3), m in zip(columns, form_row)
     ]
-
-
-def _invariance_impl(rows: list):
-    """Max-norm of a^t . M . a - M over all 16 entries (`_form_entries`), NaN if any entry is NaN."""
-    entries = _form_entries(list(zip(*rows)))
     total = sum(entries)  # NaN exactly when an entry is: they are all >= 0
     return total if total != total else max(entries)
-
-
-def invariance_residuals(stack: np.ndarray) -> np.ndarray:
-    """`invariance_residual` of each float64 matrix of an (n, 4, 4) stack, with its bits: an (n,) array.
-
-    The 16 entries of `_form_entries` are taken over the whole stack at
-    once, in the order of operations of the scalar rule; numpy's max keeps
-    a NaN, as the scalar rule does.  As with Python floats, an inf or a NaN
-    arises without a warning.
-    """
-    columns = [tuple(stack[:, i, mu] for i in range(4)) for mu in range(4)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.max(_form_entries(columns), axis=0)
 
 
 def invariance_residual(a: np.ndarray, prec: Optional[int] = None) -> float:
@@ -607,79 +568,33 @@ def group_law_residual(gen, p1: float, p2: float, q: float, prec: Optional[int] 
         return max_abs(a @ b - ab)
 
 
-@dataclass(frozen=True)
-class FlowDiscrepancy:
-    """One entry where the published transform disagrees with the closed form."""
+class FlowDiscrepancy(NamedTuple):
+    """One entry where a published transform differs from the generated closed form, and the exact difference."""
 
     gen: GeneratorId
     entry: tuple[int, int]
-    max_relative_deviation: float
-    printed_matches_oracle: bool
-    closed_matches_oracle: bool
+    difference: str  # published minus generated, reduced (`certificate.published_difference`)
 
     def __str__(self):
-        side = "generated" if self.closed_matches_oracle else "published"
-        return (
-            f"{self.gen.value} transform, entry {self.entry}: published form deviates "
-            f"(rel {self.max_relative_deviation:.3e}); series oracle agrees with the "
-            f"{side} closed form"
-        )
+        return f"{self.gen.value} transform, entry {self.entry}: published minus generated = {self.difference}"
 
 
-def grid_flows(gens) -> dict:
-    """{gen: (closed, oracle)}: the float64 closed flows and the series oracles at ORACLE_TOL.
+def reference_discrepancies(certificates: dict) -> list[FlowDiscrepancy]:
+    """Diff the published transform matrices against the generated closed forms, exactly, entry by entry.
 
-    Each is a (20, 4, 4) stack in the order of GRID_POINTS.  Each flow is
-    evaluated once, by its rows builder (`_closed_stack`), and all the
-    oracles in one `expm_oracles` call.  A generator without a closed form
-    has a NaN closed stack (`_closed_stack`), which fails every bound.
+    certificates maps a generator to its `certificate.certify` record, as
+    the flows check holds them, so each F is built once.  Each template of
+    `_PUBLISHED` runs on the certificate's exact backend and the
+    certificate's F is subtracted from it (`certificate.published_difference`),
+    so an entry is a discrepancy exactly when the difference does not reduce
+    to 0.  A generator without a certificate (a catalog matrix off its
+    published form has no closed form) has no entry.
     """
-    gids = [GeneratorId(g) for g in gens]
-    oracles = expm_oracles([(get_generator(gid), p, q) for gid in gids for q, p in GRID_POINTS], ORACLE_TOL)
-    closed = [_closed_stack(gid) for gid in gids]
-    return dict(zip(gids, zip(closed, oracles.reshape(len(gids), len(GRID_POINTS), 4, 4))))
+    from .certificate import published_difference
 
-
-def _closed_stack(gid: GeneratorId) -> np.ndarray:
-    """`closed_flow(gid, param, q)` at each (q, param) of GRID_POINTS, with its bits: a (20, 4, 4) stack.
-
-    The rows builder runs at each point, inside `float64_domain`, and the
-    stack is one array of their floats.  A generator without a closed form
-    (a catalog matrix off its published form) has an all-NaN stack.
-    """
-    try:
-        form, rows = _closed_form(gid)
-    except ValueError:
-        return np.full((len(GRID_POINTS), 4, 4), np.nan)
-    entries = []
-    for q, param in GRID_POINTS:
-        float64_domain(form, param, q)
-        entries += rows(param, q, _FLOAT_BACKEND)
-    return np.array(entries).reshape(-1, 4, 4)
-
-
-def reference_discrepancies(evaluated: Optional[dict] = None) -> list[FlowDiscrepancy]:
-    """Diff the generated closed forms against the published matrices.
-
-    Returns one record per (generator, entry) that deviates anywhere on the
-    grid, at the first point of its largest deviation, with an oracle
-    verdict on which side is correct; a NaN deviation is never a
-    discrepancy.  `evaluated` is a `grid_flows` result that covers the
-    published generators; by default they are evaluated here.
-    """
-    if evaluated is None:
-        evaluated = grid_flows(_PUBLISHED)
-    found = []
-    for gid in sorted(_PUBLISHED, key=ALL_IDS.index):
-        closed, oracle = evaluated[gid]
-        printed = printed_flows(gid)
-        scale = 1.0 + np.abs(closed).max(axis=(1, 2))  # NaN at a point with a NaN entry
-        dev = np.abs(printed - closed) / scale[:, None, None]
-        over = dev > DISCREPANCY_TOL
-        first = np.where(over, dev, -np.inf).argmax(axis=0)  # argmax takes the first of equal maxima
-        for r, c in zip(*np.nonzero(over.any(axis=0))):
-            k = first[r, c]
-            printed_ok = bool(abs(printed[k, r, c] - oracle[k, r, c]) <= DISCREPANCY_TOL * scale[k])
-            closed_ok = bool(abs(closed[k, r, c] - oracle[k, r, c]) <= DISCREPANCY_TOL * scale[k])
-            found.append(FlowDiscrepancy(gid, (int(r), int(c)), float(dev[k, r, c]), printed_ok, closed_ok))
-    return found
+    return [
+        FlowDiscrepancy(gid, (r, c), difference)
+        for gid in sorted(_PUBLISHED, key=ALL_IDS.index)
+        if gid in certificates
+        for r, c, difference in published_difference(certificates[gid])
+    ]

@@ -259,9 +259,3 @@ def bilinear(u: Sequence, v: Sequence) -> float:
     """Scalar product u^t . M . v = u0 v3 + u1 v2 + u2 v1 + u3 v0."""
     return u[0] * v[3] + u[1] * v[2] + u[2] * v[1] + u[3] * v[0]
 
-
-def metric_eigenvalues() -> list[float]:
-    """Eigenvalues of the metric, ascending, by numpy's symmetric eigensolver; its entries are constants."""
-    import numpy as np
-
-    return np.linalg.eigvalsh(eval_mat(METRIC, 1.0)).tolist()

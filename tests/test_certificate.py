@@ -179,3 +179,27 @@ def test_a_flipped_sign_in_t2s_exponential_fails_the_certificate(monkeypatch):
     _plant(monkeypatch, GeneratorId.T2, t2_rows)
     cert = certify(GeneratorId.T2)
     assert cert.at_zero == 0 and cert.ode > 0
+
+
+# the twelve generators whose closed form is C 1 + tau S X(q), from their exact square
+SQUARE_IDS = [gid for gid in ALL_IDS if getattr(flows._closed_form(gid)[1], "func", None) is flows._square_rows]
+
+
+@pytest.mark.parametrize("gid", SQUARE_IDS)
+def test_a_flipped_entry_of_a_square_class_x_fails_the_flows_check(monkeypatch, gid):
+    """Each entry of X flipped in the closed form, the catalog's X kept: the flows check counts the closed form as not exp(tau X).
+
+    A flip in the catalog itself leaves X^2 off +-q^(2 alpha) 1, so no closed
+    form: `tests/test_cli.py::test_a_flipped_catalog_entry_fails_verify_with_every_suite_line`.
+    """
+    assert len(SQUARE_IDS) == 12
+    mat = get_generator(gid)
+    for r, c, _x in mat.entries():
+        with monkeypatch.context() as m:
+            m.setattr(flows, "_closed_form", lambda g, _real=flows._closed_form: (
+                (_real(g)[0], functools.partial(flows._square_rows, _flipped(mat, (r, c)), classify_square(mat))) if g is gid else _real(g)
+            ))
+            record = checks.flows()
+        assert record.measures["closed forms not exp(tau X) (exact)"].value > 0, (gid, r, c)
+        assert not record.ok
+    assert checks.flows().ok

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -117,12 +118,27 @@ def test_mpf_digits_match_float_formatting():
     values += [struct.unpack("d", struct.pack("Q", rng.getrandbits(63)))[0] for _ in range(2000)]
     values += [rng.randint(-10**9, 10**9) / 2.0 ** rng.randint(0, 30) for _ in range(2000)]
     for x in filter(math.isfinite, values):
-        for mode in ("text", "json"):
-            assert _fmt_float(mpmath.mpf(x), mode) == _fmt_float(x, mode), x
+        for digits in (6, 17):  # text and JSON
+            assert _fmt_float(mpmath.mpf(x), digits) == _fmt_float(x, digits), x
     with mpmath.workdps(30):  # digits beyond float64, and a magnitude beyond its range
         third, big = mpmath.mpf(1) / 3, -mpmath.cosh(mpmath.mpf(10) ** 20)
-    assert _fmt_float(third, "json") == "0.33333333333333333"
-    assert _fmt_float(big, "json") == "-6.4842820304241448e+43429448190325182764"
+    assert _fmt_float(third, 17) == "0.33333333333333333"
+    assert _fmt_float(big, 17) == "-6.4842820304241448e+43429448190325182764"
+
+
+@pytest.mark.parametrize("prec, w2", [(1, "1e+01"), (3, "10.6"), (5, "10.574"), (16, "10.57423625632582")])
+def test_eval_prec_json_prints_only_the_digits_it_holds(capsys, prec, w2):
+    """`eval --prec P --format json` prints min(17, P) significant digits of each mpf; it printed 17 whatever P was.
+
+    At P = 1, entry (2, 0) is w2 = 4 pi sin 1 = 10.5743..., which printed as 10.625.
+    """
+    code, out, _ = run_cli(capsys, "eval", "--gen", "T1", "--param", "1", "--q", "1", "--prec", str(prec), "--format", "json")
+    assert code == 0
+    numbers = re.findall(r"-?[0-9][0-9.e+-]*", out)
+    assert len(numbers) == 17 and numbers[8] == w2  # the matrix row by row, then the residual; entry (2, 0)
+    for number in numbers:
+        mantissa = number.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
+        assert len(mantissa) <= prec, number
 
 
 def test_output_determinism(capsys):
@@ -225,10 +241,7 @@ def test_verify_errata_lists_b2_entry(capsys):
 
 
 @pytest.mark.parametrize("suite, name, fake", [
-    ("flows", "grid_flows", lambda gens: {g: (np.full((20, 4, 4), math.nan),) * 2 for g in gens}),
     ("mayer", "mayer_bond", lambda Ra, Rb, q: math.nan if q == 0.5 else mayer_bond(Ra, Rb, q)),
-    ("kernel", "kr_weights", lambda R, q, prec=None: np.full(4, math.nan) if prec is None else kr_weights(R, q, prec)),
-    ("metric", "metric_eigenvalues", lambda: [-1.0, math.nan, 1.0, 1.0]),
     ("profile", "step_profile", lambda R, radii, **kw: [math.nan] * len(radii)),
 ])
 def test_verify_fails_on_nan(capsys, monkeypatch, suite, name, fake):
@@ -236,6 +249,27 @@ def test_verify_fails_on_nan(capsys, monkeypatch, suite, name, fake):
     code, out, _ = run_cli(capsys, "verify", "--suite", suite)
     assert code == 1
     assert out.startswith(f"{suite}: FAIL")
+
+
+def _negated_w0(R, q, bk, _weights=flows._weights):
+    column, s, c = _weights(R, q, bk)
+    column[0] = -column[0]
+    return column, s, c
+
+
+@pytest.mark.parametrize("suite, plant, measure", [
+    # the published B1 transform with the sign of its (0, 1) entry flipped
+    ("flows", lambda m: m.setitem(flows._PUBLISHED, GeneratorId.B1, ("boost", 1, {**flows._PUBLISHED[GeneratorId.B1][2], (0, 1): (1, 1)})),
+     "published entries off the ledger (exact)"),
+    ("kernel", lambda m: m.setattr(flows, "_weights", _negated_w0), "kernel not a one-parameter group (exact)"),
+    ("metric", lambda m: m.setattr(checks, "METRIC", matrices.IDENTITY), "nonzero tr M"),  # 1^2 = 1, tr 1 = 4
+], ids=["flows", "kernel", "metric"])
+def test_verify_fails_on_a_planted_exact_fault(capsys, monkeypatch, suite, plant, measure):
+    """The suites that state exact counts, where a NaN once failed them: a planted fault fails each, naming its count."""
+    plant(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 1
+    assert out.startswith(f"{suite}: FAIL ({measure} ")
 
 
 def test_verify_mayer_reports_a_failed_volume_limit(capsys, monkeypatch):
@@ -275,17 +309,12 @@ def test_verify_evaluates_each_flow_once(capsys, monkeypatch):
     monkeypatch.setattr(flows, "_closed_form", counting_closed_form)
     code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--errata")
     assert code == 0
-    # flows: each of the 20 x 20 float flows by its rows builder, once, which
-    # the errata scan reuses, the oracles' X(q) once per generator and q, and
-    # the 6 isometric certificates; kernel: T1's certificate, and one prec=50
-    # weight vector per (radius, q), 3 x 5, that the float weights are held
-    # against; no closed_flow at any precision
+    # flows: the 20 certificates, each rows builder once on the exact
+    # backend, whose F the errata diff reuses; kernel: T1's certificate; no
+    # float flow, no oracle and no prec-50 weight vector
     assert counts == {
-        ("rows", "float"): 400,
-        ("rows", "exact"): 7,
-        ("eval_rows", None): 20 * 5 + 1,  # and the metric's eigenvalues
-        ("kr_weights", None): 2 * 3 * 3 * 6 + 15,  # mayer: both radii of each pair, at 5 q and at 1e-6
-        ("kr_weights", 50): 15,
+        ("rows", "exact"): 21,
+        ("kr_weights", None): 2 * 3 * 3 * 6,  # mayer: both radii of each pair, at 5 q and at 1e-6
         ("reference_discrepancies", None): 1,
     }
 
@@ -700,7 +729,11 @@ def planted_catalog(monkeypatch):
 
 @pytest.mark.parametrize("gid", list(GeneratorId))
 def test_a_flipped_catalog_entry_fails_verify_with_every_suite_line(planted_catalog, gid):
-    """One entry's sign flipped in one catalog matrix: `verify --suite all` runs every suite and exits 1, with no error line."""
+    """One entry's sign flipped in one catalog matrix: `verify --suite all` runs every suite and exits 1, with no error line.
+
+    A square-class X so flipped has no closed form, and the flows check counts all 16 entries of its F.
+    """
+    real_closed_forms = {g: flows._closed_form(g) for g in GeneratorId}
     planted_catalog(gid, 0)
     code, out, err = _call(["verify", "--suite", "all"])
     assert code == 1
@@ -708,6 +741,8 @@ def test_a_flipped_catalog_entry_fails_verify_with_every_suite_line(planted_cata
     suites = [line.split(": ")[0] for line in out.splitlines() if not line.startswith(" ")]
     assert suites == list(checks.CHECKS)
     assert out.startswith("tables: FAIL (")
+    if getattr(real_closed_forms[gid][1], "func", None) is flows._square_rows:  # X^2 is no longer +-q^(2 alpha) 1
+        assert f"\nflows: FAIL (no closed form for {gid.value}; closed forms not exp(tau X) (exact) 1.60e+01, " in out
 
 
 def test_eval_names_a_generator_without_a_closed_form(planted_catalog):

@@ -5,7 +5,7 @@ at each edge of `flows.float64_domain`: the phase bound, the e^|y| overflow
 at ln(DBL_MAX) = 709.78, the smallest normal float (through the powers of
 q) and w3's series switch at x = 0.05.
 
-The measure is the flows check's max|f - ref| / (1 + max|ref|), taken in
+The measure is the float evaluator's max|f - ref| / (1 + max|ref|), taken in
 the graded frame, where entry (mu, nu) is divided by q^(nu - mu) (w_nu by
 q^-nu, the step and the bond by q^-3): every entry there is a function of
 the phase alone.  Unscaled, one entry can hold the whole norm at an extreme
@@ -26,7 +26,7 @@ from fmspace.catalog import GeneratorId
 from fmspace.flows import _LN_MAX, _Q_RANGE, _W3_SWITCH, PHASE_BOUND, WEIGHT_EXPONENTS, _closed_form, closed_flow
 from fmspace.fmt import kernel_matrix, kr_weights, mayer_bond, step_hat
 
-TOL = 1e-9  # the flows check's bound: flows, the kernel, the weights and the step
+TOL = 1e-9  # the float flows bound (`closed form vs oracle rel`): flows, the kernel, the weights and the step
 BOND_TOL = 1e-10  # the mayer check's bound
 PREC = 60
 LOG2_RANGE = (-1074.0, 1023.9)  # the positive finite float64 numbers

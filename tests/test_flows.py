@@ -1,7 +1,6 @@
 import math
 import random
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from fmspace.catalog import (
     homogeneity_order,
 )
 from fmspace import checks, flows
+from fmspace.certificate import certify
 from fmspace.checks import KERNEL_PREC, RADII, WAVE_NUMBERS
 from fmspace.flows import (
     GRID_POINTS,
@@ -29,9 +29,7 @@ from fmspace.flows import (
     expm_oracle,
     group_law_residual,
     invariance_residual,
-    invariance_residuals,
     max_abs,
-    printed_flows,
     reference_discrepancies,
 )
 from fmspace.fmt import kernel_matrix, kr_weights
@@ -227,7 +225,7 @@ def _scalar_taylor_oracle(x: Mat4, param: float, q: float, tol: float) -> np.nda
 
 
 def _oracle_points():
-    """The flows check's 400 grid points, then 300 seeded draws over the envelope (see TestEnvelope)."""
+    """The float record's 400 grid points, then 300 seeded draws over the envelope (see TestEnvelope)."""
     points = [(gid, p, q) for gid in ALL_IDS for q in STANDARD_Q_GRID for p in STANDARD_PARAM_GRID]
     rng = np.random.default_rng(20111)
     while len(points) < 700:
@@ -241,40 +239,9 @@ def _oracle_points():
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-13])
 def test_oracle_matches_the_scalar_loop_bit_for_bit(tol):
-    points = [(get_generator(gid), param, q) for gid, param, q in _oracle_points()]
-    stacked = flows.expm_oracles(points, tol)
-    assert stacked.shape == (len(points), 4, 4)
-    for (x, param, q), batched in zip(points, stacked):
-        reference = _scalar_taylor_oracle(x, param, q, tol)
-        assert np.array_equal(batched, reference), (x, param, q)
-        assert np.array_equal(expm_oracle(x, param, q, tol), reference), (x, param, q)
-
-
-def test_stacked_oracle_squares_the_whole_stack_where_every_point_needs_it():
-    """A stack whose every point needs two or more squarings squares it whole for those steps, bit for bit."""
-    points = []
     for gid, param, q in _oracle_points():
         x = get_generator(gid)
-        if abs(param) * float(np.abs(eval_mat(x, q)).sum(axis=0).max()) > 2.0:  # s >= 2
-            points.append((x, param, q))
-    assert len(points) > 100
-    for (x, param, q), stacked in zip(points, flows.expm_oracles(points, 1e-13)):
-        assert np.array_equal(stacked, _scalar_taylor_oracle(x, param, q, 1e-13)), (x, param, q)
-
-
-def test_stacked_oracle_raises_for_the_first_failing_point():
-    good = (get_generator(GeneratorId.B1), 0.5, 1.0)
-    assert flows.expm_oracles([], 1e-13).shape == (0, 4, 4)
-    with pytest.raises(ValueError, match="the 1-norm of param"):
-        flows.expm_oracles([good, (get_generator(GeneratorId.T1), 1e308, 1.0), good])
-    with pytest.raises(ValueError, match="is not finite at norm 1e[+]300"):
-        flows.expm_oracles([good, (get_generator(GeneratorId.B1), 1e300, 1.0)])
-    # the later point needs more squarings, but the error names the first in input order
-    b1 = get_generator(GeneratorId.B1)
-    with pytest.raises(ValueError, match="is not finite at norm 1e[+]200"):
-        flows.expm_oracles([good, (b1, 1e200, 1.0), (b1, 1e300, 1.0)])
-    with pytest.raises(ValueError, match="is not finite at norm 1e[+]300"):
-        flows.expm_oracles([good, (b1, 1e300, 1.0), (b1, 1e200, 1.0)])
+        assert np.array_equal(expm_oracle(x, param, q, tol), _scalar_taylor_oracle(x, param, q, tol)), (x, param, q)
 
 
 def _k_loop_residual(rows) -> float:
@@ -541,18 +508,16 @@ class TestIsometricFlowGeometry:
 
 class TestPublishedForms:
     def test_scan_finds_exactly_the_b2_entry(self):
-        found = reference_discrepancies()
-        assert [(d.gen, d.entry) for d in found] == [(GeneratorId.B2, (3, 1))]
-        assert found[0].closed_matches_oracle
-        assert not found[0].printed_matches_oracle
-        # plain bools, as declared (not np.bool_), so the record serialises as JSON
-        assert type(found[0].closed_matches_oracle) is bool
-        assert type(found[0].printed_matches_oracle) is bool
+        """The exact diff: B2's (3, 1) alone differs, published minus generated = (q^2 - q^-2) sinh(tau q^2)."""
+        found = reference_discrepancies({gid: certify(gid) for gid in flows._PUBLISHED})
+        assert found == list(checks.flows().discrepancies) == [flows.FlowDiscrepancy(GeneratorId.B2, (3, 1), "(q^2 - q^-2) sinh(tau q^2)")]
+        assert set(found) == checks.LEDGER
+        assert str(found[0]) == "B2 transform, entry (3, 1): published minus generated = (q^2 - q^-2) sinh(tau q^2)"
 
     def test_published_b2_entry_fails_oracle(self):
         # the published (3,1) entry q^2 sinh cannot reproduce the exponential
         q, p = 2.0, 0.1
-        printed = printed_flows(GeneratorId.B2)[GRID_POINTS.index((q, p))]
+        printed = published_flow(GeneratorId.B2, p, q)
         oracle = expm_oracle(get_generator(GeneratorId.B2), p, q, 1e-13)
         scale = 1.0 + float(np.abs(oracle).max())
         assert abs(printed[3, 1] - oracle[3, 1]) > 1e-9 * scale
@@ -560,13 +525,42 @@ class TestPublishedForms:
         assert float(np.abs(corrected - oracle).max()) <= 1e-9 * scale
 
     def test_all_other_published_forms_match(self):
-        for gid in set(ALL_IDS) - {GeneratorId.B2}:
+        for gid in set(flows._PUBLISHED) - {GeneratorId.B2}:
             for q in (0.5, 2.0):
                 for p in (-0.5, 1.5):
                     a = closed_flow(gid, p, q)
-                    b = printed_flows(gid)[GRID_POINTS.index((q, p))]
+                    b = published_flow(gid, p, q)
                     scale = 1.0 + float(np.abs(a).max())
                     assert float(np.abs(a - b).max()) <= 1e-12 * scale, gid
+
+
+def _planted_templates():
+    """(gid, entry, template) of every one-entry fault of the published templates: each sign flipped, and each power of q off by one."""
+    for gid, (kind, *template) in flows._PUBLISHED.items():
+        if kind == "diag":
+            (signs,) = template
+            for i in range(4):
+                yield gid, (i, i), ("diag", tuple(-s if j == i else s for j, s in enumerate(signs)))
+            continue
+        order, smap = template
+        for entry, (coef, qpow) in smap.items():
+            yield gid, entry, (kind, order, {**smap, entry: (-coef, qpow)})
+            yield gid, entry, (kind, order, {**smap, entry: (coef, qpow + 1)})
+
+
+def test_every_planted_template_fault_is_off_the_ledger(monkeypatch):
+    """A sign flipped or a wrong power of q in one published entry: the flows check counts it, and only that entry moves."""
+    planted = list(_planted_templates())
+    assert len(planted) == 3 * 4 + 12 * 4 * 2
+    for gid, entry, template in planted:
+        with monkeypatch.context() as m:
+            m.setitem(flows._PUBLISHED, gid, template)
+            record = checks.flows()
+        assert record.measures["published entries off the ledger (exact)"].value > 0, (gid, entry, template)
+        assert not record.ok
+        moved = {(d.gen, d.entry) for d in set(record.discrepancies) ^ checks.LEDGER}
+        assert moved == {(gid, entry)}, (gid, entry, template)
+    assert checks.flows().ok
 
 
 def test_evaluate_flow_methods():
@@ -874,45 +868,37 @@ class TestObjectMatmul:
         assert additivity <= 1e-11 and commutation <= 1e-11
 
 
-def _per_point_rows(evaluated) -> list:
-    """The flows record's rows, folded point by point: (gen, worst rel vs oracle, worst float64 residual)."""
+def _per_point_rows(oracle) -> list:
+    """The float record's rows, folded point by point from `oracle`: (gen, worst rel vs oracle, worst float64 residual)."""
     rows = []
     for gid in GeneratorId:
         rel = residual = 0.0
-        for closed, oracle in zip(*evaluated[gid]):
+        for q, p in GRID_POINTS:
+            closed = closed_flow(gid, p, q)
             scale = 1.0 + float(np.abs(closed).max())
-            rel = flows._fold_max(rel, float(np.abs(closed - oracle).max()) / scale)
+            rel = flows._fold_max(rel, float(np.abs(closed - oracle(get_generator(gid), p, q, flows.ORACLE_TOL)).max()) / scale)
             residual = flows._fold_max(residual, float(invariance_residual(closed)))
         rows.append((gid, rel.hex(), residual.hex()))
     return rows
 
 
-@pytest.mark.parametrize("nan_at", [
-    None, (GeneratorId.D1, GRID_POINTS.index((2.0, 0.1))), (GeneratorId.T3, GRID_POINTS.index((0.5, -2.0))),
-])
+@pytest.mark.parametrize("nan_at", [None, (GeneratorId.D1, (2.0, 0.1)), (GeneratorId.T3, (0.5, -2.0))])
 def test_flows_rows_are_the_per_point_folds(monkeypatch, nan_at):
-    """The stacked oracle deviations of the flows record have the bits of the per-point fold, and keep a NaN."""
-    evaluated = flows.grid_flows(GeneratorId)
+    """The float record's oracle deviations are the per-point fold over GRID_POINTS, and keep a NaN."""
+    oracle = expm_oracle
     if nan_at is not None:
-        gid, point = nan_at
-        closed, oracle = evaluated[gid]
-        oracle = oracle.copy()
-        oracle[point, 1, 2] = math.nan
-        evaluated[gid] = (closed, oracle)
-    monkeypatch.setattr(checks, "grid_flows", lambda gens: evaluated)
-    rows = [(gid, rel.hex(), residual.hex()) for gid, rel, residual in checks.flows().rows]
-    assert rows == _per_point_rows(evaluated)
+        gid, (q_nan, p_nan) = nan_at
+
+        def oracle(x, p, q, tol):
+            result = expm_oracle(x, p, q, tol)
+            if x is get_generator(gid) and (q, p) == (q_nan, p_nan):
+                result[1, 2] = math.nan
+            return result
+
+        monkeypatch.setattr(checks, "expm_oracle", oracle)
+    rows = [(gid, rel.hex(), residual.hex()) for gid, rel, residual in checks.float_evaluator().rows]
+    assert rows == _per_point_rows(oracle)
     assert [gid for gid, rel, _ in rows if rel == "nan"] == ([] if nan_at is None else [nan_at[0]])
-
-
-def test_grid_flows_stacks_each_generator_in_grid_order():
-    evaluated = flows.grid_flows([GeneratorId.B2, "T1"])
-    assert list(evaluated) == [GeneratorId.B2, GeneratorId.T1]
-    for gid, (closed, oracle) in evaluated.items():
-        assert closed.shape == oracle.shape == (len(GRID_POINTS), 4, 4) and closed.dtype == oracle.dtype == np.float64
-        for (q, p), a, b in zip(GRID_POINTS, closed, oracle):
-            assert a.tobytes() == closed_flow(gid, p, q).tobytes()
-            assert b.tobytes() == expm_oracle(get_generator(gid), p, q, flows.ORACLE_TOL).tobytes()
 
 
 def published_flow(gid, tau, q) -> np.ndarray:
@@ -930,90 +916,13 @@ def published_flow(gid, tau, q) -> np.ndarray:
 
 
 def test_published_stacks_are_the_per_point_formula():
-    for gid in GeneratorId:
-        expected = [published_flow(gid, p, q) if gid in flows._PUBLISHED else closed_flow(gid, p, q) for q, p in GRID_POINTS]
-        assert printed_flows(gid).tobytes() == np.array(expected).tobytes(), gid
-    assert any(np.signbit(printed_flows(GeneratorId.D2)[:, 0, 1]))  # -0.0 off the diagonal of a negative cosine
-
-
-def _per_point_discrepancies(evaluated) -> list:
-    """The discrepancy scan point by point: each entry keeps its first largest deviation above the bound."""
-    found = {}
+    """The published rows builder on the float backend is the published formula at each grid point, bit for bit."""
     for gid in flows._PUBLISHED:
-        for (q, param), closed, oracle in zip(GRID_POINTS, *evaluated[gid]):
-            printed = published_flow(gid, param, q)
-            scale = 1.0 + float(np.abs(closed).max())
-            dev = np.abs(printed - closed) / scale
-            for r, c in zip(*np.nonzero(dev > flows.DISCREPANCY_TOL)):
-                key = (gid, (int(r), int(c)))
-                rel = float(dev[r, c])
-                if key in found and found[key].max_relative_deviation >= rel:
-                    continue
-                printed_ok = bool(abs(printed[r, c] - oracle[r, c]) <= flows.DISCREPANCY_TOL * scale)
-                closed_ok = bool(abs(closed[r][c] - oracle[r, c]) <= flows.DISCREPANCY_TOL * scale)
-                found[key] = flows.FlowDiscrepancy(gid, (int(r), int(c)), rel, printed_ok, closed_ok)
-    return sorted(found.values(), key=lambda d: (ALL_IDS.index(d.gen), d.entry))
-
-
-def _inject(rng, evaluated) -> dict:
-    """A copy of the published generators' stacks with NaN, inf, over-bound and tied entries written in."""
-    copy = {gid: (closed.copy(), oracle.copy()) for gid, (closed, oracle) in evaluated.items() if gid in flows._PUBLISHED}
-    n = len(GRID_POINTS)
-    for _ in range(rng.randint(1, 6)):
-        gid = rng.choice(list(copy))
-        closed, oracle = copy[gid]
-        k, r, c = rng.randrange(n), rng.randrange(4), rng.randrange(4)
-        kind = rng.choice(("nan", "inf", "bump", "tie", "oracle"))
-        if kind == "nan":
-            rng.choice((closed, oracle))[k, r, c] = math.nan
-        elif kind == "inf":
-            closed[k, r, c] = rng.choice((math.inf, -math.inf))
-        elif kind == "bump":  # over the bound by a factor of up to 1e6, or under it
-            closed[k, r, c] += rng.choice((-1, 1)) * 10 ** rng.uniform(-8.0, 0.0) * (1.0 + np.abs(closed[k]).max())
-        elif kind == "tie":  # 1e300 at two points deviates by exactly 1.0 at each; the oracle agrees at one
-            k2 = rng.randrange(n)
-            closed[k, r, c] = closed[k2, r, c] = 1e300
-            oracle[rng.choice((k, k2)), r, c] = 1e300
-        else:  # the oracle sides with the published form at this point
-            q, p = GRID_POINTS[k]
-            oracle[k, r, c] = published_flow(gid, p, q)[r, c]
-    return copy
-
-
-def test_discrepancy_scan_is_the_per_point_loop_by_repr():
-    evaluated = flows.grid_flows(GeneratorId)
-    assert repr(reference_discrepancies(evaluated)) == repr(_per_point_discrepancies(evaluated))
-    rng = random.Random(2020)
-    seen = []
-    with np.errstate(invalid="ignore"):  # inf / inf at an infinite entry
-        for _ in range(300):
-            injected = _inject(rng, evaluated)
-            expected = repr(_per_point_discrepancies(injected))
-            assert repr(reference_discrepancies(injected)) == expected
-            seen.append(expected)
-    assert len(set(seen)) > 100 and sum("max_relative_deviation=1.0," in e for e in seen) > 10  # ties among them
-
-
-def test_stacked_residuals_are_the_per_point_residuals_by_repr():
-    """invariance_residuals over a stack is invariance_residual at each matrix, NaN, inf and -0.0 included, and warns of nothing."""
-    evaluated = flows.grid_flows(GeneratorId)
-    grid = np.array([closed for closed, _oracle in evaluated.values()]).reshape(-1, 4, 4)
-    rng = random.Random(2323)
-    stacks = [grid]
-    for _ in range(300):
-        stack = grid[rng.sample(range(len(grid)), 40)]  # a copy of 40 of the 400 flows
-        for _ in range(rng.randint(1, 8)):
-            k, r, c = rng.randrange(len(stack)), rng.randrange(4), rng.randrange(4)
-            stack[k, r, c] = rng.choice((math.nan, math.inf, -math.inf, -0.0, 1e200, -1e200))
-        stacks.append(stack)
-    kinds = set()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # inf - inf and inf * 0 make a NaN silently, as with Python floats
-        for stack in stacks:
-            expected = [repr(invariance_residual(a)) for a in stack]
-            assert [repr(x) for x in invariance_residuals(stack).tolist()] == expected
-            kinds.update("finite" if e not in ("nan", "inf") else e for e in expected)
-    assert kinds == {"nan", "inf", "finite"}
+        for q, p in GRID_POINTS:
+            got = np.array(flows._published_rows(gid, p, q, flows._FLOAT_BACKEND)).reshape(4, 4)
+            assert got.tobytes() == published_flow(gid, p, q).tobytes(), (gid, q, p)
+    d2 = [flows._published_rows(GeneratorId.D2, p, q, flows._FLOAT_BACKEND)[1] for q, p in GRID_POINTS]
+    assert any(np.signbit(d2))  # -0.0 off the diagonal of a negative cosine
 
 
 def bilinear_residual(rows) -> float:

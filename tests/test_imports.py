@@ -22,3 +22,20 @@ def test_exact_modules_load_without_numpy_or_mpmath():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "False"]
+
+
+def test_one_shot_verify_loads_no_mpmath():
+    """`verify` states exact counts and float64 measures: a fresh interpreter running it never imports mpmath."""
+    code = "; ".join(
+        [
+            "import sys, fmspace.cli",
+            "code = fmspace.cli.main(sys.argv[1:])",
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'), file=sys.stderr)",
+        ]
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for argv in (["verify", "--suite", "all", "--errata"], ["verify", "--suite", "kernel"]):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split("\n")[-2] == "0 []", (argv, proc.stderr)

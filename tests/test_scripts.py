@@ -50,21 +50,22 @@ def test_bench_writes_its_record(tmp_path):
     assert {"python", "numpy", "mpmath"} <= record["environment"].keys()
     assert {"fmt.step_hat", "fmt.step_hat.series", "fmt.radial_request", "flows.closed_flow.T1.prec50", "ring.mul"} <= record["layers"].keys()
     assert {"flows.flow_request", "flows.flow_request.isometric.prec60", "flows.group_law_residual.T1.prec50"} <= record["layers"].keys()
-    assert {"oracle.expm_oracle.B1", "oracle.expm_oracles.grid"} <= record["layers"].keys()
-    assert {"flows.grid_flows", "flows.reference_discrepancies.grid", "flows.invariance_residual.grid"} <= record["layers"].keys()
+    assert {"oracle.expm_oracle.B1", "flows.reference_discrepancies"} <= record["layers"].keys()
     assert {"flows.certificate", "flows.certificate.all"} <= record["layers"].keys()
     assert {"reference_tables.parse_cell.uncached", "cli.build_parser", "cli.build_parser.uncached"} <= record["layers"].keys()
     assert list(record["cold_import"]) == ["fmspace.algebra", "fmspace.cli"]
     timings = [record["verify_pass"], record["verify_pass.fresh_caches"]]
     for timing in [*record["layers"].values(), *record["cold_import"].values(), *timings, *record["checks"].values()]:
         assert 0 < timing["min_s"] <= timing["median_s"]
-    assert list(record["checks"]) == list(checks.CHECKS)
+    assert list(record["checks"]) == [*checks.CHECKS, "float_evaluator"]
     for check in record["checks"].values():
         assert check["ok"] is True
         for measure in check["measures"].values():
             assert measure["ok"] is True and measure["margin"] >= 0
-    kernel = record["checks"]["kernel"]["measures"]["column vs weights"]
-    assert kernel["margin"] == kernel["bound"] - kernel["value"]
+    column = record["checks"]["float_evaluator"]["measures"]["column vs weights"]
+    assert column["margin"] == column["bound"] - column["value"]
+    least = record["checks"]["float_evaluator"]["measures"]["least metric-breaking residual"]
+    assert least["margin"] == least["value"] - least["bound"]
 
 
 def _load_script(name):
@@ -75,6 +76,7 @@ def _load_script(name):
 
 
 def test_flow_oracle_report_keeps_nan(monkeypatch, capsys):
+    """A NaN flow reads as nan in its generator's row, and the exact ledger follows the 20 rows."""
     from fmspace import flows
     from fmspace.catalog import GeneratorId
     from fmspace.flows import STANDARD_Q_GRID
@@ -88,8 +90,14 @@ def test_flow_oracle_report_keeps_nan(monkeypatch, capsys):
             return form, rows
         return form, lambda tau, q, bk: [math.nan] * 16 if q == STANDARD_Q_GRID[1] else rows(tau, q, bk)
 
-    monkeypatch.setattr(flows, "_closed_form", closed_form)  # grid_flows runs each rows builder on the float grid
+    monkeypatch.setattr(flows, "_closed_form", closed_form)  # closed_flow runs each rows builder on the float grid
     assert report.main() == 0
-    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines() if line.strip()}
-    assert rows["B1"] == ["nan", "nan"]
+    lines = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:21]}
+    assert len(rows) == 20 and rows["B1"] == ["nan", "nan"]
     assert "nan" not in rows["B0"]
+    assert lines[21:] == [
+        "",
+        "published-form discrepancies (published minus generated, exact):",
+        "  B2 transform, entry (3, 1): published minus generated = (q^2 - q^-2) sinh(tau q^2)",
+    ]
