@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Layer timings and verify-check margins of fmspace, written as one JSON file.
 
-    python scripts/bench.py --out BENCH_<n>.json [--repeats 7]
+    python scripts/bench.py --out BENCH_<n>.json [--repeats 7] [--against REV [--rounds 10]]
 
 Every timing is taken after one warm-up run, in this process unless it says
 otherwise, and reported as the median and the min over --repeats repeats:
@@ -15,26 +15,40 @@ otherwise, and reported as the median and the min over --repeats repeats:
   exact diff of the 15 published transforms against the certificates' F
   (`reference_discrepancies`, on certificates built beforehand); the exact
   certificates of the closed forms, the 6 isometric ones and T1, and all 20
-  (which a `verify` pass runs, and T1's again); the CLI's parser, as
-  `cli.main` gets it (built once per process) and built afresh; a flow
-  request is a closed flow and its invariance residual, over a fixed seeded
-  mix of points drawn as perfbench's `numeric` workload draws them (float64
-  over all 20 generators; prec 60 over the 6 isometric ones);
+  (which a `verify` pass runs); the CLI's parser, as `cli.main` gets it
+  (built once per process) and built afresh; a flow request is a closed
+  flow and its invariance residual, over a fixed seeded mix of points drawn
+  as perfbench's `numeric` workload draws them (float64 over all 20
+  generators; prec 60 over the 6 isometric ones);
 - cold_import: seconds from spawn to exit of a fresh `python -c "import
   <module>"` per repeat, for the exact `fmspace.algebra` and for
   `fmspace.cli`, which loads every layer;
-- checks: seconds of each `verify` check, and each measure of its last
-  CheckRecord with its value, bound and margin (how far the value is inside
-  its bound; negative when it fails, null when not finite); verify_pass is
-  their sum, warm.  The float evaluator's record (`checks.float_evaluator`:
-  the float flows against the oracle, the float weights against prec 50),
-  which `verify` does not run, is timed and recorded the same way, last,
-  and is not in verify_pass;
-- verify_pass.fresh_caches: seconds of one in-process `fmspace verify
-  --suite all --errata` (`cli.main`, output discarded) after every
-  per-process cache (CACHES) is cleared, which is what a one-shot process
-  pays after import;
+- verify_pass: seconds of one warm in-process `fmspace verify --suite all
+  --errata` (`cli.main`, output discarded);
+- checks: seconds of each `verify` check run alone, with its own
+  `checks.Facts`, and each measure of its last CheckRecord with its value,
+  bound and margin (how far the value is inside its bound; negative when it
+  fails, null when not finite).  A pass shares its Facts between checks, so
+  the kernel check reads the flows check's T1 certificate and jeffrey the
+  tables check's products: the checks' sum counts those twice and is not a
+  pass.  The float evaluator's record (`checks.float_evaluator`: the float
+  flows against the oracle, the float weights against prec 50), which
+  `verify` does not run, is timed and recorded the same way, last;
+- verify_pass.fresh_caches: seconds of one in-process verify pass after
+  every per-process cache (CACHES) is cleared, which is what a one-shot
+  process pays after import;
 - the Python, numpy and mpmath versions and the CPU count.
+
+--against REV adds `same_session`, a replay of REV against this tree in one
+session: REV's `src` is extracted with `git archive` into a temporary
+directory, and for --rounds rounds a fresh child process per tree, in
+alternating order, times warm verify passes, the pass with fresh caches and
+each check alone (`_CHILD`), and a one-shot `python -m fmspace.cli verify
+--suite all --errata` is timed from spawn to exit.  Each side reports the
+median, the quartiles and the min over the rounds; each metric the per-round
+ratio this tree / REV, its median, and the rounds this tree won.  A cache or
+check that a tree lacks is skipped there, and a metric missing on one side
+reads null.
 
 It gates nothing: the exit status is 0 whatever the numbers.  Run it on an
 otherwise idle machine; the spread between median and min shows the noise.
@@ -53,6 +67,8 @@ import platform
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -68,15 +84,17 @@ from fmspace.flows import closed_flow, group_law_residual, invariance_residual, 
 from fmspace.fmt import inverse_ft_radial, kr_weights, step_hat
 from fmspace.matrices import eval_mat
 from fmspace.oracle import expm_oracle
-from fmspace.ring import RingElem
 
 COLD_IMPORTS = ("fmspace.algebra", "fmspace.cli")
-# Every cache the package builds once per process and keeps.
+# Every cache the package builds once per process and keeps, and their names, which a replay resolves in each tree.
 CACHES = (
     cli.build_parser, flows._closed_form, flows._mp_backend, reference_tables.parse_cell,
     reference_tables.multiplied_cell, fmt._window, catalog.get_generator, algebra._inverse_norm, algebra._by_entry,
 )
+CACHE_NAMES = tuple(f"{cache.__module__}.{cache.__name__}" for cache in CACHES)
+VERIFY_ARGV = ["verify", "--suite", "all", "--errata"]
 SRC = str(Path(checks.__file__).resolve().parents[1])  # the fmspace tree this process imports
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unit_step_hat(q: float) -> float:
@@ -160,11 +178,15 @@ def _layers() -> dict:
     }
 
 
+def _tree_env(src: str) -> dict:
+    """This process's environment with the fmspace tree at src first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _cold_import(module: str) -> float:
     """Seconds from spawn to exit of a fresh interpreter that imports module from SRC."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     t0 = time.perf_counter()
-    subprocess.run([sys.executable, "-c", f"import {module}"], env=env, check=True)
+    subprocess.run([sys.executable, "-c", f"import {module}"], env=_tree_env(SRC), check=True)
     return time.perf_counter() - t0
 
 
@@ -175,18 +197,137 @@ def _seconds(calls: int, fn) -> float:
     return (time.perf_counter() - t0) / calls
 
 
-def _fresh_verify() -> float:
-    """Seconds of one `fmspace verify --suite all --errata` through `cli.main`, its output discarded, every cache of CACHES cleared first."""
-    for cache in CACHES:
-        cache.cache_clear()
+def _verify() -> float:
+    """Seconds of one in-process `fmspace verify --suite all --errata` through `cli.main`, its output discarded."""
     with contextlib.redirect_stdout(io.StringIO()):
         t0 = time.perf_counter()
-        cli.main(["verify", "--suite", "all", "--errata"])
+        cli.main(VERIFY_ARGV)
         return time.perf_counter() - t0
+
+
+def _fresh_verify() -> float:
+    """Seconds of `_verify` with every cache of CACHES cleared first."""
+    for cache in CACHES:
+        cache.cache_clear()
+    return _verify()
 
 
 def _summary(samples: list) -> dict:
     return {"median_s": statistics.median(samples), "min_s": min(samples)}
+
+
+def _spread(samples: list) -> dict:
+    """Median, quartiles and min of two or more samples."""
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "min_s": min(samples)}
+
+
+# One replay round of a tree, in a fresh child process whose PYTHONPATH is that tree's src: argv is
+# the warm passes, the fresh-cache passes and the CACHE_NAMES as JSON; stdout is one JSON object.
+_CHILD = """
+import contextlib, importlib, io, json, statistics, sys, time
+from fmspace import checks, cli
+
+passes, fresh, names = int(sys.argv[1]), int(sys.argv[2]), json.loads(sys.argv[3])
+
+def resolve(name):
+    module, attribute = name.rsplit(".", 1)
+    try:
+        return getattr(importlib.import_module(module), attribute)
+    except (ImportError, AttributeError):  # a cache this tree lacks
+        return None
+
+caches = [cache for cache in map(resolve, names) if cache is not None]
+
+def timed(fn):
+    with contextlib.redirect_stdout(io.StringIO()):
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+
+def verify():
+    cli.main(["verify", "--suite", "all", "--errata"])
+
+def fresh_verify():
+    for cache in caches:
+        cache.cache_clear()
+    return timed(verify)
+
+timed(verify)
+warm = [timed(verify) for _ in range(passes)]
+cold = [fresh_verify() for _ in range(fresh)]
+alone = {}
+for name, check in checks.CHECKS.items():
+    timed(check)
+    alone[name] = statistics.median(timed(check) for _ in range(fresh))
+print(json.dumps({"warm": warm, "fresh": cold, "checks": alone}))
+"""
+
+
+def _round(src: str, passes: int, fresh: int) -> tuple:
+    """(metric -> seconds, one-shot stdout) of one replay round of the tree at src."""
+    env = _tree_env(src)
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(passes), str(fresh), json.dumps(CACHE_NAMES)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    record = json.loads(child.stdout)
+    t0 = time.perf_counter()
+    one_shot = subprocess.run([sys.executable, "-m", "fmspace.cli", *VERIFY_ARGV], env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - t0
+    metrics = {
+        "verify_pass": statistics.median(record["warm"]),
+        "verify_pass.round_min": min(record["warm"]),
+        "verify_pass.fresh_caches": statistics.median(record["fresh"]),
+        "one_shot_verify": seconds,
+        **{f"checks.{name}": value for name, value in record["checks"].items()},
+    }
+    return metrics, one_shot.stdout
+
+
+def replay(rev: str, rounds: int, passes: int = 30, fresh: int = 5) -> dict:
+    """The same-session replay of rev against this tree (SRC): see --against in the module docstring."""
+    if rounds < 2:
+        raise ValueError("a replay needs at least 2 rounds for its quartiles")
+    git = ["git", "-C", str(ROOT)]
+    commit = subprocess.run([*git, "rev-parse", "--short", rev], capture_output=True, text=True, check=True).stdout.strip()
+    head = subprocess.run([*git, "describe", "--always", "--dirty"], capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run([*git, "archive", "--format=tar", commit, "src"], capture_output=True, check=True).stdout
+    sides = {"rev": [], "head": []}
+    stdouts = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        trees = {"rev": str(Path(tmp) / "src"), "head": SRC}
+        for i in range(rounds):
+            for side in ("rev", "head") if i % 2 == 0 else ("head", "rev"):
+                metrics, stdout = _round(trees[side], passes, fresh)
+                sides[side].append(metrics)
+                stdouts.add(stdout)
+    names = list(dict.fromkeys(name for side in sides.values() for metrics in side for name in metrics))
+    out = {}
+    for name in names:
+        values = {side: [metrics.get(name) for metrics in runs] for side, runs in sides.items()}
+        if None in values["rev"] + values["head"]:
+            out[name] = None  # a check that one tree lacks
+            continue
+        ratios = [h / r for h, r in zip(values["head"], values["rev"])]
+        out[name] = {
+            "rev": _spread(values["rev"]),
+            "head": _spread(values["head"]),
+            "ratio_per_round": ratios,
+            "median_ratio": statistics.median(ratios),
+            "head_faster_rounds": sum(h < r for h, r in zip(values["head"], values["rev"])),
+        }
+    return {
+        "rev": commit,
+        "head": head,  # this tree's repository, as `git describe --always --dirty` names it
+        "rounds": rounds,
+        "passes_per_round": passes,
+        "fresh_per_round": fresh,
+        "one_shot_stdout_identical": len(stdouts) == 1,
+        "metrics": out,
+    }
 
 
 def _finite(x):
@@ -215,11 +356,12 @@ def bench(repeats: int) -> dict:
     records = {name: check() for name, check in timed.items()}  # warm-up
     seconds = {name: [] for name in timed}
     for _ in range(repeats):
-        for name, check in timed.items():
+        for name, check in timed.items():  # each alone, with its own Facts
             t0 = time.perf_counter()
             records[name] = check()
             seconds[name].append(time.perf_counter() - t0)
-    passes = [sum(seconds[name][i] for name in checks.CHECKS) for i in range(repeats)]
+    _verify()  # warm-up
+    passes = [_verify() for _ in range(repeats)]
     fresh = [_fresh_verify() for _ in range(repeats)]
     return {
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -238,6 +380,7 @@ def bench(repeats: int) -> dict:
         "checks": {
             name: {
                 "ok": record.ok,
+                "alone": True,
                 **_summary(seconds[name]),
                 "measures": {k: _measure(m) for k, m in record.measures.items()},
             }
@@ -250,10 +393,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="the JSON file to write")
     parser.add_argument("--repeats", type=int, default=7, help="timed repeats after the warm-up (default 7)")
+    parser.add_argument("--against", metavar="REV", help="replay the git revision REV against this tree (same_session)")
+    parser.add_argument("--rounds", type=int, default=10, help="rounds of the --against replay (default 10)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2")
     result = bench(args.repeats)
+    if args.against is not None:
+        result["same_session"] = replay(args.against, args.rounds)
     with open(args.out, "w") as f:
         json.dump(result, f, indent=1)
         f.write("\n")

@@ -21,7 +21,7 @@ from typing import Iterable, Literal, Optional, Sequence
 
 from .catalog import BASIS_IDS, SHIFT_IDS, GeneratorId, get_generator, resolve_id
 from .matrices import Mat4
-from .ring import ZERO, RingElem, format_ring, signed_sum
+from .ring import ZERO, RingElem, format_ring, signed_sum, sum_terms
 
 TableKind = Literal["product", "half_commutator", "half_anticommutator"]
 
@@ -157,18 +157,16 @@ def _kind(kind: TableKind) -> tuple:
         raise ValueError(f"unknown table kind {kind!r}") from None
 
 
-def _whole_op(kind: TableKind, x: GeneratorId, y: GeneratorId, product=_product) -> Mat4:
-    """divisor * op(x, y) = x y + sign * y x, with each ordered product taken from product(x, y)."""
+def _whole_terms(kind: TableKind, x: GeneratorId, y: GeneratorId, product=_product) -> dict:
+    """The flat term map of divisor * op(x, y) = x y + sign * y x, with each ordered product taken from product(x, y)."""
     sign, _divisor = _kind(kind)
-    if sign is None:
-        return product(x, y)
-    xy, yx = product(x, y), product(y, x)
-    return xy - yx if sign < 0 else xy + yx
+    xy = product(x, y)._terms
+    return xy if sign is None else sum_terms(xy, product(y, x)._terms, sign < 0)
 
 
 def _table_op(kind: TableKind, x: GeneratorId, y: GeneratorId, product=_product) -> Mat4:
     """op(x, y) of two catalog generators: the whole op over the kind's divisor."""
-    whole = _whole_op(kind, x, y, product)
+    whole = Mat4._of(_whole_terms(kind, x, y, product))
     divisor = _KINDS[kind][1]
     return whole if divisor == 1 else whole.scale(RingElem.rational(1, divisor))
 
@@ -276,7 +274,7 @@ def build_reference_table(spec) -> StructureTable:
     return StructureTable(spec.kind, row_ids, col_ids, cells)
 
 
-def verify_reference_tables(table_specs=None) -> TableVerification:
+def verify_reference_tables(table_specs=None, product=None) -> TableVerification:
     """Compare divisor * cell with the whole op x y + sign * y x of every published cell.
 
     Each table kind is one (sign, divisor) pair: a product is x y over 1,
@@ -287,18 +285,21 @@ def verify_reference_tables(table_specs=None) -> TableVerification:
     decompose(op(row, col), basis) == cell; only a failing cell is
     decomposed, for its message.  The published side is multiplied out once
     per process for each distinct (text, basis, divisor), by
-    `reference_tables.multiplied_cell`; each distinct ordered product of
-    the catalog is computed once per call, and nothing of it is kept
-    between calls.  The products, the whole ops and the comparisons work
-    on `Mat4`'s flat term maps and build no RingElem; a generator's terms
-    indexed by row, which `@` reads, are compiled once per matrix.
+    `reference_tables.multiplied_cell`.  product(x, y) gives each ordered
+    product of the catalog: a verify pass shares one cache of `_product`
+    between the tables and jeffrey checks (`checks.Facts`), and without
+    one, each distinct product is formed once per call and nothing of it is
+    kept.  A cell is compared as `Mat4`'s flat term map with the sum or
+    difference of its two products' maps (`ring.sum_terms`), which builds
+    no Mat4 and no RingElem.
     """
     from . import reference_tables
 
     if table_specs is None:
         table_specs = reference_tables.TABLES
+    if product is None:
+        product = lru_cache(maxsize=None)(_product)
     report = TableVerification()
-    product = lru_cache(maxsize=None)(_product)
     for spec in table_specs:
         row_ids, col_ids, basis = _spec_ids(spec)
         divisor = _kind(spec.kind)[1]
@@ -307,7 +308,7 @@ def verify_reference_tables(table_specs=None) -> TableVerification:
                 report.cells_checked += 1
                 operands = _spec_operands(spec, x, y)
                 cell = reference_tables.multiplied_cell(spec.cells[i][j], basis, divisor)
-                if cell is not None and cell == _whole_op(spec.kind, *operands, product):
+                if cell is not None and cell._terms == _whole_terms(spec.kind, *operands, product):
                     continue
                 report.mismatches.append(
                     CellMismatch(

@@ -6,37 +6,44 @@ same linear ODE.  `certify` runs a generator's rows builder,
 are `Laurent` polynomials in tau, q, pi and the functions of the one phase
 y = k tau that the builder reads (cos and sin, cosh and sinh, or exp of
 +-y), held as one flat term map with rational coefficients, as
-`matrices.Mat4` holds its entries; q is the ring's own q.  Every entry of
-F(0) - 1 and of dF/dtau - X F must reduce to 0 under sin^2 + cos^2 = 1 and
-cosh^2 - sinh^2 = 1, with zero tolerance; for the six isometric generators
-so must every entry of F^t M F - M, so their flows preserve the metric at
-every tau and q.  F^t M F is symmetric, so that identity is reduced on its
-10 entries with mu <= nu and an entry off the diagonal counts twice.
+`matrices.Mat4` holds its entries.  The backend's tau, q and pi are
+`Laurent` monomials themselves, and `matrices.entries_at` lifts X(q)'s
+entries at that q, so the build converts no `RingElem`.
+
+Every entry of F(0) - 1 and of dF/dtau - X F must reduce to 0 under
+sin^2 + cos^2 = 1 and cosh^2 - sinh^2 = 1, with zero tolerance; for the six
+isometric generators so must every entry of F^t M F - M, so their flows
+preserve the metric at every tau and q.  F^t M F is symmetric, so that
+identity is reduced on its 10 entries with mu <= nu and an entry off the
+diagonal counts twice.  Every denominator is cleared once, after the build:
+F by the least common denominator D of its coefficients, X by its D_X and
+the phase rate k by its D_k.  The derivative, X F, F^t M F and the
+reduction then run on ints, on D D_X D_k (dF/dtau - X F) and on
+D^2 (F^t M F - M), which are 0 exactly where the unscaled identities are.
 
 The reduced form is canonical: no power of sin or sinh above the first is
 left, and cos, cosh and exp of k tau are transcendental over the Laurent
 polynomials in tau, q and pi (exp appears to negative powers too), so an
-identity reduces to 0 and nothing else does.  The arithmetic works on the
-flat keys and builds no `RingElem`: one appears only where the rows
-builder hands one in (q, pi and the catalog's entries), and as the phase
-rate k.  A certificate is computed afresh on every call, and keeps the
-exact F it read.
+identity reduces to 0 and nothing else does.  A certificate is computed
+afresh on every call and keeps the exact F it read; `checks.Facts` holds
+one verify pass's certificates, so the flows and kernel checks share them.
 
-`published_difference` runs a published transform (`flows._published_rows`)
-on the same backend and phase as a certificate's F and reduces their
-difference entry by entry, so the errata ledger is an exact diff: the one
-entry that differs, B2's (3, 1), prints as (q^2 - q^-2) sinh(tau q^2).
+`published_difference` reads a published transform from its template in
+`flows._PUBLISHED`, as term maps in the symbols of a certificate's F, and
+reduces their difference where the two differ, so the errata ledger is an
+exact diff: the one entry that differs, B2's (3, 1), prints as
+(q^2 - q^-2) sinh(tau q^2).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import flows
 from .catalog import ISOMETRIC_IDS, GeneratorId, get_generator
-from .matrices import _Q  # the exact q, at which `entries_at` gives the exact entries
-from .ring import RingElem, _as_coef, _quotient, accumulate, signed_sum, sum_terms
+from .ring import RingElem, _as_coef, _element, accumulate, signed_sum, sum_terms
 
 
 class Laurent:
@@ -45,7 +52,8 @@ class Laurent:
     Each c is nonzero and canonical, as in the ring: an int when integral,
     else a Fraction.  A and B are the two functions of the phase (cos and
     sin, cosh and sinh), or A alone is exp of it, where a may be negative.
-    An int, a Fraction or a RingElem mixes in as a constant; a divisor must be a unit, one term
+    An int, a Fraction or a RingElem mixes in as a constant; a divisor, or
+    a monomial raised to a negative power, must be a unit, one term
     c tau^t q^j pi^k free of A and B.
     """
 
@@ -73,7 +81,15 @@ class Laurent:
 
     def __mul__(self, other):
         b = _terms(other)
-        return NotImplemented if b is None else Laurent(_add_product({}, self.terms, b))
+        if b is None:
+            return NotImplemented
+        a = self.terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) != 1:
+            return Laurent(_add_product({}, a, b))
+        ((t2, a2, b2, j2, k2), c2), = b.items()  # a monomial: no two products share a key
+        return Laurent({(t1 + t2, a1 + a2, b1 + b2, j1 + j2, k1 + k2): _as_coef(c1 * c2) for (t1, a1, b1, j1, k1), c1 in a.items()})
 
     __rmul__ = __mul__
 
@@ -81,10 +97,24 @@ class Laurent:
         b = _terms(other)
         if b is None:
             return NotImplemented
-        if len(b) != 1 or any(next(iter(b))[1:3]):
-            raise ValueError(f"a Laurent divisor must be a unit c tau^t q^j pi^k, got {other!r}")
-        ((t, _a, _b, j, k), c), = b.items()
-        return self * Laurent({(-t, 0, 0, -j, -k): _quotient(1, c)})
+        (t, j, k), c = _unit(b, other)
+        return Laurent({(t1 - t, a1, b1, j1 - j, k1 - k): _divided(c1, c) for (t1, a1, b1, j1, k1), c1 in self.terms.items()})
+
+    def __pow__(self, n: int):
+        """self**n of a monomial, for an int n; a negative n only for a unit."""
+        if len(self.terms) != 1:
+            raise ValueError(f"only a monomial Laurent takes a power, got {self!r}")
+        ((t, a, b, j, k), c), = self.terms.items()
+        if n < 0:
+            _unit(self.terms, self)
+            c, n, t, j, k = _divided(1, c), -n, -t, -j, -k
+        return Laurent({(t * n, a * n, b * n, j * n, k * n): _as_coef(c**n)})
+
+    def lift_entry(self, terms: dict) -> "Laurent":
+        """A matrix entry's ring terms {(q_pow, pi_pow): c} as a Laurent, for `matrices.entries_at` at this q, which must be q."""
+        if self.terms != _Q.terms:
+            raise ValueError(f"an exact wave number is the certificate's q itself, got {self!r}")
+        return Laurent({(0, 0, 0, j, k): c for (j, k), c in terms.items()})
 
     def __bool__(self):
         return bool(self.terms)
@@ -93,19 +123,44 @@ class Laurent:
         return f"Laurent({self.terms!r})"
 
 
+def _unit(b: dict, other) -> tuple:
+    """((t, q_pow, pi_pow), c) of a unit's term map b, one term free of A and B; else a ValueError naming other."""
+    if len(b) != 1 or any(next(iter(b))[1:3]):
+        raise ValueError(f"a Laurent divisor must be a unit c tau^t q^j pi^k, got {other!r}")
+    ((t, _a, _b, j, k), c), = b.items()
+    return (t, j, k), c
+
+
+def _divided(x, c):
+    """x / c, canonical, for canonical coefficients x and c != 0: a Fraction only where the quotient is not an int."""
+    if x.__class__ is int and c.__class__ is int:
+        return x // c if x % c == 0 else Fraction(x, c)
+    return _as_coef(Fraction(x) / c)
+
+
 def _add_product(out: dict, a: dict, b: dict) -> dict:
-    """out += a b, for term maps a and b keyed (t, a, b, q_pow, pi_pow); returns out."""
+    """out += a b in canonical form, for term maps a and b keyed (t, a, b, q_pow, pi_pow); returns out."""
     for (t1, a1, b1, j1, k1), c1 in a.items():
         for (t2, a2, b2, j2, k2), c2 in b.items():
             accumulate(out, (t1 + t2, a1 + a2, b1 + b2, j1 + j2, k1 + k2), c1 * c2)
     return out
 
 
+def _add_int_product(out: dict, a: dict, b: dict) -> None:
+    """out += a b for int term maps keyed as in `_add_product`; a sum that cancels stays in out as 0."""
+    get = out.get
+    for (t1, a1, b1, j1, k1), c1 in a.items():
+        for (t2, a2, b2, j2, k2), c2 in b.items():
+            key = (t1 + t2, a1 + a2, b1 + b2, j1 + j2, k1 + k2)
+            out[key] = get(key, 0) + c1 * c2
+
+
 def _terms(x) -> Optional[dict]:
     """The term map of a Laurent, or of a constant int, Fraction or RingElem; None for anything else."""
-    if x.__class__ is Laurent:
+    cls = x.__class__
+    if cls is Laurent:
         return x.terms
-    if isinstance(x, (int, Fraction)):
+    if cls is int or cls is Fraction or isinstance(x, (int, Fraction)):
         c = _as_coef(x)
         return {(0, 0, 0, 0, 0): c} if c else {}
     if isinstance(x, RingElem):
@@ -114,6 +169,8 @@ def _terms(x) -> Optional[dict]:
 
 
 _TAU = Laurent({(1, 0, 0, 0, 0): 1})
+_Q = Laurent({(0, 0, 0, 1, 0): 1})  # the certificate's own q, at which `matrices.entries_at` lifts X(q)'s entries
+_PI = Laurent({(0, 0, 0, 0, 1): 1})
 
 
 def _backend(phase: dict) -> flows._Backend:
@@ -127,7 +184,7 @@ def _backend(phase: dict) -> flows._Backend:
             terms = _terms(y)
             rate = None
             if terms and all(term[:3] == (1, 0, 0) for term in terms):  # y = k tau, k a nonzero RingElem
-                rate = RingElem({term[3:]: c for term, c in terms.items()})
+                rate = _element({term[3:]: c for term, c in terms.items()})
             if kind == "exp" and rate is not None and phase.get("y") == (kind, -rate):
                 return Laurent({(0, -1, 0, 0, 0): 1})  # exp(-k tau) = A^-1
             if rate is None or phase.setdefault("y", (kind, rate)) != (kind, rate):
@@ -139,47 +196,72 @@ def _backend(phase: dict) -> flows._Backend:
     a, b = (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)
     return flows._Backend(
         exp=function("exp", a), cos=function("trig", a), sin=function("trig", b),
-        cosh=function("hyp", a), sinh=function("hyp", b), pi=RingElem.pipow(1), w3_divisors=(),
+        cosh=function("hyp", a), sinh=function("hyp", b), pi=_PI, w3_divisors=(),
     )
 
 
-def _derivative(p: Laurent, kind: str, k: RingElem) -> dict:
-    """The term map of d/dtau p, with A and B functions of y = k tau: the tau derivative plus k times the y derivative.
+def _denominator(maps) -> int:
+    """The least common denominator of the coefficients of the term maps."""
+    return math.lcm(*{c.denominator for terms in maps for c in terms.values() if c.__class__ is not int})
 
-    (cos, sin)' = (-sin, cos), (cosh, sinh)' = (sinh, cosh), exp' = exp in y.
+
+def _cleared(terms: dict, d: int) -> dict:
+    """d times a term map whose denominators all divide d: an int term map, terms itself when d is 1."""
+    if d == 1:
+        return terms
+    return {key: c * d if c.__class__ is int else c.numerator * (d // c.denominator) for key, c in terms.items()}
+
+
+def _derivative(f: dict, kind: str, rate: dict, scale: int) -> dict:
+    """The int term map of scale d/dtau f, for an int term map f whose A and B are functions of y = k tau, rate = scale k.
+
+    d/dtau is the tau derivative plus k times the y derivative:
+    (cos, sin)' = (-sin, cos), (cosh, sinh)' = (sinh, cosh), exp' = exp in
+    y.  rate is keyed (q_pow, pi_pow); a sum that cancels stays in as 0.
     """
     out = {}
+    get = out.get
     sign = -1 if kind == "trig" else 1
-    rate = _terms(k)
-    for (t, a, b, j, m), c in p.terms.items():
+    for (t, a, b, j, m), c in f.items():
         if t:
-            accumulate(out, (t - 1, a, b, j, m), c * t)
-        by_y = {}
+            key = (t - 1, a, b, j, m)
+            out[key] = get(key, 0) + c * t * scale
+        by_y = []
         if a and kind == "exp":
-            by_y[t, a, b, j, m] = c * a
+            by_y.append((a, b, c * a))
         elif a:
-            by_y[t, a - 1, b + 1, j, m] = c * (sign * a)
+            by_y.append((a - 1, b + 1, c * sign * a))
         if b:
-            accumulate(by_y, (t, a + 1, b - 1, j, m), c * b)
-        _add_product(out, by_y, rate)
+            by_y.append((a + 1, b - 1, c * b))
+        for a1, b1, c1 in by_y:
+            for (j2, m2), c2 in rate.items():
+                key = (t, a1, b1, j + j2, m + m2)
+                out[key] = get(key, 0) + c1 * c2
+    return out
+
+
+def _reduce_terms(terms: dict, kind: str) -> dict:
+    """The canonical term map of terms with each B^2 rewritten, sin^2 = 1 - cos^2 and sinh^2 = cosh^2 - 1.
+
+    B^(2n + r) = B^r (s (1 - A^2))^n with s = 1 for sin and -1 for sinh,
+    expanded by the binomial theorem.  terms may hold a 0, which is dropped;
+    with no B^2 term in terms, that is all there is to do.
+    """
+    if kind == "exp" or all(key[2] < 2 for key in terms):
+        return {key: c for key, c in terms.items() if c}
+    sign = 1 if kind == "trig" else -1
+    out = {}
+    for (t, a, b, j, m), c in terms.items():
+        n, r = divmod(b, 2)
+        c *= sign**n
+        for i in range(n + 1):
+            accumulate(out, (t, a + 2 * i, r, j, m), c * math.comb(n, i) * (-1) ** i)
     return out
 
 
 def _reduce(p: Laurent, kind: str) -> Laurent:
     """p with each B^2 rewritten, sin^2 = 1 - cos^2 and sinh^2 = cosh^2 - 1, until B's power is at most 1."""
-    if kind == "exp":
-        return p
-    sign = 1 if kind == "trig" else -1  # B^2 = sign (1 - A^2)
-    out = {}
-    todo = list(p.terms.items())
-    while todo:
-        key, c = todo.pop()
-        t, a, b, j, m = key
-        if b < 2:
-            accumulate(out, key, c)
-        else:
-            todo += [((t, a, b - 2, j, m), c * sign), ((t, a + 2, b - 2, j, m), c * -sign)]
-    return Laurent(out)
+    return Laurent(_reduce_terms(p.terms, kind))
 
 
 def _at_zero(p: Laurent) -> Optional[dict]:
@@ -221,50 +303,72 @@ def certify(gen) -> Certificate:
     """
     gid = GeneratorId(gen)
     phase = {}
-    flat = tuple(Laurent(_terms(x)) for x in flows._closed_form(gid)[1](_TAU, _Q, _backend(phase)))
-    F = [flat[4 * r : 4 * r + 4] for r in range(4)]
+    flow = tuple(Laurent(_terms(x)) for x in flows._closed_form(gid)[1](_TAU, _Q, _backend(phase)))
     kind, k = phase["y"]  # every closed form reads its phase
     # tau = 0 is a substitution, so it reads F before its reduction as after it
-    at_zero = sum(_at_zero(F[r][c]) != ({(0, 0): 1} if r == c else {}) for r in range(4) for c in range(4))
-    ode = [[_derivative(F[r][c], kind, k) for c in range(4)] for r in range(4)]  # dF/dtau - X F, term maps
-    for r, j, x in get_generator(gid).entries():
-        minus_x = {key: -c for key, c in _terms(x).items()}
+    at_zero = sum(_at_zero(f) != ({(0, 0): 1} if i % 5 == 0 else {}) for i, f in enumerate(flow))
+    # D D_X D_k (dF/dtau - X F) = D_X D_k dF_int/dtau - D_k X_int F_int, with F_int = D F, X_int = D_X X
+    x = get_generator(gid)._terms
+    d, d_x, d_k = _denominator(f.terms for f in flow), _denominator([x]), _denominator([k._terms])
+    F = [_cleared(f.terms, d) for f in flow]
+    scale = d_x * d_k
+    rate = _cleared(k._terms, scale)
+    ode = [_derivative(f, kind, rate, scale) for f in F]
+    for (r, j, qj, pj), xc in _cleared(x, d_x).items():
+        minus_x = {(0, 0, 0, qj, pj): -d_k * xc}
         for c in range(4):
-            _add_product(ode[r][c], F[j][c].terms, minus_x)
-    not_ode = sum(bool(_reduce(Laurent(terms), kind)) for row in ode for terms in row)
+            _add_int_product(ode[4 * r + c], F[4 * j + c], minus_x)
+    not_ode = sum(bool(_reduce_terms(terms, kind)) for terms in ode)
     isometry = None
     if gid in ISOMETRIC_IDS:
-        columns = [[f.terms for f in column] for column in zip(*F)]
+        columns = [F[c::4] for c in range(4)]
 
-        def form_minus_metric(mu, u, nu, v) -> Laurent:
-            out = {(0, 0, 0, 0, 0): -1} if mu + nu == 3 else {}
+        def form_minus_metric(mu, u, nu, v) -> dict:  # D^2 (F^t M F - M) at (mu, nu)
+            out = {(0, 0, 0, 0, 0): -d * d} if mu + nu == 3 else {}
             for i in range(4):
-                _add_product(out, u[i], v[3 - i])
-            return Laurent(out)
+                _add_int_product(out, u[i], v[3 - i])
+            return out
 
         isometry = sum(
             (1 if mu == nu else 2)  # entry (nu, mu) is entry (mu, nu)
-            * bool(_reduce(form_minus_metric(mu, u, nu, v), kind))
+            * bool(_reduce_terms(form_minus_metric(mu, u, nu, v), kind))
             for mu, u in enumerate(columns)
             for nu, v in enumerate(columns[mu:], mu)
         )
-    return Certificate(gid, at_zero, not_ode, isometry, flat, phase["y"])
+    return Certificate(gid, at_zero, not_ode, isometry, flow, phase["y"])
 
 
 def published_difference(cert: Certificate) -> list:
     """(row, col, text) of each entry where the published transform minus the certificate's F does not reduce to 0.
 
-    The published rows (`flows._published_rows`) run on the exact backend
-    with F's phase, so both read the same symbols; text is the reduced
-    difference, as `_render` writes it.
+    The template of `flows._PUBLISHED` is read as term maps in the symbols
+    of F: a ("diag", signs) template is A^sign, exp(sign tau), on the
+    diagonal, where F's phase is exp(+-tau); a (kind, order, smap) template
+    is A, cosh or cos of tau q^order, on the diagonal and
+    coef q^qpow B at each entry of smap, where that is F's phase.  Only an
+    entry whose map is not F's is reduced; text is the reduced difference,
+    as `_render` writes it.  A template of another phase raises ValueError.
     """
     kind, k = cert.phase
-    published = flows._published_rows(cert.gen, _TAU, _Q, _backend({"y": cert.phase}))
+    template = flows._PUBLISHED[cert.gen]
+    if template[0] == "diag":
+        direction = 1 if k == 1 else -1 if k == -1 else 0  # A is exp(tau), or exp(-tau)
+        published = {(i, i): {(0, s * direction, 0, 0, 0): 1} for i, s in enumerate(template[1])}
+        expected = "exp" if direction else None
+    else:
+        t_kind, order, smap = template
+        published = {(i, i): {(0, 1, 0, 0, 0): 1} for i in range(4)}
+        published.update({rc: {(0, 0, 1, qpow, 0): coef} for rc, (coef, qpow) in smap.items()})
+        expected = ("hyp" if t_kind == "boost" else "trig") if k == RingElem.qpow(order) else None
+    if kind != expected:
+        raise ValueError(f"the published {cert.gen.value} transform reads another phase than its closed form's, {kind} of tau ({k})")
     out = []
-    for i, (p, f) in enumerate(zip(published, cert.flow)):
-        difference = _reduce(Laurent(_terms(p)) - f, kind)
-        if difference:
-            out.append((i // 4, i % 4, _render(difference, kind, k)))
+    for i, f in enumerate(cert.flow):
+        p = published.get((i // 4, i % 4), {})
+        if p != f.terms:
+            difference = _reduce(Laurent(sum_terms(p, f.terms, True)), kind)
+            if difference:
+                out.append((i // 4, i % 4, _render(difference, kind, k)))
     return out
 
 

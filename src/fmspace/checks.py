@@ -6,12 +6,20 @@ to zero.  The tables and jeffrey checks both count the published cells that
 do not multiply out, over every structure table and over the shift tensor
 alone, in one record format.  The flows, kernel, symmetry and metric checks
 state the paper's claims as exact counts only: `verify` evaluates no float
-flow, runs no series oracle and loads no mpmath.  The float evaluator's own
-measures (closed forms against the oracle, the float invariance residuals,
-the float weights against prec 50) are one record outside `verify`,
-`float_evaluator`, which Tier-1, `scripts/bench.py` and
-`scripts/flow_oracle_report.py` read.  The CLI renders the records and the
-acceptance tests assert on them.
+flow, runs no series oracle and loads no mpmath.
+
+Each check takes the `Facts` of its pass: the exact facts that more than one
+check reads, each formed once in the pass.  The jeffrey check reads the
+shift products that the tables check formed, and the kernel check T1's
+certificate from the flows check.  `fmspace verify` builds one Facts per
+call and drops it when the call returns; a check called alone builds its
+own, so nothing is kept between passes.
+
+The float evaluator's own measures (closed forms against the oracle, the
+float invariance residuals, the float weights against prec 50) are one
+record outside `verify`, `float_evaluator`, which Tier-1, `scripts/bench.py`
+and `scripts/flow_oracle_report.py` read.  The CLI renders the records and
+the acceptance tests assert on them.
 """
 
 from __future__ import annotations
@@ -19,9 +27,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from . import algebra
 from .algebra import TableVerification, verify_reference_tables
 from .catalog import (
     ISOMETRIC_IDS,
@@ -94,6 +104,20 @@ class FloatRecord(CheckRecord):
     rows: tuple[tuple[GeneratorId, float, float], ...] = ()
 
 
+class Facts:
+    """The exact facts of one verify pass, each formed on first use and kept for the pass alone.
+
+    product(x, y) is the catalog product x y (`algebra._product`) and
+    certify(gid) a closed form's certificate (`certificate.certify`).  A
+    fault planted between two passes shows in the second, which builds a
+    new Facts.
+    """
+
+    def __init__(self):
+        self.product = functools.cache(algebra._product)
+        self.certify = functools.cache(certify)
+
+
 def _detail(passed: str, measures: dict[str, Measure]) -> str:
     """`passed` if every measure holds its bound, else each failing measure with its bound."""
     failing = [(k, m) for k, m in measures.items() if not m.ok]
@@ -106,11 +130,11 @@ def _table_record(name: str, report: TableVerification) -> CheckRecord:
     return CheckRecord(name, "\n    ".join(lines), {"mismatches": Measure(len(report.mismatches), 0)})
 
 
-def tables() -> CheckRecord:
-    return _table_record("tables", verify_reference_tables())
+def tables(facts: Optional[Facts] = None) -> CheckRecord:
+    return _table_record("tables", verify_reference_tables(product=(facts or Facts()).product))
 
 
-def symmetry() -> CheckRecord:
+def symmetry(facts: Optional[Facts] = None) -> CheckRecord:
     """The counter-transpose class and homogeneity order of each generator, and the dimensions of the two classes.
 
     The six isometric generators are counter-antisymmetric (M X^t M = -X);
@@ -133,15 +157,15 @@ def symmetry() -> CheckRecord:
     return CheckRecord("symmetry", detail, {"misclassified": Measure(len(problems), 0)})
 
 
-def jeffrey() -> CheckRecord:
-    return _table_record("jeffrey", jeffrey_identities())
+def jeffrey(facts: Optional[Facts] = None) -> CheckRecord:
+    return _table_record("jeffrey", jeffrey_identities((facts or Facts()).product))
 
 
 # The errata ledger's one published entry that differs from the generated closed form, and by how much
 LEDGER = {FlowDiscrepancy(GeneratorId.B2, (3, 1), "(q^2 - q^-2) sinh(tau q^2)")}
 
 
-def flows() -> FlowsRecord:
+def flows(facts: Optional[Facts] = None) -> FlowsRecord:
     """Every closed form is exp(tau X), the isometric ones keep the metric, and the published forms diff to the ledger, exactly.
 
     The 20 certificates (`certificate.certify`) count the entries of
@@ -153,10 +177,11 @@ def flows() -> FlowsRecord:
     matrix off its published form) is named in the detail and counts all
     16 entries of F, and again for an isometric one.
     """
+    facts = facts or Facts()
     certificates, formless = {}, []
     for gid in GeneratorId:
         try:
-            certificates[gid] = certify(gid)
+            certificates[gid] = facts.certify(gid)
         except ValueError:
             formless.append(gid)
     not_exp = sum(c.at_zero + c.ode for c in certificates.values()) + 16 * len(formless)
@@ -174,7 +199,7 @@ def flows() -> FlowsRecord:
     return FlowsRecord("flows", detail, measures, discrepancies)
 
 
-def mayer() -> CheckRecord:
+def mayer(facts: Optional[Facts] = None) -> CheckRecord:
     """The Mayer-bond identity on the grid, and its q -> 0 volume limit for every radius pair."""
     worst = limit = 0.0
     for Ra in RADII:
@@ -188,19 +213,21 @@ def mayer() -> CheckRecord:
     return CheckRecord("mayer", _detail(f"worst rel {worst:.2e}; q->0 volume limit ok", measures), measures)
 
 
-def kernel() -> CheckRecord:
+def kernel(facts: Optional[Facts] = None) -> CheckRecord:
     """Column 0 of K_R = exp(R t1) is the weight vector, and K_R is a one-parameter group in R, exactly.
 
-    T1's certificate (`certificate.certify`) shows that its closed form,
-    whose column 0 is the weight vector (`flows._weights`), is exp(R t1), so
-    K_R K_R' = K_{R+R'} = K_R' K_R for every R, R' and q.  The certificate's
-    entries that do not reduce to 0 are counted.
+    T1's certificate (`certificate.certify`, the flows check's in a verify
+    pass) shows that its closed form, whose column 0 is the weight vector
+    (`flows._weights`), is exp(R t1), so K_R K_R' = K_{R+R'} = K_R' K_R for
+    every R, R' and q.  The certificate's entries that do not reduce to 0
+    are counted.
     """
-    measures = {"kernel not a one-parameter group (exact)": Measure(certify(GeneratorId.T1).failures, 0)}
+    certificate = (facts or Facts()).certify(GeneratorId.T1)
+    measures = {"kernel not a one-parameter group (exact)": Measure(certificate.failures, 0)}
     return CheckRecord("kernel", _detail("column, additivity, commutation, exact", measures), measures)
 
 
-def metric() -> CheckRecord:
+def metric(facts: Optional[Facts] = None) -> CheckRecord:
     """M^2 = 1 and tr M = 0, exactly: so M's eigenvalues are +-1, two of each."""
     trace = sum(METRIC[i, i] for i in range(4))
     measures = {
@@ -210,7 +237,7 @@ def metric() -> CheckRecord:
     return CheckRecord("metric", _detail("M^2 = 1 and tr M = 0 exact: eigenvalues -1, -1, 1, 1", measures), measures)
 
 
-def profile() -> CheckRecord:
+def profile(facts: Optional[Facts] = None) -> CheckRecord:
     """The unit-sphere step, transformed back to real space, inside and outside the sphere."""
     worst = 0.0
     for f, expected in zip(step_profile(1.0, PROFILE_RADII), (1.0, 1.0, 0.0, 0.0)):

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 verification failure or domain error, 2 usage error.
 Output is deterministic for identical argv; floats print with 17 significant
 digits in JSON mode and 6 in text mode, and `eval --prec P` prints at most P
-in JSON mode.
+in either mode.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import reference_tables
 from .algebra import build_table, decompose
 from .catalog import GeneratorId, SHIFT_IDS, get_generator, resolve_id
-from .checks import CHECKS, FlowsRecord
+from .checks import CHECKS, Facts, FlowsRecord
 from .flows import FlowResult, FlowSpec, _closed_form, closed_flow, evaluate_flow, invariance_residual
 from .fmt import kernel_matrix, kr_weights, mayer_bond, step_hat, step_profile
 from .matrices import Mat4
@@ -80,13 +80,14 @@ def _json_value(obj, digits: int = 17) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _print_numeric_matrix(m: np.ndarray, mode: str, out) -> None:
+def _print_numeric_matrix(m: np.ndarray, mode: str, out, digits: int = 6) -> None:
+    """The matrix as JSON (17 digits), or in text mode as rows of `digits` significant digits."""
     rows = m.tolist()
     if mode == "json":
         out.write(_json_value(rows) + "\n")
     else:
         for row in rows:
-            out.write("  ".join(_fmt_float(x, 6).rjust(13) for x in row) + "\n")
+            out.write("  ".join(_fmt_float(x, digits).rjust(13) for x in row) + "\n")
 
 
 _TABLE_SETS = {
@@ -135,18 +136,20 @@ def _cmd_eval(args, out) -> int:
     residual = invariance_residual(result.matrix, prec=args.prec)
     if args.prec is None and not math.isfinite(residual):  # the float64 products of the residual overflowed
         raise ValueError(f"float64 overflow in the invariance residual of exp({spec.param!r} * {spec.gen.value}) at q = {spec.q!r}{hint}")
+    # an mpf holds about prec digits: the digits past them are not printed
+    limit = math.inf if args.prec is None else args.prec
     if args.format == "json":
         payload = {
             "matrix": result.matrix.tolist(),
             "method": result.method,
             "invariance_residual": residual,
         }
-        # an mpf holds about prec digits: the digits past them are not printed
-        out.write(_json_value(payload, 17 if args.prec is None else min(17, args.prec)) + "\n")
+        out.write(_json_value(payload, min(17, limit)) + "\n")
     else:
+        digits = min(6, limit)
         out.write(f"exp({_fmt_float(args.param, 6)} * {spec.gen.value}) at q = {_fmt_float(args.q, 6)} ({result.method})\n")
-        _print_numeric_matrix(result.matrix, "text", out)
-        out.write(f"invariance residual: {_fmt_float(residual, 6)}\n")
+        _print_numeric_matrix(result.matrix, "text", out, digits)
+        out.write(f"invariance residual: {_fmt_float(residual, digits)}\n")
     return 0
 
 
@@ -233,17 +236,18 @@ _SUITES = dict(CHECKS)
 
 def _cmd_verify(args, out) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    facts = Facts()  # the exact facts of this pass, shared by its suites and dropped on return
     all_ok = True
     discrepancies = None
     for name in names:
-        record = _SUITES[name]()
+        record = _SUITES[name](facts)
         all_ok = all_ok and record.ok
         out.write(f"{name}: {'PASS' if record.ok else 'FAIL'} ({record.detail})\n")
         if isinstance(record, FlowsRecord):
             discrepancies = record.discrepancies
     if args.errata:
         out.write("\nknown discrepancies between published forms and generated algebra:\n")
-        for d in CHECKS["flows"]().discrepancies if discrepancies is None else discrepancies:
+        for d in CHECKS["flows"](facts).discrepancies if discrepancies is None else discrepancies:
             out.write(f"  {d}\n")
         for table, row, col, published, generated in reference_tables.PUBLISHED_TABLE_ERRATA:
             out.write(
@@ -314,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--prec", type=int,
         help=f"decimal digits, 1 to {MAX_PREC}: evaluate the closed form through mpmath; JSON prints min(17, prec)"
-        " significant digits, since the digits past prec are not held",
+        " significant digits and text min(6, prec), since the digits past prec are not held",
     )
     add_format(p)
     p.set_defaults(func=_cmd_eval)

@@ -5,8 +5,8 @@ square identity X@X = +/- q^(2a) * 1 (cosh/cos plus sinh/sin structure); the
 diagonal and shift-generator transforms are transcribed closed forms.
 `fmspace.certificate` proves each of them exp(tau X) exactly, by running its
 rows through an exact backend, and `reference_discrepancies` diffs the
-published transform matrices (`_PUBLISHED`) against them on the same
-backend: `verify` states the transform claims as exact counts.  An
+published transform matrices (`_PUBLISHED`), read as exact term maps,
+against them: `verify` states the transform claims as exact counts.  An
 independently coded scaling-and-squaring Taylor exponential
 (`fmspace.oracle`, which this module re-exports) holds the float64 values
 of the closed forms on GRID_POINTS, in the float evaluator's record that
@@ -426,28 +426,6 @@ _PUBLISHED: dict[GeneratorId, tuple] = {
 }
 
 
-def _published_rows(gid: GeneratorId, tau, q, bk: _Backend) -> list:
-    """gid's published transform, row by row in bk's arithmetic, as `_PUBLISHED` transcribes it.
-
-    A ("diag", signs) template is `_diagonal_rows`; in the others an entry
-    off the diagonal that the template leaves empty is 0 times the diagonal
-    value.  `reference_discrepancies` runs it on the exact backend beside
-    the generated closed form.
-    """
-    template = _PUBLISHED[gid]
-    if template[0] == "diag":
-        return _diagonal_rows(template[1], tau, q, bk)
-    kind, order, smap = template
-    arg = tau * q**order
-    diag, odd = (bk.cosh(arg), bk.sinh(arg)) if kind == "boost" else (bk.cos(arg), bk.sin(arg))
-    entries = [0 * diag] * 16
-    for i in (0, 5, 10, 15):
-        entries[i] = diag
-    for (r, c), (coef, qpow) in smap.items():
-        entries[4 * r + c] = coef * q**qpow * odd
-    return entries
-
-
 # ---------------------------------------------------------------------------
 # Series-exponential oracle and residual diagnostics
 # ---------------------------------------------------------------------------
@@ -584,10 +562,9 @@ def reference_discrepancies(certificates: dict) -> list[FlowDiscrepancy]:
 
     certificates maps a generator to its `certificate.certify` record, as
     the flows check holds them, so each F is built once.  Each template of
-    `_PUBLISHED` runs on the certificate's exact backend and the
-    certificate's F is subtracted from it (`certificate.published_difference`),
-    so an entry is a discrepancy exactly when the difference does not reduce
-    to 0.  A generator without a certificate (a catalog matrix off its
+    `_PUBLISHED` is read as term maps in the symbols of the certificate's F,
+    and F is subtracted from it (`certificate.published_difference`), so an
+    entry is a discrepancy exactly when the difference does not reduce to 0.  A generator without a certificate (a catalog matrix off its
     published form has no closed form) has no entry.
     """
     from .certificate import published_difference

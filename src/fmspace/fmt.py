@@ -99,17 +99,20 @@ def kernel_matrix(R: float, q: float, prec: Optional[int] = None) -> np.ndarray:
     return closed_flow(GeneratorId.T1, R, q, prec=prec)
 
 
-def jeffrey_identities() -> TableVerification:
+def jeffrey_identities(product=None) -> TableVerification:
     """The shift tensor, held as the tables check holds a published cell: 36 cells, zero tolerance.
 
     The shift half-commutators and products in the shift basis (32 cells),
     and each t_nu in the One + 15 basis as the cell [T_nu, One] of a product
     table (4 cells).  Each cell is multiplied out, so a passing check
     decomposes nothing; the 32 shift-table cells are multiplied out once per
-    process, shared with the tables check.
+    process, shared with the tables check.  product is
+    `algebra.verify_reference_tables`' ordered catalog product: in a verify
+    pass, the cache the tables check filled (`checks.Facts`), so the shift
+    products are formed once in the pass.
     """
     shift_tables = [s for s in reference_tables.TABLES if s.name.startswith("shift")]
-    return verify_reference_tables([*shift_tables, reference_tables.SHIFT_DECOMPOSITIONS])
+    return verify_reference_tables([*shift_tables, reference_tables.SHIFT_DECOMPOSITIONS], product)
 
 
 # Grid nodes per block of the radial transform: one block at the default n,
@@ -243,15 +246,18 @@ def _radial(spectrum, r, qmax: float, n: int):
         weights = np.where(i % 2, 4.0, 2.0)  # Simpson weights 1, 4, 2, 4, ..., 2, 4, 1
         weights[(i == 0) | (i == n)] = 1.0
         for j, radius in enumerate(radii):
-            x = q * radius
-            with np.errstate(invalid="ignore"):  # 0/0 at q = 0 is replaced by the series
-                terms = np.sin(x)
-                terms /= x
-            small = np.abs(x) < 1e-8
-            xs = x[small]
-            terms[small] = 1.0 - xs * xs / 6.0
-            terms *= q2_hat
-            terms *= gauss
+            if radius == 0:  # sinc(0) is the series' 1.0 at every node, and 1.0 * q2_hat is q2_hat
+                terms = q2_hat * gauss
+            else:
+                x = q * radius
+                with np.errstate(invalid="ignore"):  # 0/0 at q = 0 is replaced by the series
+                    terms = np.sin(x)
+                    terms /= x
+                small = np.abs(x) < 1e-8
+                xs = x[small]
+                terms[small] = 1.0 - xs * xs / 6.0
+                terms *= q2_hat
+                terms *= gauss
             terms *= weights
             # carry the running sum in; cumsum adds left to right like the
             # scalar loop (sum() is pairwise)

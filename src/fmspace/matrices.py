@@ -216,7 +216,9 @@ def entries_at(x: Mat4, q) -> list:
     exact entry by `RingElem.evaluate` at the ambient mpmath precision; any
     other real q (an int, a float, a numpy scalar) is read as a float and
     sums each entry's compiled float terms (`ring.float_sum`).  The exact q,
-    `RingElem.qpow(1)`, gives the exact entries (`fmspace.certificate`).
+    `RingElem.qpow(1)`, gives the exact entries; the q of another exact
+    arithmetic (`certificate.Laurent`'s) lifts each entry's term map
+    {(q_pow, pi_pow): coef} into its own values, by its `lift_entry`.
     """
     if isinstance(q, float):
         return [(r, c, float_sum(terms, q)) for r, c, terms in x.float_terms]
@@ -224,6 +226,9 @@ def entries_at(x: Mat4, q) -> list:
         if q != _Q:
             raise ValueError(f"an exact wave number is the ring's q itself, got {q}")
         return list(x.entries())
+    lift = getattr(q, "lift_entry", None)
+    if lift is not None:
+        return [(r, c, lift(terms)) for (r, c), terms in sorted(x._entry_terms().items())]
     if not is_mpf(q):
         return entries_at(x, float(q))
     return [(r, c, entry.evaluate(q)) for r, c, entry in x.entries()]

@@ -21,7 +21,9 @@ Rat = Union[int, Fraction]
 
 def _as_coef(x) -> Rat:
     """Canonical coefficient: an int when integral, else a Fraction."""
-    if isinstance(x, Fraction):
+    if x.__class__ is int:  # the exact classes first: isinstance of Fraction, a numbers ABC, is slow
+        return x
+    if x.__class__ is Fraction or isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
         return int(x)

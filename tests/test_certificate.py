@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from fmspace import checks, flows
+from fmspace import certificate, checks, flows
 from fmspace.catalog import ALL_IDS, ISOMETRIC_IDS, GeneratorId, classify_square, get_generator
-from fmspace.certificate import _TAU, Laurent, _backend, _reduce, _terms, certify
+from fmspace.certificate import _TAU, Laurent, _at_zero, _backend, _reduce, _terms, certify
 from fmspace.matrices import _Q, Mat4
 from fmspace.ring import RingElem
 
@@ -203,3 +203,73 @@ def test_a_flipped_entry_of_a_square_class_x_fails_the_flows_check(monkeypatch, 
         assert record.measures["closed forms not exp(tau X) (exact)"].value > 0, (gid, r, c)
         assert not record.ok
     assert checks.flows().ok
+
+
+def _d_dtau(p: Laurent, kind: str, k) -> Laurent:
+    """d/dtau p on Laurent arithmetic, A and B functions of y = k tau: the tau derivative plus k times the y derivative."""
+    A, B = Laurent({(0, 1, 0, 0, 0): 1}), Laurent({(0, 0, 1, 0, 0): 1})
+    dA = {"trig": -B, "hyp": B, "exp": A}[kind]
+    total = Laurent({})
+    for (t, a, b, j, m), c in p.terms.items():
+        if t:
+            total = total + Laurent({(t - 1, a, b, j, m): c * t})
+        if a:
+            total = total + Laurent({(t, a - 1, b, j, m): c * a}) * dA * k
+        if b:
+            total = total + Laurent({(t, a, b - 1, j, m): c * b}) * A * k
+    return total
+
+
+def _fraction_counts(gid) -> tuple:
+    """(at_zero, ode, isometry) of gid's certificate, on Laurent arithmetic with its Fractions and no denominator cleared."""
+    phase = {}
+    flat = [Laurent(_terms(x)) for x in flows._closed_form(gid)[1](_TAU, _Q, _backend(phase))]
+    kind, k = phase["y"]
+    at_zero = sum(_at_zero(f) != ({(0, 0): 1} if i % 5 == 0 else {}) for i, f in enumerate(flat))
+    ode = [_d_dtau(f, kind, k) for f in flat]
+    for r, j, x in certificate.get_generator(gid).entries():
+        for c in range(4):
+            ode[4 * r + c] = ode[4 * r + c] - flat[4 * j + c] * x
+    not_ode = sum(bool(_reduce(entry, kind)) for entry in ode)
+    return at_zero, not_ode, _full_isometry_count(gid) if gid in ISOMETRIC_IDS else None
+
+
+def _third_of(rows, index: int):
+    """rows with its flat entry index divided by 3."""
+
+    def faulty(tau, q, bk):
+        entries = rows(tau, q, bk)
+        entries[index] = entries[index] / 3
+        return entries
+
+    return faulty
+
+
+def test_a_third_in_a_rows_builder_counts_as_in_fractions(monkeypatch):
+    """Every denominator of a pass is a power of two; a 1/3 planted in one entry of a closed form counts as a Fraction reference does."""
+    for gid, rows in ((GeneratorId.T1, flows._t1_rows), (GeneratorId.T2, flows._t2_rows), (GeneratorId.B1, flows._closed_form(GeneratorId.B1)[1])):
+        zero = [not entry for entry in rows(_TAU, _Q, _backend({}))]
+        for index in range(16):
+            _plant(monkeypatch, gid, _third_of(rows, index))
+            cert = certify(gid)
+            assert (cert.at_zero, cert.ode, cert.isometry) == _fraction_counts(gid), (gid, index)
+            assert (cert.failures == 0) == zero[index], (gid, index)  # a third of 0 is 0
+
+
+def test_a_third_in_a_catalog_matrix_counts_as_in_fractions(monkeypatch):
+    """X with one entry divided by 3 fails T1's certificate as a Fraction reference counts it; X / 3 with the flow at tau / 3 passes.
+
+    The last plants a 1/3 in the phase rate k = q / 3 as well as in F and X.
+    """
+    real = certificate.get_generator
+    t1 = real(GeneratorId.T1)
+    for r, c, _x in t1.entries():
+        third = Mat4([[x * RingElem.rational(1, 3) if (i, j) == (r, c) else x for j, x in enumerate(row)] for i, row in enumerate(t1.rows)])
+        monkeypatch.setattr(certificate, "get_generator", lambda g, _m=third: _m if g is GeneratorId.T1 else real(g))
+        cert = certify(GeneratorId.T1)
+        assert cert.ode > 0 and (cert.at_zero, cert.ode, cert.isometry) == _fraction_counts(GeneratorId.T1), (r, c)
+    monkeypatch.setattr(certificate, "get_generator", lambda g: t1.scale(Fraction(1, 3)) if g is GeneratorId.T1 else real(g))
+    _plant(monkeypatch, GeneratorId.T1, lambda tau, q, bk: flows._t1_rows(tau / 3, q, bk))
+    cert = certify(GeneratorId.T1)
+    assert cert.failures == 0 and cert.phase == ("trig", RingElem.monomial(Fraction(1, 3), 1))
+    assert _fraction_counts(GeneratorId.T1) == (0, 0, None)

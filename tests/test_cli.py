@@ -141,6 +141,24 @@ def test_eval_prec_json_prints_only_the_digits_it_holds(capsys, prec, w2):
         assert len(mantissa) <= prec, number
 
 
+@pytest.mark.parametrize("prec, w2, residual", [(1, "1e+01", "2e+01"), (3, "10.6", "22.9"), (5, "10.574", "22.853")])
+def test_eval_prec_text_prints_only_the_digits_it_holds(capsys, prec, w2, residual):
+    """`eval --prec P` in text mode prints min(6, P) significant digits of each mpf, the residual too; it printed 6.
+
+    At P = 1, entry (2, 0) is w2 = 4 pi sin 1 = 10.5743..., which printed as 10.625.
+    """
+    code, out, _ = run_cli(capsys, "eval", "--gen", "T1", "--param", "1", "--q", "1", "--prec", str(prec))
+    assert code == 0
+    header, *rows, last = out.splitlines()
+    assert header == "exp(1 * T1) at q = 1 (closed_form)"
+    numbers = [x for row in rows for x in row.split()]
+    assert len(numbers) == 16 and numbers[8] == w2
+    assert last == f"invariance residual: {residual}"
+    for number in numbers + [residual]:
+        mantissa = number.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
+        assert len(mantissa) <= prec, number
+
+
 def test_output_determinism(capsys):
     argv = ("eval", "--gen", "D2", "--param", "0.3", "--q", "1.7", "--format", "json")
     _, first, _ = run_cli(capsys, *argv)
@@ -310,10 +328,10 @@ def test_verify_evaluates_each_flow_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--errata")
     assert code == 0
     # flows: the 20 certificates, each rows builder once on the exact
-    # backend, whose F the errata diff reuses; kernel: T1's certificate; no
-    # float flow, no oracle and no prec-50 weight vector
+    # backend, whose F the errata diff reuses and whose T1 the kernel check
+    # reads; no float flow, no oracle and no prec-50 weight vector
     assert counts == {
-        ("rows", "exact"): 21,
+        ("rows", "exact"): 20,
         ("kr_weights", None): 2 * 3 * 3 * 6,  # mayer: both radii of each pair, at 5 q and at 1e-6
         ("reference_discrepancies", None): 1,
     }
@@ -327,9 +345,9 @@ def test_verify_passes_repeat_the_same_table_work(capsys, monkeypatch):
     where = {"pass": 0, "suite": None}
     counts = collections.Counter()
     for name, check in list(cli._SUITES.items()):
-        def tagged(_name=name, _check=check):
+        def tagged(*args, _name=name, _check=check, **kwargs):
             where["suite"] = _name
-            return _check()
+            return _check(*args, **kwargs)
 
         monkeypatch.setitem(cli._SUITES, name, tagged)
     matmul, decompose = Mat4.__matmul__, algebra.decompose
@@ -354,6 +372,54 @@ def test_verify_passes_repeat_the_same_table_work(capsys, monkeypatch):
     assert first == second
     assert first.get(("tables", "decompose"), 0) == 0
     assert 0 < first.get(("tables", "matmul"), 0) <= 241
+
+
+def test_one_pass_forms_each_exact_fact_once(capsys, monkeypatch):
+    """A verify pass forms each ordered catalog product at most once across tables and jeffrey, and each certificate once.
+
+    The kernel check reads the flows check's T1 certificate.  A second pass
+    forms them all again, and a suite run alone forms its own on every call.
+    """
+    from fmspace import algebra
+
+    products, certificates = collections.Counter(), collections.Counter()
+    product, certify = algebra._product, checks.certify
+
+    def counting_product(x, y):
+        products[x, y] += 1
+        return product(x, y)
+
+    def counting_certify(gid):
+        certificates[gid] += 1
+        return certify(gid)
+
+    monkeypatch.setattr(algebra, "_product", counting_product)
+    monkeypatch.setattr(checks, "certify", counting_certify)
+    for _ in range(2):
+        products.clear()
+        certificates.clear()
+        assert run_cli(capsys, "verify", "--suite", "all", "--errata")[0] == 0
+        assert len(products) == 245 and set(products.values()) == {1}  # the tables' 241 and 4 [T_nu, One]
+        assert certificates == {gid: 1 for gid in GeneratorId}
+    for suite, counts, formed in (("jeffrey", products, 20), ("kernel", certificates, 1)):
+        for _ in range(2):
+            counts.clear()
+            assert run_cli(capsys, "verify", "--suite", suite)[0] == 0
+            assert len(counts) == formed and set(counts.values()) == {1}, suite
+
+
+def test_a_fault_planted_between_two_passes_shows_in_the_second(capsys, monkeypatch):
+    """No product or certificate of a pass outlives it: reversed catalog products and a flipped weight fail the next pass."""
+    from fmspace import algebra
+
+    assert run_cli(capsys, "verify", "--suite", "all", "--errata")[0] == 0
+    product = algebra._product
+    monkeypatch.setattr(algebra, "_product", lambda x, y: product(y, x))
+    monkeypatch.setattr(flows, "_weights", _negated_w0)  # read by T1's rows
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--errata")
+    assert code == 1
+    failing = {line.split(":")[0] for line in out.splitlines() if ": FAIL (" in line}
+    assert failing == {"tables", "flows", "kernel"}  # t0..t3 commute, so jeffrey's products do not move
 
 
 def test_published_cells_are_multiplied_out_once_per_process(capsys, monkeypatch):
@@ -385,9 +451,9 @@ def test_second_verify_pass_parses_no_cell_and_samples_no_scalar_step(capsys, mo
     where = {"suite": None}
     counts = collections.Counter()
     for name, check in list(cli._SUITES.items()):
-        def tagged(_name=name, _check=check):
+        def tagged(*args, _name=name, _check=check, **kwargs):
             where["suite"] = _name
-            return _check()
+            return _check(*args, **kwargs)
 
         monkeypatch.setitem(cli._SUITES, name, tagged)
     for original in (ring.parse_linear, fmt.step_hat):

@@ -915,16 +915,6 @@ def published_flow(gid, tau, q) -> np.ndarray:
     return out
 
 
-def test_published_stacks_are_the_per_point_formula():
-    """The published rows builder on the float backend is the published formula at each grid point, bit for bit."""
-    for gid in flows._PUBLISHED:
-        for q, p in GRID_POINTS:
-            got = np.array(flows._published_rows(gid, p, q, flows._FLOAT_BACKEND)).reshape(4, 4)
-            assert got.tobytes() == published_flow(gid, p, q).tobytes(), (gid, q, p)
-    d2 = [flows._published_rows(GeneratorId.D2, p, q, flows._FLOAT_BACKEND)[1] for q, p in GRID_POINTS]
-    assert any(np.signbit(d2))  # -0.0 off the diagonal of a negative cosine
-
-
 def bilinear_residual(rows) -> float:
     """Max-norm of a^t M a - M through `bilinear` on each pair of columns; NaN if an entry is NaN."""
     columns = list(zip(*rows))

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -59,7 +60,7 @@ def test_bench_writes_its_record(tmp_path):
         assert 0 < timing["min_s"] <= timing["median_s"]
     assert list(record["checks"]) == [*checks.CHECKS, "float_evaluator"]
     for check in record["checks"].values():
-        assert check["ok"] is True
+        assert check["ok"] is True and check["alone"] is True
         for measure in check["measures"].values():
             assert measure["ok"] is True and measure["margin"] >= 0
     column = record["checks"]["float_evaluator"]["measures"]["column vs weights"]
@@ -101,3 +102,46 @@ def test_flow_oracle_report_keeps_nan(monkeypatch, capsys):
         "published-form discrepancies (published minus generated, exact):",
         "  B2 transform, entry (3, 1): published minus generated = (q^2 - q^-2) sinh(tau q^2)",
     ]
+
+
+def _in_git_work_tree() -> bool:
+    proc = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--is-inside-work-tree"], capture_output=True, text=True)
+    return proc.returncode == 0 and proc.stdout.strip() == "true"
+
+
+@pytest.mark.skipif(not _in_git_work_tree(), reason="the replay extracts a revision with git archive")
+def test_bench_replays_head_against_this_tree(monkeypatch):
+    """A 2-round replay of HEAD against this tree: both sides' spreads, the per-round ratios and the rounds won, per metric.
+
+    A metric that one side lacks reads null.
+    """
+    from fmspace import checks
+
+    bench = _load_script("bench.py")
+    real = bench._round
+
+    def without_profile_at_rev(src, passes, fresh):
+        metrics, stdout = real(src, passes, fresh)
+        if src != bench.SRC:
+            del metrics["checks.profile"]
+        return metrics, stdout
+
+    monkeypatch.setattr(bench, "_round", without_profile_at_rev)
+    record = bench.replay("HEAD", rounds=2, passes=2, fresh=1)
+    assert (record["rounds"], record["passes_per_round"]) == (2, 2) and record["head"]
+    assert record["one_shot_stdout_identical"] is True
+    metrics = record["metrics"]
+    assert list(metrics) == [
+        "verify_pass", "verify_pass.round_min", "verify_pass.fresh_caches", "one_shot_verify",
+        *(f"checks.{name}" for name in checks.CHECKS),
+    ]
+    assert metrics.pop("checks.profile") is None
+    for name, metric in metrics.items():
+        for side in ("rev", "head"):
+            spread = metric[side]
+            assert 0 < spread["min_s"] <= spread["q1_s"] <= spread["median_s"] <= spread["q3_s"], (name, side)
+        assert len(metric["ratio_per_round"]) == 2 and all(r > 0 for r in metric["ratio_per_round"])
+        assert metric["median_ratio"] == statistics.median(metric["ratio_per_round"])
+        assert 0 <= metric["head_faster_rounds"] <= 2
+    with pytest.raises(ValueError, match="at least 2 rounds"):
+        bench.replay("HEAD", rounds=1)
