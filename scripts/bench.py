@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Layer timings and verify-check margins of fmspace, written as one JSON file.
 
-    python scripts/bench.py --out BENCH_<n>.json [--repeats 7] [--against REV [--rounds 10]]
+    python scripts/bench.py --out BENCH_<n>.json [--repeats 7] [--against REV [--rounds 30]]
 
 Every timing is taken after one warm-up run, in this process unless it says
 otherwise, and reported as the median and the min over --repeats repeats:
@@ -10,7 +10,7 @@ otherwise, and reported as the median and the min over --repeats repeats:
   from the exact ring multiply and the parse of the reference tables' 98
   distinct cell texts (uncached) up to the 4-radius radial request (four
   windowed `inverse_ft_radial` calls of the unit step, one per radius of
-  the profile check);
+  the float evaluator's step profile);
   `step_hat` is timed on each of its branches, direct and series; the
   exact diff of the 15 published transforms against the certificates' F
   (`reference_discrepancies`, on certificates built beforehand); the exact
@@ -42,13 +42,15 @@ otherwise, and reported as the median and the min over --repeats repeats:
 --against REV adds `same_session`, a replay of REV against this tree in one
 session: REV's `src` is extracted with `git archive` into a temporary
 directory, and for --rounds rounds a fresh child process per tree, in
-alternating order, times warm verify passes, the pass with fresh caches and
-each check alone (`_CHILD`), and a one-shot `python -m fmspace.cli verify
---suite all --errata` is timed from spawn to exit.  Each side reports the
-median, the quartiles and the min over the rounds; each metric the per-round
-ratio this tree / REV, its median, and the rounds this tree won.  A cache or
-check that a tree lacks is skipped there, and a metric missing on one side
-reads null.
+alternating order, times 10 warm verify passes, 3 passes with fresh caches
+and each check alone (`_CHILD`), and a one-shot `python -m fmspace.cli
+verify --suite all --errata` is timed from spawn to exit.  A round is short
+(about 0.1 s of warm passes), so a burst of load on a shared machine spoils
+a round or two, not the replay.  Each side reports the median, the
+quartiles and the min over the rounds; each metric the per-round ratio this
+tree / REV, its median, and the rounds this tree won, which the script also
+prints, one line per metric.  A cache or check that a tree lacks is skipped
+there, and a metric missing on one side reads null.
 
 It gates nothing: the exit status is 0 whatever the numbers.  Run it on an
 otherwise idle machine; the spread between median and min shows the noise.
@@ -285,7 +287,7 @@ def _round(src: str, passes: int, fresh: int) -> tuple:
     return metrics, one_shot.stdout
 
 
-def replay(rev: str, rounds: int, passes: int = 30, fresh: int = 5) -> dict:
+def replay(rev: str, rounds: int, passes: int = 10, fresh: int = 3) -> dict:
     """The same-session replay of rev against this tree (SRC): see --against in the module docstring."""
     if rounds < 2:
         raise ValueError("a replay needs at least 2 rounds for its quartiles")
@@ -328,6 +330,21 @@ def replay(rev: str, rounds: int, passes: int = 30, fresh: int = 5) -> dict:
         "one_shot_stdout_identical": len(stdouts) == 1,
         "metrics": out,
     }
+
+
+def replay_lines(record: dict) -> list:
+    """One line per metric of a replay: the median ratio, the rounds won, and each side's quartiles in ms."""
+    lines = []
+    for name, metric in record["metrics"].items():
+        if metric is None:
+            lines.append(f"{name}: missing at one revision")
+            continue
+        rev, head = (f"{m['q1_s'] * 1e3:.2f}-{m['median_s'] * 1e3:.2f}-{m['q3_s'] * 1e3:.2f}" for m in (metric["rev"], metric["head"]))
+        lines.append(
+            f"{name}: ratio {metric['median_ratio']:.3f}, won {metric['head_faster_rounds']} of {record['rounds']}; "
+            f"q1-median-q3 ms {record['rev']} {rev}, this tree {head}"
+        )
+    return lines
 
 
 def _finite(x):
@@ -394,7 +411,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="the JSON file to write")
     parser.add_argument("--repeats", type=int, default=7, help="timed repeats after the warm-up (default 7)")
     parser.add_argument("--against", metavar="REV", help="replay the git revision REV against this tree (same_session)")
-    parser.add_argument("--rounds", type=int, default=10, help="rounds of the --against replay (default 10)")
+    parser.add_argument("--rounds", type=int, default=30, help="rounds of the --against replay (default 30)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
@@ -407,6 +424,8 @@ def main(argv=None) -> int:
         json.dump(result, f, indent=1)
         f.write("\n")
     print(f"wrote {args.out}: verify pass {result['verify_pass']['median_s'] * 1e3:.1f} ms median")
+    if args.against is not None:
+        print("\n".join(replay_lines(result["same_session"])))
     return 0
 
 

@@ -171,6 +171,8 @@ def _terms(x) -> Optional[dict]:
 _TAU = Laurent({(1, 0, 0, 0, 0): 1})
 _Q = Laurent({(0, 0, 0, 1, 0): 1})  # the certificate's own q, at which `matrices.entries_at` lifts X(q)'s entries
 _PI = Laurent({(0, 0, 0, 0, 1): 1})
+_A = Laurent({(0, 1, 0, 0, 0): 1})  # cos, cosh or exp of the phase
+_B = Laurent({(0, 0, 1, 0, 0): 1})  # sin or sinh of the phase
 
 
 def _backend(phase: dict) -> flows._Backend:
@@ -338,30 +340,47 @@ def certify(gen) -> Certificate:
     return Certificate(gid, at_zero, not_ode, isometry, flow, phase["y"])
 
 
+def entry_is(cert: Certificate, row: int, col: int, phase: tuple, build) -> bool:
+    """Whether F's phase is phase, (kind, k) of y = k tau, and F's (row, col) entry reduces to build(tau, q, pi, A, B).
+
+    build takes the symbols of F as `Laurent` monomials, A and B the two
+    functions of y (cos and sin, cosh and sinh), or A alone exp of it:
+    `lambda R, q, pi, cos, sin: 4 * pi * R * sin / q` is 4 pi R sin(qR) / q.
+    """
+    if cert.phase != phase:
+        return False
+    return not _reduce(cert.flow[4 * row + col] - build(_TAU, _Q, _PI, _A, _B), phase[0])
+
+
 def published_difference(cert: Certificate) -> list:
     """(row, col, text) of each entry where the published transform minus the certificate's F does not reduce to 0.
 
     The template of `flows._PUBLISHED` is read as term maps in the symbols
-    of F: a ("diag", signs) template is A^sign, exp(sign tau), on the
-    diagonal, where F's phase is exp(+-tau); a (kind, order, smap) template
-    is A, cosh or cos of tau q^order, on the diagonal and
-    coef q^qpow B at each entry of smap, where that is F's phase.  Only an
-    entry whose map is not F's is reduced; text is the reduced difference,
-    as `_render` writes it.  A template of another phase raises ValueError.
+    of its own phase: a ("diag", signs) template is A^sign on the diagonal,
+    A = exp(tau); a (kind, order, smap) template is A, cosh or cos of
+    tau q^order, on the diagonal and coef q^qpow B at each entry of smap.
+    Where that is F's phase (or exp(-tau), read as A^-sign), only an entry
+    whose map is not F's is reduced, and text is the reduced difference, as
+    `_render` writes it.  A template of another phase differs from F in
+    each of its entries, whose functions are of another argument than F's:
+    text is each side rendered in its own phase, published - (generated).
     """
     kind, k = cert.phase
     template = flows._PUBLISHED[cert.gen]
     if template[0] == "diag":
-        direction = 1 if k == 1 else -1 if k == -1 else 0  # A is exp(tau), or exp(-tau)
+        direction = -1 if cert.phase == ("exp", -1) else 1  # where F's A is exp(-tau), exp(s tau) is A^-s
+        own = ("exp", RingElem.monomial(direction))
         published = {(i, i): {(0, s * direction, 0, 0, 0): 1} for i, s in enumerate(template[1])}
-        expected = "exp" if direction else None
     else:
         t_kind, order, smap = template
+        own = ("hyp" if t_kind == "boost" else "trig", RingElem.qpow(order))
         published = {(i, i): {(0, 1, 0, 0, 0): 1} for i in range(4)}
         published.update({rc: {(0, 0, 1, qpow, 0): coef} for rc, (coef, qpow) in smap.items()})
-        expected = ("hyp" if t_kind == "boost" else "trig") if k == RingElem.qpow(order) else None
-    if kind != expected:
-        raise ValueError(f"the published {cert.gen.value} transform reads another phase than its closed form's, {kind} of tau ({k})")
+    if own != cert.phase:
+        return [
+            (r, c, f"{_render(Laurent(p), *own)} - ({_render(_reduce(cert.flow[4 * r + c], kind), kind, k)})")
+            for (r, c), p in sorted(published.items())
+        ]
     out = []
     for i, f in enumerate(cert.flow):
         p = published.get((i // 4, i % 4), {})

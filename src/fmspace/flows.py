@@ -69,9 +69,15 @@ class _Backend:
 _FLOAT_BACKEND = _Backend(math.exp, math.cos, math.sin, math.cosh, math.sinh, math.pi, _w3_divisors(13))
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)  # typed: a float prec equal to a cached int does not skip the check
 def _mp_backend(prec: int) -> _Backend:
-    """mpmath's backend with pi at prec decimal digits; built once per precision."""
+    """mpmath's backend with pi at prec decimal digits; built once per precision.
+
+    A prec that is not an int of at least 1 raises a ValueError naming it,
+    on every call, since a call that raises is not cached.
+    """
+    if type(prec) is not int or prec < 1:
+        raise ValueError(f"prec must be an int of at least 1 decimal digit, got {prec!r}")
     import mpmath
 
     with mpmath.workdps(prec):
@@ -227,8 +233,9 @@ def closed_flow(gen, param: float, q: float, prec: Optional[int] = None) -> np.n
     """Closed-form finite transform exp(param * X_gen) evaluated at q, as a (4, 4) ndarray.
 
     The array is float64, or of dtype object holding mpf when prec (decimal
-    digits) is given, with the rows of `_closed_form`; the inputs are checked
-    by `FlowSpec`.  A float64 flow outside `float64_domain` raises a ValueError.
+    digits, an int of at least 1) is given, with the rows of `_closed_form`;
+    the inputs are checked by `FlowSpec` and the prec by `_mp_backend`.  A
+    float64 flow outside `float64_domain` raises a ValueError.
     """
     spec = FlowSpec(gen, param, q)
     form, rows = _closed_form(spec.gen)
@@ -238,8 +245,9 @@ def closed_flow(gen, param: float, q: float, prec: Optional[int] = None) -> np.n
     else:
         import mpmath
 
+        bk = _mp_backend(prec)  # first: it refuses a prec that is not an int >= 1
         with mpmath.workdps(prec):
-            entries = rows(mpmath.mpf(spec.param), mpmath.mpf(spec.q), _mp_backend(prec))
+            entries = rows(mpmath.mpf(spec.param), mpmath.mpf(spec.q), bk)
     return np.array(entries).reshape(4, 4)  # 16 Python floats make float64; 16 mpf, dtype object
 
 
@@ -484,11 +492,13 @@ def invariance_residual(a: np.ndarray, prec: Optional[int] = None) -> float:
     *ambient* precision, so the residual arithmetic must run inside a
     matching context or the cancellation is destroyed.  With prec, an entry that is not an mpf (a
     float64 a) is lifted to mpf exactly, so the residual is that of the
-    matrix as given: a float64 flow keeps its float64 rounding.
+    matrix as given: a float64 flow keeps its float64 rounding.  A prec
+    that is not an int of at least 1 raises a ValueError, as in `closed_flow`.
     """
     a = np.asarray(a)
     rows = a.tolist()
     if prec is not None:
+        _mp_backend(prec)  # refuses a prec that is not an int >= 1; a valid one is cached
         import mpmath
 
         with mpmath.workdps(prec + 20):

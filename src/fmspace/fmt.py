@@ -38,7 +38,8 @@ def kr_weights(R: float, q: float, prec: Optional[int] = None) -> np.ndarray:
     by its series.  R and q must be positive and finite (an int beyond
     float64 is not), or a ValueError names the problem.  The array is
     float64, inside `flows.float64_domain` (or a ValueError), or of dtype
-    object holding mpf when prec (decimal digits) is given, with an mpf R
+    object holding mpf when prec (decimal digits, an int of at least 1, or a
+    ValueError) is given, with an mpf R
     or q kept exact, as `kernel_matrix` lifts them.  Either way it is
     column 0 of `kernel_matrix(R, q, prec)` with the same bits:
     `flows._weights` gives both, and T1's certificate (`certificate.certify`)
@@ -51,8 +52,9 @@ def kr_weights(R: float, q: float, prec: Optional[int] = None) -> np.ndarray:
         return np.array(_weights(R, q, _FLOAT_BACKEND)[0], dtype=float)
     import mpmath
 
+    bk = _mp_backend(prec)  # first: it refuses a prec that is not an int >= 1
     with mpmath.workdps(prec):
-        return np.array(_weights(mpmath.mpf(R), mpmath.mpf(q), _mp_backend(prec))[0], dtype=object)
+        return np.array(_weights(mpmath.mpf(R), mpmath.mpf(q), bk)[0], dtype=object)
 
 
 _FOUR_PI = 4 * math.pi  # the first product of flows._step_direct, so the same bits

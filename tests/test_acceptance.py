@@ -5,6 +5,7 @@ failure); timing bounds are asserted alongside the numeric tolerances.
 """
 
 import functools
+import math
 import random
 import time
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fmspace import checks
 from fmspace.algebra import Decomposition, decompose
 from fmspace.catalog import BASIS_IDS, GeneratorId, ISOMETRIC_IDS, METAMORPHIC_IDS, SHIFT_IDS, get_generator
 from fmspace.flows import GRID_POINTS, _fold_max, closed_flow, invariance_residual, max_abs
-from fmspace.fmt import kernel_matrix
+from fmspace.fmt import kernel_matrix, mayer_bond
 from fmspace.matrices import METRIC, commutator, eval_mat
 from fmspace.ring import RingElem
 
@@ -44,7 +45,7 @@ def flows_check():
 
 @pytest.fixture(scope="module")
 def float_record():
-    """The float evaluator's record, which no `verify` suite prints: criteria 3, 4 and 6 hold its measures."""
+    """The float evaluator's record, which no `verify` suite prints: criteria 3, 4, 5, 6 and 10 hold its measures."""
     return checks.float_evaluator()
 
 
@@ -103,14 +104,16 @@ def test_criterion_4_closed_form_vs_oracle(flows_check, float_record):
     ), record.detail
 
 
-def test_criterion_5_mayer_identities():
+def test_criterion_5_mayer_identities(float_record):
     record = checks.mayer()
-    worst = _held(record, "bond vs step rel", 1e-10)
-    worst_limit = _held(record, "volume limit rel", 1e-8)
-    ok = worst <= 1e-10 and worst_limit <= 1e-8
+    not_bond = _held(record, "bond identity not implied (exact)", 0)
+    not_limit = _held(record, "volume limit not implied (exact)", 0)
+    worst = _held(float_record, "bond vs step rel", 1e-10)
+    worst_limit = _held(float_record, "volume limit rel", 1e-8)
+    ok = not_bond == 0 and not_limit == 0 and worst <= 1e-10 and worst_limit <= 1e-8
     assert _report(
-        5, ok, f"bilinear vs summed-radius step, worst rel {worst:.2e} (<= 1e-10); "
-        f"q->0 volume limit worst rel {worst_limit:.2e} (<= 1e-8)"
+        5, ok, f"bond = summed-radius step and its q->0 volume limit implied exactly ({not_bond} and {not_limit} off); "
+        f"float bond vs prec-50 step, worst rel {worst:.2e} (<= 1e-10); q->0 volume limit worst rel {worst_limit:.2e} (<= 1e-8)"
     ), record.detail
 
 
@@ -253,18 +256,19 @@ def test_criterion_9_metric_facts():
     ), record.detail
 
 
-def test_criterion_10_real_space_spot_check():
+def test_criterion_10_real_space_spot_check(float_record):
     start = time.perf_counter()
     record = checks.profile()
     elapsed = time.perf_counter() - start
-    worst = _held(record, "worst deviation", 5e-3)
-    ok = worst <= 5e-3 and elapsed < 5.0
+    not_step = _held(record, "step transform not implied (exact)", 0)
+    worst = _held(float_record, "worst deviation", 5e-3)
+    ok = not_step == 0 and worst <= 5e-3 and elapsed < 5.0
     assert _report(
         10,
         ok,
-        f"inverse transform of the unit-sphere step, worst deviation "
-        f"{worst:.2e} (<= 5e-3), {elapsed:.2f}s",
-    )
+        f"w3 is the unit step's transform, exactly ({not_step} off); windowed inverse transform of the unit-sphere step, "
+        f"worst deviation {worst:.2e} (<= 5e-3), {elapsed:.2f}s",
+    ), record.detail
 
 
 def test_every_measure_is_a_plain_number(float_record):
@@ -278,4 +282,28 @@ def test_every_measure_is_a_plain_number(float_record):
 def test_the_float_record_holds_its_bounds(float_record):
     """The float evaluator's measures, which `verify` no longer states, each within its bound."""
     assert float_record.ok, float_record.detail
-    assert list(float_record.measures) == ["closed form vs oracle rel", "least metric-breaking residual", "column vs weights"]
+    assert list(float_record.measures) == [
+        "closed form vs oracle rel", "least metric-breaking residual", "column vs weights",
+        "bond vs step rel", "volume limit rel", "worst deviation",
+    ]
+
+
+@pytest.mark.parametrize("name, fake, measure", [
+    ("mayer_bond", lambda Ra, Rb, q: math.nan if q == 0.5 else mayer_bond(Ra, Rb, q), "bond vs step rel"),
+    ("step_profile", lambda R, radii, **kw: [math.nan] * len(radii), "worst deviation"),
+], ids=["mayer", "profile"])
+def test_float_record_fails_on_nan(monkeypatch, name, fake, measure):
+    """A NaN bond or profile point fails the float record: the folds keep it."""
+    monkeypatch.setattr(checks, name, fake)
+    record = checks.float_evaluator()
+    assert not record.ok
+    assert math.isnan(record.measures[measure].value)
+    assert f"{measure} nan, bound <= " in record.detail
+
+
+def test_float_record_reports_a_failed_volume_limit(monkeypatch):
+    real = checks.mayer_bond
+    monkeypatch.setattr(checks, "mayer_bond", lambda Ra, Rb, q: real(Ra, Rb, q) * (2 if q == 1e-6 else 1))
+    record = checks.float_evaluator()
+    assert not record.ok
+    assert record.detail == "volume limit rel 1.00e+00, bound <= 1e-08"

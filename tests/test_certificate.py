@@ -164,6 +164,42 @@ def test_a_flipped_weight_entry_fails_t1_and_the_kernel_check(monkeypatch, index
     record = checks.kernel()
     assert record.measures["kernel not a one-parameter group (exact)"].value > 0
     assert not record.ok
+    assert not checks.mayer().ok and not checks.profile().ok  # both read T1's certificate
+
+
+@pytest.mark.parametrize("gid, template", [
+    (GeneratorId.B1, ("rotation", 1)),  # another kind
+    (GeneratorId.B1, ("boost", 2)),  # another order
+    (GeneratorId.D2, ("rotation", 1)),
+    (GeneratorId.B0, ("boost", 1)),  # a square template for a diagonal flow
+], ids=["kind", "order", "d2-order", "b0-diag"])
+def test_a_template_of_another_phase_differs_in_each_of_its_entries(monkeypatch, gid, template):
+    """published_difference does not raise: each entry of the template differs, each side rendered in its own phase."""
+    smap = flows._PUBLISHED[GeneratorId.B1][2] if gid is GeneratorId.B0 else flows._PUBLISHED[gid][2]
+    monkeypatch.setitem(flows._PUBLISHED, gid, (*template, smap))
+    diff = certificate.published_difference(certify(gid))
+    assert [(r, c) for r, c, _text in diff] == sorted({*((i, i) for i in range(4)), *smap})
+    kind = "cos" if template[0] == "rotation" else "cosh"
+    y = "tau q" if template[1] == 1 else f"tau q^{template[1]}"
+    assert all(text.startswith(f"{kind}({y}) - (") for r, c, text in diff if r == c)
+
+
+def test_a_diagonal_template_in_the_phase_of_its_flow_differs_by_its_signs(monkeypatch):
+    """A diag template reads exp(s tau) as A^s: one sign flipped differs in that entry only, exactly."""
+    monkeypatch.setitem(flows._PUBLISHED, GeneratorId.B0, ("diag", (1, 1, -1, 1)))
+    assert certificate.published_difference(certify(GeneratorId.B0)) == [(3, 3, "exp(tau) - exp(tau)^-1")]
+
+
+def test_t1s_w2_entry_reads_in_its_symbols():
+    """F's (2, 0) entry of T1 is 4 pi R sin(qR) / q, in the phase q tau of kind trig, and nothing else."""
+    cert = certify(GeneratorId.T1)
+    assert cert.flow[8].terms == {(1, 0, 1, -1, 1): 4}
+    trig = ("trig", RingElem.qpow(1))
+    assert certificate.entry_is(cert, 2, 0, trig, lambda R, q, pi, cos, sin: 4 * pi * R * sin / q)
+    assert not certificate.entry_is(cert, 2, 0, trig, lambda R, q, pi, cos, sin: 4 * pi * R * cos / q)
+    assert not certificate.entry_is(cert, 2, 0, ("hyp", RingElem.qpow(1)), lambda R, q, pi, cos, sin: 4 * pi * R * sin / q)
+    # sin^2 + cos^2 = 1: an entry is compared after the reduction
+    assert certificate.entry_is(cert, 2, 0, trig, lambda R, q, pi, cos, sin: 4 * pi * R * sin * (sin * sin + cos * cos) / q)
 
 
 @pytest.mark.parametrize("index", range(16))

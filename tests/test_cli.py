@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -258,21 +259,17 @@ def test_verify_errata_lists_b2_entry(capsys):
     assert "isometric products [B2, D2]" in out
 
 
-@pytest.mark.parametrize("suite, name, fake", [
-    ("mayer", "mayer_bond", lambda Ra, Rb, q: math.nan if q == 0.5 else mayer_bond(Ra, Rb, q)),
-    ("profile", "step_profile", lambda R, radii, **kw: [math.nan] * len(radii)),
-])
-def test_verify_fails_on_nan(capsys, monkeypatch, suite, name, fake):
-    monkeypatch.setattr(checks, name, fake)
-    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
-    assert code == 1
-    assert out.startswith(f"{suite}: FAIL")
+def _negated_weight(index):
+    """`flows._weights` with the sign of w_index flipped, as T1's rows read it."""
+    def weights(R, q, bk, _weights=flows._weights):
+        column, s, c = _weights(R, q, bk)
+        column[index] = -column[index]
+        return column, s, c
+
+    return weights
 
 
-def _negated_w0(R, q, bk, _weights=flows._weights):
-    column, s, c = _weights(R, q, bk)
-    column[0] = -column[0]
-    return column, s, c
+_negated_w0 = _negated_weight(0)
 
 
 @pytest.mark.parametrize("suite, plant, measure", [
@@ -281,7 +278,9 @@ def _negated_w0(R, q, bk, _weights=flows._weights):
      "published entries off the ledger (exact)"),
     ("kernel", lambda m: m.setattr(flows, "_weights", _negated_w0), "kernel not a one-parameter group (exact)"),
     ("metric", lambda m: m.setattr(checks, "METRIC", matrices.IDENTITY), "nonzero tr M"),  # 1^2 = 1, tr 1 = 4
-], ids=["flows", "kernel", "metric"])
+    ("mayer", lambda m: m.setattr(flows, "_weights", _negated_weight(2)), "bond identity not implied (exact)"),
+    ("profile", lambda m: m.setattr(flows, "_weights", _negated_weight(2)), "step transform not implied (exact)"),
+], ids=["flows", "kernel", "metric", "mayer", "profile"])
 def test_verify_fails_on_a_planted_exact_fault(capsys, monkeypatch, suite, plant, measure):
     """The suites that state exact counts, where a NaN once failed them: a planted fault fails each, naming its count."""
     plant(monkeypatch)
@@ -290,19 +289,22 @@ def test_verify_fails_on_a_planted_exact_fault(capsys, monkeypatch, suite, plant
     assert out.startswith(f"{suite}: FAIL ({measure} ")
 
 
-def test_verify_mayer_reports_a_failed_volume_limit(capsys, monkeypatch):
-    real = checks.mayer_bond
-    monkeypatch.setattr(checks, "mayer_bond", lambda Ra, Rb, q: real(Ra, Rb, q) * (2 if q == 1e-6 else 1))
-    code, out, _ = run_cli(capsys, "verify", "--suite", "mayer")
-    assert code == 1
-    assert out.startswith("mayer: FAIL (")
-    assert "ok" not in out[len("mayer: FAIL ("):]
-    assert "volume limit rel 1.00e+00, bound <= 1e-08" in out
+def test_negated_w2_fails_the_step_entry_itself(monkeypatch):
+    """w2 negated: beside T1's certificate, F's (2, 0) entry is no longer 4 pi R sin(qR) / q, which the profile count adds."""
+    monkeypatch.setattr(flows, "_weights", _negated_weight(2))
+    facts = checks.Facts()
+    failures = facts.certify(GeneratorId.T1).failures
+    assert failures > 0
+    assert checks.profile(facts).measures["step transform not implied (exact)"].value == failures + 1
+    assert checks.mayer(facts).measures["bond identity not implied (exact)"].value == failures
 
 
 def test_verify_evaluates_each_flow_once(capsys, monkeypatch):
     counts = collections.Counter()
-    names = ((flows, "closed_flow"), (fmt, "kr_weights"), (matrices, "eval_rows"), (flows, "reference_discrepancies"))
+    names = (
+        (flows, "closed_flow"), (fmt, "kr_weights"), (matrices, "eval_rows"), (flows, "reference_discrepancies"),
+        (fmt, "step_hat"), (fmt, "mayer_bond"), (fmt, "step_profile"),
+    )
     for owner, name in names:
         original = getattr(owner, name)
 
@@ -328,13 +330,12 @@ def test_verify_evaluates_each_flow_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--errata")
     assert code == 0
     # flows: the 20 certificates, each rows builder once on the exact
-    # backend, whose F the errata diff reuses and whose T1 the kernel check
-    # reads; no float flow, no oracle and no prec-50 weight vector
-    assert counts == {
-        ("rows", "exact"): 20,
-        ("kr_weights", None): 2 * 3 * 3 * 6,  # mayer: both radii of each pair, at 5 q and at 1e-6
-        ("reference_discrepancies", None): 1,
-    }
+    # backend, whose F the errata diff reuses and whose T1 the kernel, mayer
+    # and profile checks read; no float flow, no oracle, no weight vector,
+    # no bond and no step transform
+    assert counts == {("rows", "exact"): 20, ("reference_discrepancies", None): 1}
+    assert run_cli(capsys, "mayer", "--Ra", "1", "--Rb", "1", "--q", "2")[0] == 0
+    assert counts[("mayer_bond", None)] == 1  # the guard sees the calls it counts
 
 
 def test_verify_passes_repeat_the_same_table_work(capsys, monkeypatch):
@@ -377,7 +378,7 @@ def test_verify_passes_repeat_the_same_table_work(capsys, monkeypatch):
 def test_one_pass_forms_each_exact_fact_once(capsys, monkeypatch):
     """A verify pass forms each ordered catalog product at most once across tables and jeffrey, and each certificate once.
 
-    The kernel check reads the flows check's T1 certificate.  A second pass
+    The mayer, kernel and profile checks read the flows check's T1 certificate.  A second pass
     forms them all again, and a suite run alone forms its own on every call.
     """
     from fmspace import algebra
@@ -401,7 +402,7 @@ def test_one_pass_forms_each_exact_fact_once(capsys, monkeypatch):
         assert run_cli(capsys, "verify", "--suite", "all", "--errata")[0] == 0
         assert len(products) == 245 and set(products.values()) == {1}  # the tables' 241 and 4 [T_nu, One]
         assert certificates == {gid: 1 for gid in GeneratorId}
-    for suite, counts, formed in (("jeffrey", products, 20), ("kernel", certificates, 1)):
+    for suite, counts, formed in (("jeffrey", products, 20), *((suite, certificates, 1) for suite in ("mayer", "kernel", "profile"))):
         for _ in range(2):
             counts.clear()
             assert run_cli(capsys, "verify", "--suite", suite)[0] == 0
@@ -419,7 +420,8 @@ def test_a_fault_planted_between_two_passes_shows_in_the_second(capsys, monkeypa
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--errata")
     assert code == 1
     failing = {line.split(":")[0] for line in out.splitlines() if ": FAIL (" in line}
-    assert failing == {"tables", "flows", "kernel"}  # t0..t3 commute, so jeffrey's products do not move
+    # t0..t3 commute, so jeffrey's products do not move; mayer and profile read T1's certificate
+    assert failing == {"tables", "flows", "mayer", "kernel", "profile"}
 
 
 def test_published_cells_are_multiplied_out_once_per_process(capsys, monkeypatch):
@@ -444,7 +446,7 @@ def test_published_cells_are_multiplied_out_once_per_process(capsys, monkeypatch
 
 
 def test_second_verify_pass_parses_no_cell_and_samples_no_scalar_step(capsys, monkeypatch):
-    """Each cell text is parsed once per process; the profile check takes the step spectrum as one array."""
+    """Each cell text is parsed once per process; a pass computes no weight vector, bond, step transform or profile."""
     from fmspace import cli, fmt, reference_tables, ring
 
     assert run_cli(capsys, "verify", "--suite", "all")[0] == 0
@@ -456,18 +458,22 @@ def test_second_verify_pass_parses_no_cell_and_samples_no_scalar_step(capsys, mo
             return _check(*args, **kwargs)
 
         monkeypatch.setitem(cli._SUITES, name, tagged)
-    for original in (ring.parse_linear, fmt.step_hat):
+    numeric = (fmt.kr_weights, fmt.step_hat, fmt.mayer_bond, fmt.step_profile)
+    for original in (ring.parse_linear, *numeric):
         def counting(*args, _original=original, **kwargs):
             counts[where["suite"], _original.__name__] += 1
             return _original(*args, **kwargs)
 
-        for module in (ring, reference_tables, fmt, checks):
+        for module in (ring, reference_tables, fmt, checks, cli):
             for attr in [a for a, value in vars(module).items() if value is original]:
                 monkeypatch.setattr(module, attr, counting)
     assert run_cli(capsys, "verify", "--suite", "all")[0] == 0
-    assert sum(n for (_suite, name), n in counts.items() if name == "parse_linear") == 0
-    assert counts[("profile", "step_hat")] == 0
-    assert counts[("mayer", "step_hat")] == 45  # the guard sees the calls it counts
+    assert counts == {}
+    where["suite"] = "commands"
+    assert run_cli(capsys, "mayer", "--Ra", "1", "--Rb", "1", "--q", "2")[0] == 0
+    assert run_cli(capsys, "profile", "--R", "1", "--rmax", "2", "--points", "3")[0] == 0
+    # the guard sees the calls it counts: the mayer command's bond, its two weight vectors and its step, and one profile
+    assert counts == {("commands", name): n for name, n in (("mayer_bond", 1), ("kr_weights", 2), ("step_hat", 1), ("step_profile", 1))}
 
 
 @pytest.mark.parametrize("R", ["6e102", "5e102"])
@@ -771,7 +777,7 @@ def test_the_shared_parser_gives_what_a_fresh_one_gives():
 
 @pytest.fixture
 def planted_catalog(monkeypatch):
-    """Plant a catalog entry with `plant(gid, index)`; every cache built from the catalog is cleared around it."""
+    """Scale a catalog entry with `plant(gid, index, factor=-1)`; every cache built from the catalog is cleared around it."""
     from fmspace import algebra, catalog
 
     caches = (catalog.get_generator, reference_tables.multiplied_cell, algebra._inverse_norm, algebra._by_entry, flows._closed_form)
@@ -780,10 +786,10 @@ def planted_catalog(monkeypatch):
         for cache in caches:
             cache.cache_clear()
 
-    def plant(gid, index):
+    def plant(gid, index, factor=-1):
         r, c, coef, *pows = catalog._ENTRIES[gid][index]
         flipped = list(catalog._ENTRIES[gid])
-        flipped[index] = (r, c, -coef, *pows)
+        flipped[index] = (r, c, coef * factor, *pows)
         monkeypatch.setitem(catalog._ENTRIES, gid, flipped)
         clear()
 
@@ -809,6 +815,51 @@ def test_a_flipped_catalog_entry_fails_verify_with_every_suite_line(planted_cata
     assert out.startswith("tables: FAIL (")
     if getattr(real_closed_forms[gid][1], "func", None) is flows._square_rows:  # X^2 is no longer +-q^(2 alpha) 1
         assert f"\nflows: FAIL (no closed form for {gid.value}; closed forms not exp(tau X) (exact) 1.60e+01, " in out
+
+
+@pytest.mark.parametrize("index, factor, failing", [
+    (1, -1, {"bond identity not implied (exact)", "volume limit not implied (exact)"}),  # (1, 0): t1^c != t1, N e0 = -e1
+    (3, Fraction(1, 2), {"bond identity not implied (exact)", "volume limit not implied (exact)"}),  # (2, 1): 8 pi halved
+], ids=["t1-1-0-flipped", "t1-2-1-halved"])
+def test_a_planted_t1_fails_the_mayer_counts(planted_catalog, index, factor, failing):
+    """t1 off its catalog form: T1's closed form is no longer exp(R t1), and the volume series no longer reads the sphere's."""
+    planted_catalog(GeneratorId.T1, index, factor)
+    record = checks.mayer()
+    assert {name for name, m in record.measures.items() if not m.ok} == failing
+    if factor == -1:  # (1, 0) is mirrored to (3, 2) by counter-transposition: two entries of t1^c - t1
+        certificate = checks.certify(GeneratorId.T1)
+        assert record.measures["bond identity not implied (exact)"].value == certificate.failures + 2
+    else:  # 4 pi R^2 and 4 pi R^3 / 3 come out halved: rows 2 and 3
+        assert record.measures["volume limit not implied (exact)"].value == 2
+
+
+def test_volume_limit_alone_reads_t1_at_q_zero(monkeypatch):
+    """With T1's certificate passing, a t1 whose (2, 1) entry is halved at q = 0 fails the volume limit alone: rows 2 and 3."""
+    from fmspace import catalog
+
+    halved = [(r, c, Fraction(coef) / 2 if (r, c) == (2, 1) else coef, *pows) for r, c, coef, *pows in catalog._ENTRIES[GeneratorId.T1]]
+    t1 = matrices.Mat4.from_entries(halved)
+    monkeypatch.setattr(checks, "get_generator", lambda gid: t1 if gid is GeneratorId.T1 else get_generator(gid))
+    record = checks.mayer()
+    assert record.measures["volume limit not implied (exact)"].value == 2
+    assert record.measures["bond identity not implied (exact)"].value == 0  # (2, 1) is its own counter-transpose
+
+
+@pytest.mark.parametrize("template, diagonal", [
+    (("rotation", 1), "cos(tau q) - (cosh(tau q))"),
+    (("boost", 2), "cosh(tau q^2) - (cosh(tau q))"),
+], ids=["kind", "order"])
+def test_a_published_template_of_another_phase_counts_each_entry(monkeypatch, template, diagonal):
+    """A wrong kind or order in one template: each of its 8 entries is off the ledger, and every suite line prints."""
+    smap = flows._PUBLISHED[GeneratorId.B1][2]
+    monkeypatch.setitem(flows._PUBLISHED, GeneratorId.B1, (*template, smap))
+    code, out, err = _call(["verify", "--suite", "all", "--errata"])
+    assert (code, err) == (1, "")
+    lines = [line for line in out.splitlines() if re.match(r"\w+: (PASS|FAIL) \(", line)]
+    assert [line.split(":")[0] for line in lines] == list(checks.CHECKS)
+    assert [line for line in lines if ": FAIL (" in line] == ["flows: FAIL (published entries off the ledger (exact) 8.00e+00, bound <= 0)"]
+    assert f"  B1 transform, entry (0, 0): published minus generated = {diagonal}\n" in out
+    assert out.count("  B1 transform, entry ") == 8
 
 
 def test_eval_names_a_generator_without_a_closed_form(planted_catalog):

@@ -69,6 +69,26 @@ class TestClosedFlow:
         a = closed_flow(GeneratorId.D1, 2 * math.pi / q, q)
         assert np.allclose(a, np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize("prec", [0, -3, 2.5, True])
+    def test_refuses_a_prec_that_is_not_an_int_of_at_least_1(self, prec):
+        """prec=0 once gave B1's (0, 0) entry as 1.5 (cosh 1 = 1.543...); each entry point names the prec, each time."""
+        message = f"^prec must be an int of at least 1 decimal digit, got {re.escape(repr(prec))}$"
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(ValueError, match=message):
+                closed_flow("B1", 1.0, 1.0, prec=prec)
+            with pytest.raises(ValueError, match=message):
+                kernel_matrix(1.0, 1.0, prec=prec)
+            with pytest.raises(ValueError, match=message):
+                invariance_residual(closed_flow("B1", 1.0, 1.0), prec=prec)
+            with pytest.raises(ValueError, match=message):
+                group_law_residual("B1", 1.0, 0.5, 1.0, prec=prec)
+        assert abs(closed_flow("B1", 1.0, 1.0, prec=1)[0, 0] - math.cosh(1.0)) < 0.01  # one digit, asked for
+
+    def test_a_float_prec_equal_to_a_cached_int_is_still_refused(self):
+        closed_flow("B1", 1.0, 1.0, prec=30)
+        with pytest.raises(ValueError, match="got 30.0$"):
+            closed_flow("B1", 1.0, 1.0, prec=30.0)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             closed_flow(GeneratorId.B0, 1.0, 0.0)

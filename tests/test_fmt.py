@@ -29,6 +29,12 @@ from fmspace.ring import RingElem
 
 
 class TestWeights:
+    @pytest.mark.parametrize("prec", [0, -3, 2.5])
+    def test_refuses_a_prec_that_is_not_an_int_of_at_least_1(self, prec):
+        """prec=0 once gave w2 = 10.0 (4 pi sin 1 = 10.57...): the prec is named instead."""
+        with pytest.raises(ValueError, match=f"^prec must be an int of at least 1 decimal digit, got {prec!r}$"):
+            kr_weights(1.0, 1.0, prec=prec)
+
     def test_at_q_pi_radius_one(self):
         # s = 0, c = -1: w = (-1, -1/2, 0, 4/pi)
         w = kr_weights(1.0, math.pi)

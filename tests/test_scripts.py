@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -135,6 +136,9 @@ def test_bench_replays_head_against_this_tree(monkeypatch):
         "verify_pass", "verify_pass.round_min", "verify_pass.fresh_caches", "one_shot_verify",
         *(f"checks.{name}" for name in checks.CHECKS),
     ]
+    lines = bench.replay_lines(record)
+    assert len(lines) == len(metrics) and lines[-1] == "checks.profile: missing at one revision"
+    assert re.fullmatch(r"verify_pass: ratio \d+\.\d{3}, won [012] of 2; q1-median-q3 ms \w+ [\d.-]+, this tree [\d.-]+", lines[0])
     assert metrics.pop("checks.profile") is None
     for name, metric in metrics.items():
         for side in ("rev", "head"):
