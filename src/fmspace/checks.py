@@ -237,11 +237,13 @@ def mayer(facts: Optional[Facts] = None) -> CheckRecord:
     not_bond = certificate.failures + len(list(t1c.entries())) + len(list(m_e0.entries()))
     singular = sum(any(j < 0 for j, _k, _c in x.terms()) for _r, _c, x in t1.entries())
     n = Mat4.from_entries((r, c, coef, 0, k) for r, c, x in t1.entries() for j, k, coef in x.terms() if j == 0)
-    series, power = [], _E0  # power is N^k e0, as column 0
-    for k in range(4):
-        series += [(r, k, Fraction(coef, math.factorial(k)), j, m) for r, _c, x in power.entries() for j, m, coef in x.terms()]
-        power = n @ power
-    rows_off = {r for r, _c, _x in (Mat4.from_entries(series) - _MINKOWSKI).entries()}
+    powers = [_E0]  # N^k e0 for k = 0..3, as column 0
+    while len(powers) < 4:
+        powers.append(n @ powers[-1])
+    series = Mat4.from_entries(
+        (r, k, Fraction(coef, math.factorial(k)), j, m) for k, power in enumerate(powers) for r, _c, x in power.entries() for j, m, coef in x.terms()
+    )
+    rows_off = {r for r, _c, _x in (series - _MINKOWSKI).entries()}
     n2 = n @ n
     measures = {
         "bond identity not implied (exact)": Measure(not_bond, 0),
